@@ -9,94 +9,10 @@
 #include "bench/testmap_common.h"
 #include "harness/driver.h"
 
-namespace bench {
-
-/// 80% range-median lookups / 10% puts / 10% removes against a SortedMap.
-template <class MapT>
-void testsortedmap_op(MapT& map, long key_space, std::uint64_t& s) {
-  const long key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
-  const std::uint64_t roll = rnd(s) % 10;
-  if (roll < 8) {
-    // subMap(key, key+8): collect the range, take the median key.
-    std::vector<long> keys;
-    for (auto it = map.range_iterator(key, key + 8); it->has_next();)
-      keys.push_back(it->next().first);
-    if (!keys.empty()) (void)keys[keys.size() / 2];
-  } else if (roll < 9) {
-    (void)map.put(key, key);
-  } else {
-    (void)map.remove(key);
-  }
-}
-
-template <class MakeMap>
-harness::Series java_sorted(const std::string& name, const TestMapParams& p, MakeMap make_map) {
-  return harness::Series{
-      name, sim::Mode::kLock,
-      [p, make_map](int cpus, std::uint64_t salt, harness::RunResult& out) {
-        sim::Engine eng(make_cfg(sim::Mode::kLock, cpus));
-        atomos::Runtime rt(eng);
-        auto map = make_map();
-        for (long k = 0; k < p.prepopulate; ++k) map->put(k * 2 % p.key_space, k);
-        atomos::Mutex mu;
-        const int per_cpu = p.total_ops / cpus;
-        for (int c = 0; c < cpus; ++c) {
-          eng.spawn([&, c, salt] {
-            std::uint64_t s = p.seed + salt + static_cast<std::uint64_t>(c) * 7919;
-            for (int i = 0; i < per_cpu; ++i) {
-              atomos::Runtime::current().work(p.think_cycles / 2);
-              {
-                atomos::LockGuard g(mu);
-                testsortedmap_op(*map, p.key_space, s);
-              }
-              atomos::Runtime::current().work(p.think_cycles / 2);
-            }
-          });
-        }
-        eng.run();
-        collect_stats(eng, out);
-      }};
-}
-
-template <class MakeMap>
-harness::Series atomos_sorted(const std::string& name, const TestMapParams& p, MakeMap make_map) {
-  return harness::Series{
-      name, sim::Mode::kTcc,
-      [p, make_map](int cpus, std::uint64_t salt, harness::RunResult& out) {
-        sim::Engine eng(make_cfg(sim::Mode::kTcc, cpus));
-        atomos::Runtime rt(eng);
-        auto map = make_map();
-        for (long k = 0; k < p.prepopulate; ++k) map->put(k * 2 % p.key_space, k);
-        const int per_cpu = p.total_ops / cpus;
-        for (int c = 0; c < cpus; ++c) {
-          eng.spawn([&, c, salt] {
-            std::uint64_t s = p.seed + salt + static_cast<std::uint64_t>(c) * 7919;
-            for (int i = 0; i < per_cpu; ++i) {
-              const std::uint64_t body_seed = s;
-              atomos::atomically([&] {
-                std::uint64_t bs = body_seed;
-                atomos::work(p.think_cycles / 2);
-                testsortedmap_op(*map, p.key_space, bs);
-                atomos::work(p.think_cycles / 2);
-              });
-              rnd(s);
-              rnd(s);
-            }
-          });
-        }
-        eng.run();
-        collect_stats(eng, out);
-      }};
-}
-
-}  // namespace bench
-
 int main(int argc, char** argv) {
   using namespace bench;
   const harness::Cli cli = harness::Cli::parse(argc, argv, "fig2_testsortedmap");
-  TestMapParams p;
-  p.total_ops = 2400;       // range scans are heavier than point lookups
-  p.think_cycles = 10000;   // keep the compute-to-scan ratio paper-like
+  TestMapParams p = testsortedmap_params();
   if (cli.ops > 0) p.total_ops = static_cast<int>(cli.ops);
 
   auto make_tree = [] { return std::make_unique<jstd::TreeMap<long, long>>(); };
@@ -105,9 +21,10 @@ int main(int argc, char** argv) {
   };
 
   std::vector<harness::Series> series;
-  series.push_back(java_sorted("Java TreeMap", p, make_tree));
-  series.push_back(atomos_sorted("Atomos TreeMap", p, make_tree));
-  series.push_back(atomos_sorted("Atomos TransactionalSortedMap", p, make_wrapped));
+  series.push_back(java_series("Java TreeMap", p, make_tree, TestSortedMapOp{}));
+  series.push_back(atomos_series("Atomos TreeMap", p, make_tree, TestSortedMapOp{}));
+  series.push_back(
+      atomos_series("Atomos TransactionalSortedMap", p, make_wrapped, TestSortedMapOp{}));
 
   return harness::run_figure_main(
       "Figure 2: TestSortedMap (80% subMap median / 10% put / 10% remove, long transactions)",

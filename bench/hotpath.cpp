@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,46 @@ harness::BenchResult bench_contended(int txns_per_cpu) {
   return r;
 }
 
+/// The abort layer.  Every CPU reads one hot cell and writes a private one;
+/// every `writer_stride`-th CPU also writes the hot cell, so each of its
+/// commits flags the other readers.  AggressiveRetry restarts the losers at
+/// once, keeping the abort rate high.  `mid_body_work` decides where a flag
+/// is found.  With none, a body is a read and a write or two: the flag lands
+/// while the last store misses or while the body queues for the commit
+/// token, and commit_txn finds it.  With long work it lands while the body
+/// runs and work() throws it.  ops counts committed transactions; the
+/// violations extra records the abort load.
+harness::BenchResult bench_abort(const char* name, int cpus, int txns_per_cpu,
+                                 int writer_stride, std::uint64_t mid_body_work) {
+  sim::Config cfg = tcc_cfg();
+  cfg.num_cpus = cpus;
+  sim::Engine eng(cfg);
+  atomos::Runtime rt(eng, std::make_unique<atomos::AggressiveRetry>());
+  // Eight cells per virtual line: cell 0 is hot, cell 8*(c+1) is CPU c's.
+  std::vector<PaddedCell> cells(static_cast<std::size_t>(8 * (cpus + 1)));
+  for (int c = 0; c < cpus; ++c) {
+    const bool writer = c % writer_stride == 0;
+    eng.spawn([&cells, c, writer, txns_per_cpu, mid_body_work] {
+      for (int i = 0; i < txns_per_cpu; ++i) {
+        atomos::atomically([&cells, c, writer, i, mid_body_work] {
+          const long v = cells[0].v.get();
+          if (mid_body_work != 0) atomos::work(mid_body_work);
+          cells[8 * (c + 1)].v.set(v + i);
+          if (writer) cells[0].v.set(v + 1);
+        });
+      }
+    });
+  }
+  harness::BenchResult r;
+  r.name = name;
+  r.ops = static_cast<std::uint64_t>(cpus) * txns_per_cpu;  // committed txns
+  r.wall_seconds = wall_run(eng);
+  r.sim_cycles = eng.elapsed_cycles();
+  r.extras.emplace_back(
+      "violations", static_cast<double>(eng.stats().total(&sim::CpuStats::violations)));
+  return r;
+}
+
 /// Scheduler-decision cost: `cpus` lockstep fibers each ticking one cycle at
 /// a time, so essentially every tick crosses the run limit and forces a full
 /// scheduling decision plus fiber switch.  No TM runtime, no memory system
@@ -441,6 +482,8 @@ int main(int argc, char** argv) {
   results.push_back(best_of([] { return bench_nested_frames(10000); }));
   results.push_back(best_of([] { return bench_open_nested(10000); }));
   results.push_back(best_of([] { return bench_contended(4000); }));
+  results.push_back(best_of([] { return bench_abort("abort_at_commit", 32, 200, 4, 0); }));
+  results.push_back(best_of([] { return bench_abort("abort_mid_body", 8, 300, 1, 400); }));
   // Engine hot-loop microbenches: scheduler decision cost and fiber
   // construction/teardown, at the paper scale (8), the old CPU-axis top
   // (32) and the new top (128).  Total ticks are held constant across the

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/txmap.h"
 #include "core/txsortedmap.h"
@@ -47,6 +49,49 @@ void testmap_op(MapT& map, long key_space, std::uint64_t& s) {
   }
 }
 
+/// Figure 2's operation against a SortedMap: 80% range-median lookups
+/// (collect subMap(key, key+8), take the median key) / 10% puts / 10%
+/// removes.
+template <class MapT>
+void testsortedmap_op(MapT& map, long key_space, std::uint64_t& s) {
+  const long key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
+  const std::uint64_t roll = rnd(s) % 10;
+  if (roll < 8) {
+    std::vector<long> keys;
+    for (auto it = map.range_iterator(key, key + 8); it->has_next();)
+      keys.push_back(it->next().first);
+    if (!keys.empty()) (void)keys[keys.size() / 2];
+  } else if (roll < 9) {
+    (void)map.put(key, key);
+  } else {
+    (void)map.remove(key);
+  }
+}
+
+/// The operations above as function objects, for the series templates.
+struct TestMapOp {
+  template <class MapT>
+  void operator()(MapT& map, long key_space, std::uint64_t& s) const {
+    testmap_op(map, key_space, s);
+  }
+};
+struct TestSortedMapOp {
+  template <class MapT>
+  void operator()(MapT& map, long key_space, std::uint64_t& s) const {
+    testsortedmap_op(map, key_space, s);
+  }
+};
+
+/// Figure 2's parameters: range scans are heavier than point lookups, so
+/// fewer operations with more compute around each keep the compute-to-scan
+/// ratio paper-like.
+inline TestMapParams testsortedmap_params() {
+  TestMapParams p;
+  p.total_ops = 2400;
+  p.think_cycles = 10000;
+  return p;
+}
+
 /// Fills in the stats fields of a RunResult from a finished simulation.
 inline void collect_stats(sim::Engine& eng, harness::RunResult& out) {
   const sim::CpuStats s = eng.stats().summed();
@@ -64,14 +109,15 @@ inline sim::Config make_cfg(sim::Mode mode, int cpus) {
   return c;
 }
 
-/// "Java <Map>": lock-mode run, mutex held only around each operation.
+/// "Java <Map>": lock-mode run, mutex held only around each `op`.
 /// `salt` perturbs every worker's RNG seed for `--trials`; salt 0 is the
 /// canonical run.
-template <class MakeMap>
-harness::Series java_series(const std::string& name, const TestMapParams& p, MakeMap make_map) {
+template <class MakeMap, class Op = TestMapOp>
+harness::Series java_series(const std::string& name, const TestMapParams& p, MakeMap make_map,
+                            Op op = {}) {
   return harness::Series{
       name, sim::Mode::kLock,
-      [p, make_map](int cpus, std::uint64_t salt, harness::RunResult& out) {
+      [p, make_map, op](int cpus, std::uint64_t salt, harness::RunResult& out) {
         sim::Engine eng(make_cfg(sim::Mode::kLock, cpus));
         atomos::Runtime rt(eng);
         auto map = make_map();
@@ -85,7 +131,7 @@ harness::Series java_series(const std::string& name, const TestMapParams& p, Mak
               atomos::Runtime::current().work(p.think_cycles / 2);
               {
                 atomos::LockGuard g(mu);  // short critical section
-                testmap_op(*map, p.key_space, s);
+                op(*map, p.key_space, s);
               }
               atomos::Runtime::current().work(p.think_cycles / 2);
             }
@@ -97,11 +143,12 @@ harness::Series java_series(const std::string& name, const TestMapParams& p, Mak
 }
 
 /// "Atomos <Map>": the whole (compute, op, compute) body is one transaction.
-template <class MakeMap>
-harness::Series atomos_series(const std::string& name, const TestMapParams& p, MakeMap make_map) {
+template <class MakeMap, class Op = TestMapOp>
+harness::Series atomos_series(const std::string& name, const TestMapParams& p, MakeMap make_map,
+                              Op op = {}) {
   return harness::Series{
       name, sim::Mode::kTcc,
-      [p, make_map](int cpus, std::uint64_t salt, harness::RunResult& out) {
+      [p, make_map, op](int cpus, std::uint64_t salt, harness::RunResult& out) {
         sim::Engine eng(make_cfg(sim::Mode::kTcc, cpus));
         atomos::Runtime rt(eng);
         auto map = make_map();
@@ -115,7 +162,7 @@ harness::Series atomos_series(const std::string& name, const TestMapParams& p, M
               atomos::atomically([&] {
                 std::uint64_t bs = body_seed;
                 atomos::work(p.think_cycles / 2);
-                testmap_op(*map, p.key_space, bs);
+                op(*map, p.key_space, bs);
                 atomos::work(p.think_cycles / 2);
               });
               // advance the thread RNG past the consumed draws

@@ -103,7 +103,11 @@ class TreeMap final : public SortedMap<K, V> {
   std::optional<K> last_key() const override {
     Node* n = root_.get();
     if (n == nullptr) return std::nullopt;
-    while (n->right.get() != nullptr) n = n->right.get();
+    while (n->right.get() != nullptr) {
+      Node* r = n->right.get();
+      if (r == nullptr) break;  // doomed: see minimum()
+      n = r;
+    }
     return n->key.get();
   }
 
@@ -189,9 +193,18 @@ class TreeMap final : public SortedMap<K, V> {
     return best;
   }
 
+  /// Each child link is read twice (test, then follow), so a consistent
+  /// execution's simulated accesses stay as they always were.  The second
+  /// read can still come back null: its memory access may yield across a
+  /// concurrent commit that unlinks the child.  That commit has flagged this
+  /// transaction, so stop on the null and let the next read unwind it.
   static Node* minimum(Node* n) {
     if (n == nullptr) return nullptr;
-    while (n->left.get() != nullptr) n = n->left.get();
+    while (n->left.get() != nullptr) {
+      Node* l = n->left.get();
+      if (l == nullptr) break;
+      n = l;
+    }
     return n;
   }
 
@@ -307,6 +320,7 @@ class TreeMap final : public SortedMap<K, V> {
     // key/value, then the successor (<= 1 child) is spliced out.
     if (z->left.get() != nullptr && z->right.get() != nullptr) {
       Node* s = minimum(z->right.get());
+      if (s == nullptr) return;  // doomed: z's right link changed (minimum())
       z->key.set(s->key.get());
       z->val.set(s->val.get());
       z = s;

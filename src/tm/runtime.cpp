@@ -137,12 +137,10 @@ void Runtime::release_txn(Txn* t) {
   ctx(cpu).pool.push_back(t);
 }
 
-void Runtime::report_violation(int cpu, Txn* flagged) {
+Violated Runtime::count_violation(int cpu, Txn* flagged) {
   // Note: abort-handler (compensation) transactions are NOT exempt — they
   // run detached (their doomed ancestors are unreachable from ctx.cur), and
   // their own memory conflicts must retry like any other transaction's.
-  // check_kill passed the outermost flagged transaction: it dominates
-  // everything nested inside it.
   auto& st = eng_.stats().cpu(cpu);
   if (flagged->kill_semantic) st.semantic_violations++;
   if (!flagged->open && flagged->parent == nullptr && flagged->kill_frame == 0) {
@@ -150,7 +148,11 @@ void Runtime::report_violation(int cpu, Txn* flagged) {
   } else {
     st.nested_violations++;
   }
-  throw Violated{flagged, flagged->kill_frame};
+  return Violated{flagged, flagged->kill_frame};
+}
+
+void Runtime::throw_violation(int cpu, Txn* flagged) {
+  throw count_violation(cpu, flagged);
 }
 
 void Runtime::clear_kill(Txn& t) {
@@ -394,11 +396,14 @@ void Runtime::broadcast_and_apply(Txn& t) {
   }
 }
 
-void Runtime::commit_txn(Txn* t) {
+std::optional<Violated> Runtime::commit_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
   assert(c.cur == t && t->depth == 0);
 
-  check_kill(t->cpu);  // flagged while working: abort instead of committing
+  // The body has returned, so a flag found here needs no unwind: each check
+  // below hands the violation back to run_txn (token released) instead of
+  // throwing it.  Flagged while working: abort instead of committing.
+  if (Txn* f = flagged_txn(t->cpu)) return count_violation(t->cpu, f);
 
   // An open child with a parent does not run handlers at its own commit:
   // they transfer to the parent below (paper S4).
@@ -419,20 +424,20 @@ void Runtime::commit_txn(Txn* t) {
     // semantic lock acquisitions have to be ordered either before that
     // committer's conflict detection or after its broadcast.  Waiting for
     // the token gives exactly that: if the commit wrote what we read, the
-    // broadcast flags us while we wait and check_kill unwinds us.
+    // broadcast flags us while we wait and we abort instead.
     acquire_token(t->cpu);
-    try {
-      check_kill(t->cpu);
-    } catch (...) {
-      release_token(t->cpu);
-      throw;
-    }
+    Txn* f = flagged_txn(t->cpu);
     release_token(t->cpu);
+    if (f != nullptr) return count_violation(t->cpu, f);
   }
   if (!trivial) {
     acquire_token(t->cpu);
+    // Last chance: flagged while queueing for the token.
+    if (Txn* f = flagged_txn(t->cpu)) {
+      release_token(t->cpu);
+      return count_violation(t->cpu, f);
+    }
     try {
-      check_kill(t->cpu);  // last chance: flagged while queueing for the token
       // With the token held and the logs final, the read/write sets must be
       // internally consistent before anything is broadcast (txcheck).
       audit::check_txn_sets(*t);
@@ -505,6 +510,7 @@ void Runtime::commit_txn(Txn* t) {
   c.cur = t->parent;
   release_txn(t);
   if (!purgatory_.empty()) collect_garbage();
+  return std::nullopt;
 }
 
 void Runtime::abort_txn(Txn* t) {

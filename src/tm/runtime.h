@@ -16,9 +16,14 @@
 // Conflict detection is lazy (TCC): speculative writes are buffered; at
 // commit the writer acquires the global commit token, broadcasts its write
 // set, and flags every other in-flight transaction that has read one of the
-// written cache lines.  Flagged transactions unwind at their next
-// transactional operation and retry (the whole transaction, or just the
-// nested frame / open-nested child whose read caused the conflict).
+// written cache lines.  Flagged transactions retry: the whole transaction,
+// or just the nested frame / open-nested child whose read caused the
+// conflict.  How the violation reaches the retry loop depends on where the
+// flag is seen.  Mid-body (the next transactional read, write, work() or
+// child begin) it is thrown as Violated, because user frames must unwind.
+// At commit, after the body has returned, commit_txn hands it back as a
+// value and run_txn rolls back without a C++ unwind; it throws only when
+// the doomed transaction is an enclosing one.
 // Because every commit holds the token, commit handlers can never be
 // violated while they run — the TCC property the paper relies on.
 #pragma once
@@ -29,6 +34,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -53,7 +59,8 @@ struct TxnId {
   friend bool operator==(const TxnId&, const TxnId&) = default;
 };
 
-/// Unwinds a violated transaction (or one of its frames) to its retry point.
+/// Names a violated transaction (or one of its frames) and so its retry
+/// point.  Thrown to unwind user frames, or returned by the commit path.
 /// Internal control flow; user code must never swallow it.
 struct Violated {
   const void* txn;  // which transaction must retry
@@ -394,23 +401,36 @@ class Runtime {
 
   // Non-template machinery (runtime.cpp).
   detail::Txn* begin_txn(int cpu, bool open, int attempt);
-  void commit_txn(detail::Txn* t);  // may throw Violated (flag seen at commit)
+  /// Commits `t`, or returns the violation that dooms it instead.  A flag
+  /// seen before the token, during a read-only open child's token wait, or
+  /// right after acquiring the token comes back as a value, with the token
+  /// released.  Only violations raised inside commit handlers still throw.
+  [[nodiscard]] std::optional<Violated> commit_txn(detail::Txn* t);
   void abort_txn(detail::Txn* t);   // rollback + abort handlers + backoff
   void release_txn(detail::Txn* t);  // drop read-set dir refs, park in pool
   void push_frame(detail::Txn& t);
   void pop_frame_commit(detail::Txn& t);
   void pop_frame_abort(detail::Txn& t);
   void clear_kill(detail::Txn& t);
-  /// Throws Violated if any transaction on `cpu` is flagged.  The scan is
-  /// inline (almost always finds nothing); the throw path is out-of-line.
-  void check_kill(int cpu) {
+  /// The outermost flagged transaction on `cpu` (it dominates everything
+  /// nested inside it), or null.  Inline: the scan almost always finds
+  /// nothing.
+  detail::Txn* flagged_txn(int cpu) {
     detail::Txn* flagged = nullptr;
     for (detail::Txn* t = ctx(cpu).cur; t != nullptr; t = t->parent) {
       if (t->kill_frame >= 0) flagged = t;
     }
-    if (flagged != nullptr) report_violation(cpu, flagged);
+    return flagged;
   }
-  [[noreturn]] void report_violation(int cpu, detail::Txn* flagged);
+  /// Charges `flagged`'s violation to `cpu`'s stats and names its retry
+  /// point.  Both delivery paths (thrown and returned) go through here.
+  Violated count_violation(int cpu, detail::Txn* flagged);
+  /// Mid-body poll: throws Violated if any transaction on `cpu` is flagged.
+  /// The throw path is out-of-line.
+  void check_kill(int cpu) {
+    if (detail::Txn* flagged = flagged_txn(cpu)) throw_violation(cpu, flagged);
+  }
+  [[noreturn]] void throw_violation(int cpu, detail::Txn* flagged);
   void notify_txn_sets(detail::Txn* t, bool committed);  // mc observer fan-out
   void acquire_token(int cpu);
   void release_token(int cpu);
@@ -442,28 +462,33 @@ class Runtime {
   /// A fresh incarnation id for a non-Txn audit scope (chop restarts).
   TxnId make_scope_id(int cpu) { return TxnId{cpu, ctx(cpu).next_incarnation++}; }
 
+  /// The retry loop behind atomically() and open_atomically().  A violation
+  /// arrives thrown (flag seen mid-body) or returned by commit_txn (flag
+  /// seen after the body returned); either way `t` aborts the same way, and
+  /// only a violation of an enclosing transaction travels on as a throw.
   template <class F>
   auto run_txn(int cpu, bool open, F&& fn) {
     for (int attempt = 0;; ++attempt) {
       detail::Txn* t = begin_txn(cpu, open, attempt);
+      std::optional<Violated> v;
       try {
         if constexpr (std::is_void_v<decltype(fn())>) {
           fn();
-          commit_txn(t);
-          return;
+          v = commit_txn(t);
+          if (!v) return;
         } else {
           auto result = fn();
-          commit_txn(t);
-          return result;
+          v = commit_txn(t);
+          if (!v) return result;
         }
-      } catch (const Violated& v) {
-        const bool mine = (v.txn == t);
-        abort_txn(t);
-        if (!mine) throw;  // an enclosing transaction is doomed
+      } catch (const Violated& thrown) {  // txlint: allow(catch-swallow) handled below
+        v = thrown;
       } catch (...) {
         abort_txn(t);  // user exception: abort, then propagate
         throw;
       }
+      abort_txn(t);
+      if (v->txn != t) throw *v;  // an enclosing transaction is doomed
     }
   }
 

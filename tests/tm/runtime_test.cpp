@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <vector>
 
 #include "tm/shared.h"
@@ -480,6 +481,134 @@ TEST(RuntimeTest, SerializedCommitsAreTotalOrder) {
   }
   eng.run();
   EXPECT_EQ(x.unsafe_peek(), 2);
+}
+
+// ---- violations found at commit, after the body has returned ----
+//
+// CPU1 commits a write to x and holds the commit token through a slow commit
+// handler.  Meanwhile CPU0 reads x and reaches a commit that has to wait for
+// the token.  CPU1's broadcast flags CPU0 while it waits, so the violation
+// is found at commit, not mid-body.
+
+constexpr std::uint64_t kSlowHandlerCycles = 1000;
+constexpr std::uint64_t kLateStartCycles = 200;  // CPU1 takes the token first
+// The first race's simulated length: delivering the violation as a value
+// instead of a throw must not move a single cycle.
+constexpr std::uint64_t kCommitRaceCycles = 1142;
+
+void spawn_slow_committer(sim::Engine& eng, Shared<int>& x) {
+  eng.spawn([&x] {
+    atomically([&x] {
+      x.set(7);
+      on_commit([] { Runtime::current().work(kSlowHandlerCycles); });
+    });
+  });
+}
+
+TEST(RuntimeTest, CommitTimeViolationAbortsWithoutUnwinding) {
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int attempts = 0;
+  int returned = 0;               // attempts whose body ran to the end
+  int aborts_with_exception = 0;  // abort handlers that ran inside a catch block
+  eng.spawn([&] {
+    Runtime::current().work(kLateStartCycles);
+    atomically([&] {
+      ++attempts;
+      on_abort([&] {
+        if (std::current_exception() != nullptr) ++aborts_with_exception;
+      });
+      y.set(x.get() + 1);
+      ++returned;
+    });
+  });
+  spawn_slow_committer(eng, x);
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(returned, 2);  // the flag was found at commit, not mid-body
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
+  EXPECT_EQ(y.unsafe_peek(), 8);
+  // The commit returned the violation: nothing was thrown, so the abort ran
+  // with no exception in flight.
+  EXPECT_EQ(aborts_with_exception, 0);
+  EXPECT_EQ(eng.elapsed_cycles(), kCommitRaceCycles);
+}
+
+TEST(RuntimeTest, CommitTimeViolationOfParentUnwindsThroughOpenChild) {
+  // The parent read x, and its open-nested child is the one waiting for the
+  // token when the flag lands.  The child aborts first, then the parent's
+  // frames unwind and it restarts once.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int parent_runs = 0;
+  int child_runs = 0;
+  int child_returned = 0;
+  int aborts_run = 0;
+  int parent_abort_rank = -1;  // position among the abort handlers that ran
+  int child_abort_rank = -1;
+  eng.spawn([&] {
+    Runtime::current().work(kLateStartCycles);
+    atomically([&] {
+      ++parent_runs;
+      on_abort([&] { parent_abort_rank = aborts_run++; });
+      const int v = x.get();
+      open_atomically([&] {
+        ++child_runs;
+        on_abort([&] { child_abort_rank = aborts_run++; });
+        y.set(v + 1);
+        ++child_returned;
+      });
+    });
+  });
+  spawn_slow_committer(eng, x);
+  eng.run();
+  EXPECT_EQ(parent_runs, 2);
+  EXPECT_EQ(child_runs, 2);
+  EXPECT_EQ(child_returned, 2);  // flagged at the child's commit
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
+  EXPECT_EQ(aborts_run, 2);
+  EXPECT_EQ(child_abort_rank, 0);  // the child's abort handler runs first
+  EXPECT_EQ(parent_abort_rank, 1);
+  EXPECT_EQ(y.unsafe_peek(), 8);
+}
+
+TEST(RuntimeTest, ReadOnlyOpenChildFlaggedInTokenWaitRetriesAlone) {
+  // A read-only open child waits for the token to order itself against the
+  // commit in progress.  Only the child read x, so only the child retries.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int parent_runs = 0;
+  int child_runs = 0;
+  int child_returned = 0;
+  eng.spawn([&] {
+    Runtime::current().work(kLateStartCycles);
+    atomically([&] {
+      ++parent_runs;
+      const int v = open_atomically([&] {
+        ++child_runs;
+        const int seen = x.get();
+        ++child_returned;
+        return seen;
+      });
+      y.set(v + 1);
+    });
+  });
+  spawn_slow_committer(eng, x);
+  eng.run();
+  EXPECT_EQ(parent_runs, 1);
+  EXPECT_EQ(child_runs, 2);
+  EXPECT_EQ(child_returned, 2);  // flagged during the token wait
+  EXPECT_EQ(eng.stats().cpu(0).violations, 0u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 1u);
+  EXPECT_EQ(y.unsafe_peek(), 8);
 }
 
 TEST(RuntimeTest, DeterministicViolationCounts) {
