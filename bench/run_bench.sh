@@ -2,12 +2,11 @@
 # Runs the perf benches and writes machine-readable results at the repo
 # root, so the perf trajectory (BENCH_*.json) is tracked over time:
 #
-#   BENCH_op_overhead.json  - google-benchmark JSON for tbl_op_overhead
-#   BENCH_hotpath.json      - wall-clock TM hot-path throughput (normalized
-#                             by a host calibration loop; see hotpath.cpp)
-#   BENCH_figs.json         - per-figure wall-clock of the six figure
-#                             sweeps + the ablation tables, each run through
-#                             the host-parallel driver with --jobs $JOBS
+#   BENCH_hotpath.json  - wall-clock TM hot-path throughput (normalized by
+#                         a host calibration loop; see hotpath.cpp)
+#   BENCH_figs.json     - per-figure wall-clock of the six figure sweeps +
+#                         the ablation tables, each run through the
+#                         host-parallel driver with --jobs $JOBS
 #
 # The figure CSVs (fig1..fig6_*.csv) are regenerated in place; the driver
 # guarantees they are byte-identical for any JOBS value, so a non-empty
@@ -23,9 +22,6 @@ if [[ ! -x "$BUILD_DIR/bench/hotpath" ]]; then
   echo "run_bench.sh: $BUILD_DIR/bench/hotpath not built" >&2
   exit 1
 fi
-
-"$BUILD_DIR/bench/tbl_op_overhead" \
-  --benchmark_out=BENCH_op_overhead.json --benchmark_out_format=json
 
 # hotpath records its trace-on twins itself ("<name>_traced" scenarios with
 # an in-memory tracer attached), so the JSON carries the tracing overhead and
@@ -67,4 +63,4 @@ run_fig ablations         "$BUILD_DIR/bench/ablations"
   echo "}"
 } > BENCH_figs.json
 
-echo "run_bench.sh: wrote BENCH_op_overhead.json BENCH_hotpath.json BENCH_figs.json"
+echo "run_bench.sh: wrote BENCH_hotpath.json BENCH_figs.json"

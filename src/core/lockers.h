@@ -21,11 +21,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "tm/audit.h"
 #include "tm/runtime.h"
-#include "tm/sem_events.h"
 
 namespace tcc {
+
+// Every lock-table event below is reported once, through
+// atomos::report_sem, which reaches the TXCC_CHECKED auditor, the tracer and
+// the txmc observer.
+using SemKind = atomos::SemEvent::Kind;
 
 /// Charges the configured cost of one semantic-lock / store-buffer op.
 inline void charge_sem_op(std::size_t n = 1) {
@@ -42,9 +45,7 @@ class LockerSet {
   void add(const atomos::TxnId& owner) {
     if (!contains(owner)) {
       owners_.push_back(owner);
-      atomos::audit::lock_acquired(owner, this);
-      atomos::sem::lock_acquired(owner, this);
-      if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_acquire(trace_id());
+      atomos::report_sem({SemKind::kAcquire, owner, this, trace_id()});
     }
   }
 
@@ -53,21 +54,18 @@ class LockerSet {
     auto tail = std::remove(owners_.begin(), owners_.end(), owner);
     if (tail != owners_.end()) {
       owners_.erase(tail, owners_.end());
-      atomos::audit::lock_released(owner, this);
-      atomos::sem::lock_released(owner, this);
-      if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_release(trace_id());
+      atomos::report_sem({SemKind::kRelease, owner, this, trace_id()});
     } else {
       // Nothing to release: a stale prune already dropped it (benign) or
       // the caller is double-releasing (the auditor / txmc oracle decides
       // by owner liveness).
-      atomos::audit::lock_release_noop(owner, this);
-      atomos::sem::lock_release_noop(owner, this);
+      atomos::report_sem({SemKind::kReleaseNoop, owner, this, trace_id()});
     }
   }
 
   /// Trace identity.  Per-key LockerSets inside a KeyLockTable report the
   /// enclosing table's address so all keys aggregate under one named trace
-  /// site; the audit ledger keeps per-set identity regardless.
+  /// site; the audit ledger and txmc keep per-set identity regardless.
   void set_trace_id(const void* id) { trace_id_ = id; }
   const void* trace_id() const { return trace_id_ != nullptr ? trace_id_ : this; }
 
@@ -89,12 +87,11 @@ class LockerSet {
         continue;
       }
       if (atomos::Runtime::current().violate(*it)) {
-        if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_violation(trace_id(), it->cpu);
+        atomos::report_sem({SemKind::kViolation, *it, this, trace_id()});
         ++doomed;
         ++it;
       } else {
-        atomos::audit::lock_released(*it, this);  // settled owner: no-op audit
-        atomos::sem::lock_pruned(*it, this);
+        atomos::report_sem({SemKind::kPrune, *it, this, trace_id()});
         it = owners_.erase(it);  // stale lock: owner already gone
       }
     }
@@ -121,8 +118,7 @@ class KeyLockTable {
     if (it == table_.end()) {
       // No locker set for the key at all: same double-release /
       // release-without-acquire situation as LockerSet::remove's miss.
-      atomos::audit::lock_release_noop(owner, this);
-      atomos::sem::lock_release_noop(owner, this);
+      atomos::report_sem({SemKind::kReleaseNoop, owner, this, this});
       return;
     }
     it->second.remove(owner);
@@ -175,9 +171,7 @@ class RangeLockTable {
   Handle lock(const std::optional<K>& from, const std::optional<K>& to,
               const atomos::TxnId& owner, bool to_closed = false) {
     ranges_.push_back(Range{from, to, to_closed, owner});
-    atomos::audit::lock_acquired(owner, this);
-    atomos::sem::lock_acquired(owner, this);
-    if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_acquire(this);
+    atomos::report_sem({SemKind::kAcquire, owner, this, this});
     return std::prev(ranges_.end());
   }
 
@@ -190,9 +184,7 @@ class RangeLockTable {
   /// Removes every range owned by `owner` (commit/abort cleanup).
   void unlock_all(const atomos::TxnId& owner) {
     if (ranges_.remove_if([&](const Range& r) { return r.owner == owner; }) > 0) {
-      atomos::audit::locks_released_all(owner, this);
-      atomos::sem::locks_released_all(owner, this);
-      if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_release(this);
+      atomos::report_sem({SemKind::kReleaseAll, owner, this, this});
     }
   }
 
@@ -207,12 +199,11 @@ class RangeLockTable {
         continue;
       }
       if (atomos::Runtime::current().violate(it->owner)) {
-        if (auto* rt = atomos::Runtime::current_or_null()) rt->trace_sem_violation(this, it->owner.cpu);
+        atomos::report_sem({SemKind::kViolation, it->owner, this, this});
         ++doomed;
         ++it;
       } else {
-        atomos::audit::lock_released(it->owner, this);  // settled owner: no-op
-        atomos::sem::lock_pruned(it->owner, this);
+        atomos::report_sem({SemKind::kPrune, it->owner, this, this});
         it = ranges_.erase(it);  // stale
       }
     }

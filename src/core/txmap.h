@@ -370,8 +370,7 @@ class TransactionalMap : public Iface {
     // Report the compensation body to the auditor / txmc oracle before the
     // local state is cleared (a second run for the same abort is invisible
     // afterwards — detection is scoped by the runtime's abort bracket).
-    atomos::audit::compensation_run(cpu, this);
-    atomos::sem::compensation_run(this);
+    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(ls.key_locks.size() + 1);
     release_and_clear(ls);

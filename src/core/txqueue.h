@@ -263,8 +263,7 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// Compensation: eagerly removed elements go back (order not preserved —
   /// the queue deliberately keeps no strict ordering across transactions).
   virtual void abort_handler(int cpu) {
-    atomos::audit::compensation_run(cpu, this);
-    atomos::sem::compensation_run(this);
+    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(ls.remove_buffer.size() + 1);
     if (!ls.remove_buffer.empty()) {

@@ -72,8 +72,8 @@ struct BenchResult {
                                  ///< across host-side optimisations.  Engine-
                                  ///< free kernel scenarios store a
                                  ///< deterministic result checksum here; it
-                                 ///< plays the same role (build-invariance
-                                 ///< witness, e.g. SIMD vs SWAR).
+                                 ///< plays the same role (invariance
+                                 ///< witness across host-side changes).
   /// Optional scenario-specific numeric facts (pool hit rates, rep counts).
   /// Emitted verbatim as extra JSON fields; not compared by the CI gate.
   std::vector<std::pair<std::string, double>> extras;

@@ -74,37 +74,34 @@ void Controller::note_table(const void* table) {
   }
 }
 
-void Controller::on_lock_acquired(const atomos::TxnId& owner, const void* table) {
-  note_table(table);
-  if (oracle_ != nullptr) oracle_->lock_acquired(owner, table);
-}
-
-void Controller::on_lock_released(const atomos::TxnId& owner, const void* table) {
-  note_table(table);
-  if (oracle_ != nullptr) oracle_->lock_released(owner, table);
-}
-
-void Controller::on_locks_released_all(const atomos::TxnId& owner, const void* table) {
-  note_table(table);
-  if (oracle_ != nullptr) oracle_->locks_released_all(owner, table);
-}
-
-void Controller::on_lock_release_noop(const atomos::TxnId& owner, const void* table) {
-  note_table(table);
-  if (oracle_ != nullptr) {
-    // Liveness must be sampled NOW: during commit handlers the transaction
-    // is still the cpu's bottom txn, so a double release inside them is
-    // caught, while a prune of a long-settled owner is not.
-    oracle_->lock_release_noop(owner, table, rt_.txn_live(owner));
+void Controller::on_sem(const atomos::SemEvent& e) {
+  using Kind = atomos::SemEvent::Kind;
+  // Violations and compensations are not lock-table traffic: they leave the
+  // quantum's table footprint and the oracle's lock balance alone.
+  if (e.kind == Kind::kViolation || e.kind == Kind::kCompensation) return;
+  note_table(e.set);
+  if (oracle_ == nullptr) return;
+  switch (e.kind) {
+    case Kind::kAcquire:
+      oracle_->lock_acquired(e.owner, e.set);
+      break;
+    case Kind::kRelease:
+      oracle_->lock_released(e.owner, e.set);
+      break;
+    case Kind::kReleaseAll:
+      oracle_->locks_released_all(e.owner, e.set);
+      break;
+    case Kind::kReleaseNoop:
+      // Liveness must be sampled NOW: during commit handlers the transaction
+      // is still the cpu's bottom txn, so a double release inside them is
+      // caught, while a prune of a long-settled owner is not.
+      oracle_->lock_release_noop(e.owner, e.set, rt_.txn_live(e.owner));
+      break;
+    default:
+      // kPrune removes a SETTLED owner's stale entry; its balance was
+      // already cleared by its own release path.
+      break;
   }
 }
-
-void Controller::on_lock_pruned(const atomos::TxnId& /*owner*/, const void* table) {
-  // A prune removes a SETTLED owner's stale entry; its balance was already
-  // cleared by its own release path, so the ledger stays untouched.
-  note_table(table);
-}
-
-void Controller::on_compensation_run(const void* /*site*/) {}
 
 }  // namespace mc

@@ -10,12 +10,11 @@
 //    appended to the executed Schedule, so any run is replayable from its
 //    encoded string alone;
 //  * the runtime's McObserver — per-quantum line footprints (reads/writes)
-//    feed the explorer's dependence-based reduction;
-//  * the semantic-event Observer — lock acquire/release traffic is
-//    forwarded to the Oracle, with liveness of the releasing owner sampled
-//    AT EVENT TIME via Runtime::txn_live (a commit handler that
-//    double-releases still looks live; a stale prune of a settled owner
-//    does not).
+//    feed the explorer's dependence-based reduction, and the lock-table
+//    events of the semantic layer (on_sem) are forwarded to the Oracle,
+//    with liveness of the releasing owner sampled AT EVENT TIME via
+//    Runtime::txn_live (a commit handler that double-releases still looks
+//    live; a stale prune of a settled owner does not).
 //
 // The controller is single-run: construct, install, run the engine, then
 // harvest capture()/executed().
@@ -28,7 +27,6 @@
 #include "mc/schedule.h"
 #include "sim/engine.h"
 #include "tm/runtime.h"
-#include "tm/sem_events.h"
 
 namespace mc {
 
@@ -59,9 +57,7 @@ struct RunCapture {
   bool diverged = false;  ///< forced prefix referenced a vanished branch
 };
 
-class Controller final : public sim::SchedulerHook,
-                         public atomos::Runtime::McObserver,
-                         public atomos::sem::Observer {
+class Controller final : public sim::SchedulerHook, public atomos::Runtime::McObserver {
  public:
   Controller(sim::Engine& eng, atomos::Runtime& rt, Oracle* oracle, Schedule forced)
       : eng_(eng), rt_(rt), oracle_(oracle), forced_(std::move(forced)) {}
@@ -74,14 +70,7 @@ class Controller final : public sim::SchedulerHook,
   void on_txn_sets(int cpu, bool committed, bool open,
                    const std::vector<sim::LineAddr>& reads,
                    const std::vector<sim::LineAddr>& writes) override;
-
-  // ---- atomos::sem::Observer ----
-  void on_lock_acquired(const atomos::TxnId& owner, const void* table) override;
-  void on_lock_released(const atomos::TxnId& owner, const void* table) override;
-  void on_locks_released_all(const atomos::TxnId& owner, const void* table) override;
-  void on_lock_release_noop(const atomos::TxnId& owner, const void* table) override;
-  void on_lock_pruned(const atomos::TxnId& owner, const void* table) override;
-  void on_compensation_run(const void* site) override;
+  void on_sem(const atomos::SemEvent& e) override;
 
   const RunCapture& capture() const { return capture_; }
   const Schedule& executed() const { return capture_.executed; }

@@ -13,7 +13,6 @@
 #include "mc/mutants.h"
 #include "mc/recorded.h"
 #include "tm/chop.h"
-#include "tm/sem_events.h"
 #include "tm/shared.h"
 
 namespace mc {
@@ -713,14 +712,12 @@ RunResult run_program(const Program& prog, const Schedule& forced) {
   sim::Config cfg;
   cfg.num_cpus = entry->prog.num_cpus;
   cfg.mode = sim::Mode::kTcc;
-  cfg.slack = 0;  // exact interleaving: the hook owns every decision
   sim::Engine eng(cfg);  // resets the va arenas: runs are bit-reproducible
   atomos::Runtime rt(eng);
   Oracle oracle;
   Controller ctl(eng, rt, &oracle, forced);
   eng.set_scheduler_hook(&ctl);
   rt.set_mc_observer(&ctl);
-  atomos::sem::ScopedObserver sem_guard(&ctl);
 
   std::unique_ptr<World> world = entry->build(oracle);
   for (auto& body : world->bodies) eng.spawn(body);

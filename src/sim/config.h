@@ -27,10 +27,6 @@ struct Config {
   int num_cpus = 8;
   Mode mode = Mode::kTcc;
 
-  /// Scheduler slack: a virtual CPU may run ahead of the globally minimal
-  /// clock by this many cycles before yielding.  0 = exact interleaving.
-  std::uint64_t slack = 0;
-
   // --- memory hierarchy timing (cycles) ---
   std::uint32_t l1_hit_cycles = 1;
   std::uint32_t l2_hit_cycles = 12;      ///< latency of an L1 miss served by L2

@@ -183,7 +183,7 @@ void Engine::run() {
       break;
     }
     Cpu* chosen = &cpus_[static_cast<std::size_t>(next)];
-    run_limit_ = (second == kNever) ? second : second + cfg_.slack;
+    run_limit_ = second;
     if (hook_ != nullptr) {
       // Present the runnable set (ascending ids) and let the hook override
       // both the choice and the quantum.  kUseDefault keeps the min-clock
@@ -306,7 +306,7 @@ void Engine::unblock(int cpu, std::uint64_t at) {
   if (hook_ == nullptr) runq_push(RunqEntry{c.clock_, c.id_});
   // The woken CPU may now be the global minimum: tighten our run limit so the
   // current fiber yields promptly and ordering stays exact.
-  if (c.clock_ < run_limit_) run_limit_ = c.clock_ + cfg_.slack;
+  if (c.clock_ < run_limit_) run_limit_ = c.clock_;
 }
 
 }  // namespace sim

@@ -4,7 +4,7 @@
 // runnable CPU with the smallest virtual clock; because only one fiber runs
 // at a time on the host, the other CPUs' clocks are frozen while it runs, so
 // a CPU can safely execute until its clock passes the snapshot of the
-// minimum other clock (plus configurable slack).  The interleaving of
+// minimum other clock.  The interleaving of
 // shared-memory events is therefore globally time-ordered and fully
 // deterministic given (Config, seed).
 #pragma once
@@ -208,11 +208,10 @@ class Engine {
   void runq_push(RunqEntry e);
   RunqEntry runq_pop();  // precondition: runq_ non-empty
   /// Run budget for a fiber at `clock` given the next runnable clock
-  /// `second` (kNever if none): second + slack, quantum-capped when a host
+  /// `second` (kNever if none): `second` itself, quantum-capped when a host
   /// deadline is armed so spinning fibers keep returning to the scheduler.
   void set_run_limit(std::uint64_t clock, std::uint64_t second) {
-    run_limit_ =
-        (second == ~std::uint64_t{0}) ? second : second + cfg_.slack;
+    run_limit_ = second;
     if (host_deadline_armed_) {
       const std::uint64_t quantum = clock + cfg_.deadline_quantum;
       if (quantum < run_limit_) run_limit_ = quantum;

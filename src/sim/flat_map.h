@@ -4,9 +4,8 @@
 // read/write sets, the memory-system line directory): a SwissTable-style
 // two-array layout probed a 16-slot group at a time.  A byte array of 7-bit
 // hash fragments (control bytes) runs ahead of the slot array, so a probe
-// compares 16 candidate fragments in one SSE2 cmpeq/movemask (or a
-// two-word SWAR fallback, see TXCC_NO_SIMD below) and touches the wide slot
-// array only for fragment hits.  Misses usually terminate without loading a
+// compares 16 candidate fragments in one SSE2 cmpeq/movemask and touches
+// the wide slot array only for fragment hits.  Misses usually terminate without loading a
 // single slot, and collision chains cost one group scan instead of a
 // slot-by-slot walk.
 //
@@ -36,6 +35,14 @@
 // let that order affect simulated timing.
 #pragma once
 
+// SSE2 is part of the x86-64 baseline, and x86-64 is the only platform the
+// simulator builds for (its fiber switch, sim/context.S, is x86-64 System V
+// assembly), so the group probes need no portable fallback.
+#if !defined(__SSE2__)
+#error "sim::FlatMap needs SSE2 (any x86-64 target has it)"
+#endif
+#include <emmintrin.h>
+
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -43,15 +50,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-// TXCC_NO_SIMD (CMake option) forces the portable SWAR fallback; otherwise
-// SSE2 group probes are used whenever the target has them (any x86-64).
-// Both paths compute identical bitmasks, so the choice is invisible to
-// callers and to simulated timing.
-#if !defined(TXCC_NO_SIMD) && defined(__SSE2__)
-#define TXCC_FLATMAP_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace sim {
 
@@ -73,13 +71,10 @@ inline constexpr std::uint8_t kCtrlEmpty = 0x80;
 inline constexpr std::size_t kGroupSlots = 16;
 
 struct GroupBits {
-  std::uint32_t match;  // bit o: ctrl[o] == fragment (may hold rare SWAR
-                        // false positives next to true matches; callers
-                        // confirm with a key compare anyway)
-  std::uint32_t empty;  // bit o: ctrl[o] is empty (exact in both paths)
+  std::uint32_t match;  // bit o: ctrl[o] == fragment (callers confirm with
+                        // a key compare: fragments are only 7 bits)
+  std::uint32_t empty;  // bit o: ctrl[o] is empty
 };
-
-#if defined(TXCC_FLATMAP_SSE2)
 
 inline GroupBits group_probe(const std::uint8_t* ctrl, std::uint8_t frag) {
   const __m128i g = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
@@ -92,44 +87,6 @@ inline std::uint32_t group_empty_bits(const std::uint8_t* ctrl) {
   const __m128i g = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
   return static_cast<std::uint32_t>(_mm_movemask_epi8(g));
 }
-
-#else  // SWAR fallback: two uint64 words per group, no vector ISA needed.
-
-/// Gathers the high bit of each byte of `w` into the low 8 bits of the
-/// result (the classic movemask emulation: isolate the sign bits, then one
-/// multiply accumulates bit 8i+7 into bit 56+i).
-inline std::uint32_t swar_high_bits(std::uint64_t w) {
-  const std::uint64_t hi = (w >> 7) & 0x0101010101010101ULL;
-  return static_cast<std::uint32_t>((hi * 0x0102040810204080ULL) >> 56);
-}
-
-/// Per-byte w == frag, reported in the bytes' high bits (hasvalue via
-/// haszero).  A borrow out of a true-match byte can set the bit of the byte
-/// directly above it (false positive); the key compare filters those, and a
-/// true match is never missed.
-inline std::uint64_t swar_match_word(std::uint64_t w, std::uint8_t frag) {
-  const std::uint64_t x = w ^ (0x0101010101010101ULL * frag);
-  return (x - 0x0101010101010101ULL) & ~x & 0x8080808080808080ULL;
-}
-
-inline GroupBits group_probe(const std::uint8_t* ctrl, std::uint8_t frag) {
-  std::uint64_t lo, hi;
-  std::memcpy(&lo, ctrl, 8);
-  std::memcpy(&hi, ctrl + 8, 8);
-  const std::uint32_t match = swar_high_bits(swar_match_word(lo, frag)) |
-                              (swar_high_bits(swar_match_word(hi, frag)) << 8);
-  const std::uint32_t empty = swar_high_bits(lo) | (swar_high_bits(hi) << 8);
-  return {match, empty};
-}
-
-inline std::uint32_t group_empty_bits(const std::uint8_t* ctrl) {
-  std::uint64_t lo, hi;
-  std::memcpy(&lo, ctrl, 8);
-  std::memcpy(&hi, ctrl + 8, 8);
-  return swar_high_bits(lo) | (swar_high_bits(hi) << 8);
-}
-
-#endif  // TXCC_FLATMAP_SSE2
 
 }  // namespace detail
 

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "sim/vaddr.h"
+#include "tm/runtime.h"
 #include "trace/tracer.h"
 
 namespace atomos::audit {
@@ -110,7 +111,9 @@ std::uint64_t total() {
 
 const std::vector<std::string>& reports() { return st().findings; }
 
-// ---- semantic-lock ledger ----
+// ---- semantic-layer events ----
+
+namespace {
 
 void lock_acquired(const TxnId& owner, const void* table) {
   if (owner.cpu < 0) return;  // not a live transaction id
@@ -147,20 +150,6 @@ void lock_release_noop(const TxnId& owner, const void* table) {
              ptr_str(table) + " (double release, or release without acquire)");
 }
 
-// ---- compensation scoping ----
-
-void abort_scope_begin(const TxnId& id) {
-  st().abort_scopes[id.cpu].push_back(State::AbortScope{id, {}, {}, {}});
-}
-
-void abort_scope_end(int cpu) {
-  State& s = st();
-  auto it = s.abort_scopes.find(cpu);
-  if (it == s.abort_scopes.end() || it->second.empty()) return;
-  it->second.pop_back();
-  if (it->second.empty()) s.abort_scopes.erase(it);
-}
-
 void compensation_run(int cpu, const void* site) {
   State& s = st();
   auto it = s.abort_scopes.find(cpu);
@@ -180,6 +169,45 @@ void compensation_run(int cpu, const void* site) {
                " more than once in a single abort: compensations are not "
                "idempotent, the second run corrupts committed state");
   }
+}
+
+}  // namespace
+
+void on_sem(const SemEvent& e) {
+  switch (e.kind) {
+    case SemEvent::Kind::kAcquire:
+      lock_acquired(e.owner, e.set);
+      break;
+    case SemEvent::Kind::kRelease:
+    case SemEvent::Kind::kPrune:  // settled owner: a no-op for the ledger
+      lock_released(e.owner, e.set);
+      break;
+    case SemEvent::Kind::kReleaseAll:
+      locks_released_all(e.owner, e.set);
+      break;
+    case SemEvent::Kind::kReleaseNoop:
+      lock_release_noop(e.owner, e.set);
+      break;
+    case SemEvent::Kind::kCompensation:
+      compensation_run(e.owner.cpu, e.set);
+      break;
+    case SemEvent::Kind::kViolation:
+      break;
+  }
+}
+
+// ---- compensation scoping ----
+
+void abort_scope_begin(const TxnId& id) {
+  st().abort_scopes[id.cpu].push_back(State::AbortScope{id, {}, {}, {}});
+}
+
+void abort_scope_end(int cpu) {
+  State& s = st();
+  auto it = s.abort_scopes.find(cpu);
+  if (it == s.abort_scopes.end() || it->second.empty()) return;
+  it->second.pop_back();
+  if (it->second.empty()) s.abort_scopes.erase(it);
 }
 
 void compensation_handler_committed(int cpu) {

@@ -31,15 +31,27 @@
 // per host thread, all fibers of an engine on that thread" design.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "tm/runtime.h"
+#include "sim/memsys.h"
 
 namespace trace {
 class Tracer;
 }
+
+// Declared, not included: tm/runtime.h and tm/reader_dir.h include this
+// header to call its hooks.
+namespace atomos {
+struct TxnId;
+struct SemEvent;
+class ReaderDir;
+namespace detail {
+struct Txn;
+}
+}  // namespace atomos
 
 namespace atomos::audit {
 
@@ -71,8 +83,7 @@ enum class Check {
   /// holding the same line in >255 stacked open-nested read sets).  The
   /// count saturates stickily — the reader bit stays set for the rest of
   /// the run — so conflict detection errs toward spurious violations, never
-  /// missed ones.  Reported by ReaderDir::add (tm/reader_dir.h); the hook
-  /// itself is declared there to avoid a header cycle.
+  /// missed ones.  Reported by ReaderDir::add (tm/reader_dir.h).
   kReaderOverflow,
   kChecks  // count sentinel
 };
@@ -89,25 +100,27 @@ std::uint64_t count(Check c);
 std::uint64_t total();
 const std::vector<std::string>& reports();
 
-// ---- hooks: semantic-lock ledger (called by core/lockers.h) ----
-void lock_acquired(const TxnId& owner, const void* table);
-void lock_released(const TxnId& owner, const void* table);   // missing entry: no-op
-void locks_released_all(const TxnId& owner, const void* table);
-/// A release request that found nothing to release in the lock table.  A
-/// stale prune of a settled (finished) incarnation is benign; anything else
-/// is a double release by a live transaction (kDoubleRelease).
-void lock_release_noop(const TxnId& owner, const void* table);
+// ---- hook: semantic-layer events (Runtime::report_sem) ----
+/// Feeds the lock ledger and the compensation scopes:
+///  * kAcquire / kRelease / kReleaseAll keep the per-owner ledger that
+///    txn_finished() checks for leaks (a release with no entry is a no-op);
+///  * kPrune drops a settled owner's entry the same way as kRelease;
+///  * kReleaseNoop is a release that found nothing to release.  For a
+///    settled (finished) incarnation that is a benign stale prune; for a
+///    live one it is a double release (kDoubleRelease);
+///  * kCompensation is a collection compensation body starting on
+///    owner.cpu.  The same site running twice inside one abort scope is
+///    kDoubleCompensation;
+///  * kViolation is not audited.
+void on_sem(const SemEvent& e);
 
-// ---- hooks: compensation scoping (called by tm/runtime.cpp + collections) --
-/// Brackets one transaction's abort-handler run; collections report each
-/// compensation body via compensation_run(site).  The same site running
-/// twice inside one scope is kDoubleCompensation.
-/// Scopes are tracked PER CPU: handler transactions tick and yield, so
-/// abort scopes of different cpus interleave arbitrarily under the fiber
-/// scheduler and a global stack would misattribute compensations.
+// ---- hooks: compensation scoping (called by tm/runtime.cpp) ----
+/// Brackets one transaction's abort-handler run.  Scopes are tracked PER
+/// CPU: handler transactions tick and yield, so abort scopes of different
+/// cpus interleave arbitrarily under the fiber scheduler and a global stack
+/// would misattribute compensations.
 void abort_scope_begin(const TxnId& id);
 void abort_scope_end(int cpu);
-void compensation_run(int cpu, const void* site);
 /// Brackets one handler transaction's outcome inside the cpu's abort scope.
 /// The runtime runs each abort handler as a detached open transaction that
 /// can itself be doomed (the aborting transaction's reader-directory refs
@@ -126,6 +139,10 @@ void check_txn_sets(const detail::Txn& t);
 /// every line a live transaction has read must hold at least one
 /// reader-directory reference for its CPU (else a committer would miss it).
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
+
+// ---- hooks: reader directory (called by tm/reader_dir.h) ----
+void reader_count_overflow(sim::LineAddr line, int cpu);
+void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what);
 
 // ---- hooks: Shared-cell registry (called by tm/shared.h) ----
 void note_shared(std::uintptr_t addr, std::uint32_t size);
@@ -155,19 +172,17 @@ inline const std::vector<std::string>& reports() {
   static const std::vector<std::string> kNone;
   return kNone;
 }
-inline void lock_acquired(const TxnId&, const void*) {}
-inline void lock_released(const TxnId&, const void*) {}
-inline void locks_released_all(const TxnId&, const void*) {}
-inline void lock_release_noop(const TxnId&, const void*) {}
+inline void on_sem(const SemEvent&) {}
 inline void abort_scope_begin(const TxnId&) {}
 inline void abort_scope_end(int) {}
-inline void compensation_run(int, const void*) {}
 inline void compensation_handler_committed(int) {}
 inline void compensation_handler_aborted(int) {}
 inline void handler_pairing(const TxnId&, std::size_t, std::size_t) {}
 inline void txn_finished(const TxnId&, bool) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
+inline void reader_count_overflow(sim::LineAddr, int) {}
+inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}
 inline void note_shared(std::uintptr_t, std::uint32_t) {}
 inline void forget_shared(std::uintptr_t) {}
 inline void naked_store(std::uintptr_t) {}

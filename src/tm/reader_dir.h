@@ -42,19 +42,7 @@
 #include "sim/config.h"
 #include "sim/memsys.h"
 #include "sim/vaddr.h"
-
-namespace atomos::audit {
-// Reader-directory audit hooks (defined in audit.cpp; empty when
-// TXCC_CHECKED is off).  Declared here rather than in audit.h because
-// audit.h includes runtime.h, which includes this header.
-#if defined(TXCC_CHECKED) && TXCC_CHECKED
-void reader_count_overflow(sim::LineAddr line, int cpu);
-void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what);
-#else
-inline void reader_count_overflow(sim::LineAddr, int) {}
-inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}
-#endif
-}  // namespace atomos::audit
+#include "tm/audit.h"
 
 namespace atomos {
 

@@ -43,6 +43,7 @@
 
 #include "sim/engine.h"
 #include "sim/flat_map.h"
+#include "tm/audit.h"
 #include "tm/contention.h"
 #include "tm/profile.h"
 #include "tm/reader_dir.h"
@@ -57,6 +58,26 @@ struct TxnId {
   std::uint64_t incarnation = 0;
 
   friend bool operator==(const TxnId&, const TxnId&) = default;
+};
+
+/// One semantic-layer event: a step of a lock table in core/lockers.h (the
+/// paper's key2lockers, sizeLockers, rangeLockers, ...) or the start of a
+/// collection's abort-handler compensation.  Each is reported once, through
+/// Runtime::report_sem, which hands it to every observer of that layer.
+struct SemEvent {
+  enum class Kind : std::uint8_t {
+    kAcquire,       ///< `owner` took a read-intent lock in `set`
+    kRelease,       ///< `owner` released the lock it held in `set`
+    kReleaseAll,    ///< every range lock `owner` held in `set` was released
+    kReleaseNoop,   ///< a release found nothing: stale prune or double release
+    kPrune,         ///< conflict detection dropped a settled owner from `set`
+    kViolation,     ///< a commit doomed the live `owner` (owner.cpu = victim)
+    kCompensation,  ///< collection `set` began compensating on cpu owner.cpu
+  };
+  Kind kind;
+  TxnId owner;       ///< lock owner or victim (compensation: cpu only)
+  const void* set;   ///< locker-set identity (a KeyLockTable's keys: per key)
+  const void* site;  ///< trace site: the table a trace names the set by
 };
 
 /// Names a violated transaction (or one of its frames) and so its retry
@@ -264,20 +285,6 @@ class Runtime {
   /// tracer never changes simulated cycles.
   trace::Tracer* tracer() { return tracer_.get(); }
 
-  // Semantic-lock trace hooks, called by the lock tables (core/lockers.h).
-  // Cheap single-branch no-ops when tracing is off.
-  void trace_sem_acquire(const void* table) {
-    if (tracer_ != nullptr && sim::Engine::in_worker())
-      tracer_->on_lock_acquire(eng_.cpu_id(), eng_.now(), table);
-  }
-  void trace_sem_release(const void* table) {
-    if (tracer_ != nullptr && sim::Engine::in_worker())
-      tracer_->on_lock_release(eng_.cpu_id(), eng_.now(), table);
-  }
-  void trace_sem_violation(const void* table, int victim_cpu) {
-    if (tracer_ != nullptr && sim::Engine::in_worker())
-      tracer_->on_sem_violation(eng_.cpu_id(), eng_.now(), table, victim_cpu);
-  }
   /// Registers a human name for a semantic lock table (setup-time; the
   /// collection-class wrappers name their tables at construction).
   void trace_name_table(const void* table, const char* name) {
@@ -299,10 +306,23 @@ class Runtime {
     virtual void on_txn_sets(int cpu, bool committed, bool open,
                              const std::vector<sim::LineAddr>& reads,
                              const std::vector<sim::LineAddr>& writes) = 0;
+    /// A semantic-layer event (see report_sem).
+    virtual void on_sem(const SemEvent& /*e*/) {}
   };
   /// Installs (or clears, with nullptr) the model-checker observer.
   void set_mc_observer(McObserver* o) { mc_observer_ = o; }
   McObserver* mc_observer() const { return mc_observer_; }
+
+  /// The one reporting call for a semantic-layer event.  Hands `e` to the
+  /// TXCC_CHECKED auditor (an empty inline in unchecked builds), to the
+  /// tracer when one is attached and to the model-checker observer when one
+  /// is installed.  With neither attached an event costs two predictable
+  /// branches.
+  void report_sem(const SemEvent& e) {
+    audit::on_sem(e);
+    if (tracer_ != nullptr && sim::Engine::in_worker()) trace_sem(e);
+    if (mc_observer_ != nullptr) mc_observer_->on_sem(e);
+  }
 
   // ---- transactional region API ----
 
@@ -432,6 +452,26 @@ class Runtime {
   }
   [[noreturn]] void throw_violation(int cpu, detail::Txn* flagged);
   void notify_txn_sets(detail::Txn* t, bool committed);  // mc observer fan-out
+  /// The trace's view of a semantic event: acquires, releases and
+  /// violations are trace events, keyed by the event's trace site.
+  void trace_sem(const SemEvent& e) {
+    switch (e.kind) {
+      case SemEvent::Kind::kAcquire:
+        tracer_->on_lock_acquire(eng_.cpu_id(), eng_.now(), e.site);
+        break;
+      case SemEvent::Kind::kRelease:
+      case SemEvent::Kind::kReleaseAll:
+        tracer_->on_lock_release(eng_.cpu_id(), eng_.now(), e.site);
+        break;
+      case SemEvent::Kind::kViolation:
+        tracer_->on_sem_violation(eng_.cpu_id(), eng_.now(), e.site, e.owner.cpu);
+        break;
+      case SemEvent::Kind::kReleaseNoop:
+      case SemEvent::Kind::kPrune:
+      case SemEvent::Kind::kCompensation:
+        break;
+    }
+  }
   void acquire_token(int cpu);
   void release_token(int cpu);
   void flag_readers(sim::LineAddr line, int committer);
@@ -597,6 +637,20 @@ inline TxnId self_id() { return Runtime::current().self_id(); }
 inline bool violate(const TxnId& victim) { return Runtime::current().violate(victim); }
 inline bool in_txn() { return Runtime::active() && Runtime::current().in_txn(); }
 inline void work(std::uint64_t cycles) { Runtime::current().work(cycles); }
+
+/// See Runtime::report_sem.  Outside a simulation there is no observer and
+/// the event is dropped.
+inline void report_sem(const SemEvent& e) {
+  if (Runtime* rt = Runtime::current_or_null()) rt->report_sem(e);
+}
+
+/// Reports that the compensation (abort-handler body) of collection `site`
+/// is starting on `cpu`.  Collections call it first thing in their abort
+/// handler.  The auditor flags a site that compensates twice in one abort;
+/// txlint's handler-mutation and chop-compensation rules look for this call.
+inline void compensation_run(int cpu, const void* site) {
+  report_sem({SemEvent::Kind::kCompensation, TxnId{cpu, 0}, site, site});
+}
 
 /// Allocates a T inside (or outside) a transaction.  If the allocating
 /// transaction aborts, the object is destroyed; nothing else ever saw it,

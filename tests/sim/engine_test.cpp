@@ -10,10 +10,9 @@
 namespace sim {
 namespace {
 
-Config cfg(int cpus, std::uint64_t slack = 0) {
+Config cfg(int cpus) {
   Config c;
   c.num_cpus = cpus;
-  c.slack = slack;
   return c;
 }
 
@@ -118,21 +117,6 @@ TEST(EngineTest, AdvanceToMovesClockForwardOnly) {
     EXPECT_EQ(e.now(), 200u);
   });
   eng.run();
-}
-
-TEST(EngineTest, SlackAllowsBatchedProgress) {
-  // With large slack both workers still complete and produce the same total
-  // time; only the interleaving granularity changes.
-  auto total = [](std::uint64_t slack) {
-    Engine eng(cfg(2, slack));
-    for (int id = 0; id < 2; ++id)
-      eng.spawn([] {
-        for (int i = 0; i < 100; ++i) Engine::get().tick(7);
-      });
-    eng.run();
-    return eng.elapsed_cycles();
-  };
-  EXPECT_EQ(total(0), total(1000));
 }
 
 TEST(EngineTest, SoleSpinningFiberHonorsHostDeadlineAtConfiguredQuantum) {

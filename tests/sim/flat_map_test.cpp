@@ -139,8 +139,7 @@ TEST(FlatMapTest, StressAgainstUnorderedMapReference) {
 // --- SIMD-layout-specific coverage -----------------------------------------
 // The two-array (control byte + slot) layout adds failure modes the scalar
 // table never had: 7-bit fragment collisions inside one 16-slot group (the
-// vector compare reports several candidates, and the SWAR fallback may add a
-// false positive in the lane above a true match), shifts that cross group
+// vector compare reports several candidates), shifts that cross group
 // boundaries, and the per-group generation stamp wrapping around.
 
 namespace {
@@ -169,9 +168,7 @@ std::vector<std::uint64_t> keys_with_home(std::size_t cap, std::size_t slot,
 TEST(FlatMapTest, FragmentCollisionProbeChain) {
   // Keys with the SAME home slot and the SAME 7-bit fragment: every probe
   // sees multiple candidate bits in one group and must disambiguate by full
-  // key compare.  (This is also the path where the SWAR fallback's
-  // hasvalue-borrow false positive, if mishandled, would return a wrong
-  // slot — the differential checks below would catch a wrong value.)
+  // key compare (the differential checks below would catch a wrong value).
   constexpr std::size_t kCap = 16;  // kMinCap: table starts at one group
   const auto seed = keys_with_home(kCap, 5, 1, [](std::uint64_t) { return true; });
   const std::uint8_t frag = frag_of(seed[0]);

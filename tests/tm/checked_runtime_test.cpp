@@ -202,8 +202,8 @@ TEST_F(CheckedRuntimeTest, ReportsCompensationRunTwiceInOneAbort) {
   eng.spawn([&] {
     try {
       atomically([&] {
-        Runtime::current().on_top_abort([&] { audit::compensation_run(0, &site); });
-        Runtime::current().on_top_abort([&] { audit::compensation_run(0, &site); });
+        Runtime::current().on_top_abort([&] { compensation_run(0, &site); });
+        Runtime::current().on_top_abort([&] { compensation_run(0, &site); });
         throw std::runtime_error("force abort");
       });
     } catch (const std::runtime_error&) {
@@ -230,15 +230,15 @@ TEST_F(CheckedRuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
     try {
       atomically([&] {
         Runtime::current().on_top_abort([&] {
-          audit::compensation_run(0, &site_a);
+          compensation_run(0, &site_a);
           ran_a = true;
         });
         Runtime::current().on_top_abort([&] {
-          audit::compensation_run(0, &site_b);
+          compensation_run(0, &site_b);
           ran_b = true;
         });
         Runtime::current().on_top_abort([&] {
-          audit::compensation_run(0, &site_c);
+          compensation_run(0, &site_c);
           throw std::logic_error("compensation failed");  // runs first
         });
         throw std::runtime_error("force abort");
@@ -265,8 +265,8 @@ TEST_F(CheckedRuntimeTest, DistinctAndReattemptedCompensationsAreLegal) {
     for (int round = 0; round < 2; ++round) {
       try {
         atomically([&] {
-          Runtime::current().on_top_abort([&] { audit::compensation_run(0, &site_a); });
-          Runtime::current().on_top_abort([&] { audit::compensation_run(0, &site_b); });
+          Runtime::current().on_top_abort([&] { compensation_run(0, &site_a); });
+          Runtime::current().on_top_abort([&] { compensation_run(0, &site_b); });
           throw std::runtime_error("force abort");
         });
       } catch (const std::runtime_error&) {

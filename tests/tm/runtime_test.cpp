@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <type_traits>
 #include <vector>
 
 #include "tm/shared.h"
 
 namespace atomos {
 namespace {
+
+// A cell's virtual address is its conflict identity, so a copy would be a
+// private clone no other CPU can conflict with.  Copying is a compile error,
+// which is what keeps lambdas from capturing a Shared by value.
+static_assert(!std::is_copy_constructible_v<Shared<long>>);
 
 sim::Config tcc_cfg(int cpus) {
   sim::Config c;

@@ -30,13 +30,13 @@ bool fires_at(const std::vector<Finding>& fs, std::string_view rule, int line) {
                      [&](const Finding& f) { return f.rule == rule && f.line == line; });
 }
 
-TEST(TxlintRules, ElevenRulesRegistered) {
+TEST(TxlintRules, TenRulesRegistered) {
   const auto& rs = rules();
-  ASSERT_EQ(rs.size(), 11u);
+  ASSERT_EQ(rs.size(), 10u);
   std::vector<std::string_view> names;
   for (const auto& r : rs) names.push_back(r.name);
   for (const char* want : {"shared-field", "raw-peek", "catch-swallow",
-                           "unpaired-handler", "shared-value-capture",
+                           "unpaired-handler",
                            "trace-hook", "isolation-class", "handler-mutation",
                            "hot-path-container", "handler-closure",
                            "chop-compensation"}) {
@@ -162,36 +162,6 @@ TEST(UnpairedHandlerRule, AllowsPairedAndAbortOnlyRegistration) {
       "  rt.on_top_abort([&] { counter.sub(delta); });\n"  // CompensatedCounter shape
       "}\n";
   EXPECT_TRUE(of_rule(scan(src), "unpaired-handler").empty());
-}
-
-// ---- shared-value-capture ----
-
-TEST(SharedCaptureRule, FlagsByValueCapturesOfSharedLocals) {
-  const std::string src =
-      "void f() {\n"                                   // 1
-      "  atomos::Shared<int> x(1);\n"                  // 2
-      "  auto a = [x] { return 0; };\n"                // 3  <- named by-value
-      "  auto b = [y = x] { return 0; };\n"            // 4  <- init-capture copy
-      "  auto c = [=] { return x.get(); };\n"          // 5  <- default copy, uses x
-      "  (void)a; (void)b; (void)c;\n"                 // 6
-      "}\n";
-  const auto fs = scan(src);
-  EXPECT_EQ(of_rule(fs, "shared-value-capture").size(), 3u);
-  EXPECT_TRUE(fires_at(fs, "shared-value-capture", 3));
-  EXPECT_TRUE(fires_at(fs, "shared-value-capture", 4));
-  EXPECT_TRUE(fires_at(fs, "shared-value-capture", 5));
-}
-
-TEST(SharedCaptureRule, AllowsReferenceCaptures) {
-  const std::string src =
-      "void f() {\n"
-      "  atomos::Shared<int> x(1);\n"
-      "  auto a = [&x] { return x.get(); };\n"
-      "  auto b = [&] { return x.get(); };\n"
-      "  auto c = [=] { return 42; };\n"  // [=] but no Shared use in body
-      "  (void)a; (void)b; (void)c;\n"
-      "}\n";
-  EXPECT_TRUE(of_rule(scan(src), "shared-value-capture").empty());
 }
 
 // ---- handler-closure ----
@@ -359,7 +329,7 @@ TEST(HandlerMutationRule, AllowsRegisteredMutationsAndNonMutatingHandlers) {
   const std::string src =
       "void restore(Bag* bag, long k, long v) {\n"
       "  rt.on_top_abort([bag, k, v] {\n"
-      "    atomos::audit::compensation_run(0, bag);\n"  // site registered
+      "    atomos::compensation_run(0, bag);\n"  // site registered
       "    bag->put(k, v);\n"
       "  });\n"
       "}\n"
@@ -405,7 +375,7 @@ TEST(ChopCompensationRule, AllowsCompensatedRegisteredAndReadOnlyPieces) {
       "void registered(Bag* bag, long k, long v) {\n"
       "  atomos::chopped()\n"
       "      .piece(\"insert\", [bag, k, v] {\n"
-      "        atomos::audit::compensation_run(0, bag);\n"  // site in the body
+      "        atomos::compensation_run(0, bag);\n"  // site in the body
       "        bag->put(k, v);\n"
       "      })\n"
       "      .piece(\"probe\", [bag, k] { (void)bag->get(k); })\n"

@@ -17,15 +17,8 @@ when any of the following hold:
     within the CURRENT file — attaching a tracer must be invisible to the
     simulated clock.
 
-With --cycles-only, the throughput comparisons are skipped and ONLY the
-sim_cycles equality is enforced.  That is the CI check between the SSE2 and
-TXCC_NO_SIMD builds: two differently-vectorized binaries must simulate the
-exact same cycle counts (and, for the engine-free kernel scenarios, compute
-the exact same result checksums), while their wall-clock speeds are allowed
-to differ.
-
 Usage: tools/check_hotpath.py BASELINE.json CURRENT.json
-           [--tolerance 0.25] [--geomean-tolerance 0.02] [--cycles-only]
+           [--tolerance 0.25] [--geomean-tolerance 0.02]
 """
 import argparse
 import json
@@ -95,9 +88,6 @@ def main():
     ap.add_argument("--geomean-tolerance", type=float, default=0.02,
                     help="allowed fractional regression of the geomean "
                          "normalized-throughput ratio over trace-off scenarios")
-    ap.add_argument("--cycles-only", action="store_true",
-                    help="enforce only sim_cycles equality (cross-build "
-                         "determinism check, e.g. SIMD vs SWAR binaries)")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -113,24 +103,6 @@ def main():
         print(f"FAIL {name}: baseline scenario key missing from "
               f"{args.baseline} (commit an updated baseline)")
         failed = True
-
-    if args.cycles_only:
-        for name, b in sorted(base.items()):
-            c = cur.get(name)
-            if c is None:
-                print(f"FAIL {name}: scenario missing from current run")
-                failed = True
-            elif b["sim_cycles"] != c["sim_cycles"]:
-                print(f"FAIL {name}: sim_cycles {b['sim_cycles']} -> "
-                      f"{c['sim_cycles']} (builds must simulate identically)")
-                failed = True
-            else:
-                print(f"{name}: sim_cycles {b['sim_cycles']} match")
-        if failed:
-            print("check_hotpath (--cycles-only): FAILED")
-            return 1
-        print("check_hotpath (--cycles-only): ok")
-        return 0
 
     for name, b in sorted(base.items()):
         c = cur.get(name)

@@ -57,8 +57,6 @@ def main():
         write_doc(cur, [result("alpha"), result("beta", 2000)])
         rc, out = run(base, cur)
         check("healthy docs pass", rc == 0, out)
-        rc, out = run(base, cur, "--cycles-only")
-        check("healthy docs pass (--cycles-only)", rc == 0, out)
 
         # A POISONED point (explicit flag) fails loudly, not via KeyError.
         write_doc(cur, [result("alpha"), result("beta", 2000, poisoned=True)])
@@ -84,9 +82,6 @@ def main():
         check("missing baseline key fails",
               rc != 0 and "gamma" in out and "baseline scenario key" in out,
               out)
-        rc, out = run(base, cur, "--cycles-only")
-        check("missing baseline key fails (--cycles-only)",
-              rc != 0 and "gamma" in out, out)
 
         # Malformed documents: no results array / nameless record.
         with open(cur, "w") as f:

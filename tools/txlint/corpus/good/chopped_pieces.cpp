@@ -3,7 +3,6 @@
 // compensation_run site in its body); the FINAL piece — the one `.run()` is
 // invoked on — is covered by the enclosing abort path and needs neither.
 // Nothing in this file may be flagged.
-#include "tm/audit.h"
 #include "tm/chop.h"
 
 namespace demo {
@@ -26,7 +25,7 @@ void registered_site_piece(Bag* bag, long k, long v) {
   atomos::chopped()
       .piece("insert",
              [bag, k, v] {
-               atomos::audit::compensation_run(0, bag);
+               atomos::compensation_run(0, bag);
                bag->put(k, v);  // attributed: site registered in the body
              })
       .piece("read", [bag, k] { (void)bag->get(k); })

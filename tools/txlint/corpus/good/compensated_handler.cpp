@@ -2,7 +2,6 @@
 // site first (the transactional-collection idiom), and handlers that only
 // dispatch or release locks are not mutations at all.  Nothing in this file
 // may be flagged.
-#include "tm/audit.h"
 #include "tm/runtime.h"
 
 namespace demo {
@@ -18,11 +17,11 @@ struct Locks {
 
 void compensated_abort(Bag* bag, long k, long v) {
   atomos::Runtime::current().on_top_commit([bag, k] {
-    atomos::audit::compensation_run(0, bag);
+    atomos::compensation_run(0, bag);
     bag->remove(k);
   });
   atomos::Runtime::current().on_top_abort([bag, k, v] {
-    atomos::audit::compensation_run(0, bag);
+    atomos::compensation_run(0, bag);
     bag->put(k, v);  // registered first: the auditor can attribute this
   });
 }

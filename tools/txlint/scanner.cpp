@@ -18,7 +18,6 @@ constexpr std::string_view kSharedField = "shared-field";
 constexpr std::string_view kRawPeek = "raw-peek";
 constexpr std::string_view kCatchSwallow = "catch-swallow";
 constexpr std::string_view kUnpairedHandler = "unpaired-handler";
-constexpr std::string_view kSharedCapture = "shared-value-capture";
 constexpr std::string_view kTraceHook = "trace-hook";
 constexpr std::string_view kIsolationClass = "isolation-class";
 constexpr std::string_view kHandlerMutation = "handler-mutation";
@@ -39,7 +38,6 @@ const std::vector<RuleInfo> kRules = {
     {kUnpairedHandler,
      "commit handler registered without a paired abort handler in the same "
      "function"},
-    {kSharedCapture, "Shared<T> object captured by value in a lambda"},
     {kTraceHook,
      "heap allocation or transactional (Shared<T>) access inside a trace-hook "
      "body (namespace trace, function on_*) — hooks run on the simulated hot "
@@ -414,10 +412,10 @@ const std::unordered_set<std::string_view> kTraceHookTmAccess = {
 
 // Collection-mutating method names.  A handler lambda that calls one of
 // these on an object must register the compensation site first
-// (audit::compensation_run / sem::compensation_run), the way the
-// transactional collections' abort handlers do.  Lock-release calls
-// (unlock / release / clear) are intentionally absent: releasing semantic
-// locks in a handler is the disciplined pattern, not a mutation.
+// (atomos::compensation_run), the way the transactional collections' abort
+// handlers do.  Lock-release calls (unlock / release / clear) are
+// intentionally absent: releasing semantic locks in a handler is the
+// disciplined pattern, not a mutation.
 const std::unordered_set<std::string_view> kCollectionMutators = {
     "put",     "remove",     "insert",  "erase",   "push",    "pop",
     "push_back", "push_front", "pop_back", "pop_front", "enqueue", "dequeue",
@@ -458,8 +456,7 @@ class Scanner {
     Kind kind;
     std::string name;
     // Function frames only:
-    std::unordered_set<std::string> shared_locals;
-    // Locals assigned from a shared-collection read (handler-closure).
+    // locals assigned from a shared-collection read (handler-closure).
     std::unordered_set<std::string> collection_locals;
     int commit_line = -1, top_commit_line = -1;
     bool has_abort = false, has_top_abort = false;
@@ -510,13 +507,6 @@ class Scanner {
       if (it->kind == Frame::Kind::kFunction) return &*it;
     }
     return nullptr;
-  }
-
-  bool shared_local_visible(std::string_view name) const {
-    for (const auto& f : stack_) {
-      if (f.shared_locals.count(std::string(name)) != 0) return true;
-    }
-    return false;
   }
 
   bool collection_local_visible(std::string_view name) const {
@@ -792,28 +782,6 @@ class Scanner {
         }
       }
     }
-
-    if (id == "Shared" && is(i + 1, "<") && !stack_.empty() &&
-        stack_.back().kind != Frame::Kind::kClass &&
-        stack_.back().kind != Frame::Kind::kNamespace) {
-      // A local `Shared<T> name` (or `Shared<T>& name`) declaration.
-      int depth = 0;
-      std::size_t j = i + 1;
-      for (; j < toks_.size() && j < i + 64; ++j) {
-        if (toks_[j].text == "<") ++depth;
-        if (toks_[j].text == ">" && --depth == 0) break;
-        if (toks_[j].text == ";") return;
-      }
-      if (depth != 0) return;
-      ++j;
-      if (is(j, "*")) return;  // pointer to Shared: value capture is fine
-      if (is(j, "&")) ++j;
-      if (is_ident(j) && (is(j + 1, ";") || is(j + 1, "=") || is(j + 1, "(") ||
-                          is(j + 1, "{"))) {
-        Frame* fn = nearest_function();
-        if (fn != nullptr) fn->shared_locals.insert(std::string(toks_[j].text));
-      }
-    }
   }
 
   // ---- class-member statement analysis (shared-field) ----
@@ -863,30 +831,21 @@ class Scanner {
     }
   }
 
-  // ---- lambda capture analysis (shared-value-capture) ----
+  // ---- transaction-body capture analysis (handler-closure) ----
 
+  /// A lambda passed directly to atomically()/open_atomically() is a
+  /// transaction body: retries re-run it, so by-value captures of
+  /// collection snapshots replay stale observations.
   void lambda_check(std::size_t i) {
-    if (i > 0) {
-      const Token& p = toks_[i - 1];
-      const bool starts_lambda =
-          p.text == "(" || p.text == "," || p.text == "=" || p.text == "return" ||
-          p.text == "{" || p.text == ";" || p.text == "&&" || p.text == "||" ||
-          p.text == ":" || p.text == "?";
-      if (!starts_lambda) return;
-    }
-    const std::size_t close = match(i);
-    if (close >= toks_.size()) return;
-
-    // A lambda passed directly to atomically()/open_atomically() is a
-    // transaction body: retries re-run it, so by-value captures of
-    // collection snapshots replay stale observations (handler-closure).
     const bool tx_body =
         i >= 2 && is(i - 1, "(") &&
         (toks_[i - 2].text == "atomically" || toks_[i - 2].text == "open_atomically");
+    if (!tx_body) return;
+    const std::size_t close = match(i);
+    if (close >= toks_.size()) return;
 
     bool default_copy = false;
-    std::vector<std::pair<std::string_view, int>> value_captures;  // (name, line)
-    std::vector<std::pair<std::string_view, int>> stale_captures;
+    std::vector<std::pair<std::string_view, int>> stale_captures;  // (name, line)
     std::size_t j = i + 1;
     while (j < close) {
       if (is(j, "&")) {  // by-reference (default or named): fine
@@ -895,44 +854,24 @@ class Scanner {
       } else if (is(j, "=")) {
         default_copy = true;
         ++j;
-      } else if (is(j, "this") || is(j, "*")) {
-        ++j;
-      } else if (is_ident(j)) {
-        const std::string_view name = toks_[j].text;
-        const int line = toks_[j].line;
-        if (is(j + 1, "=")) {
-          // init-capture `x = expr`: flag when expr names a tracked local
-          std::size_t k = j + 2;
-          while (k < close && !is(k, ",")) {
-            if (is_ident(k) && !is(k - 1, "&")) {
-              if (shared_local_visible(toks_[k].text)) {
-                value_captures.emplace_back(toks_[k].text, toks_[k].line);
-              } else if (tx_body && collection_local_visible(toks_[k].text)) {
-                stale_captures.emplace_back(toks_[k].text, toks_[k].line);
-              }
-            }
-            ++k;
+      } else if (is_ident(j) && is(j + 1, "=")) {
+        // init-capture `x = expr`: flag when expr names a tracked local
+        std::size_t k = j + 2;
+        while (k < close && !is(k, ",")) {
+          if (is_ident(k) && !is(k - 1, "&") && collection_local_visible(toks_[k].text)) {
+            stale_captures.emplace_back(toks_[k].text, toks_[k].line);
           }
-          j = k;
-        } else if (shared_local_visible(name)) {
-          value_captures.emplace_back(name, line);
-          ++j;
-        } else if (tx_body && collection_local_visible(name)) {
-          stale_captures.emplace_back(name, line);
-          ++j;
-        } else {
-          ++j;
+          ++k;
         }
+        j = k;
       } else {
+        if (is_ident(j) && collection_local_visible(toks_[j].text)) {
+          stale_captures.emplace_back(toks_[j].text, toks_[j].line);
+        }
         ++j;
       }
     }
 
-    for (const auto& [name, line] : value_captures) {
-      emit(kSharedCapture, line,
-           "Shared<T> object '" + std::string(name) +
-               "' captured by value in a lambda — capture by reference instead");
-    }
     for (const auto& [name, line] : stale_captures) {
       emit(kHandlerClosure, line,
            "transaction body captures collection snapshot '" + std::string(name) +
@@ -947,25 +886,18 @@ class Scanner {
       while (b < toks_.size() && !is(b, "{") && !is(b, ";")) ++b;
       if (!is(b, "{")) return;
       const std::size_t bend = match(b);
-      bool shared_hit = false, stale_hit = false;
       for (std::size_t k = b + 1; k < bend && k < toks_.size(); ++k) {
         if (!is_ident(k) ||
             (k > 0 && (toks_[k - 1].text == "." || toks_[k - 1].text == "->"))) {
           continue;
         }
-        if (!shared_hit && shared_local_visible(toks_[k].text)) {
-          shared_hit = true;
-          emit(kSharedCapture, toks_[i].line,
-               "default by-value capture [=] copies Shared<T> object '" +
-                   std::string(toks_[k].text) + "' — capture by reference instead");
-        } else if (!stale_hit && tx_body && collection_local_visible(toks_[k].text)) {
-          stale_hit = true;
+        if (collection_local_visible(toks_[k].text)) {
           emit(kHandlerClosure, toks_[i].line,
                "default by-value capture [=] copies collection snapshot '" +
                    std::string(toks_[k].text) +
                    "' into a transaction body — re-read it inside the body");
+          return;
         }
-        if (shared_hit && (stale_hit || !tx_body)) return;
       }
     }
   }
@@ -1150,8 +1082,8 @@ class Scanner {
              "collection mutation '" + std::string(mutator) + "' inside " +
                  (abort_handler ? "an abort" : "a commit") + " handler with no "
                  "compensation_run registration — record the site first "
-                 "(audit::compensation_run / sem::compensation_run) so the "
-                 "checked runtime and the txmc oracle can attribute it");
+                 "(atomos::compensation_run) so the checked runtime and the "
+                 "txmc oracle can attribute it");
       }
     }
   }
