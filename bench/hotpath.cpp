@@ -358,7 +358,8 @@ harness::BenchResult bench_txsortedmap_ops(int txns) {
 /// scheduling decision plus fiber switch.  No TM runtime, no memory system
 /// traffic — this isolates the runnable-index + context-switch cost the
 /// engine pays per simulated event, and how it scales with the CPU count
-/// (the old linear scan was O(cpus) per decision; the heap is O(log cpus)).
+/// (the old linear scan was O(cpus) per decision; the runq's tournament tree
+/// rewrites at most two branch-free log2(cpus)-deep paths).
 harness::BenchResult bench_sched_scan(int cpus, int ticks_per_cpu) {
   sim::Config c;
   c.num_cpus = cpus;

@@ -6,7 +6,8 @@
 // a CPU can safely execute until its clock passes the snapshot of the
 // minimum other clock.  The interleaving of
 // shared-memory events is therefore globally time-ordered and fully
-// deterministic given (Config, seed).
+// deterministic given (Config, seed).  Clocks must stay below
+// RunTree::kClockLimit (2^57 - 1 cycles); run() fails loudly past it.
 #pragma once
 
 #include <chrono>
@@ -19,6 +20,7 @@
 #include "sim/config.h"
 #include "sim/fiber.h"
 #include "sim/memsys.h"
+#include "sim/run_tree.h"
 #include "sim/stats.h"
 
 namespace sim {
@@ -93,8 +95,10 @@ class Engine {
   /// mirroring the paper's thread-per-CPU experiments).
   void spawn(std::function<void()> work);
 
-  /// Runs all workers to completion.  Throws on virtual deadlock, or
-  /// SimTimeout if this thread's host deadline (set_host_deadline) expires.
+  /// Runs all workers to completion.  Throws on virtual deadlock, on a
+  /// clock past RunTree::kClockLimit (std::overflow_error), or SimTimeout if
+  /// this thread's host deadline (set_host_deadline) expires.  However run()
+  /// ends, its fibers are unwound and the thread's engine is restored.
   void run();
 
   /// Arms a host wall-clock deadline for simulations run()ing on the calling
@@ -186,36 +190,47 @@ class Engine {
   void*& user(int cpu) { return user_[static_cast<std::size_t>(cpu)]; }
 
  private:
-  // One entry per runnable-but-not-running CPU, min-heap ordered by
-  // (clock, id) — the same total order the original linear scan's
-  // first-minimum-wins tie-break induced.  The running CPU's entry is
-  // popped while it runs and re-inserted when it yields, so entries are
-  // never stale and the heap top after a pop IS the second-smallest
-  // runnable clock (the run limit).
-  struct RunqEntry {
-    std::uint64_t clock;
-    int id;
-  };
-
   void worker_main(int cpu);
   void yield_now();  // out-of-line: scheduling decision + fiber switch
   void kill_all_suspended();
   [[noreturn]] static void throw_no_engine();
 
-  static bool runq_before(const RunqEntry& a, const RunqEntry& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
+  /// Queues runnable `c` on the runq.  A clock that does not fit the key is
+  /// never queued: the run is flagged and every decision goes back to run(),
+  /// which fails it.
+  void enqueue(const Cpu& c) {
+    if (c.clock_ >= RunTree::kClockLimit) [[unlikely]] {
+      overflow_cpu_ = c.id_;
+      via_main_ = true;
+      run_limit_ = 0;
+      return;
+    }
+    runq_.set(c.id_, RunTree::key(c.clock_, c.id_));
   }
-  void runq_push(RunqEntry e);
-  RunqEntry runq_pop();  // precondition: runq_ non-empty
+  /// Dequeues the runq's minimum, `top`, and gives it the run budget up to
+  /// the next queued clock.
+  void take_top(std::uint64_t top) {
+    runq_.set(RunTree::id_of(top), RunTree::kEmpty);
+    set_run_limit(RunTree::clock_of(top), RunTree::clock_of(runq_.min()));
+  }
   /// Run budget for a fiber at `clock` given the next runnable clock
-  /// `second` (kNever if none): `second` itself, quantum-capped when a host
-  /// deadline is armed so spinning fibers keep returning to the scheduler.
+  /// `second`: `second` itself, quantum-capped when a host deadline is armed
+  /// so spinning fibers keep returning to the scheduler.
   void set_run_limit(std::uint64_t clock, std::uint64_t second) {
     run_limit_ = second;
     if (host_deadline_armed_) {
       const std::uint64_t quantum = clock + cfg_.deadline_quantum;
       if (quantum < run_limit_) run_limit_ = quantum;
     }
+  }
+  /// Counts one scheduling decision against the host deadline; true (and
+  /// deadline_hit_ set) once it has expired.
+  bool deadline_expired() {
+    if (host_deadline_armed_ && (++deadline_poll_ & cfg_.deadline_poll_mask) == 0 &&
+        std::chrono::steady_clock::now() > host_deadline_) {
+      deadline_hit_ = true;
+    }
+    return deadline_hit_;
   }
 
   inline static thread_local Engine* tls_engine_ = nullptr;
@@ -229,13 +244,15 @@ class Engine {
   SchedulerHook* hook_ = nullptr;
   std::vector<int> runnable_scratch_;  // reused per decision when hook_ set
   std::vector<Cpu> cpus_;
-  std::vector<RunqEntry> runq_;  // unused while a hook is installed
+  RunTree runq_;  // every runnable CPU except the running one
   std::vector<std::function<void()>> work_;
   std::vector<void*> user_;
   int current_cpu_ = -1;
+  int overflow_cpu_ = -1;        // CPU whose clock outgrew the runq key
   std::uint64_t run_limit_ = 0;  // current fiber may run until clock > limit
   std::uint32_t deadline_poll_ = 0;
   bool running_ = false;
+  bool via_main_ = false;      // every decision returns to run(): hook or failure
   bool poisoned_ = false;      // force every suspended fiber to unwind
   bool deadline_hit_ = false;  // fiber-side poll tripped; run() must unwind
 };

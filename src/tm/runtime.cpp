@@ -55,9 +55,6 @@ Runtime::~Runtime() {
   }
   // Free anything still parked in purgatory (simulation is over).
   for (auto& p : purgatory_) p.del(p.ptr);
-  for (CpuCtx& c : ctx_) {
-    for (detail::Txn* t : c.pool) delete t;
-  }
   tls_runtime_ = nullptr;
 }
 
@@ -106,7 +103,7 @@ Txn* Runtime::begin_txn(int cpu, bool open, int attempt) {
     t = c.pool.back();
     c.pool.pop_back();
   } else {
-    t = new Txn();
+    t = c.owned.emplace_back(std::make_unique<Txn>()).get();
   }
   assert(open || c.cur == nullptr);  // closed nesting uses frames
   t->reset(cpu, c.next_incarnation++, next_epoch_++, open, c.cur, eng_.now(), attempt);

@@ -414,6 +414,9 @@ class Runtime {
     std::uint64_t next_incarnation = 1;  // outlives pooled Txns: ids stay unique
     bool in_abort_handlers = false;  // this CPU is running compensation
     std::vector<detail::Txn*> pool;  // retired Txns awaiting reuse
+    // Every Txn this CPU created.  A fiber killed mid-transaction (host
+    // timeout, failed scheduler hook) unwinds without releasing its Txns.
+    std::vector<std::unique_ptr<detail::Txn>> owned;
   };
 
   CpuCtx& ctx(int cpu) { return ctx_[static_cast<std::size_t>(cpu)]; }

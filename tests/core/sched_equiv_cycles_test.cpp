@@ -10,7 +10,11 @@
 //
 // This deliberately overlaps golden_cycles_test at 1..8 CPUs and extends the
 // pin to 16 and 32, where scheduling-order mistakes (tie-breaks, stale heap
-// entries, run-limit snapshots) are far more likely to surface.
+// entries, run-limit snapshots) are far more likely to surface.  A third
+// table, emitted by the heap engine before the runq became a tournament
+// tree, pins widths no figure uses: CPU counts that are not powers of two,
+// and fewer workers than virtual CPUs, each with and without a pass-through
+// SchedulerHook.
 //
 // To re-pin after an intentional cost-model change, run with
 // TCC_PRINT_GOLDEN=1 and paste the emitted rows.
@@ -22,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/testmap_common.h"
+#include "sim/engine.h"
 
 namespace {
 
@@ -138,6 +143,105 @@ TEST(SchedEquivCycles, Fig2TestSortedMapAllWidths) {
       {"Atomos TransactionalSortedMap", 32, 51847ULL},
   };
   check_goldens("fig2", series, kFig2Golden, std::size(kFig2Golden));
+}
+
+/// Defers every decision to the engine's own policy.
+class PassThroughHook final : public sim::SchedulerHook {
+ public:
+  int pick(const std::vector<int>& /*runnable*/) override { return kUseDefault; }
+};
+
+struct OddWidthRow {
+  const char* series;
+  int cpus;     // Config::num_cpus
+  int workers;  // spawned workers; CPUs past them never become runnable
+  std::uint64_t cycles;
+};
+
+/// fig1's small "Java HashMap" or "Atomos TransactionalMap" body on
+/// `workers` of `cpus` virtual CPUs.
+std::uint64_t run_odd_width(const std::string& series, int cpus, int workers,
+                            sim::SchedulerHook* hook) {
+  const TestMapParams p = small_params();
+  const bool java = series == "Java HashMap";
+  sim::Engine eng(make_cfg(java ? sim::Mode::kLock : sim::Mode::kTcc, cpus));
+  eng.set_scheduler_hook(hook);
+  atomos::Runtime rt(eng);
+  std::unique_ptr<jstd::Map<long, long>> map =
+      std::make_unique<jstd::HashMap<long, long>>(static_cast<std::size_t>(p.key_space) * 2);
+  if (!java) map = std::make_unique<tcc::TransactionalMap<long, long>>(std::move(map));
+  for (long k = 0; k < p.prepopulate; ++k) map->put(k * 2 % p.key_space, k);
+  atomos::Mutex mu;
+  const int per_cpu = p.total_ops / workers;
+  for (int c = 0; c < workers; ++c) {
+    eng.spawn([&, c] {
+      std::uint64_t s = p.seed + static_cast<std::uint64_t>(c) * 7919;
+      for (int i = 0; i < per_cpu; ++i) {
+        if (java) {
+          atomos::work(p.think_cycles / 2);
+          {
+            atomos::LockGuard g(mu);
+            testmap_op(*map, p.key_space, s);
+          }
+          atomos::work(p.think_cycles / 2);
+          continue;
+        }
+        const std::uint64_t body_seed = s;
+        atomos::atomically([&] {
+          std::uint64_t bs = body_seed;
+          atomos::work(p.think_cycles / 2);
+          testmap_op(*map, p.key_space, bs);
+          atomos::work(p.think_cycles / 2);
+        });
+        rnd(s);
+        rnd(s);
+      }
+    });
+  }
+  eng.run();
+  return eng.elapsed_cycles();
+}
+
+TEST(SchedEquivCycles, OddWidthsAndIdleCpusWithAndWithoutHook) {
+  // {8, 8} anchors the runner to the fig1 goldens above.  The rest put
+  // runnable CPUs in padding-adjacent leaves (3, 5, 6, 12, 33, 100 CPUs) or
+  // leave leaves that are never filled (3 of 8, 9 of 16, 77 of 128).
+  static const OddWidthRow kOddGolden[] = {
+      {"Java HashMap", 8, 8, 85720ULL},
+      {"Java HashMap", 3, 3, 223274ULL},
+      {"Java HashMap", 5, 5, 135218ULL},
+      {"Java HashMap", 6, 6, 112402ULL},
+      {"Java HashMap", 12, 12, 57995ULL},
+      {"Java HashMap", 33, 33, 51637ULL},
+      {"Java HashMap", 100, 100, 50842ULL},
+      {"Java HashMap", 8, 3, 223274ULL},
+      {"Java HashMap", 16, 9, 76374ULL},
+      {"Java HashMap", 128, 77, 52284ULL},
+      {"Atomos TransactionalMap", 8, 8, 85448ULL},
+      {"Atomos TransactionalMap", 3, 3, 224388ULL},
+      {"Atomos TransactionalMap", 5, 5, 135639ULL},
+      {"Atomos TransactionalMap", 6, 6, 112655ULL},
+      {"Atomos TransactionalMap", 12, 12, 56888ULL},
+      {"Atomos TransactionalMap", 33, 33, 21755ULL},
+      {"Atomos TransactionalMap", 100, 100, 13266ULL},
+      {"Atomos TransactionalMap", 8, 3, 224388ULL},
+      {"Atomos TransactionalMap", 16, 9, 75795ULL},
+      {"Atomos TransactionalMap", 128, 77, 16034ULL},
+  };
+  const bool print = std::getenv("TCC_PRINT_GOLDEN") != nullptr;
+  for (const OddWidthRow& row : kOddGolden) {
+    const std::uint64_t bare = run_odd_width(row.series, row.cpus, row.workers, nullptr);
+    if (print) {
+      std::printf("      {\"%s\", %d, %d, %lluULL},\n", row.series, row.cpus, row.workers,
+                  static_cast<unsigned long long>(bare));
+      continue;
+    }
+    SCOPED_TRACE(std::string(row.series) + " cpus=" + std::to_string(row.cpus) +
+                 " workers=" + std::to_string(row.workers));
+    EXPECT_EQ(bare, row.cycles);
+    PassThroughHook hook;
+    EXPECT_EQ(run_odd_width(row.series, row.cpus, row.workers, &hook), row.cycles);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sim {
@@ -158,6 +160,60 @@ TEST(EngineTest, DeadlineQuantumLeavesSimulatedCyclesUntouched) {
   };
   const std::uint64_t bare = total(false);
   EXPECT_EQ(total(true), bare);
+}
+
+// The runq packs `clock << 7 | id` into 64 bits, so clocks must stay below
+// RunTree::kClockLimit (2^57 - 1).  A clock past it must fail the run,
+// naming the CPU, and never wrap into a small key that schedules it first.
+void expect_clock_overflow(Engine& eng, int cpu) {
+  try {
+    eng.run();
+    ADD_FAILURE() << "run() accepted a clock past the runq key";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CPU " + std::to_string(cpu)), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(Engine::current_or_null(), nullptr);
+}
+
+TEST(EngineTest, ClockPastRunqKeyFailsLoudly) {
+  constexpr std::uint64_t kPast = std::uint64_t{1} << 57;  // key would wrap to 0
+  {  // A sole CPU: the run limit an empty runq hands out still stops it.
+    Engine eng(cfg(1));
+    eng.spawn([] { Engine::get().tick(kPast); });
+    expect_clock_overflow(eng, 0);
+  }
+  {  // The runaway CPU yields while another is queued.
+    Engine eng(cfg(2));
+    bool later_ran = false;
+    eng.spawn([] { Engine::get().tick(kPast); });
+    eng.spawn([&] {
+      Engine::get().tick(10);
+      later_ran = true;  // would run only after a wrapped key: never
+    });
+    expect_clock_overflow(eng, 0);
+    EXPECT_FALSE(later_ran);
+  }
+  {  // A wake-up past the limit, then the waker blocks.
+    Engine eng(cfg(3));
+    eng.spawn([] { Engine::get().block(); });
+    eng.spawn([] { Engine::get().block(); });
+    eng.spawn([] {
+      Engine& e = Engine::get();
+      e.tick(10);
+      e.unblock(1, kPast);
+      e.unblock(0, 20);
+      e.block();
+    });
+    expect_clock_overflow(eng, 1);
+  }
+  {  // The largest clock that packs still schedules normally.
+    Engine eng(cfg(2));
+    eng.spawn([] { Engine::get().tick(RunTree::kClockLimit - 1); });
+    eng.spawn([] { Engine::get().tick(5); });
+    eng.run();
+    EXPECT_EQ(eng.elapsed_cycles(), RunTree::kClockLimit - 1);
+  }
 }
 
 TEST(EngineTest, NonPowerOfTwoDeadlinePollMaskIsRejected) {

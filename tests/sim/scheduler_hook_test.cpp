@@ -8,6 +8,7 @@
 // replays to the same run.
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,37 +64,44 @@ class ReplayHook final : public sim::SchedulerHook {
 /// The fig1 "Atomos TransactionalMap" small configuration, inlined so a
 /// hook can be installed before the run (the bench Series helpers build
 /// their Engine internally).
-std::uint64_t run_fig1_small(int cpus, sim::SchedulerHook* hook) {
-  bench::TestMapParams p;
-  p.total_ops = 640;
-  p.think_cycles = 1000;
-  p.seed = 12345;
-
-  sim::Engine eng(bench::make_cfg(sim::Mode::kTcc, cpus));
-  if (hook != nullptr) eng.set_scheduler_hook(hook);
-  atomos::Runtime rt(eng);
-  auto map = std::make_unique<tcc::TransactionalMap<long, long>>(
-      std::make_unique<jstd::HashMap<long, long>>(static_cast<std::size_t>(p.key_space) * 2));
-  for (long k = 0; k < p.prepopulate; ++k) map->put(k * 2 % p.key_space, k);
-  const int per_cpu = p.total_ops / cpus;
-  for (int c = 0; c < cpus; ++c) {
-    eng.spawn([&, c] {
-      std::uint64_t s = p.seed + static_cast<std::uint64_t>(c) * 7919;
-      for (int i = 0; i < per_cpu; ++i) {
-        std::uint64_t body_seed = s;
-        atomos::atomically([&] {
-          std::uint64_t bs = body_seed;
-          atomos::work(p.think_cycles / 2);
-          bench::testmap_op(*map, p.key_space, bs);
-          atomos::work(p.think_cycles / 2);
-        });
-        bench::rnd(s);
-        bench::rnd(s);
-      }
-    });
+struct Fig1Small {
+  explicit Fig1Small(int cpus)
+      : eng(bench::make_cfg(sim::Mode::kTcc, cpus)),
+        rt(eng),
+        map(std::make_unique<tcc::TransactionalMap<long, long>>(
+            std::make_unique<jstd::HashMap<long, long>>(static_cast<std::size_t>(p.key_space) *
+                                                        2))) {
+    for (long k = 0; k < p.prepopulate; ++k) map->put(k * 2 % p.key_space, k);
+    const int per_cpu = p.total_ops / cpus;
+    for (int c = 0; c < cpus; ++c) {
+      eng.spawn([this, c, per_cpu] {
+        std::uint64_t s = p.seed + static_cast<std::uint64_t>(c) * 7919;
+        for (int i = 0; i < per_cpu; ++i) {
+          std::uint64_t body_seed = s;
+          atomos::atomically([&] {
+            std::uint64_t bs = body_seed;
+            atomos::work(p.think_cycles / 2);
+            bench::testmap_op(*map, p.key_space, bs);
+            atomos::work(p.think_cycles / 2);
+          });
+          bench::rnd(s);
+          bench::rnd(s);
+        }
+      });
+    }
   }
-  eng.run();
-  return eng.elapsed_cycles();
+
+  const bench::TestMapParams p{.total_ops = 640, .think_cycles = 1000, .seed = 12345};
+  sim::Engine eng;
+  atomos::Runtime rt;
+  std::unique_ptr<tcc::TransactionalMap<long, long>> map;
+};
+
+std::uint64_t run_fig1_small(int cpus, sim::SchedulerHook* hook) {
+  Fig1Small w(cpus);
+  if (hook != nullptr) w.eng.set_scheduler_hook(hook);
+  w.eng.run();
+  return w.eng.elapsed_cycles();
 }
 
 TEST(SchedulerHookTest, PassThroughMatchesFig1Golden) {
@@ -167,6 +175,47 @@ TEST(SchedulerHookTest, ScriptedHookReplaysAt128Cpus) {
   ASSERT_FALSE(a.trace().empty());
   ReplayHook replay(a.trace());
   EXPECT_EQ(run_fig1_small(128, &replay), cycles_a);
+}
+
+/// Defers to the engine policy until its `fail_at`-th decision, which it
+/// fails by throwing or by picking a CPU that does not exist.
+class FailingHook final : public sim::SchedulerHook {
+ public:
+  enum class How { kThrow, kBadPick };
+  FailingHook(How how, int fail_at) : how_(how), fail_at_(fail_at) {}
+  int pick(const std::vector<int>& runnable) override {
+    if (++decisions_ < fail_at_) return kUseDefault;
+    if (how_ == How::kThrow) throw std::runtime_error("hook failed");
+    return runnable.back() + 1000;
+  }
+
+ private:
+  How how_;
+  int fail_at_;
+  int decisions_ = 0;
+};
+
+TEST(SchedulerHookTest, FailingHookLeavesNoThreadStateBehind) {
+  // However pick() fails, run() must unwind its fibers and give the thread
+  // back: no dangling current engine, no engine stuck "during run()", and
+  // the next simulation on this thread reproduces its golden cycles.
+  for (const FailingHook::How how : {FailingHook::How::kThrow, FailingHook::How::kBadPick}) {
+    SCOPED_TRACE(how == FailingHook::How::kThrow ? "throw" : "bad pick");
+    {
+      Fig1Small w(8);
+      FailingHook hook(how, 5);
+      w.eng.set_scheduler_hook(&hook);
+      if (how == FailingHook::How::kThrow) {
+        EXPECT_THROW(w.eng.run(), std::runtime_error);
+      } else {
+        EXPECT_THROW(w.eng.run(), std::logic_error);
+      }
+      EXPECT_EQ(sim::Engine::current_or_null(), nullptr);
+      EXPECT_NO_THROW(w.eng.set_scheduler_hook(nullptr));
+    }
+    EXPECT_EQ(run_fig1_small(8, nullptr), 85448ULL);
+    EXPECT_EQ(sim::Engine::current_or_null(), nullptr);
+  }
 }
 
 TEST(SchedulerHookTest, HookChangeDuringRunIsRejected) {
