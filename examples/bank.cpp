@@ -49,10 +49,11 @@ int main() {
             long total = 0;
             for (auto it = checking.iterator(); it->has_next();) total += it->next().second;
             for (auto it = savings.iterator(); it->has_next();) total += it->next().second;
-            // Record on commit only: aborted audits don't count.
-            atomos::Runtime::current().on_top_commit([&, total] {
-              (total == expected_total ? audits_ok : audits_bad)++;
-            });
+            // Record on commit only: aborted audits don't count, and there
+            // is nothing to compensate.
+            atomos::Runtime::current().on_top_commit(
+                [&, total] { (total == expected_total ? audits_ok : audits_bad)++; },
+                atomos::no_compensation);
           });
           continue;
         }

@@ -275,10 +275,10 @@ class TransactionalMap : public Iface {
     // Read-only transactions (empty store buffer) only release locks at
     // commit: pure cleanup, no token needed.
     rt.on_top_commit([self, cpu] { self->commit_handler(cpu); },
+                     [self, cpu] { self->abort_handler(cpu); },
                      [self, cpu] {
                        return !self->locals_[static_cast<std::size_t>(cpu)].store.empty();
                      });
-    rt.on_top_abort([self, cpu] { self->abort_handler(cpu); });
   }
 
   void lock_key(LocalState& ls, const K& key) const {

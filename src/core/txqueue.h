@@ -240,10 +240,10 @@ class TransactionalQueue : public jstd::Channel<T> {
     auto* self = const_cast<TransactionalQueue*>(this);
     // Only transactions with pending puts need the token at commit.
     rt.on_top_commit([self, cpu] { self->commit_handler(cpu); },
+                     [self, cpu] { self->abort_handler(cpu); },
                      [self, cpu] {
                        return !self->locals_[static_cast<std::size_t>(cpu)].add_buffer.empty();
                      });
-    rt.on_top_abort([self, cpu] { self->abort_handler(cpu); });
   }
 
   /// Applies the addBuffer; a producer making an empty queue non-empty

@@ -4,19 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "harness/driver.h"
-
 namespace harness {
-
-std::vector<RunResult> run_figure(const std::string& figure_title,
-                                  const std::vector<Series>& series,
-                                  const std::vector<int>& cpu_counts,
-                                  const std::string& csv_path) {
-  DriverOptions opt;  // jobs=1, trials=1, no timeout: the plain serial sweep
-  FigureResult fr = run_figure_driver(figure_title, series, cpu_counts, csv_path, opt);
-  return std::move(fr.results);
-}
-
 namespace {
 
 // Minimal JSON string escaping (names here are ASCII identifiers, but be
@@ -76,22 +64,6 @@ void write_bench_json(const std::string& path, const std::string& bench,
       out << ", \"" << json_escape(key) << "\": " << json_double(value);
     }
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-void write_figure_json(const std::string& path, const std::string& figure_title,
-                       const std::vector<RunResult>& results) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_figure_json: cannot open " + path);
-  out << "{\n  \"figure\": \"" << json_escape(figure_title) << "\",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    out << "    {\"series\": \"" << json_escape(r.series) << "\", \"cpus\": " << r.cpus
-        << ", \"cycles\": " << r.cycles << ", \"speedup\": " << json_double(r.speedup)
-        << ", \"violations\": " << r.violations << ", \"semantic\": " << r.semantic
-        << ", \"lost_cycles\": " << r.lost_cycles << ", \"commits\": " << r.commits << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }

@@ -1,6 +1,7 @@
-// Benchmark harness: runs a workload across CPU counts on the simulator and
-// prints paper-style speedup series (baseline = the 1-CPU lock-mode run),
-// plus the simulator statistics (violations, lost cycles) used for analysis.
+// Benchmark harness types: one simulated measurement (RunResult), a named
+// workload series (Series) that the figure driver in harness/driver.h sweeps
+// across CPU counts (speedup baseline = the first series' 1-CPU run), and the
+// JSON writer for host wall-clock microbenchmarks.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +51,6 @@ struct Series {
   std::function<void(int cpus, std::uint64_t seed_salt, RunResult& out)> run;
 };
 
-/// Runs every series at each CPU count on the calling thread; the FIRST
-/// series' 1-CPU run is the speedup baseline (paper: "the single-processor
-/// Java version is used as the baseline").  Prints the figure as rows of
-/// speedups plus a stats appendix, and returns all results (also emitted as
-/// CSV when `csv_path` is non-empty).  This is the serial convenience
-/// wrapper over the host-parallel driver in harness/driver.h.
-std::vector<RunResult> run_figure(const std::string& figure_title,
-                                  const std::vector<Series>& series,
-                                  const std::vector<int>& cpu_counts,
-                                  const std::string& csv_path = "");
-
 // ---- machine-readable (JSON) benchmark output ----
 
 /// One wall-clock microbenchmark measurement (see bench/hotpath.cpp).
@@ -87,10 +77,5 @@ struct BenchResult {
 void write_bench_json(const std::string& path, const std::string& bench,
                       const std::vector<BenchResult>& results,
                       double calibration_ops_per_sec = 0.0);
-
-/// Emits `run_figure` results as JSON (same schema idea as the CSV, for
-/// tooling that prefers structured output).
-void write_figure_json(const std::string& path, const std::string& figure_title,
-                       const std::vector<RunResult>& results);
 
 }  // namespace harness

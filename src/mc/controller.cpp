@@ -77,31 +77,14 @@ void Controller::note_table(const void* table) {
 void Controller::on_sem(const atomos::SemEvent& e) {
   using Kind = atomos::SemEvent::Kind;
   // Violations and compensations are not lock-table traffic: they leave the
-  // quantum's table footprint and the oracle's lock balance alone.
+  // quantum's table footprint and the oracle's lock ledger alone.
   if (e.kind == Kind::kViolation || e.kind == Kind::kCompensation) return;
   note_table(e.set);
   if (oracle_ == nullptr) return;
-  switch (e.kind) {
-    case Kind::kAcquire:
-      oracle_->lock_acquired(e.owner, e.set);
-      break;
-    case Kind::kRelease:
-      oracle_->lock_released(e.owner, e.set);
-      break;
-    case Kind::kReleaseAll:
-      oracle_->locks_released_all(e.owner, e.set);
-      break;
-    case Kind::kReleaseNoop:
-      // Liveness must be sampled NOW: during commit handlers the transaction
-      // is still the cpu's bottom txn, so a double release inside them is
-      // caught, while a prune of a long-settled owner is not.
-      oracle_->lock_release_noop(e.owner, e.set, rt_.txn_live(e.owner));
-      break;
-    default:
-      // kPrune removes a SETTLED owner's stale entry; its balance was
-      // already cleared by its own release path.
-      break;
-  }
+  // Liveness must be sampled NOW: during commit handlers the transaction is
+  // still the cpu's bottom txn, so a double release inside them is caught,
+  // while a prune of a long-settled owner is not.
+  oracle_->on_lock_event(e, e.kind == Kind::kReleaseNoop && rt_.txn_live(e.owner));
 }
 
 }  // namespace mc

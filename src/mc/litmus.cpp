@@ -30,8 +30,8 @@ void mc_attach(Oracle& o) {
   o.attempt_begin(id.cpu, id);
   Oracle* op = &o;
   const int cpu = id.cpu;
-  rt.on_top_commit([op, cpu] { op->flush_commit(cpu); }, [] { return false; });
-  rt.on_top_abort([op, cpu] { op->flush_abort(cpu); });
+  rt.on_top_commit([op, cpu] { op->flush_commit(cpu); }, [op, cpu] { op->flush_abort(cpu); },
+                   [] { return false; });
 }
 
 /// Runs `body` as one top-level transaction under the oracle.

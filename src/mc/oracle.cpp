@@ -7,16 +7,9 @@
 namespace mc {
 namespace {
 
-std::uint64_t pack(const atomos::TxnId& id) {
-  return (id.incarnation << 6) | static_cast<std::uint64_t>(id.cpu & 63);
+std::string id_str(const atomos::TxnId& id) {
+  return "txn(cpu=" + std::to_string(id.cpu) + ", inc=" + std::to_string(id.incarnation) + ")";
 }
-
-std::string id_str(std::uint64_t packed) {
-  return "txn(cpu=" + std::to_string(packed & 63) +
-         ", inc=" + std::to_string(packed >> 6) + ")";
-}
-
-std::string id_str(const atomos::TxnId& id) { return id_str(pack(id)); }
 
 bool is_map_mutation(const Op& op) {
   return !op.cancelled && (op.kind == Op::Kind::kPut || op.kind == Op::Kind::kRemove);
@@ -246,34 +239,16 @@ void Oracle::flush_abort(int cpu) {
 
 // ---- lock ledger ----
 
-void Oracle::lock_acquired(const atomos::TxnId& owner, const void* table) {
-  if (owner.cpu < 0) return;
-  lock_balance_[pack(owner)][table]++;
-}
-
-void Oracle::lock_released(const atomos::TxnId& owner, const void* table) {
-  auto it = lock_balance_.find(pack(owner));
-  if (it == lock_balance_.end()) return;
-  auto jt = it->second.find(table);
-  if (jt == it->second.end()) return;
-  if (--jt->second <= 0) it->second.erase(jt);
-  if (it->second.empty()) lock_balance_.erase(it);
-}
-
-void Oracle::locks_released_all(const atomos::TxnId& owner, const void* table) {
-  auto it = lock_balance_.find(pack(owner));
-  if (it == lock_balance_.end()) return;
-  it->second.erase(table);
-  if (it->second.empty()) lock_balance_.erase(it);
-}
-
-void Oracle::lock_release_noop(const atomos::TxnId& owner, const void* table,
-                               bool owner_live) {
-  if (owner.cpu < 0 || !owner_live) return;  // stale prune of a settled owner
+void Oracle::on_lock_event(const atomos::SemEvent& e, bool owner_live) {
+  if (e.kind != atomos::SemEvent::Kind::kReleaseNoop) {
+    locks_.apply(e);
+    return;
+  }
+  if (e.owner.cpu < 0 || !owner_live) return;  // stale prune of a settled owner
   eager_violations_.push_back(Violation{
       Anomaly::kDoubleRelease,
-      id_str(owner) + " released a semantic lock it does not hold in " +
-          table_name(table) + " while still live (double release)"});
+      id_str(e.owner) + " released a semantic lock it does not hold in " +
+          table_name(e.set) + " while still live (double release)"});
 }
 
 void Oracle::set_final_map(const void* table, std::vector<std::pair<long, long>> entries) {
@@ -602,22 +577,12 @@ void Oracle::check_queues(std::vector<Violation>& out) const {
 // ---- checking: locks ----
 
 void Oracle::check_locks(std::vector<Violation>& out) const {
-  for (const auto& [owner, tables] : lock_balance_) {
-    long total = 0;
-    const void* example = nullptr;
-    for (const auto& [table, n] : tables) {
-      if (n > 0) {
-        total += n;
-        if (example == nullptr) example = table;
-      }
-    }
-    if (total > 0) {
-      out.push_back(Violation{
-          Anomaly::kLockLeak,
-          id_str(owner) + " finished still holding " + std::to_string(total) +
-              " semantic lock(s), e.g. in " + table_name(example) + " [lock-leak]"});
-    }
-  }
+  locks_.for_each([&](const atomos::TxnId& owner, const atomos::LockLedger::Held& held) {
+    out.push_back(Violation{
+        Anomaly::kLockLeak,
+        id_str(owner) + " finished still holding " + std::to_string(held.locks) +
+            " semantic lock(s), e.g. in " + table_name(held.example) + " [lock-leak]"});
+  });
 }
 
 std::vector<Violation> Oracle::check() const {

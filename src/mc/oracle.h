@@ -21,9 +21,9 @@
 //    every polled element, and that every committed emptiness observation
 //    has a moment in its [observation, flush] window where the bag was
 //    truly empty.
-//  * semantic locks: a per-owner balance ledger; leftover balances after
-//    the run are leaks, and a release that found nothing to release while
-//    its owner is still live is a double release.
+//  * semantic locks: the shared per-owner ledger (tm/lock_ledger.h); locks
+//    still held after the run are leaks, and a release that found nothing to
+//    release while its owner is still live is a double release.
 //
 // Violations carry an anomaly class (mirrors the seeded-mutant corpus) and
 // a human-readable detail line.  The oracle itself is schedule-agnostic:
@@ -37,6 +37,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "tm/lock_ledger.h"
 #include "tm/runtime.h"
 
 namespace mc {
@@ -125,12 +126,10 @@ class Oracle {
   void flush_abort(int cpu);
 
   // ---- semantic-lock events (forwarded by the controller) ----
-  void lock_acquired(const atomos::TxnId& owner, const void* table);
-  void lock_released(const atomos::TxnId& owner, const void* table);
-  /// Release that removed owner's every lock in `table` at once.
-  void locks_released_all(const atomos::TxnId& owner, const void* table);
-  /// Release that found nothing; `owner_live` decides prune vs double release.
-  void lock_release_noop(const atomos::TxnId& owner, const void* table, bool owner_live);
+  /// Feeds one lock-table event to the lock ledger.  A release that found
+  /// nothing (kReleaseNoop) is a double release if `owner_live`, sampled at
+  /// the event, and the stale prune of a settled owner otherwise.
+  void on_lock_event(const atomos::SemEvent& e, bool owner_live);
 
   // ---- final states (litmus finish, outside the run) ----
   void set_final_map(const void* table, std::vector<std::pair<long, long>> entries);
@@ -174,8 +173,7 @@ class Oracle {
   // escalated into an abort after the oracle's flush already ran) demotes
   // the rec to aborted in place.
   std::vector<std::optional<std::size_t>> last_commit_;
-  // Lock ledger: packed owner id -> (table -> balance).
-  std::unordered_map<std::uint64_t, std::unordered_map<const void*, long>> lock_balance_;
+  atomos::LockLedger locks_;
   std::vector<Violation> eager_violations_;  // double releases, found mid-run
 };
 

@@ -1,11 +1,7 @@
-// Simulation statistics: fixed per-CPU counters plus a named-counter map
-// that doubles as the TAPE-style conflict-profiling facility the paper used
-// to locate contended fields (Section 6.3 cites [3], TAPE).
+// Simulation statistics: fixed per-CPU counters.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace sim {
@@ -59,14 +55,8 @@ class Stats {
     return s;
   }
 
-  /// Free-form named counters (TAPE-style profiling: e.g. the per-object
-  /// violation sites that identified District.nextOrder in the paper).
-  void bump(const std::string& name, std::uint64_t by = 1) { named_[name] += by; }
-  const std::map<std::string, std::uint64_t>& named() const { return named_; }
-
  private:
   std::vector<CpuStats> per_cpu_;
-  std::map<std::string, std::uint64_t> named_;
 };
 
 }  // namespace sim

@@ -182,7 +182,8 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
 
   // Completion bookkeeping lives OUTSIDE the transactional state: it is
   // only ever touched post-commit (TM flavors run it from an on_commit
-  // hook), so it adds no read/write-set footprint and no conflicts.
+  // hook with nothing to compensate), so it adds no read/write-set
+  // footprint and no conflicts.
   std::vector<harness::LatencyHistogram> hists(static_cast<std::size_t>(cpus));
   std::uint64_t completed = 0;
   std::uint64_t last_commit = 0;
@@ -291,8 +292,8 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             handle_request(r, sessions, cache, cfg.cache_slots, bump);
             // Completion is recorded only on commit; an abort replays
             // the whole handler, so there is nothing to compensate.
-            // txlint: allow(unpaired-handler) - commit-only bookkeeping
-            atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
+            atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
+                              atomos::no_compensation);
             return true;
           });
           if (got) {
@@ -371,7 +372,8 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
                          const Request& r = reqs[static_cast<std::size_t>(*idx)];
                          handle_request(r, sessions, cache, cfg.cache_slots, bump);
                          atomos::on_commit(
-                             [&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
+                             [&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
+                             atomos::no_compensation);
                        })
                 .run();
             got = idx.has_value();
@@ -383,7 +385,8 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
               if (!idx.has_value()) return false;
               const Request& r = reqs[static_cast<std::size_t>(*idx)];
               handle_request(r, sessions, cache, cfg.cache_slots, bump);
-              atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
+              atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
+                                atomos::no_compensation);
               return true;
             });
           }

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "sim/vaddr.h"
+#include "tm/lock_ledger.h"
 #include "tm/runtime.h"
 #include "trace/tracer.h"
 
@@ -21,16 +23,9 @@ namespace {
 constexpr std::size_t kMaxStderrReports = 16;
 constexpr std::size_t kMaxKeptReports = 4096;
 
-struct TxnIdHash {
-  std::size_t operator()(const TxnId& id) const noexcept {
-    return std::hash<std::uint64_t>{}(id.incarnation * 1000003u +
-                                      static_cast<std::uint64_t>(id.cpu));
-  }
-};
-
 struct State {
-  // Semantic-lock ledger: owner -> (lock table -> live acquire count).
-  std::unordered_map<TxnId, std::unordered_map<const void*, long>, TxnIdHash> held;
+  // Semantic-lock ledger, shared with the txmc oracle.
+  LockLedger locks;
   // Highest finished top-level incarnation per CPU.  Lock owners are always
   // top-level TxnIds, and top-level transactions on one CPU finish in
   // incarnation order, so `incarnation <= settled_upto[cpu]` is an exact
@@ -86,7 +81,7 @@ std::string ptr_str(const void* p) {
 
 void reset() {
   State& s = st();
-  s.held.clear();
+  s.locks.clear();
   s.settled_upto.clear();
   s.abort_scopes.clear();
   s.counts.fill(0);
@@ -114,29 +109,6 @@ const std::vector<std::string>& reports() { return st().findings; }
 // ---- semantic-layer events ----
 
 namespace {
-
-void lock_acquired(const TxnId& owner, const void* table) {
-  if (owner.cpu < 0) return;  // not a live transaction id
-  st().held[owner][table]++;
-}
-
-void lock_released(const TxnId& owner, const void* table) {
-  State& s = st();
-  auto it = s.held.find(owner);
-  if (it == s.held.end()) return;  // stale prune after txn end: already settled
-  auto jt = it->second.find(table);
-  if (jt == it->second.end()) return;
-  if (--jt->second <= 0) it->second.erase(jt);
-  if (it->second.empty()) s.held.erase(it);
-}
-
-void locks_released_all(const TxnId& owner, const void* table) {
-  State& s = st();
-  auto it = s.held.find(owner);
-  if (it == s.held.end()) return;
-  it->second.erase(table);
-  if (it->second.empty()) s.held.erase(it);
-}
 
 void lock_release_noop(const TxnId& owner, const void* table) {
   if (owner.cpu < 0) return;  // not a live transaction id
@@ -175,23 +147,14 @@ void compensation_run(int cpu, const void* site) {
 
 void on_sem(const SemEvent& e) {
   switch (e.kind) {
-    case SemEvent::Kind::kAcquire:
-      lock_acquired(e.owner, e.set);
-      break;
-    case SemEvent::Kind::kRelease:
-    case SemEvent::Kind::kPrune:  // settled owner: a no-op for the ledger
-      lock_released(e.owner, e.set);
-      break;
-    case SemEvent::Kind::kReleaseAll:
-      locks_released_all(e.owner, e.set);
-      break;
     case SemEvent::Kind::kReleaseNoop:
       lock_release_noop(e.owner, e.set);
       break;
     case SemEvent::Kind::kCompensation:
       compensation_run(e.owner.cpu, e.set);
       break;
-    case SemEvent::Kind::kViolation:
+    default:
+      st().locks.apply(e);
       break;
   }
 }
@@ -228,33 +191,18 @@ void compensation_handler_aborted(int cpu) {
 
 // ---- transaction lifecycle ----
 
-void handler_pairing(const TxnId& id, std::size_t top_commit_handlers,
-                     std::size_t top_abort_handlers) {
-  // Abort-only registration is legal (compensation for an already-committed
-  // open-nested action, e.g. CompensatedCounter).  Commit-only is not: the
-  // open-nested state the commit handler publishes/releases has no
-  // compensation path on abort.
-  if (top_commit_handlers > 0 && top_abort_handlers == 0) {
-    report(Check::kUnpairedHandler,
-           id_str(id) + " registered " + std::to_string(top_commit_handlers) +
-               " top-level commit handler(s) but no abort handler");
-  }
-}
-
 void txn_finished(const TxnId& id, bool committed) {
   State& s = st();
   std::uint64_t& upto = s.settled_upto[id.cpu];
   if (id.incarnation > upto) upto = id.incarnation;
-  auto it = s.held.find(id);
-  if (it == s.held.end()) return;
-  long locks = 0;
-  for (const auto& [table, n] : it->second) locks += n;
+  // Settling drops the entry: later stale prunes for this owner are no-ops.
+  const std::optional<LockLedger::Held> held = s.locks.settle(id);
+  if (!held) return;
   report(Check::kLockLeak,
          id_str(id) + (committed ? " committed" : " aborted") + " still holding " +
-             std::to_string(locks) + " semantic lock(s) across " +
-             std::to_string(it->second.size()) + " table(s), e.g. table " +
-             ptr_str(it->second.begin()->first));
-  s.held.erase(it);  // settle: later stale prunes for this owner are no-ops
+             std::to_string(held->locks) + " semantic lock(s) across " +
+             std::to_string(held->sets) + " table(s), e.g. table " +
+             ptr_str(held->example));
 }
 
 void check_txn_sets(const detail::Txn& t) {

@@ -9,10 +9,8 @@
 //    be released by the time that transaction finishes (commit handler on
 //    commit, abort handler on abort).  A lock still held when the
 //    transaction is gone is a LEAK: no one will ever release it, and every
-//    later writer of that key is violated or serialized forever;
-//  * handler pairing — a top-level transaction that registered commit
-//    handlers but no abort handler cannot compensate its open-nested
-//    effects and is reported;
+//    later writer of that key is violated or serialized forever.  The
+//    ledger is tm/lock_ledger.h, shared with the txmc oracle;
 //  * read/write-set consistency — while the commit token is held the
 //    transaction's redo log and read set must be internally consistent
 //    (index maps and logs agree) before the write set is broadcast;
@@ -57,7 +55,6 @@ namespace atomos::audit {
 
 enum class Check {
   kLockLeak = 0,
-  kUnpairedHandler,
   kSetCorruption,
   kNakedStore,
   kLateProfileLabel,
@@ -103,8 +100,8 @@ const std::vector<std::string>& reports();
 // ---- hook: semantic-layer events (Runtime::report_sem) ----
 /// Feeds the lock ledger and the compensation scopes:
 ///  * kAcquire / kRelease / kReleaseAll keep the per-owner ledger that
-///    txn_finished() checks for leaks (a release with no entry is a no-op);
-///  * kPrune drops a settled owner's entry the same way as kRelease;
+///    txn_finished() checks for leaks (LockLedger::apply, which ignores
+///    kPrune);
 ///  * kReleaseNoop is a release that found nothing to release.  For a
 ///    settled (finished) incarnation that is a benign stale prune; for a
 ///    live one it is a double release (kDoubleRelease);
@@ -131,8 +128,6 @@ void compensation_handler_committed(int cpu);
 void compensation_handler_aborted(int cpu);
 
 // ---- hooks: transaction lifecycle (called by tm/runtime.cpp) ----
-void handler_pairing(const TxnId& id, std::size_t top_commit_handlers,
-                     std::size_t top_abort_handlers);
 void txn_finished(const TxnId& id, bool committed);
 void check_txn_sets(const detail::Txn& t);
 /// Cross-checks the reader directory against a transaction's read set:
@@ -177,7 +172,6 @@ inline void abort_scope_begin(const TxnId&) {}
 inline void abort_scope_end(int) {}
 inline void compensation_handler_committed(int) {}
 inline void compensation_handler_aborted(int) {}
-inline void handler_pairing(const TxnId&, std::size_t, std::size_t) {}
 inline void txn_finished(const TxnId&, bool) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}

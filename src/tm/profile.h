@@ -69,8 +69,7 @@ class Profile {
     const sim::LineAddr last = sim::line_of(addr + (len == 0 ? 0 : len - 1));
     for (sim::LineAddr l = first; l <= last; ++l) {
       lines_[l].push_back(idx);
-      joined_.erase(l);    // invalidate any cached join for this line
-      id_cache_.erase(l);  // and any cached label id (may even be -1)
+      joined_.erase(l);  // invalidate any cached join for this line
     }
   }
 
@@ -89,45 +88,10 @@ class Profile {
     return jt->second.c_str();
   }
 
-  /// Stable dense integer id for the line's label (the same string find()
-  /// returns), or -1 when no labelled cell is resident.  Hot paths bump
-  /// per-id counters with this and resolve strings via label_name() only at
-  /// report time, so a violation on a labelled line costs a hash lookup
-  /// instead of a std::string construction.  The id→line mapping is cached;
-  /// note_range() invalidates affected lines.
-  int find_id(sim::LineAddr line) const {
-    auto it = id_cache_.find(line);
-    if (it != id_cache_.end()) return it->second;
-    const char* name = find(line);
-    int id = -1;
-    if (name != nullptr) {
-      for (std::size_t k = 0; k < label_names_.size(); ++k) {
-        if (label_names_[k] == name) {
-          id = static_cast<int>(k);
-          break;
-        }
-      }
-      if (id < 0) {
-        id = static_cast<int>(label_names_.size());
-        label_names_.emplace_back(name);
-      }
-    }
-    id_cache_.emplace(line, id);
-    return id;
-  }
-
-  /// The label string interned under `id` by find_id (0 <= id < the number
-  /// of distinct labels handed out).  Valid until clear().
-  const std::string& label_name(int id) const {
-    return label_names_[static_cast<std::size_t>(id)];
-  }
-
   void clear() {
     cells_.clear();
     lines_.clear();
     joined_.clear();
-    id_cache_.clear();
-    label_names_.clear();  // outstanding ids die too: flush counters first
   }
 
   /// Visits every (line, label) pair — used to dump the label map into a
@@ -169,11 +133,6 @@ class Profile {
   std::vector<Cell> cells_;  // every labelled cell, in construction order
   std::unordered_map<sim::LineAddr, std::vector<std::size_t>> lines_;
   mutable std::unordered_map<sim::LineAddr, std::string> joined_;  // lazy join cache
-  // Label interning (find_id): line -> id cache (-1 = unlabelled) and the
-  // id -> name table.  Mutable for the same reason joined_ is: lazy caches
-  // behind a logically-const lookup.
-  mutable std::unordered_map<sim::LineAddr, int> id_cache_;
-  mutable std::vector<std::string> label_names_;
 };
 
 }  // namespace atomos

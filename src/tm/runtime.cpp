@@ -36,7 +36,6 @@ Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
 }
 
 Runtime::~Runtime() {
-  flush_violation_counters();
   if (tracer_ != nullptr) {
     eng_.set_tracer(nullptr);
     // The per-CPU streams must be well-nested (begin/commit/abort pairing,
@@ -233,7 +232,7 @@ void Runtime::pop_frame_abort(Txn& t) {
 
 // ---- handlers ----
 
-void Runtime::on_commit(std::function<void()> h) {
+void Runtime::add_commit_handler(std::function<void()> h) {
   if (mode() == sim::Mode::kLock || !sim::Engine::in_worker()) {
     h();  // no speculation: "commit" is immediate
     return;
@@ -253,7 +252,8 @@ void Runtime::on_abort(std::function<void()> h) {
   t->abort_handlers.push_back(std::move(h));
 }
 
-void Runtime::on_top_commit(std::function<void()> h, std::function<bool()> needs_token) {
+void Runtime::add_top_commit_handler(std::function<void()> h,
+                                     std::function<bool()> needs_token) {
   if (mode() == sim::Mode::kLock || !sim::Engine::in_worker()) {
     h();
     return;
@@ -310,11 +310,9 @@ void Runtime::release_token(int cpu) {
 
 /// Flags every transaction (other than the committer's CPU's own stack) that
 /// has `line` in a live read set.  Shared by the commit broadcast and the
-/// naked-store path; also charges the TAPE-style `violations@<cell>` counter
-/// when profiling is on.  The reader directory narrows the scan to CPUs that
+/// naked-store path.  The reader directory narrows the scan to CPUs that
 /// actually read the line, so a commit costs O(write lines x real readers).
 void Runtime::flag_readers(sim::LineAddr line, int committer) {
-  const bool profiling = profile_.enabled();
   reader_dir_.for_each_reader_except(line, committer, [&](int c) {
     for (Txn* v = ctx(c).cur; v != nullptr; v = v->parent) {
       // Ancestors of the committer are exempt by construction (they are on
@@ -324,27 +322,8 @@ void Runtime::flag_readers(sim::LineAddr line, int committer) {
       const int frame = *f;
       if (v->kill_frame < 0 || frame < v->kill_frame) v->kill_frame = frame;
       if (tracer_ != nullptr) tracer_->on_violation_flag(committer, eng_.now(), line, c);
-      if (profiling) {
-        // Interned id, not string: the "violations@<label>" stats entries
-        // are materialized once at teardown (flush_violation_counters).
-        const std::size_t slot = static_cast<std::size_t>(profile_.find_id(line) + 1);
-        if (slot >= viol_counts_.size()) viol_counts_.resize(slot + 1, 0);
-        ++viol_counts_[slot];
-      }
     }
   });
-}
-
-void Runtime::flush_violation_counters() {
-  if (viol_counts_.empty()) return;
-  if (viol_counts_[0] != 0)
-    eng_.stats().bump("violations@<unnamed>", viol_counts_[0]);
-  for (std::size_t k = 1; k < viol_counts_.size(); ++k) {
-    if (viol_counts_[k] != 0)
-      eng_.stats().bump("violations@" + profile_.label_name(static_cast<int>(k) - 1),
-                        viol_counts_[k]);
-  }
-  viol_counts_.clear();  // bump() accumulates; never double-flush
 }
 
 void Runtime::broadcast_and_apply(Txn& t) {
@@ -497,9 +476,7 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
   if (t->parent == nullptr) {
     // Bottom of the open-nesting stack: the incarnation is over.  Commit
     // handlers have run, so every semantic lock it took must be gone.
-    const TxnId id{t->cpu, t->incarnation};
-    audit::handler_pairing(id, t->top_commit_handlers.size(), t->top_abort_handlers.size());
-    audit::txn_finished(id, /*committed=*/true);
+    audit::txn_finished(TxnId{t->cpu, t->incarnation}, /*committed=*/true);
   }
   if (tracer_ != nullptr)
     tracer_->on_txn_commit(t->cpu, eng_.now(), t->open, t->writes.size());
@@ -554,9 +531,7 @@ void Runtime::abort_txn(Txn* t) {
 
   if (t->parent == nullptr) {
     // Compensation has run; any semantic lock still on the books is leaked.
-    const TxnId id{t->cpu, t->incarnation};
-    audit::handler_pairing(id, t->top_commit_handlers.size(), t->top_abort_handlers.size());
-    audit::txn_finished(id, /*committed=*/false);
+    audit::txn_finished(TxnId{t->cpu, t->incarnation}, /*committed=*/false);
   }
   const std::uint64_t penalty = eng_.config().violation_cycles +
                                 cm_->backoff_cycles(t->cpu, t->attempt);

@@ -28,6 +28,7 @@
 // violated while they run — the TCC property the paper relies on.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -79,6 +80,24 @@ struct SemEvent {
   const void* set;   ///< locker-set identity (a KeyLockTable's keys: per key)
   const void* site;  ///< trace site: the table a trace names the set by
 };
+
+/// The abort side of a commit-handler registration whose commit handler is
+/// pure bookkeeping (a latency tally, an audit count): an abort leaves
+/// nothing to compensate, so nothing is registered.  An empty lambda would
+/// not be free: every abort handler runs as a detached open transaction.
+struct NoCompensation {
+  explicit NoCompensation() = default;
+};
+inline constexpr NoCompensation no_compensation{};
+
+/// What on_commit and on_top_commit take as their abort side: a callable
+/// compensation, or no_compensation.
+template <class A>
+concept AbortSide = std::same_as<std::remove_cvref_t<A>, NoCompensation> ||
+                    std::invocable<std::remove_cvref_t<A>&>;
+
+template <class A>
+inline constexpr bool kCompensates = !std::same_as<std::remove_cvref_t<A>, NoCompensation>;
 
 /// Names a violated transaction (or one of its frames) and so its retry
 /// point.  Thrown to unwind user frames, or returned by the commit path.
@@ -348,9 +367,16 @@ class Runtime {
     return run_txn(eng_.cpu_id(), /*open=*/true, std::forward<F>(fn));
   }
 
-  /// Registers a handler to run if the current transaction commits (at
-  /// commit, holding the commit token, as a closed-nested frame).
-  void on_commit(std::function<void()> h);
+  /// Registers `h` to run if the current transaction commits (at commit,
+  /// holding the commit token, as a closed-nested frame) and `compensate`
+  /// to run if it aborts (see on_abort).  What a commit handler publishes or
+  /// releases, an abort must undo, so the abort side is required: a callable,
+  /// or no_compensation when `h` is pure bookkeeping.
+  template <AbortSide A>
+  void on_commit(std::function<void()> h, A&& compensate) {
+    add_commit_handler(std::move(h));
+    if constexpr (kCompensates<A>) on_abort(std::forward<A>(compensate));
+  }
   /// Registers a handler to run if the current transaction aborts (after
   /// rollback, as an independent open transaction).
   void on_abort(std::function<void()> h);
@@ -362,7 +388,12 @@ class Runtime {
   /// reports false and the transaction wrote nothing, the handler runs
   /// outside the commit token (safe only for pure cleanup such as releasing
   /// semantic read locks; the handler must not write Shared memory).
-  void on_top_commit(std::function<void()> h, std::function<bool()> needs_token = nullptr);
+  template <AbortSide A>
+  void on_top_commit(std::function<void()> h, A&& compensate,
+                     std::function<bool()> needs_token = nullptr) {
+    add_top_commit_handler(std::move(h), std::move(needs_token));
+    if constexpr (kCompensates<A>) on_top_abort(std::forward<A>(compensate));
+  }
   void on_top_abort(std::function<void()> h);
 
   /// Stable id of the current *top-level* transaction incarnation (for use
@@ -422,6 +453,10 @@ class Runtime {
   CpuCtx& ctx(int cpu) { return ctx_[static_cast<std::size_t>(cpu)]; }
   detail::Txn* bottom_of(int cpu);  // outermost active txn on cpu (or null)
 
+  // The commit sides of on_commit / on_top_commit.
+  void add_commit_handler(std::function<void()> h);
+  void add_top_commit_handler(std::function<void()> h, std::function<bool()> needs_token);
+
   // Non-template machinery (runtime.cpp).
   detail::Txn* begin_txn(int cpu, bool open, int attempt);
   /// Commits `t`, or returns the violation that dooms it instead.  A flag
@@ -478,7 +513,6 @@ class Runtime {
   void acquire_token(int cpu);
   void release_token(int cpu);
   void flag_readers(sim::LineAddr line, int committer);
-  void flush_violation_counters();  // viol_counts_ -> stats() "violations@"
   void broadcast_and_apply(detail::Txn& t);
   void collect_garbage();
 
@@ -586,12 +620,6 @@ class Runtime {
   // commit), reused across commits.
   std::vector<sim::LineAddr> scratch_lines_;
 
-  // TAPE violation counters, indexed by interned label id + 1 (slot 0 =
-  // unlabelled).  flag_readers bumps these; flush_violation_counters
-  // materializes them as stats() "violations@<label>" entries at teardown,
-  // keeping std::string construction out of the violation hot path.
-  std::vector<std::uint64_t> viol_counts_;
-
   // Active chops, one slot per CPU (null = none).  The count gates the
   // broadcast-side probing so non-chopped workloads never pay for it.
   std::vector<detail::ChopState*> active_chops_;
@@ -634,7 +662,10 @@ auto open_atomically(F&& fn) {
   return Runtime::current().open_atomically(std::forward<F>(fn));
 }
 
-inline void on_commit(std::function<void()> h) { Runtime::current().on_commit(std::move(h)); }
+template <AbortSide A>
+void on_commit(std::function<void()> h, A&& compensate) {
+  Runtime::current().on_commit(std::move(h), std::forward<A>(compensate));
+}
 inline void on_abort(std::function<void()> h) { Runtime::current().on_abort(std::move(h)); }
 inline TxnId self_id() { return Runtime::current().self_id(); }
 inline bool violate(const TxnId& victim) { return Runtime::current().violate(victim); }

@@ -132,12 +132,11 @@ TEST(OpenCounterTest, UidGeneratorUniqueAndMonotonicWithHoles) {
           const long id = uids.next();
           hot.set(hot.get() + 1);
           atomos::work(200);
-          // Only record on commit (the handler runs iff we commit).  The
-          // no-op abort handler pairs it for the TXCC_CHECKED auditor: this
-          // commit handler observes, it does not publish open-nested state.
+          // Only record on commit (the handler runs iff we commit).  It
+          // observes and publishes no open-nested state: nothing to undo.
           atomos::Runtime::current().on_top_commit(
-              [&per_cpu, c, id] { per_cpu[static_cast<std::size_t>(c)].push_back(id); });
-          atomos::Runtime::current().on_top_abort([] {});
+              [&per_cpu, c, id] { per_cpu[static_cast<std::size_t>(c)].push_back(id); },
+              atomos::no_compensation);
         });
       }
     });

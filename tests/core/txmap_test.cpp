@@ -277,11 +277,9 @@ TEST(TxMapTest, SerializabilityUnderRandomWorkload) {
             }
             atomos::work(40);
           }
-          // Commit-order observation only; the no-op abort handler pairs it
-          // for the TXCC_CHECKED auditor.
+          // Commit-order observation only: nothing to compensate.
           atomos::Runtime::current().on_top_commit(
-              [&committed, &rec] { committed.push_back(rec); });
-          atomos::Runtime::current().on_top_abort([] {});
+              [&committed, &rec] { committed.push_back(rec); }, atomos::no_compensation);
         });
       }
     });

@@ -46,6 +46,11 @@ Op q_op(Op::Kind kind, const void* table, long observed = 0) {
   return op;
 }
 
+/// A lock-table event of cpu 0's first incarnation on `set`.
+atomos::SemEvent lock_event(atomos::SemEvent::Kind kind, const void* set) {
+  return atomos::SemEvent{kind, id(0), set, set};
+}
+
 bool has(const std::vector<Violation>& vs, Anomaly kind) {
   for (const Violation& v : vs) {
     if (v.kind == kind) return true;
@@ -202,28 +207,33 @@ TEST(OracleTest, CancelledPutLeavesNoTrace) {
 }
 
 TEST(OracleTest, LockLeakDetected) {
+  using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.lock_acquired(id(0), &table_a);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), /*owner_live=*/true);
+  // A prune reaches only owners that are no longer live: the leak stays.
+  o.on_lock_event(lock_event(Kind::kPrune, &table_a), /*owner_live=*/false);
   EXPECT_TRUE(has(o.check(), Anomaly::kLockLeak));
 }
 
 TEST(OracleTest, BalancedLocksAreClean) {
+  using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.lock_acquired(id(0), &table_a);
-  o.lock_acquired(id(0), &table_a);
-  o.lock_released(id(0), &table_a);
-  o.locks_released_all(id(0), &table_a);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), true);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), true);
+  o.on_lock_event(lock_event(Kind::kRelease, &table_a), true);
+  o.on_lock_event(lock_event(Kind::kReleaseAll, &table_a), true);
   EXPECT_TRUE(o.check().empty());
 }
 
 TEST(OracleTest, DoubleReleaseOnlyWhenOwnerLive) {
+  using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.lock_release_noop(id(0), &table_a, /*owner_live=*/false);  // stale prune
-  EXPECT_TRUE(o.check().empty());
-  o.lock_release_noop(id(0), &table_a, /*owner_live=*/true);
+  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a), /*owner_live=*/false);
+  EXPECT_TRUE(o.check().empty());  // stale prune of a settled owner
+  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a), /*owner_live=*/true);
   EXPECT_TRUE(has(o.check(), Anomaly::kDoubleRelease));
 }
 

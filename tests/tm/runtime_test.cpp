@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <exception>
 #include <type_traits>
 #include <vector>
@@ -18,6 +19,45 @@ namespace {
 // private clone no other CPU can conflict with.  Copying is a compile error,
 // which is what keeps lambdas from capturing a Shared by value.
 static_assert(!std::is_copy_constructible_v<Shared<long>>);
+
+// A commit handler's abort side is part of the registration's type: a
+// commit-only registration does not compile, in any form.  It takes a
+// compensation or no_compensation; a null handler is neither.
+struct Handler {
+  void operator()() const {}
+};
+struct NeedsToken {
+  bool operator()() const { return false; }
+};
+template <class Rt, class... A>
+constexpr bool kOnCommit = requires(Rt& rt, A... a) { rt.on_commit(a...); };
+template <class Rt, class... A>
+constexpr bool kOnTopCommit = requires(Rt& rt, A... a) { rt.on_top_commit(a...); };
+template <class Rt, class... A>
+constexpr bool kOnAbort = requires(Rt& rt, A... a) { rt.on_abort(a...); };
+template <class Rt, class... A>
+constexpr bool kOnTopAbort = requires(Rt& rt, A... a) { rt.on_top_abort(a...); };
+template <class... A>
+constexpr bool kFreeOnCommit = requires(A... a) { atomos::on_commit(a...); };
+template <class... A>
+constexpr bool kFreeOnAbort = requires(A... a) { atomos::on_abort(a...); };
+
+static_assert(!kOnCommit<Runtime, Handler>);
+static_assert(!kOnTopCommit<Runtime, Handler>);
+static_assert(!kFreeOnCommit<Handler>);
+static_assert(!kOnCommit<Runtime, Handler, std::nullptr_t>);
+static_assert(!kOnTopCommit<Runtime, Handler, std::nullptr_t, NeedsToken>);
+static_assert(kOnCommit<Runtime, Handler, Handler>);
+static_assert(kOnCommit<Runtime, Handler, NoCompensation>);
+static_assert(kFreeOnCommit<Handler, Handler>);
+static_assert(kFreeOnCommit<Handler, NoCompensation>);
+static_assert(kOnTopCommit<Runtime, Handler, Handler>);
+static_assert(kOnTopCommit<Runtime, Handler, NoCompensation>);
+static_assert(kOnTopCommit<Runtime, Handler, Handler, NeedsToken>);
+static_assert(kOnTopCommit<Runtime, Handler, NoCompensation, NeedsToken>);
+static_assert(kOnAbort<Runtime, Handler>);
+static_assert(kOnTopAbort<Runtime, Handler>);
+static_assert(kFreeOnAbort<Handler>);
 
 sim::Config tcc_cfg(int cpus) {
   sim::Config c;
@@ -269,8 +309,7 @@ TEST(RuntimeTest, CommitHandlerRunsOnCommitOnly) {
   eng.spawn([&] {
     atomically([&] {
       x.set(1);
-      on_commit([&] { ++commits; });
-      on_abort([&] { ++aborts; });
+      on_commit([&] { ++commits; }, [&] { ++aborts; });
     });
   });
   eng.run();
@@ -309,8 +348,7 @@ TEST(RuntimeTest, HandlersOfAbortedNestedFrameAreDiscarded) {
     atomically([&] {
       try {
         atomically([&] {
-          on_commit([&] { ++commit_runs; });
-          on_abort([&] { ++abort_runs; });
+          on_commit([&] { ++commit_runs; }, [&] { ++abort_runs; });
           throw std::runtime_error("abort the frame");
         });
       } catch (const std::runtime_error&) {
@@ -328,8 +366,8 @@ TEST(RuntimeTest, OpenChildHandlersTransferToParent) {
   std::vector<int> order;
   eng.spawn([&] {
     atomically([&] {
-      open_atomically([&] { on_commit([&] { order.push_back(1); }); });
-      on_commit([&] { order.push_back(2); });
+      open_atomically([&] { on_commit([&] { order.push_back(1); }, no_compensation); });
+      on_commit([&] { order.push_back(2); }, no_compensation);
     });
   });
   eng.run();
@@ -441,7 +479,7 @@ TEST(RuntimeTest, LockModeIsPassthrough) {
   eng.spawn([&] {
     atomically([&] {
       x.set(4);
-      on_commit([&] { ++commit_runs; });
+      on_commit([&] { ++commit_runs; }, no_compensation);
       EXPECT_EQ(x.get(), 4);
     });
   });
@@ -506,7 +544,7 @@ void spawn_slow_committer(sim::Engine& eng, Shared<int>& x) {
   eng.spawn([&x] {
     atomically([&x] {
       x.set(7);
-      on_commit([] { Runtime::current().work(kSlowHandlerCycles); });
+      on_commit([] { Runtime::current().work(kSlowHandlerCycles); }, no_compensation);
     });
   });
 }
@@ -541,6 +579,31 @@ TEST(RuntimeTest, CommitTimeViolationAbortsWithoutUnwinding) {
   // with no exception in flight.
   EXPECT_EQ(aborts_with_exception, 0);
   EXPECT_EQ(eng.elapsed_cycles(), kCommitRaceCycles);
+}
+
+TEST(RuntimeTest, NoCompensationRegistersNoAbortHandler) {
+  // The violated attempt aborts with nothing to compensate.  An empty
+  // compensation lambda would run there as a detached open transaction.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int attempts = 0;
+  int commits = 0;
+  eng.spawn([&] {
+    Runtime::current().work(kLateStartCycles);
+    atomically([&] {
+      ++attempts;
+      on_commit([&] { ++commits; }, no_compensation);
+      y.set(x.get() + 1);
+    });
+  });
+  spawn_slow_committer(eng, x);
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(commits, 1);
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().total(&sim::CpuStats::open_commits), 0u);
 }
 
 TEST(RuntimeTest, CommitTimeViolationOfParentUnwindsThroughOpenChild) {

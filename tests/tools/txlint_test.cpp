@@ -30,13 +30,12 @@ bool fires_at(const std::vector<Finding>& fs, std::string_view rule, int line) {
                      [&](const Finding& f) { return f.rule == rule && f.line == line; });
 }
 
-TEST(TxlintRules, TenRulesRegistered) {
+TEST(TxlintRules, NineRulesRegistered) {
   const auto& rs = rules();
-  ASSERT_EQ(rs.size(), 10u);
+  ASSERT_EQ(rs.size(), 9u);
   std::vector<std::string_view> names;
   for (const auto& r : rs) names.push_back(r.name);
   for (const char* want : {"shared-field", "raw-peek", "catch-swallow",
-                           "unpaired-handler",
                            "trace-hook", "isolation-class", "handler-mutation",
                            "hot-path-container", "handler-closure",
                            "chop-compensation"}) {
@@ -134,34 +133,6 @@ TEST(CatchSwallowRule, AllowsEscapingBodiesAndSpecificExceptions) {
       "  try { g(); } catch (const std::exception& e) { log(e); }\n"  // specific
       "}\n";
   EXPECT_TRUE(of_rule(scan(src), "catch-swallow").empty());
-}
-
-// ---- unpaired-handler ----
-
-TEST(UnpairedHandlerRule, FlagsCommitWithoutAbortAtBothLevels) {
-  const std::string src =
-      "void leaky_top() {\n"                                  // 1
-      "  rt.on_top_commit([&] { locks.clear(); });\n"         // 2  <- unpaired
-      "}\n"                                                   // 3
-      "void leaky_nested() {\n"                               // 4
-      "  atomos::on_commit([&] { publish(); });\n"            // 5  <- unpaired
-      "}\n";
-  const auto fs = scan(src);
-  EXPECT_EQ(of_rule(fs, "unpaired-handler").size(), 2u);
-  EXPECT_TRUE(fires_at(fs, "unpaired-handler", 2));
-  EXPECT_TRUE(fires_at(fs, "unpaired-handler", 5));
-}
-
-TEST(UnpairedHandlerRule, AllowsPairedAndAbortOnlyRegistration) {
-  const std::string src =
-      "void disciplined() {\n"
-      "  rt.on_top_commit([&] { locks.clear(); });\n"
-      "  rt.on_top_abort([&] { locks.clear(); });\n"
-      "}\n"
-      "void compensating_only() {\n"
-      "  rt.on_top_abort([&] { counter.sub(delta); });\n"  // CompensatedCounter shape
-      "}\n";
-  EXPECT_TRUE(of_rule(scan(src), "unpaired-handler").empty());
 }
 
 // ---- handler-closure ----
@@ -315,14 +286,30 @@ TEST(HandlerMutationRule, FlagsUnregisteredMutationsInAbortAndCommitHandlers) {
       "  });\n"                                                         // 4
       "}\n"                                                             // 5
       "void publish(Bag* bag, long k) {\n"                              // 6
-      "  rt.on_top_commit([bag, k] { bag->remove(k); });\n"             // 7  <- unregistered
-      "  rt.on_top_abort([] {});\n"                                     // 8
+      "  rt.on_top_commit([bag, k] { bag->remove(k); },\n"              // 7  <- unregistered
+      "                   [] {});\n"                                    // 8
       "}\n";
   const auto fs = scan(src);
   const auto hm = of_rule(fs, "handler-mutation");
   EXPECT_EQ(hm.size(), 2u);
   EXPECT_TRUE(fires_at(fs, "handler-mutation", 3));
   EXPECT_TRUE(fires_at(fs, "handler-mutation", 7));
+}
+
+TEST(HandlerMutationRule, ChecksBothSidesOfAPairedRegistration) {
+  const std::string src =
+      "void publish(Bag* bag, long k, long v) {\n"                     // 1
+      "  rt.on_top_commit([bag, k] { atomos::compensation_run(0, bag); },\n"  // 2
+      "                   [bag, k, v] { bag->put(k, v); },\n"           // 3  <- abort side
+      "                   [] { return false; });\n"                     // 4
+      "  atomos::on_commit([bag, k] { bag->remove(k); }, atomos::no_compensation);\n"  // 5
+      "}\n";
+  const auto hm = of_rule(scan(src), "handler-mutation");
+  ASSERT_EQ(hm.size(), 2u);
+  EXPECT_EQ(hm[0].line, 3);
+  EXPECT_NE(hm[0].message.find("an abort handler"), std::string::npos) << hm[0].message;
+  EXPECT_EQ(hm[1].line, 5);
+  EXPECT_NE(hm[1].message.find("a commit handler"), std::string::npos) << hm[1].message;
 }
 
 TEST(HandlerMutationRule, AllowsRegisteredMutationsAndNonMutatingHandlers) {

@@ -22,8 +22,7 @@ void uncompensated_abort(Bag* bag, long k, long v) {
 void uncompensated_commit(Bag* bag, long k) {
   atomos::Runtime::current().on_top_commit([bag, k] {
     bag->remove(k);  // BAD: commit-side mutation, also unattributed
-  });
-  atomos::Runtime::current().on_top_abort([] {});
+  }, atomos::no_compensation);
 }
 
 }  // namespace demo

@@ -11,11 +11,12 @@ struct Table {
 };
 
 void paired_registration(Table* t) {
-  atomos::Runtime::current().on_top_commit([t] {
-    t->apply();
-    t->release();
-  });
-  atomos::Runtime::current().on_top_abort([t] { t->release(); });
+  atomos::Runtime::current().on_top_commit(
+      [t] {
+        t->apply();
+        t->release();
+      },
+      [t] { t->release(); });
 }
 
 void abort_only_compensation(Table* t) {

@@ -16,21 +16,22 @@ struct Locks {
 };
 
 void compensated_abort(Bag* bag, long k, long v) {
-  atomos::Runtime::current().on_top_commit([bag, k] {
-    atomos::compensation_run(0, bag);
-    bag->remove(k);
-  });
-  atomos::Runtime::current().on_top_abort([bag, k, v] {
-    atomos::compensation_run(0, bag);
-    bag->put(k, v);  // registered first: the auditor can attribute this
-  });
+  atomos::Runtime::current().on_top_commit(
+      [bag, k] {
+        atomos::compensation_run(0, bag);
+        bag->remove(k);
+      },
+      [bag, k, v] {
+        atomos::compensation_run(0, bag);
+        bag->put(k, v);  // registered first: the auditor can attribute this
+      });
 }
 
 void dispatching_handler(Bag* bag, Locks* locks, long k) {
   // Dispatch-only and lock-release-only handlers are the other disciplined
   // shapes: no direct collection mutation in the lambda body.
-  atomos::Runtime::current().on_top_commit([locks, k] { locks->unlock(k); });
-  atomos::Runtime::current().on_top_abort([locks, k] { locks->unlock(k); });
+  atomos::Runtime::current().on_top_commit([locks, k] { locks->unlock(k); },
+                                           [locks, k] { locks->unlock(k); });
 }
 
 }  // namespace demo

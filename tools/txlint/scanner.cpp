@@ -17,7 +17,6 @@ namespace {
 constexpr std::string_view kSharedField = "shared-field";
 constexpr std::string_view kRawPeek = "raw-peek";
 constexpr std::string_view kCatchSwallow = "catch-swallow";
-constexpr std::string_view kUnpairedHandler = "unpaired-handler";
 constexpr std::string_view kTraceHook = "trace-hook";
 constexpr std::string_view kIsolationClass = "isolation-class";
 constexpr std::string_view kHandlerMutation = "handler-mutation";
@@ -35,9 +34,6 @@ const std::vector<RuleInfo> kRules = {
     {kCatchSwallow,
      "catch (...) or catch (Violated) block that can swallow the TM unwind "
      "(no rethrow/abort in body)"},
-    {kUnpairedHandler,
-     "commit handler registered without a paired abort handler in the same "
-     "function"},
     {kTraceHook,
      "heap allocation or transactional (Shared<T>) access inside a trace-hook "
      "body (namespace trace, function on_*) — hooks run on the simulated hot "
@@ -458,8 +454,6 @@ class Scanner {
     // Function frames only:
     // locals assigned from a shared-collection read (handler-closure).
     std::unordered_set<std::string> collection_locals;
-    int commit_line = -1, top_commit_line = -1;
-    bool has_abort = false, has_top_abort = false;
     // Class frames only: token index where the current member stmt begins.
     std::size_t stmt_start = 0;
   };
@@ -607,7 +601,6 @@ class Scanner {
       }
       if (t.text == "}") {
         if (!stack_.empty()) {
-          finish_frame(stack_.back());
           stack_.pop_back();
           if (!stack_.empty()) stack_.back().stmt_start = i + 1;
         }
@@ -635,10 +628,7 @@ class Scanner {
       if (t.text == "[") lambda_check(i);
     }
 
-    while (!stack_.empty()) {
-      finish_frame(stack_.back());
-      stack_.pop_back();
-    }
+    stack_.clear();
   }
 
   /// Classifies a `{` with no pending namespace/class/enum header.
@@ -682,23 +672,7 @@ class Scanner {
     return f;
   }
 
-  void finish_frame(const Frame& f) {
-    if (f.kind != Frame::Kind::kFunction) return;
-    if (f.top_commit_line >= 0 && !f.has_top_abort && f.name != "on_top_commit") {
-      emit(kUnpairedHandler, f.top_commit_line,
-           "function '" + f.name +
-               "' registers a top-level commit handler (on_top_commit) without a "
-               "paired on_top_abort — semantic state leaks if the transaction aborts");
-    }
-    if (f.commit_line >= 0 && !f.has_abort && f.name != "on_commit") {
-      emit(kUnpairedHandler, f.commit_line,
-           "function '" + f.name +
-               "' registers a commit handler (on_commit) without a paired on_abort "
-               "— open-nested effects are not compensated on abort");
-    }
-  }
-
-  // ---- per-identifier checks (raw-peek, handler registration, Shared decls) --
+  // ---- per-identifier checks (trace-hook, raw-peek, handler-closure) --
 
   void ident_checks(std::size_t i) {
     const std::string_view id = toks_[i].text;
@@ -747,21 +721,6 @@ class Scanner {
     if (id == "v_" && i > 0 && (toks_[i - 1].text == "." || toks_[i - 1].text == "->")) {
       emit(kRawPeek, toks_[i].line,
            "reach-through access to a Shared cell's raw storage (v_)");
-    }
-
-    if ((id == "on_commit" || id == "on_abort" || id == "on_top_commit" ||
-         id == "on_top_abort") &&
-        is(i + 1, "(") && !is(i + 2, ")")) {
-      // A call with arguments (registration), not the definition's signature.
-      Frame* fn = nearest_function();
-      if (fn != nullptr) {
-        if (id == "on_commit" && fn->commit_line < 0) fn->commit_line = toks_[i].line;
-        if (id == "on_top_commit" && fn->top_commit_line < 0) {
-          fn->top_commit_line = toks_[i].line;
-        }
-        if (id == "on_abort") fn->has_abort = true;
-        if (id == "on_top_abort") fn->has_top_abort = true;
-      }
     }
 
     // `x = <expr involving .get(/->poll(/...>`: x now holds a snapshot of a
@@ -1036,56 +995,68 @@ class Scanner {
   /// on_commit / on_top_commit call and checks its body: a direct
   /// collection-mutating method call (`bag->put(...)`, `q.remove(...)`)
   /// must be covered by a compensation_run site registration in the same
-  /// body.  Handlers that only dispatch (`self->abort_handler(cpu)`) or
-  /// only release locks never match a mutator and stay silent.
+  /// body.  A commit registration carries two handlers, the commit side
+  /// and then the abort side; both are checked.  Handlers that only
+  /// dispatch (`self->abort_handler(cpu)`) or only release locks never
+  /// match a mutator and stay silent.
   void handler_mutation_pass() {
     for (std::size_t i = 0; i + 2 < toks_.size(); ++i) {
       const std::string_view id = toks_[i].text;
-      if (id != "on_abort" && id != "on_top_abort" && id != "on_commit" &&
-          id != "on_top_commit") {
-        continue;
-      }
+      const bool commit_form = id == "on_commit" || id == "on_top_commit";
+      if (!commit_form && id != "on_abort" && id != "on_top_abort") continue;
       if (toks_[i].kind != Token::Kind::kIdent || !is(i + 1, "(") || is(i + 2, ")")) {
         continue;  // definition signature or argless call, not a registration
       }
       const std::size_t pclose = match(i + 1);
       if (pclose >= toks_.size()) continue;
-      // The registered handler must be a lambda literal to inspect.
-      std::size_t lam = i + 2;
-      while (lam < pclose && !is(lam, "[")) ++lam;
-      if (lam >= pclose) continue;
-      std::size_t j = match(lam) + 1;        // past the capture list
-      if (is(j, "(")) j = match(j) + 1;      // past the parameter list
-      while (j < pclose && !is(j, "{")) ++j;  // past mutable/noexcept/-> T
-      if (!is(j, "{")) continue;
-      const std::size_t bend = match(j);
-
-      bool compensated = false;
-      std::string_view mutator;
-      int mutator_line = -1;
-      for (std::size_t k = j + 1; k < bend && k < toks_.size(); ++k) {
-        if (toks_[k].kind != Token::Kind::kIdent) continue;
-        if (toks_[k].text == "compensation_run") {
-          compensated = true;
-          break;
-        }
-        if (mutator_line < 0 && kCollectionMutators.count(toks_[k].text) != 0 &&
-            k > 0 && (toks_[k - 1].text == "." || toks_[k - 1].text == "->") &&
-            is(k + 1, "(")) {
-          mutator = toks_[k].text;
-          mutator_line = toks_[k].line;
-        }
-      }
-      if (mutator_line >= 0 && !compensated) {
-        const bool abort_handler = id == "on_abort" || id == "on_top_abort";
-        emit(kHandlerMutation, mutator_line,
-             "collection mutation '" + std::string(mutator) + "' inside " +
-                 (abort_handler ? "an abort" : "a commit") + " handler with no "
-                 "compensation_run registration — record the site first "
-                 "(atomos::compensation_run) so the checked runtime and the "
-                 "txmc oracle can attribute it");
+      std::size_t arg = i + 2;
+      for (int side = 0; side < (commit_form ? 2 : 1) && arg < pclose; ++side) {
+        const std::size_t next = next_arg(arg, pclose);
+        check_handler_body(arg, next, commit_form && side == 0 ? "a commit" : "an abort");
+        arg = next;
       }
     }
+  }
+
+  /// Index just past the top-level comma that ends the argument starting at
+  /// `k`, or `end` for the last argument.
+  std::size_t next_arg(std::size_t k, std::size_t end) const {
+    while (k < end && !is(k, ",")) {
+      if (is(k, "(") || is(k, "[") || is(k, "{")) k = match(k);
+      ++k;
+    }
+    return std::min(k + 1, end);
+  }
+
+  /// Checks the handler lambda literal in argument tokens [begin, end), if
+  /// the argument is one; `side` names the handler in the finding.
+  void check_handler_body(std::size_t begin, std::size_t end, const char* side) {
+    std::size_t lam = begin;
+    while (lam < end && !is(lam, "[")) ++lam;
+    if (lam >= end) return;
+    std::size_t j = match(lam) + 1;      // past the capture list
+    if (is(j, "(")) j = match(j) + 1;    // past the parameter list
+    while (j < end && !is(j, "{")) ++j;  // past mutable/noexcept/-> T
+    if (!is(j, "{")) return;
+    const std::size_t bend = match(j);
+
+    std::string_view mutator;
+    int mutator_line = -1;
+    for (std::size_t k = j + 1; k < bend && k < toks_.size(); ++k) {
+      if (toks_[k].kind != Token::Kind::kIdent) continue;
+      if (toks_[k].text == "compensation_run") return;
+      if (mutator_line < 0 && kCollectionMutators.count(toks_[k].text) != 0 &&
+          (toks_[k - 1].text == "." || toks_[k - 1].text == "->") && is(k + 1, "(")) {
+        mutator = toks_[k].text;
+        mutator_line = toks_[k].line;
+      }
+    }
+    if (mutator_line < 0) return;
+    emit(kHandlerMutation, mutator_line,
+         "collection mutation '" + std::string(mutator) + "' inside " + side +
+             " handler with no compensation_run registration — record the site "
+             "first (atomos::compensation_run) so the checked runtime and the "
+             "txmc oracle can attribute it");
   }
 
   // ---- chop-compensation pass ----
