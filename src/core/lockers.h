@@ -10,7 +10,7 @@
 // In the paper these tables live in transactional memory and are updated by
 // open-nested transactions; here they are host-side structures whose
 // operations are virtually atomic (the simulator interleaves only at timed
-// events) and charged sim::Config::sem_op_cycles each — the documented
+// events) and charged sim::Config::kSemOpCycles each — the documented
 // DESIGN.md idealization.  Their *semantics* — survive parent rollback, be
 // compensated by abort handlers, be checked at commit — are exact.
 #pragma once
@@ -30,11 +30,10 @@ namespace tcc {
 // the txmc observer.
 using SemKind = atomos::SemEvent::Kind;
 
-/// Charges the configured cost of one semantic-lock / store-buffer op.
+/// Charges the cost of `n` semantic-lock / store-buffer ops.
 inline void charge_sem_op(std::size_t n = 1) {
   if (atomos::Runtime::active() && sim::Engine::in_worker()) {
-    auto& rt = atomos::Runtime::current();
-    rt.work(n * rt.engine().config().sem_op_cycles);
+    atomos::Runtime::current().work(n * sim::Config::kSemOpCycles);
   }
 }
 

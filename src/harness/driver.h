@@ -7,12 +7,12 @@
 // serial run and a `--jobs N` run produce bit-identical tables, CSVs and
 // simulated-cycle totals.
 //
-// Why this is safe: after the Profile de-globalization (tm/profile.h) the
-// simulator and TM layer hold no process-global mutable state — engines,
-// runtimes, virtual-address allocators and audit ledgers are all
-// per-Engine/per-Runtime or thread_local — so concurrent points share
-// nothing, and each point's simulated cycle count is a pure function of its
-// (series, cpus, seed) regardless of which host thread runs it or when.
+// Why this is safe: the simulator and TM layer hold no process-global
+// mutable state — engines, runtimes with their tracers and label maps,
+// virtual-address allocators and audit ledgers are all per-Engine,
+// per-Runtime or thread_local — so concurrent points share nothing, and
+// each point's simulated cycle count is a pure function of its (series,
+// cpus, seed) regardless of which host thread runs it or when.
 // Merging is by canonical point order (series-major, then CPU count, then
 // trial), never by completion order; progress lines are released in that
 // same order.

@@ -52,7 +52,7 @@ std::unique_ptr<jstd::SortedMap<long, long>> make_new_order_table(Flavor f) {
 
 std::unique_ptr<jstd::Map<long, History*>> make_history_table(Flavor f) {
   auto inner = std::make_unique<jstd::HashMap<long, History*>>(
-      4096, 0.75F, "historyTable.size", "historyTable.table");
+      4096, "historyTable.size", "historyTable.table");
   if (f == Flavor::kAtomosTransactional || f == Flavor::kAtomosChopped) {
     return std::make_unique<tcc::TransactionalMap<long, History*>>(
         std::move(inner), tcc::Detection::kOptimistic, "historyTable");
@@ -85,7 +85,7 @@ Engine::Engine(const JbbConfig& cfg) : cfg_(cfg) {
   // StockLevel have work from the start (setup code: untimed, no locks).
   for (int d = 0; d < cfg.districts; ++d) {
     std::uint64_t rng = 1000 + static_cast<std::uint64_t>(d);
-    for (int i = 0; i < cfg.initial_orders_per_district; ++i) new_order(d, rng);
+    for (int i = 0; i < kInitialOrdersPerDistrict; ++i) new_order(d, rng);
   }
 }
 
@@ -131,8 +131,7 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
     // conflicts only with the stock walk no longer violates the district
     // work (and vice versa).  The district piece registers a compensation
     // that removes the order again; kRanked never runs it, but the contract
-    // (and the txlint chop-compensation rule) wants mutating non-final
-    // pieces to be undoable.
+    // (tm/chop.h) wants mutating non-final pieces to be undoable.
     Customer* cust = d.customers[cidx].get();
     long oid = 0;
     long total = 0;
@@ -173,7 +172,8 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
                    st.ytd.set(st.ytd.get() + qty);
                  }
                  think(cfg_.think_cycles);
-               })
+               },
+               atomos::no_compensation)  // final piece: nothing commits after it
         .run();
     return;
   }
@@ -241,7 +241,8 @@ void Engine::payment(int dnum, std::uint64_t& rng) {
                  cust->balance.set(cust->balance.get() - amount);
                  cust->ytd_payment.set(cust->ytd_payment.get() + amount);
                  think(cfg_.think_cycles);
-               })
+               },
+               atomos::no_compensation)  // final piece: nothing commits after it
         .run();
     return;
   }

@@ -1,7 +1,7 @@
 // The high-contention SPECjbb2000-style engine (paper Section 6.3).
 //
 // One shared warehouse, D districts, the five TPC-C-style operations, in
-// four build flavours matching Figure 4's series:
+// five build flavours (fig4 runs the first four, fig6 adds the last):
 //
 //   kJava                — lock-mode run: each shared structure is guarded
 //                          by its own mutex with SHORT critical sections
@@ -60,9 +60,11 @@ struct JbbConfig {
   int districts = 10;
   int items = 200;
   int customers_per_district = 20;
-  int initial_orders_per_district = 5;
   std::uint64_t think_cycles = 300;  // computation inside each operation
 };
+
+/// New orders each district is seeded with before the run.
+inline constexpr int kInitialOrdersPerDistrict = 5;
 
 /// A unique-id source whose implementation varies by flavour.
 class Sequence {

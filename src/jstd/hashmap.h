@@ -3,10 +3,10 @@
 //
 // The layout is deliberately faithful to the classic implementation the
 // paper analyses: one bucket array, singly linked collision chains, and a
-// single `size` field maintained for the load factor.  Under Atomos-style
-// execution this is exactly the structure whose `size` field and bucket
-// chains create the unnecessary memory-level dependencies of Figure 1; the
-// TransactionalMap wrapper exists to eliminate them.
+// single `size` field maintained for java.util's default load factor, 0.75.
+// Under Atomos-style execution this is exactly the structure whose `size`
+// field and bucket chains create the unnecessary memory-level dependencies
+// of Figure 1; the TransactionalMap wrapper exists to eliminate them.
 #pragma once
 
 #include <cstddef>
@@ -23,18 +23,17 @@ namespace jstd {
 template <class K, class V, class Hash = std::hash<K>, class Eq = std::equal_to<K>>
 class HashMap final : public Map<K, V> {
  public:
-  /// `initial_buckets` should exceed the expected population / load factor
-  /// when resize-under-transaction is not part of the experiment.
+  /// `initial_buckets` should exceed the expected population / 0.75 when
+  /// resize-under-transaction is not part of the experiment.
   /// `size_label` / `table_label` name the contended metadata cells in TAPE
   /// profiles and txtrace conflict reports (e.g. "historyTable.size" /
   /// "historyTable.table" for the fig4 map).  Both cells are read by every
   /// operation, so they live line-isolated in the metadata arena
   /// (sim::kMetaCell) — never co-resident with counters or element cells.
-  explicit HashMap(std::size_t initial_buckets = 16, float load_factor = 0.75F,
+  explicit HashMap(std::size_t initial_buckets = 16,
                    const char* size_label = "HashMap.size",
                    const char* table_label = "HashMap.table")
-      : load_factor_(load_factor),
-        size_(0, size_label, sim::kMetaCell),
+      : size_(0, size_label, sim::kMetaCell),
         table_(new Table(round_up_pow2(initial_buckets)), table_label, sim::kMetaCell) {}
 
   ~HashMap() override {
@@ -79,8 +78,7 @@ class HashMap final : public Map<K, V> {
     head.set(fresh);
     const long new_size = size_.get() + 1;  // the paper's contended field
     size_.set(new_size);
-    if (static_cast<float>(new_size) >
-        load_factor_ * static_cast<float>(t->nbuckets)) {
+    if (static_cast<float>(new_size) > kLoadFactor * static_cast<float>(t->nbuckets)) {
       resize(t);
     }
     return std::nullopt;
@@ -182,9 +180,10 @@ class HashMap final : public Map<K, V> {
     Node* n_ = nullptr;
   };
 
+  static constexpr float kLoadFactor = 0.75F;  // resize past this many entries per bucket
+
   Hash hash_;
   Eq eq_;
-  const float load_factor_;
   atomos::Shared<long> size_;
   atomos::Shared<Table*> table_;
 };

@@ -480,7 +480,8 @@ std::unique_ptr<World> build_chop_transfer(Oracle& o) {
                    const long bal = wp->rmap->get(1).value_or(0);
                    wp->rmap->put(1, bal + *req);
                  }
-               })
+               },
+               atomos::no_compensation)
         .run();
   };
   w->bodies = {worker, worker};
@@ -520,7 +521,8 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
                    [&] {
                      mc_attach(*op);
                      if (req.has_value()) wp->rmap->put(*req, 1);
-                   })
+                   },
+                   atomos::no_compensation)
             .run();
       },
       [op, wp] {

@@ -1,9 +1,10 @@
-// Simulator configuration: CPU count and cycle-level timing parameters.
+// Simulator configuration: CPU count, execution mode and the fixed timing
+// of the one machine the paper evaluates.
 //
-// The defaults follow the flavour of CMP the paper simulated (TCC on an
+// The costs follow the flavour of CMP the paper simulated (TCC on an
 // execution-driven CMP): CPI 1.0 for non-memory instructions, timed L1,
 // a shared L2 behind a snooping bus, and commit bandwidth proportional to
-// write-set size.  Every knob is overridable per benchmark.
+// write-set size.  They are constants: every figure runs the same machine.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,7 @@ enum class Mode : std::uint8_t {
   kTcc,   ///< TCC-style lazy transactional execution ("Atomos" runs)
 };
 
-/// All timing/topology parameters of one simulation.
+/// The parameters of one simulation.
 struct Config {
   /// Hard upper bound on num_cpus: the single source of truth every
   /// CPU-indexed bitmask in the simulator (reader directory, MESI sharer
@@ -26,26 +27,6 @@ struct Config {
 
   int num_cpus = 8;
   Mode mode = Mode::kTcc;
-
-  // --- memory hierarchy timing (cycles) ---
-  std::uint32_t l1_hit_cycles = 1;
-  std::uint32_t l2_hit_cycles = 12;      ///< latency of an L1 miss served by L2
-  std::uint32_t bus_arb_cycles = 3;      ///< bus arbitration before any transaction
-  std::uint32_t bus_xfer_cycles = 4;     ///< bus occupancy per 64B line transfer
-  std::uint32_t writeback_cycles = 4;    ///< extra occupancy when a dirty copy intervenes
-
-  // --- L1 geometry ---
-  std::uint32_t l1_sets = 128;           ///< 128 sets * 4 ways * 64B = 32 KiB
-  std::uint32_t l1_assoc = 4;
-
-  // --- TCC commit/violation timing ---
-  std::uint32_t txn_begin_cycles = 2;    ///< register-checkpoint cost
-  std::uint32_t commit_arb_cycles = 5;   ///< commit-token arbitration
-  std::uint32_t commit_line_cycles = 4;  ///< broadcast occupancy per written line
-  std::uint32_t violation_cycles = 40;   ///< flush/restart penalty on violation
-
-  // --- semantic-layer cost model (host-side lock tables / store buffers) ---
-  std::uint32_t sem_op_cycles = 12;      ///< one semantic-lock / store-buffer op
 
   // --- host-deadline supervision (wall-clock, never affects simulated time) -
   /// The host deadline (Engine::set_host_deadline) is polled once every
@@ -58,7 +39,25 @@ struct Config {
   /// unaffected.
   std::uint64_t deadline_quantum = 65536;
 
-  std::uint64_t seed = 1;                ///< workload RNG seed (determinism)
+  // --- memory hierarchy timing (cycles) ---
+  static constexpr std::uint32_t kL1HitCycles = 1;
+  static constexpr std::uint32_t kL2HitCycles = 12;     ///< L1 miss served by L2
+  static constexpr std::uint32_t kBusArbCycles = 3;     ///< arbitration before a bus transaction
+  static constexpr std::uint32_t kBusXferCycles = 4;    ///< bus occupancy per 64B line transfer
+  static constexpr std::uint32_t kWritebackCycles = 4;  ///< extra occupancy: dirty copy intervenes
+
+  // --- L1 geometry: 128 sets * 4 ways * 64B = 32 KiB ---
+  static constexpr std::uint32_t kL1Sets = 128;
+  static constexpr std::uint32_t kL1Ways = 4;
+
+  // --- TCC commit/violation timing ---
+  static constexpr std::uint32_t kTxnBeginCycles = 2;    ///< register-checkpoint cost
+  static constexpr std::uint32_t kCommitArbCycles = 5;   ///< commit-token arbitration
+  static constexpr std::uint32_t kCommitLineCycles = 4;  ///< broadcast occupancy per written line
+  static constexpr std::uint32_t kViolationCycles = 40;  ///< flush/restart penalty on violation
+
+  // --- semantic-layer cost model (host-side lock tables / store buffers) ---
+  static constexpr std::uint32_t kSemOpCycles = 12;      ///< one semantic-lock / store-buffer op
 
   static constexpr std::uint32_t kLineBytes = 64;
   static constexpr std::uint32_t kLineShift = 6;

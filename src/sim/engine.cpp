@@ -23,8 +23,7 @@ Engine::Engine(const Config& cfg)
       stats_(cfg.num_cpus),
       mem_(cfg_, stats_),
       cpus_(static_cast<std::size_t>(cfg.num_cpus)),
-      runq_(cfg.num_cpus),
-      user_(static_cast<std::size_t>(cfg.num_cpus), nullptr) {
+      runq_(cfg.num_cpus) {
   for (int i = 0; i < cfg.num_cpus; ++i) cpus_[static_cast<std::size_t>(i)].id_ = i;
   // Each simulation lays out its Shared cells / lock words from the same
   // arena bases, making cycle totals independent of host memory layout.

@@ -6,7 +6,7 @@
 // a CPU can safely execute until its clock passes the snapshot of the
 // minimum other clock.  The interleaving of
 // shared-memory events is therefore globally time-ordered and fully
-// deterministic given (Config, seed).  Clocks must stay below
+// deterministic given the Config and the workload.  Clocks must stay below
 // RunTree::kClockLimit (2^57 - 1 cycles); run() fails loudly past it.
 #pragma once
 
@@ -64,10 +64,6 @@ class Cpu {
  public:
   enum class State : std::uint8_t { kIdle, kRunnable, kBlocked, kDone };
 
-  int id() const { return id_; }
-  std::uint64_t clock() const { return clock_; }
-  State state() const { return state_; }
-
  private:
   friend class Engine;
   int id_ = -1;
@@ -118,13 +114,10 @@ class Engine {
   Stats& stats() { return stats_; }
   MemSys& memsys() { return mem_; }
 
-  /// Attaches/detaches the txtrace event tracer (owned by the TM runtime).
-  /// Pure observation: attaching a tracer never changes simulated cycles.
-  void set_tracer(trace::Tracer* t) {
-    tracer_ = t;
-    mem_.set_tracer(t);
-  }
-  trace::Tracer* tracer() const { return tracer_; }
+  /// Attaches/detaches the txtrace event tracer (owned by the TM runtime)
+  /// to the memory system's miss events.  Pure observation: attaching a
+  /// tracer never changes simulated cycles.
+  void set_tracer(trace::Tracer* t) { mem_.set_tracer(t); }
 
   /// Installs (or clears, with nullptr) the scheduling-decision hook.  Not
   /// owned; must outlive the run.  May only change while no run is active.
@@ -132,7 +125,6 @@ class Engine {
     if (running_) throw std::logic_error("Engine::set_scheduler_hook during run()");
     hook_ = h;
   }
-  SchedulerHook* scheduler_hook() const { return hook_; }
 
   /// Virtual clock of `cpu` (scheduler-side observation, e.g. a hook
   /// implementing its own clock-aware policy).
@@ -186,9 +178,6 @@ class Engine {
   /// (typically the waker's current time).
   void unblock(int cpu, std::uint64_t at);
 
-  /// Per-CPU opaque slot for higher layers (the TM runtime).
-  void*& user(int cpu) { return user_[static_cast<std::size_t>(cpu)]; }
-
  private:
   void worker_main(int cpu);
   void yield_now();  // out-of-line: scheduling decision + fiber switch
@@ -240,13 +229,11 @@ class Engine {
   Config cfg_;
   Stats stats_;
   MemSys mem_;
-  trace::Tracer* tracer_ = nullptr;
   SchedulerHook* hook_ = nullptr;
   std::vector<int> runnable_scratch_;  // reused per decision when hook_ set
   std::vector<Cpu> cpus_;
   RunTree runq_;  // every runnable CPU except the running one
   std::vector<std::function<void()>> work_;
-  std::vector<void*> user_;
   int current_cpu_ = -1;
   int overflow_cpu_ = -1;        // CPU whose clock outgrew the runq key
   std::uint64_t run_limit_ = 0;  // current fiber may run until clock > limit

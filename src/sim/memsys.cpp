@@ -1,11 +1,13 @@
 #include "sim/memsys.h"
 
-#include <cassert>
-#include <stdexcept>
-
 #include "trace/tracer.h"
 
 namespace sim {
+
+// The tracer maps labelled byte ranges to lines on its own (it must not
+// depend on the simulator); its line size must be the cost model's.
+static_assert(trace::kLineShift == Config::kLineShift,
+              "trace::kLineShift out of sync with Config::kLineShift");
 
 namespace {
 thread_local std::uint64_t g_l1_pool_hits = 0;
@@ -22,12 +24,8 @@ std::vector<std::vector<MemSys::Way>>& MemSys::l1_pool() {
   return pool;
 }
 
-MemSys::MemSys(const Config& cfg, Stats& stats) : cfg_(cfg), stats_(stats) {
-  if (cfg.l1_sets == 0 || (cfg.l1_sets & (cfg.l1_sets - 1)) != 0)
-    throw std::invalid_argument("MemSys: l1_sets must be a power of two");
-  set_mask_ = cfg.l1_sets - 1;
-  cpu_stride_ = static_cast<std::size_t>(cfg.l1_sets) * cfg.l1_assoc;
-  const std::size_t need = static_cast<std::size_t>(cfg.num_cpus) * cpu_stride_;
+MemSys::MemSys(const Config& cfg, Stats& stats) : stats_(stats) {
+  const std::size_t need = static_cast<std::size_t>(cfg.num_cpus) * kCpuStride;
   // Recycle a pooled backing buffer when one is big enough: assign() memsets
   // it back to the all-invalid state without any allocator round trip.
   auto& pool = l1_pool();
@@ -53,8 +51,8 @@ MemSys::~MemSys() {
 
 MemSys::Way* MemSys::find(int cpu, LineAddr line) {
   Way* c = l1_of(cpu);
-  const std::size_t set = static_cast<std::size_t>(line & set_mask_) * cfg_.l1_assoc;
-  for (std::size_t i = 0; i < cfg_.l1_assoc; ++i) {
+  const std::size_t set = static_cast<std::size_t>(line & kSetMask) * Config::kL1Ways;
+  for (std::size_t i = 0; i < Config::kL1Ways; ++i) {
     Way& w = c[set + i];
     if (w.state != St::I && w.line == line) return &w;
   }
@@ -63,9 +61,9 @@ MemSys::Way* MemSys::find(int cpu, LineAddr line) {
 
 MemSys::Way& MemSys::victim(int cpu, LineAddr line) {
   Way* c = l1_of(cpu);
-  const std::size_t set = static_cast<std::size_t>(line & set_mask_) * cfg_.l1_assoc;
+  const std::size_t set = static_cast<std::size_t>(line & kSetMask) * Config::kL1Ways;
   Way* best = &c[set];
-  for (std::size_t i = 0; i < cfg_.l1_assoc; ++i) {
+  for (std::size_t i = 0; i < Config::kL1Ways; ++i) {
     Way& w = c[set + i];
     if (w.state == St::I) return w;
     if (w.lru < best->lru) best = &w;
@@ -106,7 +104,7 @@ std::uint64_t MemSys::plain_load(int cpu, std::uintptr_t addr, std::uint64_t t) 
   const LineAddr line = line_of(addr);
   if (Way* w = find(cpu, line)) {
     w->lru = ++lru_tick_;
-    return t + cfg_.l1_hit_cycles;
+    return t + Config::kL1HitCycles;
   }
   stats_.cpu(cpu).l1_misses++;
   if (tracer_ != nullptr)
@@ -114,18 +112,19 @@ std::uint64_t MemSys::plain_load(int cpu, std::uintptr_t addr, std::uint64_t t) 
   // Work on a copy: victim() below may evict other lines, which mutates the
   // directory table and would invalidate a live Dir pointer.
   Dir d = *dir_.try_emplace(line, Dir{}).first;
-  std::uint32_t occ = cfg_.bus_xfer_cycles;
+  std::uint32_t occ = Config::kBusXferCycles;
   if (d.owner >= 0 && d.owner != cpu) {
     // Another CPU holds the line exclusively (E or M): downgrade it to S,
     // paying a writeback only if the copy was dirty.
     if (Way* ow = find(d.owner, line)) {
-      if (ow->state == St::M) occ += cfg_.writeback_cycles;
+      if (ow->state == St::M) occ += Config::kWritebackCycles;
       ow->state = St::S;
     }
     d.sharers.set(d.owner);
     d.owner = -1;
   }
-  const std::uint64_t done = bus_.transact(t, cfg_.bus_arb_cycles, occ) + cfg_.l2_hit_cycles;
+  const std::uint64_t done =
+      bus_.transact(t, Config::kBusArbCycles, occ) + Config::kL2HitCycles;
   Way& w = victim(cpu, line);
   w.line = line;
   w.lru = ++lru_tick_;
@@ -143,13 +142,13 @@ std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t)
   Way* w = find(cpu, line);
   if (w != nullptr && w->state == St::M) {
     w->lru = ++lru_tick_;
-    return t + cfg_.l1_hit_cycles;
+    return t + Config::kL1HitCycles;
   }
   if (w != nullptr && w->state == St::E) {
     w->state = St::M;
     w->lru = ++lru_tick_;
     dir_.try_emplace(line, Dir{}).first->owner = cpu;
-    return t + cfg_.l1_hit_cycles;
+    return t + Config::kL1HitCycles;
   }
   // Upgrade (S) or read-for-ownership (miss): invalidate all other copies.
   // Batched like invalidate_copies: the entry is overwritten wholesale at
@@ -159,10 +158,10 @@ std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t)
   // the walk below covers it; its writeback charge is read off first.
   Dir d{};
   if (const Dir* p = dir_.find(line)) d = *p;
-  std::uint32_t occ = (w != nullptr) ? 0 : cfg_.bus_xfer_cycles;
+  std::uint32_t occ = (w != nullptr) ? 0 : Config::kBusXferCycles;
   if (d.owner >= 0 && d.owner != cpu) {
     if (Way* ow = find(d.owner, line); ow != nullptr && ow->state == St::M)
-      occ += cfg_.writeback_cycles;
+      occ += Config::kWritebackCycles;
   }
   d.sharers.for_each_except(cpu, [&](int c) {
     if (Way* ow = find(c, line)) {
@@ -177,7 +176,7 @@ std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t)
       tracer_->on_miss(cpu, t, line, trace::MissClass::kPlainStore);
   }
   const std::uint64_t done =
-      bus_.transact(t, cfg_.bus_arb_cycles, occ) + (was_miss ? cfg_.l2_hit_cycles : 0);
+      bus_.transact(t, Config::kBusArbCycles, occ) + (was_miss ? Config::kL2HitCycles : 0);
   if (w == nullptr) {
     w = &victim(cpu, line);
     w->line = line;
@@ -194,13 +193,13 @@ std::uint64_t MemSys::tx_load(int cpu, std::uintptr_t addr, std::uint64_t t) {
   const LineAddr line = line_of(addr);
   if (Way* w = find(cpu, line)) {
     w->lru = ++lru_tick_;
-    return t + cfg_.l1_hit_cycles;
+    return t + Config::kL1HitCycles;
   }
   stats_.cpu(cpu).l1_misses++;
   if (tracer_ != nullptr)
     tracer_->on_miss(cpu, t, line, trace::MissClass::kTxLoad);
   const std::uint64_t done =
-      bus_.transact(t, cfg_.bus_arb_cycles, cfg_.bus_xfer_cycles) + cfg_.l2_hit_cycles;
+      bus_.transact(t, Config::kBusArbCycles, Config::kBusXferCycles) + Config::kL2HitCycles;
   Way& w = victim(cpu, line);
   w.line = line;
   w.state = St::S;  // "valid" in TCC mode
@@ -214,13 +213,14 @@ std::uint64_t MemSys::tx_store(int cpu, std::uintptr_t addr, std::uint64_t t) {
   stats_.cpu(cpu).stores++;
   const LineAddr line = line_of(addr);
   Way* w = find(cpu, line);
-  std::uint64_t done = t + cfg_.l1_hit_cycles;
+  std::uint64_t done = t + Config::kL1HitCycles;
   if (w == nullptr) {
     // Write-allocate: fetch the line so commit can merge into it.
     stats_.cpu(cpu).l1_misses++;
     if (tracer_ != nullptr)
       tracer_->on_miss(cpu, t, line, trace::MissClass::kTxStore);
-    done = bus_.transact(t, cfg_.bus_arb_cycles, cfg_.bus_xfer_cycles) + cfg_.l2_hit_cycles;
+    done = bus_.transact(t, Config::kBusArbCycles, Config::kBusXferCycles) +
+           Config::kL2HitCycles;
     w = &victim(cpu, line);
     w->line = line;
     w->state = St::S;
@@ -237,8 +237,8 @@ std::uint64_t MemSys::tx_store(int cpu, std::uintptr_t addr, std::uint64_t t) {
 
 std::uint64_t MemSys::tcc_commit(int cpu, std::size_t write_lines, std::uint64_t t) {
   const std::uint32_t occ =
-      static_cast<std::uint32_t>(write_lines) * cfg_.commit_line_cycles;
-  std::uint64_t done = bus_.transact(t, cfg_.commit_arb_cycles, occ);
+      static_cast<std::uint32_t>(write_lines) * Config::kCommitLineCycles;
+  std::uint64_t done = bus_.transact(t, Config::kCommitArbCycles, occ);
   // Mark own written lines as committed (no longer speculative).
   Way* c = l1_of(cpu);
   auto& sw = spec_ways_[static_cast<std::size_t>(cpu)];

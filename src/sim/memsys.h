@@ -15,6 +15,7 @@
 // read/write sets); MemSys only provides timing plus copy invalidation.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -123,17 +124,19 @@ class MemSys {
   void drop_from(int cpu, LineAddr line);  // cache+dir removal
   void dir_remove_cpu(LineAddr line, int cpu);
 
-  Way* l1_of(int cpu) { return l1_.data() + static_cast<std::size_t>(cpu) * cpu_stride_; }
+  Way* l1_of(int cpu) { return l1_.data() + static_cast<std::size_t>(cpu) * kCpuStride; }
 
   static std::vector<std::vector<Way>>& l1_pool();  // per-thread recycled buffers
 
-  const Config& cfg_;
+  // The set count is a power of two so the per-access set lookup is a mask,
+  // not an integer division (find/victim run on every access).
+  static_assert(std::has_single_bit(Config::kL1Sets), "L1 set count must be a power of two");
+  static constexpr std::size_t kSetMask = Config::kL1Sets - 1;
+  static constexpr std::size_t kCpuStride = std::size_t{Config::kL1Sets} * Config::kL1Ways;
+
   Stats& stats_;
   Bus bus_;
-  // l1_sets is validated as a power of two so the per-access set lookup is
-  // a mask, not a runtime integer division (find/victim run on every access).
-  std::size_t set_mask_ = 0;
-  // All CPUs' L1 ways in ONE flat array, [cpu * cpu_stride_ + set*assoc + way].
+  // All CPUs' L1 ways in ONE flat array, [cpu * kCpuStride + set*ways + way].
   // One array instead of per-CPU vectors removes a pointer chase from find()
   // (every simulated access) and — more importantly — keeps engine teardown
   // from free()ing num_cpus separate blocks: at 128 CPUs that churn crossed
@@ -141,7 +144,6 @@ class MemSys {
   // page-faulting it back in the next one (the fiber_spawn_128 cliff).  The
   // single buffer is recycled through a per-thread pool instead.
   std::vector<Way> l1_;
-  std::size_t cpu_stride_ = 0;
   // Ways a CPU has speculatively written (spec_dirty set by tx_store), so
   // commit/abort clear exactly those instead of sweeping the whole L1.
   // May hold stale indices (eviction clears the flag without unlisting);

@@ -1,5 +1,5 @@
 // Deterministic virtual addresses for simulated shared memory, segregated
-// into named arenas with per-cell line-isolation classes.
+// into one arena per memory class.
 //
 // The simulator's cost model is address-driven: line_of(addr) decides cache
 // sets, false sharing, and conflict granularity.  Using *host* heap addresses
@@ -18,28 +18,25 @@
 // every parent mid-flight: a feedback storm that collapsed Atomos Open to
 // 0.00x at 32 CPUs (see EXPERIMENTS.md, fig4 case study).  Conflict
 // detection must follow the abstraction's sharing structure, not accidental
-// layout.  Cells are therefore placed by *memory class*:
+// layout.  Cells are therefore placed by *memory class*, one arena each:
 //
-//  * Arena::kMeta    — collection metadata (dispatch pointers, size fields);
-//  * Arena::kCounter — open-nested / semantic counters;
-//  * Arena::kLock    — sim::Mutex lock words;
-//  * Arena::kData    — bulk element cells (nodes, buckets, entity fields).
-//
-// Each arena owns a disjoint, construction-order-deterministic address
-// range.  Within an arena a cell is either Isolation::kPacked (eight words
-// per line, false sharing modelled by adjacency — the default, so capacity
-// and miss modelling of bulk data is unchanged) or Isolation::kLineIsolated
-// (the cell gets a private 64-byte line; nothing else is ever co-resident).
+//  * MemClass::kMeta    — collection metadata (dispatch pointers, size
+//                         fields); each cell gets a private 64-byte line;
+//  * MemClass::kCounter — open-nested / semantic counters; private lines;
+//  * MemClass::kLock    — sim::Mutex lock words; private lines;
+//  * MemClass::kData    — bulk element cells (nodes, buckets, entity
+//                         fields), packed eight words per line so false
+//                         sharing is modelled by adjacency.
 //
 // Consequences, all deliberate:
 //  * cycle totals are a pure function of the workload (binary- and
 //    machine-independent), so golden-cycle tests and the CI perf gate can
 //    pin them exactly — arena layout is itself a pure function of the
 //    workload's construction order, byte-identical for any --jobs N;
-//  * false sharing between *packed* cells is modelled by construction
+//  * false sharing between packed data cells is modelled by construction
 //    adjacency, as before;
-//  * virtual addresses stay dense and small: isolated arenas sit at low
-//    addresses with fixed spans and the data arena comes last, so the TM
+//  * virtual addresses stay dense and small: the line-private arenas sit at
+//    low addresses with fixed spans and the data arena comes last, so the TM
 //    layer's flat reader directory (indexed by line - base) grows only with
 //    real data-arena allocation.
 //
@@ -69,37 +66,26 @@ inline constexpr std::uintptr_t kVaBase = std::uintptr_t{1} << 20;
 /// cross-check static_assert lives in sim/memsys.h, which sees both).
 inline constexpr std::uintptr_t kVaLineBytes = 64;
 
-/// Named address-space arenas, in ascending base-address order.  kData is
-/// last so the flat reader directory's high-water mark tracks real data
-/// allocation instead of the fixed spans of the small arenas.
-enum class Arena : std::uint8_t {
+/// The memory class a cell declares: which arena its virtual address comes
+/// from, in ascending base-address order.  kData is last so the flat reader
+/// directory's high-water mark tracks real data allocation instead of the
+/// fixed spans of the small arenas.  Every class but kData gives each cell a
+/// private line.  Scoped, so a class never converts to a cell's value type.
+enum class MemClass : std::uint8_t {
   kMeta = 0,     ///< collection metadata: dispatch pointers, size fields
   kCounter = 1,  ///< open-nested / semantic counters
   kLock = 2,     ///< sim::Mutex lock words
-  kData = 3,     ///< bulk element cells (default)
+  kData = 3,     ///< bulk element cells (default), packed eight words per line
 };
 inline constexpr std::size_t kArenaCount = 4;
 
-/// Line-placement class within an arena.
-enum class Isolation : std::uint8_t {
-  kPacked,        ///< bump-packed, eight words per line (models false sharing)
-  kLineIsolated,  ///< private 64-byte line; nothing else ever co-resident
-};
+// The names call sites use.
+inline constexpr MemClass kDataCell = MemClass::kData;
+inline constexpr MemClass kMetaCell = MemClass::kMeta;
+inline constexpr MemClass kCounterCell = MemClass::kCounter;
+inline constexpr MemClass kLockWord = MemClass::kLock;
 
-/// An (arena, isolation) pair — the "memory class" a cell declares.
-struct MemClass {
-  Arena arena = Arena::kData;
-  Isolation iso = Isolation::kPacked;
-};
-
-// Named memory classes used throughout jstd/core/jbb.  Hot single-cell
-// state is line-isolated; bulk data stays packed.
-inline constexpr MemClass kDataCell{Arena::kData, Isolation::kPacked};
-inline constexpr MemClass kMetaCell{Arena::kMeta, Isolation::kLineIsolated};
-inline constexpr MemClass kCounterCell{Arena::kCounter, Isolation::kLineIsolated};
-inline constexpr MemClass kLockWord{Arena::kLock, Isolation::kLineIsolated};
-
-/// Fixed span of each arena.  The isolated arenas hold 16Ki private lines
+/// Fixed span of each arena.  The line-private arenas hold 16Ki lines
 /// each — about 6x the hungriest workload in the repo (SPECjbb Java mode:
 /// ~2700 per-object lock words) — and overflow is a hard, deterministic
 /// error (never a silent collision).  kData is effectively unbounded.  The
@@ -114,23 +100,23 @@ inline constexpr std::uintptr_t kArenaSpan[kArenaCount] = {
 };
 
 /// First address of `arena` (arenas are laid out back-to-back from kVaBase).
-constexpr std::uintptr_t arena_base(Arena arena) {
+constexpr std::uintptr_t arena_base(MemClass arena) {
   std::uintptr_t b = kVaBase;
   for (std::size_t i = 0; i < static_cast<std::size_t>(arena); ++i) b += kArenaSpan[i];
   return b;
 }
 
 /// One-past-the-last address of `arena`.
-constexpr std::uintptr_t arena_limit(Arena arena) {
+constexpr std::uintptr_t arena_limit(MemClass arena) {
   return arena_base(arena) + kArenaSpan[static_cast<std::size_t>(arena)];
 }
 
-static_assert(arena_base(Arena::kMeta) == kVaBase,
+static_assert(arena_base(MemClass::kMeta) == kVaBase,
               "reader-directory line base assumes the first arena starts at kVaBase");
-static_assert(arena_base(Arena::kMeta) % kVaLineBytes == 0);
-static_assert(arena_base(Arena::kCounter) % kVaLineBytes == 0);
-static_assert(arena_base(Arena::kLock) % kVaLineBytes == 0);
-static_assert(arena_base(Arena::kData) % kVaLineBytes == 0);
+static_assert(arena_base(MemClass::kMeta) % kVaLineBytes == 0);
+static_assert(arena_base(MemClass::kCounter) % kVaLineBytes == 0);
+static_assert(arena_base(MemClass::kLock) % kVaLineBytes == 0);
+static_assert(arena_base(MemClass::kData) % kVaLineBytes == 0);
 
 namespace detail {
 
@@ -138,8 +124,9 @@ namespace detail {
 /// owning Engine (for the cross-thread construction audit).  thread_local
 /// so concurrent sweep points on different host threads stay independent.
 struct VaState {
-  std::uintptr_t next[kArenaCount] = {arena_base(Arena::kMeta), arena_base(Arena::kCounter),
-                                      arena_base(Arena::kLock), arena_base(Arena::kData)};
+  std::uintptr_t next[kArenaCount] = {
+      arena_base(MemClass::kMeta), arena_base(MemClass::kCounter),
+      arena_base(MemClass::kLock), arena_base(MemClass::kData)};
   const void* owner = nullptr;  ///< Engine that last reset this thread's cursors
   bool owner_live = false;      ///< false once that Engine is destroyed
 };
@@ -184,16 +171,16 @@ inline void va_audit_alloc() {
 inline std::uint64_t va_foreign_alloc_count() { return detail::va_foreign_allocs_ref(); }
 inline void va_foreign_alloc_reset() { detail::va_foreign_allocs_ref() = 0; }
 
-/// Allocates `bytes` of simulated address space from `arena`.
+/// Allocates `bytes` of simulated address space from the arena of `mc`.
 ///
-///  * kPacked: word-rounded bump allocation — adjacent cells share lines.
-///  * kLineIsolated: the cell starts on a fresh 64-byte line and the cursor
-///    skips to the next line boundary afterwards, so no other cell is ever
-///    resident on the cell's line(s).
+///  * kData: word-rounded bump allocation — adjacent cells share lines.
+///  * every other class: the cell starts on a fresh 64-byte line and the
+///    cursor skips to the next line boundary afterwards, so no other cell is
+///    ever resident on the cell's line(s).
 ///
 /// Overflowing an arena throws (deterministically) rather than bleeding
 /// into the neighbouring arena.
-inline std::uintptr_t va_alloc(std::size_t bytes, Arena arena, Isolation iso) {
+inline std::uintptr_t va_alloc(std::size_t bytes, MemClass mc) {
 #if !(defined(TXCC_CHECKED) && TXCC_CHECKED)
   // Checked builds count-and-report instead (va_audit_alloc), so negative
   // tests can observe the violation; plain debug builds hard-stop.
@@ -201,28 +188,18 @@ inline std::uintptr_t va_alloc(std::size_t bytes, Arena arena, Isolation iso) {
          "simulated cell constructed on a different host thread than its Engine");
 #endif
   detail::va_audit_alloc();
-  const auto ai = static_cast<std::size_t>(arena);
-  std::uintptr_t& next = detail::va_state.next[ai];
+  std::uintptr_t& next = detail::va_state.next[static_cast<std::size_t>(mc)];
   std::uintptr_t a = next;
   std::uintptr_t end;
-  if (iso == Isolation::kLineIsolated) {
+  if (mc != MemClass::kData) {
     a = (a + kVaLineBytes - 1) & ~(kVaLineBytes - 1);
     end = (a + bytes + kVaLineBytes - 1) & ~(kVaLineBytes - 1);
   } else {
     end = a + ((bytes + 7u) & ~static_cast<std::uintptr_t>(7u));
   }
-  if (end > arena_limit(arena)) throw std::length_error("va_alloc: arena span exhausted");
+  if (end > arena_limit(mc)) throw std::length_error("va_alloc: arena span exhausted");
   next = end;
   return a;
-}
-
-inline std::uintptr_t va_alloc(std::size_t bytes, MemClass mc) {
-  return va_alloc(bytes, mc.arena, mc.iso);
-}
-
-/// Legacy form: packed allocation from the bulk-data arena.
-inline std::uintptr_t va_alloc(std::size_t bytes) {
-  return va_alloc(bytes, Arena::kData, Isolation::kPacked);
 }
 
 /// Rewinds every arena cursor on the calling thread; called by Engine's
@@ -230,10 +207,10 @@ inline std::uintptr_t va_alloc(std::size_t bytes) {
 /// cells from the same bases.
 inline void va_reset(const void* owner = nullptr) {
   detail::VaState& st = detail::va_state;
-  st.next[0] = arena_base(Arena::kMeta);
-  st.next[1] = arena_base(Arena::kCounter);
-  st.next[2] = arena_base(Arena::kLock);
-  st.next[3] = arena_base(Arena::kData);
+  st.next[0] = arena_base(MemClass::kMeta);
+  st.next[1] = arena_base(MemClass::kCounter);
+  st.next[2] = arena_base(MemClass::kLock);
+  st.next[3] = arena_base(MemClass::kData);
   st.owner = owner;
   st.owner_live = owner != nullptr;
 }

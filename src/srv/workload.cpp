@@ -46,11 +46,10 @@ enum Stat { kStatHit, kStatMiss, kStatRevenue };
 /// increment in whatever isolation the flavor uses.  Handlers draw no
 /// randomness, so a violated transaction replays bit-identically.
 template <class SessionsT, class CacheT, class BumpFn>
-void handle_request(const Request& r, SessionsT& sessions, CacheT& cache,
-                    long cache_slots, BumpFn&& bump) {
+void handle_request(const Request& r, SessionsT& sessions, CacheT& cache, BumpFn&& bump) {
   switch (r.kind) {
     case 0: {  // session lookup through the cache
-      const long slot = r.key % cache_slots;
+      const long slot = r.key % kCacheSlots;
       const auto tag = cache.get(slot);
       (void)sessions.get(r.key);
       if (tag.has_value() && *tag == r.key) {
@@ -99,7 +98,7 @@ void audit(const SrvConfig& cfg, const SrvReport& rep, const Finals& fin) {
         << rep.lookups << "; ";
   if (fin.revenue != rep.expected_revenue)
     err << "revenue " << fin.revenue << " != " << rep.expected_revenue << "; ";
-  const long expect_sum = cfg.sessions * kInitialBalance + rep.expected_revenue;
+  const long expect_sum = kSessions * kInitialBalance + rep.expected_revenue;
   if (fin.session_sum != expect_sum)
     err << "session sum " << fin.session_sum << " != " << expect_sum << "; ";
   if (fin.queue_size != 0) err << fin.queue_size << " requests stranded; ";
@@ -122,16 +121,16 @@ std::vector<Request> make_schedule(const SrvConfig& cfg, int workers,
                                    std::uint64_t salt) {
   // One stream per (seed, salt, workers, load) — NOT per flavor, so every
   // series replays the identical arrival process and request mix.
-  std::uint64_t s = cfg.seed ^ (salt * 0x9E3779B97F4A7C15ULL) ^
+  std::uint64_t s = kSeed ^ (salt * 0x9E3779B97F4A7C15ULL) ^
                     (static_cast<std::uint64_t>(workers) * 0xBF58476D1CE4E5B9ULL) ^
                     (static_cast<std::uint64_t>(cfg.load * 1e6) * 0x94D049BB133111EBULL);
   rnd(s);
   rnd(s);
-  // Poisson arrivals at rate load * workers / service_cycles: the mean
+  // Poisson arrivals at rate load * workers / kServiceCycles: the mean
   // inter-arrival gap in Q16, scaled by a table-drawn exponential quantile
   // (integer math only; see exp_table.h for why no std::log).
   const double mean_ia =
-      static_cast<double>(cfg.service_cycles) / (cfg.load * workers);
+      static_cast<double>(kServiceCycles) / (cfg.load * workers);
   const auto mean_q16 = static_cast<std::uint64_t>(mean_ia * 65536.0 + 0.5);
   std::vector<Request> reqs(static_cast<std::size_t>(cfg.requests));
   std::uint64_t t = 0;
@@ -143,17 +142,17 @@ std::vector<Request> make_schedule(const SrvConfig& cfg, int workers,
       r.kind = 0;  // lookup: half the traffic hammers the hot keys
       const bool hot = (rnd(s) & 1) != 0;
       r.key = static_cast<long>(
-          rnd(s) % static_cast<std::uint64_t>(hot ? cfg.hot_keys : cfg.sessions));
+          rnd(s) % static_cast<std::uint64_t>(hot ? kHotKeys : kSessions));
     } else if (roll < 9) {
       r.kind = 1;  // update
-      r.key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(cfg.sessions));
+      r.key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(kSessions));
       r.delta = static_cast<long>(1 + rnd(s) % 9);
     } else {
       r.kind = 2;  // transfer between two distinct sessions
-      r.key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(cfg.sessions));
+      r.key = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(kSessions));
       r.key2 = (r.key + 1 +
-                static_cast<long>(rnd(s) % static_cast<std::uint64_t>(cfg.sessions - 1))) %
-               cfg.sessions;
+                static_cast<long>(rnd(s) % static_cast<std::uint64_t>(kSessions - 1))) %
+               kSessions;
       r.delta = static_cast<long>(1 + rnd(s) % 5);
     }
   }
@@ -197,13 +196,11 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
   Finals fin;
 
   if (f == Flavor::kLock) {
-    jstd::HashMap<long, long> sessions(1024, 0.75F, "srv.sessions.size",
-                                       "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, 0.75F, "srv.cache.size",
-                                    "srv.cache.table");
+    jstd::HashMap<long, long> sessions(1024, "srv.sessions.size", "srv.sessions.table");
+    jstd::HashMap<long, long> cache(256, "srv.cache.size", "srv.cache.table");
     jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
+    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
+    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
     long hits = 0, misses = 0, revenue = 0;
     atomos::Mutex queue_mu;
     atomos::Mutex state_mu;
@@ -240,7 +237,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             // The classic coarse-grained server: ONE mutex held across the
             // entire handler, think time included — the hot conflict site.
             atomos::LockGuard g(state_mu);
-            handle_request(r, sessions, cache, cfg.cache_slots, bump);
+            handle_request(r, sessions, cache, bump);
           }
           finish(cpu, r.arrival);
         }
@@ -250,17 +247,15 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
     fin.hits = hits;
     fin.misses = misses;
     fin.revenue = revenue;
-    for (long k = 0; k < cfg.sessions; ++k)
+    for (long k = 0; k < kSessions; ++k)
       fin.session_sum += sessions.get(k).value_or(0);
     fin.queue_size = queue.size();
   } else if (f == Flavor::kFlatTm) {
-    jstd::HashMap<long, long> sessions(1024, 0.75F, "srv.sessions.size",
-                                       "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, 0.75F, "srv.cache.size",
-                                    "srv.cache.table");
+    jstd::HashMap<long, long> sessions(1024, "srv.sessions.size", "srv.sessions.table");
+    jstd::HashMap<long, long> cache(256, "srv.cache.size", "srv.cache.table");
     jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
+    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
+    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
     // Parent-level statistics cells: every handler's read-modify-write of
     // these lands in the flat transaction's read/write set, so any two
     // lookups conflict on hits/misses — the cost semantic counters remove.
@@ -289,7 +284,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             auto idx = queue.poll();
             if (!idx.has_value()) return false;
             const Request& r = reqs[static_cast<std::size_t>(*idx)];
-            handle_request(r, sessions, cache, cfg.cache_slots, bump);
+            handle_request(r, sessions, cache, bump);
             // Completion is recorded only on commit; an abort replays
             // the whole handler, so there is nothing to compensate.
             atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
@@ -312,24 +307,22 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
     fin.misses = misses.unsafe_peek();
     fin.revenue = revenue.unsafe_peek();
     // txlint: end-allow(raw-peek)
-    for (long k = 0; k < cfg.sessions; ++k)
+    for (long k = 0; k < kSessions; ++k)
       fin.session_sum += sessions.get(k).value_or(0);
     fin.queue_size = queue.size();
   } else {
     tcc::TransactionalMap<long, long> sessions(
-        std::make_unique<jstd::HashMap<long, long>>(1024, 0.75F,
-                                                    "srv.sessions.size",
+        std::make_unique<jstd::HashMap<long, long>>(1024, "srv.sessions.size",
                                                     "srv.sessions.table"),
         tcc::Detection::kOptimistic, "srv.sessions");
     tcc::TransactionalMap<long, long> cache(
-        std::make_unique<jstd::HashMap<long, long>>(256, 0.75F,
-                                                    "srv.cache.size",
+        std::make_unique<jstd::HashMap<long, long>>(256, "srv.cache.size",
                                                     "srv.cache.table"),
         tcc::Detection::kOptimistic, "srv.cache");
     tcc::TransactionalQueue<long> queue(
         std::make_unique<jstd::LinkedQueue<long>>(), "srv.queue");
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
+    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
+    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
     tcc::CompensatedCounter hits(0, "srv.hits");
     tcc::CompensatedCounter misses(0, "srv.misses");
     tcc::CompensatedCounter revenue(0, "srv.revenue");
@@ -370,11 +363,12 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
                        [&] {
                          if (!idx.has_value()) return;
                          const Request& r = reqs[static_cast<std::size_t>(*idx)];
-                         handle_request(r, sessions, cache, cfg.cache_slots, bump);
+                         handle_request(r, sessions, cache, bump);
                          atomos::on_commit(
                              [&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
                              atomos::no_compensation);
-                       })
+                       },
+                       atomos::no_compensation)  // final piece
                 .run();
             got = idx.has_value();
           } else {
@@ -384,7 +378,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
               auto idx = queue.take();
               if (!idx.has_value()) return false;
               const Request& r = reqs[static_cast<std::size_t>(*idx)];
-              handle_request(r, sessions, cache, cfg.cache_slots, bump);
+              handle_request(r, sessions, cache, bump);
               atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
                                 atomos::no_compensation);
               return true;
@@ -408,7 +402,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
     fin.misses = misses.unsafe_peek();
     fin.revenue = revenue.unsafe_peek();
     // txlint: end-allow(raw-peek)
-    for (long k = 0; k < cfg.sessions; ++k)
+    for (long k = 0; k < kSessions; ++k)
       fin.session_sum += sessions.get(k).value_or(0);
     fin.queue_size = queue.size();
   }
@@ -445,7 +439,7 @@ harness::Series series(Flavor f, double load, int requests) {
         run_server(f, cfg, cpus, salt, rep, &out);
         const int workers = cpus - 1;
         const double offered =
-            1e6 * cfg.load * workers / static_cast<double>(cfg.service_cycles);
+            1e6 * cfg.load * workers / static_cast<double>(kServiceCycles);
         const double tput =
             rep.last_commit == 0
                 ? 0.0

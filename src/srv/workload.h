@@ -79,15 +79,16 @@ struct SrvConfig {
   int requests = 1200;
   double load = 0.6;  ///< offered load: arrival rate as a fraction of the
                       ///< workers' nominal aggregate service rate
-  std::uint64_t seed = 90210;
-  long sessions = 256;     ///< session table keys, prepopulated to kInitialBalance
-  long cache_slots = 64;   ///< direct-mapped cache size (slot = key % slots)
-  long hot_keys = 32;      ///< half of all lookups target keys [0, hot_keys)
-  /// Calibrated mean service demand per request in simulated cycles; the
-  /// arrival rate for `load` rho on W workers is rho * W / service_cycles.
-  std::uint64_t service_cycles = 2000;
 };
 
+// The shape of the request mix and of the shared state, fixed for every run.
+inline constexpr std::uint64_t kSeed = 90210;  ///< schedule seed, mixed with the salt
+inline constexpr long kSessions = 256;   ///< session table keys, prepopulated to kInitialBalance
+inline constexpr long kCacheSlots = 64;  ///< direct-mapped cache size (slot = key % slots)
+inline constexpr long kHotKeys = 32;     ///< half of all lookups target keys [0, kHotKeys)
+/// Calibrated mean service demand per request in simulated cycles; the
+/// arrival rate for `load` rho on W workers is rho * W / kServiceCycles.
+inline constexpr std::uint64_t kServiceCycles = 2000;
 inline constexpr long kInitialBalance = 1000;
 
 /// What a finished run reports (beyond the engine's own stats).

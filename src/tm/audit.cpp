@@ -44,8 +44,6 @@ struct State {
     std::unordered_set<const void*> reported;
   };
   std::unordered_map<int, std::vector<AbortScope>> abort_scopes;
-  // Registered Shared<T> cells: address -> payload size.
-  std::unordered_map<std::uintptr_t, std::uint32_t> cells;
   std::array<std::uint64_t, static_cast<std::size_t>(Check::kChecks)> counts{};
   std::vector<std::string> findings;
 };
@@ -87,8 +85,6 @@ void reset() {
   s.counts.fill(0);
   s.findings.clear();
   sim::va_foreign_alloc_reset();
-  // s.cells deliberately kept: it tracks Shared object lifetime, not
-  // transactions, and the objects are still alive across a reset().
 }
 
 std::uint64_t count(Check c) {
@@ -340,20 +336,13 @@ void check_trace_nesting(const trace::Tracer& tracer) {
   }
 }
 
-// ---- Shared-cell registry ----
+// ---- Shared cells ----
 
-void note_shared(std::uintptr_t addr, std::uint32_t size) { st().cells[addr] = size; }
-
-void forget_shared(std::uintptr_t addr) { st().cells.erase(addr); }
-
-void naked_store(std::uintptr_t addr) {
-  State& s = st();
-  auto it = s.cells.find(addr);
-  if (it == s.cells.end()) return;
+void naked_store(std::uintptr_t addr, std::uint32_t size) {
   report(Check::kNakedStore,
          "naked (non-transactional) store from a worker to registered Shared cell " +
              ptr_str(reinterpret_cast<const void*>(addr)) + " (" +
-             std::to_string(it->second) + " bytes) bypasses commit arbitration");
+             std::to_string(size) + " bytes) bypasses commit arbitration");
 }
 
 void late_profile_label(std::uintptr_t va, const char* name) {
@@ -363,8 +352,7 @@ void late_profile_label(std::uintptr_t va, const char* name) {
              ptr_str(reinterpret_cast<const void*>(va)) +
              " from inside a running simulation: the label map is host state "
              "(not rolled back on abort) and only covers the rest of the run; "
-             "label objects during setup (see the ordering contract in "
-             "tm/profile.h)");
+             "label objects during setup, after the Runtime");
 }
 
 }  // namespace atomos::audit

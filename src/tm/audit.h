@@ -15,9 +15,8 @@
 //    transaction's redo log and read set must be internally consistent
 //    (index maps and logs agree) before the write set is broadcast;
 //  * naked stores — a non-transactional store from a worker fiber in Tcc
-//    mode to a registered Shared cell bypasses commit arbitration and is
-//    reported (legal at the memory level, but almost always a missing
-//    `atomically`).
+//    mode to a Shared cell bypasses commit arbitration and is reported
+//    (legal at the memory level, but almost always a missing `atomically`).
 //
 // Findings are counted and recorded (query with count()/reports()); the
 // first few are echoed to stderr.  The auditor never throws or aborts: the
@@ -89,8 +88,7 @@ enum class Check {
 
 inline constexpr bool kEnabled = true;
 
-/// Clears counters, reports and the lock ledger (not the Shared-cell
-/// registry, which tracks object lifetime, not transactions).
+/// Clears counters, reports and the lock ledger.
 void reset();
 
 std::uint64_t count(Check c);
@@ -139,15 +137,15 @@ void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
 void reader_count_overflow(sim::LineAddr line, int cpu);
 void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what);
 
-// ---- hooks: Shared-cell registry (called by tm/shared.h) ----
-void note_shared(std::uintptr_t addr, std::uint32_t size);
-void forget_shared(std::uintptr_t addr);
-void naked_store(std::uintptr_t addr);
-/// A TAPE profile label attached from a worker fiber while profiling is
-/// already enabled and the simulation is already running: the label map is
-/// host state (not rolled back on abort) and covers only the rest of the
-/// run.  Labels belong in object setup — see the ordering contract in
-/// tm/profile.h.
+// ---- hooks: Shared cells (called by tm/runtime.cpp and tm/shared.h) ----
+/// A worker's non-transactional store of `size` bytes to the Shared cell
+/// whose committed storage is at `addr` (Runtime::tm_write outside any
+/// transaction in Tcc mode).
+void naked_store(std::uintptr_t addr, std::uint32_t size);
+/// A TAPE profile label attached to the tracer from a worker fiber, while
+/// the simulation is already running: the label map is host state (not
+/// rolled back on abort) and covers only the rest of the run.  Labels
+/// belong in object setup, after the Runtime is constructed.
 void late_profile_label(std::uintptr_t va, const char* name);
 /// Audits a trace stream for well-nestedness per CPU: every kTxnBegin must
 /// pair with a kTxnCommit/kTxnAbort, every kOpenBegin with a matching open
@@ -177,9 +175,7 @@ inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
 inline void reader_count_overflow(sim::LineAddr, int) {}
 inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}
-inline void note_shared(std::uintptr_t, std::uint32_t) {}
-inline void forget_shared(std::uintptr_t) {}
-inline void naked_store(std::uintptr_t) {}
+inline void naked_store(std::uintptr_t, std::uint32_t) {}
 inline void late_profile_label(std::uintptr_t, const char*) {}
 inline void check_trace_nesting(const trace::Tracer&) {}
 

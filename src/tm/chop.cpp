@@ -65,7 +65,7 @@ void Chop::run() {
     // Pay the violation penalty before re-running: a restart is the chop
     // analogue of an abort, and a zero-cost retry loop would both distort
     // the figures and let an unlucky chop spin without yielding the CPU.
-    rt.engine().tick(rt.engine().config().violation_cycles);
+    rt.engine().tick(sim::Config::kViolationCycles);
   }
   ++rt.chop_stats_.chops;
 }

@@ -11,7 +11,7 @@
 //   chopped()
 //       .piece("district", [&] { ...first piece... },
 //              /*compensate=*/[&] { ...undo its committed effects... })
-//       .piece("stock", [&] { ...second piece... })
+//       .piece("stock", [&] { ...second piece... }, no_compensation)
 //       .run();
 //
 // Ranks are the declaration order (an explicit strictly-increasing rank
@@ -40,12 +40,16 @@
 // is all-or-nothing at the semantic level, even though its pieces commit
 // physically one at a time.
 //
-// Every piece except the last should register a compensation — a piece
-// that mutates a collection without one cannot be undone if a later piece
-// (or policy) needs it; txlint's chop-compensation rule flags that shape.
+// Every piece names its compensation, as commit handlers name their abort
+// side (Runtime::on_commit): a callable that undoes the piece's committed
+// effects, or no_compensation for a final or read-only piece.  A piece that
+// mutates a collection without one cannot be undone if a later piece (or
+// policy) needs it, so the choice is part of the call's type.
 #pragma once
 
 #include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "tm/runtime.h"
@@ -61,22 +65,23 @@ class Chop {
  public:
   explicit Chop(ChopPolicy policy = ChopPolicy::kRanked) : policy_(policy) {}
 
-  /// Appends a piece at the next rank.  `compensate` (optional, but
-  /// required by the lint rule for mutating non-final pieces) must undo the
-  /// piece's committed effects when run as its own transaction later.
-  Chop& piece(const char* name, std::function<void()> body,
-              std::function<void()> compensate = nullptr) {
+  /// Appends a piece at the next rank.  `compensate` must undo the piece's
+  /// committed effects when run as its own transaction later, or be
+  /// no_compensation, which registers nothing.
+  template <AbortSide A>
+  Chop& piece(const char* name, std::function<void()> body, A&& compensate) {
     const int rank = pieces_.empty() ? 0 : pieces_.back().rank + 1;
-    pieces_.push_back(Piece{name, rank, std::move(body), std::move(compensate)});
-    return *this;
+    return piece(rank, name, std::move(body), std::forward<A>(compensate));
   }
 
   /// Same, with an explicit rank; ranks must be strictly increasing.
-  Chop& piece(int rank, const char* name, std::function<void()> body,
-              std::function<void()> compensate = nullptr) {
+  template <AbortSide A>
+  Chop& piece(int rank, const char* name, std::function<void()> body, A&& compensate) {
     if (!pieces_.empty() && rank <= pieces_.back().rank)
       throw std::logic_error("Chop: piece ranks must be strictly increasing");
-    pieces_.push_back(Piece{name, rank, std::move(body), std::move(compensate)});
+    std::function<void()> comp;
+    if constexpr (kCompensates<A>) comp = std::forward<A>(compensate);
+    pieces_.push_back(Piece{name, rank, std::move(body), std::move(comp)});
     return *this;
   }
 
@@ -91,7 +96,7 @@ class Chop {
     const char* name;
     int rank;
     std::function<void()> body;
-    std::function<void()> compensate;
+    std::function<void()> compensate;  // empty for no_compensation
   };
 
   ChopPolicy policy_;

@@ -18,22 +18,19 @@ class ContentionManager {
 /// Exponential backoff with deterministic per-CPU jitter (the default).
 class PoliteBackoff final : public ContentionManager {
  public:
-  explicit PoliteBackoff(std::uint64_t base = 32, int max_shift = 8)
-      : base_(base), max_shift_(max_shift) {}
-
   std::uint64_t backoff_cycles(int cpu, int attempt) override {
-    const int shift = std::min(attempt, max_shift_);
+    const int shift = std::min(attempt, kMaxShift);
     // xorshift-style deterministic jitter so CPUs desynchronize.
     std::uint64_t x = state_ * 6364136223846793005ULL + 1442695040888963407ULL +
                       static_cast<std::uint64_t>(cpu);
     state_ = x;
-    const std::uint64_t window = base_ << shift;
+    const std::uint64_t window = kBase << shift;
     return window + (x >> 33) % (window + 1);
   }
 
  private:
-  std::uint64_t base_;
-  int max_shift_;
+  static constexpr std::uint64_t kBase = 32;  ///< window of the first retry
+  static constexpr int kMaxShift = 8;         ///< the window stops doubling here
   std::uint64_t state_ = 0x9e3779b97f4a7c15ULL;
 };
 

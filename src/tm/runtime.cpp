@@ -22,15 +22,12 @@ Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
   tls_runtime_ = this;
   active_chops_.assign(static_cast<std::size_t>(eng.config().num_cpus), nullptr);
   // Consume a pending thread-local trace request (set by the harness driver
-  // before it invokes a series body, or directly by tests/benches).  Enable
-  // profiling too: the labelled Shared cells are constructed after the
-  // Runtime (see profile.h's ordering contract), and the label map is what
-  // lets the trace attribute conflicts to named fields.
+  // before it invokes a series body, or directly by tests/benches).  The
+  // labelled Shared cells constructed after this point label the tracer.
   trace::Request req;
   if (trace::take_request(req)) {
     tracer_ = std::make_unique<trace::Tracer>(eng.config().num_cpus, req.capacity);
     trace_path_ = std::move(req.path);
-    profile_.enable(true);
     eng_.set_tracer(tracer_.get());
   }
 }
@@ -41,9 +38,6 @@ Runtime::~Runtime() {
     // The per-CPU streams must be well-nested (begin/commit/abort pairing,
     // open enter/exit balance) — a torn stream means a lost emission point.
     audit::check_trace_nesting(*tracer_);
-    profile_.for_each([this](sim::LineAddr line, const char* name) {
-      tracer_->set_label(line, name);
-    });
     if (!trace_path_.empty()) {
       try {
         tracer_->write(trace_path_);
@@ -109,7 +103,7 @@ Txn* Runtime::begin_txn(int cpu, bool open, int attempt) {
   c.cur = t;
   if (tracer_ != nullptr)
     tracer_->on_txn_begin(cpu, eng_.now(), open, t->incarnation, attempt);
-  eng_.tick(eng_.config().txn_begin_cycles);
+  eng_.tick(sim::Config::kTxnBeginCycles);
   return t;
 }
 
@@ -533,7 +527,7 @@ void Runtime::abort_txn(Txn* t) {
     // Compensation has run; any semantic lock still on the books is leaked.
     audit::txn_finished(TxnId{t->cpu, t->incarnation}, /*committed=*/false);
   }
-  const std::uint64_t penalty = eng_.config().violation_cycles +
+  const std::uint64_t penalty = sim::Config::kViolationCycles +
                                 cm_->backoff_cycles(t->cpu, t->attempt);
   release_txn(t);
   eng_.tick(penalty);
@@ -696,9 +690,8 @@ void Runtime::tm_write(std::uintptr_t addr, const void* in, std::uint32_t size,
   Txn* t = ctx(cpu).cur;
   if (t == nullptr) {
     // Non-transactional store in Tcc mode: commits instantly; flag any
-    // in-flight reader of the line (mini TCC commit).  The audit registry is
-    // keyed by host storage, not the simulated address.
-    audit::naked_store(reinterpret_cast<std::uintptr_t>(committed));
+    // in-flight reader of the line (mini TCC commit).
+    audit::naked_store(reinterpret_cast<std::uintptr_t>(committed), size);
     std::memcpy(committed, in, size);
     const sim::LineAddr line = sim::line_of(addr);
     eng_.memsys().invalidate_copies(cpu, line);

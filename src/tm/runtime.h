@@ -46,7 +46,6 @@
 #include "sim/flat_map.h"
 #include "tm/audit.h"
 #include "tm/contention.h"
-#include "tm/profile.h"
 #include "tm/reader_dir.h"
 #include "trace/tracer.h"
 
@@ -288,13 +287,6 @@ class Runtime {
 
   sim::Engine& engine() { return eng_; }
   sim::Mode mode() const { return eng_.config().mode; }
-
-  /// This runtime's TAPE-style conflict profile (tm/profile.h).  Per-Runtime
-  /// (not process-global) so concurrent simulations on different host
-  /// threads never share profiling state; see profile.h for the enable /
-  /// label / run ordering contract.
-  Profile& profile() { return profile_; }
-  const Profile& profile() const { return profile_; }
 
   /// The txtrace event tracer, or nullptr when tracing is off.  A tracer is
   /// attached when this Runtime is constructed with a pending
@@ -605,7 +597,6 @@ class Runtime {
   sim::Engine& eng_;
   std::unique_ptr<ContentionManager> cm_;
   std::vector<CpuCtx> ctx_;
-  Profile profile_;
 
   // txtrace: owned event buffers (null when tracing is off) and the file to
   // write at destruction ("" = in-memory only, e.g. overhead benches).
@@ -681,7 +672,7 @@ inline void report_sem(const SemEvent& e) {
 /// Reports that the compensation (abort-handler body) of collection `site`
 /// is starting on `cpu`.  Collections call it first thing in their abort
 /// handler.  The auditor flags a site that compensates twice in one abort;
-/// txlint's handler-mutation and chop-compensation rules look for this call.
+/// txlint's handler-mutation rule looks for this call.
 inline void compensation_run(int cpu, const void* site) {
   report_sem({SemEvent::Kind::kCompensation, TxnId{cpu, 0}, site, site});
 }

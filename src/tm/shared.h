@@ -28,8 +28,8 @@
 #include "sim/engine.h"
 #include "sim/vaddr.h"
 #include "tm/audit.h"
-#include "tm/profile.h"
 #include "tm/runtime.h"
+#include "trace/tracer.h"
 
 namespace atomos {
 
@@ -43,34 +43,23 @@ class Shared {
   /// cell's virtual address comes from and whether it gets a private cache
   /// line.  Bulk element cells keep the packed data-arena default; hot
   /// metadata and counter cells declare sim::kMetaCell / sim::kCounterCell.
-  explicit Shared(sim::MemClass mc) : v_{}, va_(sim::va_alloc(sizeof(T), mc)) {
-    audit::note_shared(reinterpret_cast<std::uintptr_t>(&v_), sizeof(T));
-  }
+  explicit Shared(sim::MemClass mc) : v_{}, va_(sim::va_alloc(sizeof(T), mc)) {}
 
   Shared() : Shared(sim::kDataCell) {}
 
-  /// `name` (optional) labels this cell for TAPE-style conflict profiling in
-  /// the active Runtime's profile; pass a string with static storage
-  /// duration.  The label is recorded only when a Runtime exists and its
-  /// profile is already enabled — enable profiling before constructing
-  /// labelled cells (ordering contract in tm/profile.h).
+  /// `name` (optional) labels this cell for TAPE-style conflict profiling:
+  /// the active Runtime's tracer, when one is attached, resolves conflicts
+  /// on the cell's line to it (trace::Tracer::label_cell).  Only the
+  /// Runtime attaches a tracer, so construct labelled cells after it.
   explicit Shared(T v, const char* name = nullptr, sim::MemClass mc = sim::kDataCell)
       : v_(v), va_(sim::va_alloc(sizeof(T), mc)) {
-    if (name != nullptr) {
-      if (Runtime* rt = Runtime::current_or_null()) {
-        if (rt->profile().enabled() && sim::Engine::in_worker()) {
-          audit::late_profile_label(va_, name);
-        }
-        rt->profile().note_range(va_, sizeof(T), name);
-      }
-    }
-    audit::note_shared(reinterpret_cast<std::uintptr_t>(&v_), sizeof(T));
+    if (name == nullptr) return;
+    Runtime* rt = Runtime::current_or_null();
+    trace::Tracer* tracer = rt != nullptr ? rt->tracer() : nullptr;
+    if (tracer == nullptr) return;
+    if (sim::Engine::in_worker()) audit::late_profile_label(va_, name);
+    tracer->label_cell(va_, sizeof(T), name);
   }
-
-#if defined(TXCC_CHECKED) && TXCC_CHECKED
-  // Only under TXCC_CHECKED: keeps Shared trivially destructible otherwise.
-  ~Shared() { audit::forget_shared(reinterpret_cast<std::uintptr_t>(&v_)); }
-#endif
 
   Shared(const Shared&) = delete;
   Shared& operator=(const Shared&) = delete;

@@ -4,7 +4,8 @@
 // CPU's *simulated* clock and a per-CPU emission sequence number; the stream
 // never records host time, host thread ids or host pointers (pointer-valued
 // arguments are interned to dense ids at serialization), so a trace file is a
-// pure function of (Config, seed) and byte-identical for any `--jobs N`.
+// pure function of the Config and the workload, and byte-identical for any
+// `--jobs N`.
 //
 // Per-CPU ordering invariant: every event is emitted by the fiber currently
 // running on that CPU, at that CPU's own clock, so within one buffer `cycle`

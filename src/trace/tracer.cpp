@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,16 @@ void put_u64(std::string& out, std::uint64_t v) {
 void put_str(std::string& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
+}
+
+// True if `name` is one of the '+'-separated parts of `joined`.
+bool has_part(std::string_view joined, std::string_view name) {
+  for (;;) {
+    const std::size_t plus = joined.find('+');
+    if (joined.substr(0, plus) == name) return true;
+    if (plus == std::string_view::npos) return false;
+    joined.remove_prefix(plus + 1);
+  }
 }
 
 bool arg_is_table(Kind k) {
@@ -44,8 +55,18 @@ void Tracer::name_table(const void* table, const std::string& name) {
   table_names_[table] = name;
 }
 
-void Tracer::set_label(std::uint64_t line, const std::string& name) {
-  labels_[line] = name;
+void Tracer::label_cell(std::uint64_t addr, std::size_t len, const std::string& name) {
+  const std::uint64_t first = addr >> kLineShift;
+  const std::uint64_t last = (addr + (len == 0 ? 0 : len - 1)) >> kLineShift;
+  for (std::uint64_t line = first; line <= last; ++line) {
+    std::string& joined = labels_[line];
+    if (joined.empty()) {
+      joined = name;
+    } else if (!has_part(joined, name)) {
+      joined += '+';
+      joined += name;
+    }
+  }
 }
 
 // File layout (all integers little-endian):

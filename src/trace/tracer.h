@@ -24,6 +24,10 @@ namespace trace {
 
 inline constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
+/// log2 of the simulated cache-line size, for label_cell's byte ranges.
+/// Must equal sim::Config::kLineShift (sim/memsys.cpp checks).
+inline constexpr unsigned kLineShift = 6;
+
 class Tracer {
  public:
   explicit Tracer(int num_cpus, std::size_t capacity_per_cpu = kDefaultCapacity);
@@ -86,9 +90,13 @@ class Tracer {
   // constructors during setup.
   void name_table(const void* table, const std::string& name);
 
-  // Record a Profile label for a cache-line address; dumped from the
-  // Runtime's Profile at teardown so violation flags resolve to names.
-  void set_label(std::uint64_t line, const std::string& name);
+  // Label the simulated bytes [addr, addr+len) on every line they cover, so
+  // violation flags on those lines resolve to `name` (TAPE-style conflict
+  // profiling, paper Section 6.3).  Distinct names on one line join with
+  // '+' in call order ("historyTable.table+Warehouse.ytd"); a name already
+  // among a line's '+'-separated parts is not repeated.  Called from
+  // atomos::Shared's labelled constructor during object setup.
+  void label_cell(std::uint64_t addr, std::size_t len, const std::string& name);
 
   // Serialize deterministically: events in canonical (cpu, seq) order with
   // pointer-valued args interned to dense first-appearance ids.  Throws

@@ -53,7 +53,7 @@ OpCounts run_jbb(Flavor flavor, int cpus, int ops_per_cpu, std::string* why,
   if (violations != nullptr) *violations = eng.stats().total(&sim::CpuStats::violations);
   // All committed orders = seeded + successful NewOrders.
   EXPECT_EQ(jbb.committed_order_count(),
-            jc.districts * jc.initial_orders_per_district + total.new_order);
+            jc.districts * kInitialOrdersPerDistrict + total.new_order);
   return total;
 }
 

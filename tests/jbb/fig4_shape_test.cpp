@@ -44,7 +44,7 @@ RunOutcome run_fig4_point(Flavor flavor, int cpus, int total_ops) {
   atomos::Runtime rt(eng);
   Engine engine(jc);
   RunOutcome out;
-  out.seeded = jc.districts * jc.initial_orders_per_district;
+  out.seeded = jc.districts * kInitialOrdersPerDistrict;
   const int per_cpu = total_ops / cpus;
   std::vector<OpCounts> counts(static_cast<std::size_t>(cpus));
   for (int c = 0; c < cpus; ++c) {

@@ -46,7 +46,7 @@ TEST(HashMapTest, CollidingKeysChainCorrectly) {
 }
 
 TEST(HashMapTest, ResizeGrowsTableAndPreservesEntries) {
-  HashMap<long, long> m(4, 0.75F);
+  HashMap<long, long> m(4);
   const std::size_t before = m.bucket_count();
   for (long k = 0; k < 100; ++k) m.put(k, k);
   EXPECT_GT(m.bucket_count(), before);

@@ -22,9 +22,9 @@ TEST_F(MemFixture, ColdLoadMissesThenHits) {
   MemSys m = make();
   std::uint64_t t = m.plain_load(0, A, 0);
   // miss: arbitration + transfer + L2 latency
-  EXPECT_EQ(t, cfg.bus_arb_cycles + cfg.bus_xfer_cycles + cfg.l2_hit_cycles);
+  EXPECT_EQ(t, Config::kBusArbCycles + Config::kBusXferCycles + Config::kL2HitCycles);
   std::uint64_t t2 = m.plain_load(0, A, t);
-  EXPECT_EQ(t2, t + cfg.l1_hit_cycles);  // now a hit
+  EXPECT_EQ(t2, t + Config::kL1HitCycles);  // now a hit
   EXPECT_EQ(stats.cpu(0).l1_misses, 1u);
 }
 
@@ -32,14 +32,14 @@ TEST_F(MemFixture, SameLineDifferentWordIsHit) {
   MemSys m = make();
   std::uint64_t t = m.plain_load(0, A, 0);
   std::uint64_t t2 = m.plain_load(0, A2, t);
-  EXPECT_EQ(t2, t + cfg.l1_hit_cycles);
+  EXPECT_EQ(t2, t + Config::kL1HitCycles);
 }
 
 TEST_F(MemFixture, StoreAfterExclusiveLoadIsSilentUpgrade) {
   MemSys m = make();
   std::uint64_t t = m.plain_load(0, A, 0);  // installs E (no sharers)
   std::uint64_t t2 = m.plain_store(0, A, t);
-  EXPECT_EQ(t2, t + cfg.l1_hit_cycles);  // E->M without bus traffic
+  EXPECT_EQ(t2, t + Config::kL1HitCycles);  // E->M without bus traffic
 }
 
 TEST_F(MemFixture, StoreToSharedLinePaysUpgradeAndInvalidatesReader) {
@@ -48,7 +48,7 @@ TEST_F(MemFixture, StoreToSharedLinePaysUpgradeAndInvalidatesReader) {
   std::uint64_t t1 = m.plain_load(1, A, 0);  // both now share the line
   (void)t0;
   std::uint64_t tw = m.plain_store(0, A, t1);
-  EXPECT_GT(tw, t1 + cfg.l1_hit_cycles);  // upgrade needed the bus
+  EXPECT_GT(tw, t1 + Config::kL1HitCycles);  // upgrade needed the bus
   // CPU1's copy was invalidated: its next load misses again.
   std::uint64_t m1 = stats.cpu(1).l1_misses;
   m.plain_load(1, A, tw);
@@ -62,7 +62,7 @@ TEST_F(MemFixture, DirtyInterventionCostsWriteback) {
   std::uint64_t before = m.bus().busy_cycles();
   m.plain_load(1, A, t);  // must pull the dirty line
   std::uint64_t occ = m.bus().busy_cycles() - before;
-  EXPECT_EQ(occ, cfg.bus_xfer_cycles + cfg.writeback_cycles);
+  EXPECT_EQ(occ, Config::kBusXferCycles + Config::kWritebackCycles);
 }
 
 TEST_F(MemFixture, PingPongCostsDominateRepeatedSharedStores) {
@@ -71,8 +71,8 @@ TEST_F(MemFixture, PingPongCostsDominateRepeatedSharedStores) {
   std::uint64_t t0 = m.plain_store(0, A, 0);
   std::uint64_t t1 = m.plain_store(1, A, t0);
   std::uint64_t t2 = m.plain_store(0, A, t1);
-  EXPECT_GT(t1 - t0, static_cast<std::uint64_t>(cfg.l1_hit_cycles));
-  EXPECT_GT(t2 - t1, static_cast<std::uint64_t>(cfg.l1_hit_cycles));
+  EXPECT_GT(t1 - t0, static_cast<std::uint64_t>(Config::kL1HitCycles));
+  EXPECT_GT(t2 - t1, static_cast<std::uint64_t>(Config::kL1HitCycles));
 }
 
 TEST_F(MemFixture, BusQueuesOverlappingRequests) {
@@ -80,7 +80,7 @@ TEST_F(MemFixture, BusQueuesOverlappingRequests) {
   MemSys m = make();
   std::uint64_t ta = m.plain_load(0, A, 0);
   std::uint64_t tb = m.plain_load(1, B, 0);
-  EXPECT_GT(tb, ta - cfg.l2_hit_cycles);  // second transfer started after first
+  EXPECT_GT(tb, ta - Config::kL2HitCycles);  // second transfer started after first
 }
 
 TEST_F(MemFixture, TxStoreHitsWithoutBusTraffic) {
@@ -88,7 +88,7 @@ TEST_F(MemFixture, TxStoreHitsWithoutBusTraffic) {
   std::uint64_t t = m.tx_load(0, A, 0);  // allocate line
   std::uint64_t before = m.bus().busy_cycles();
   std::uint64_t t2 = m.tx_store(0, A, t);
-  EXPECT_EQ(t2, t + cfg.l1_hit_cycles);
+  EXPECT_EQ(t2, t + Config::kL1HitCycles);
   EXPECT_EQ(m.bus().busy_cycles(), before);  // speculative: no bus
 }
 
@@ -96,7 +96,7 @@ TEST_F(MemFixture, CommitCostProportionalToWriteSet) {
   MemSys m = make();
   std::uint64_t before = m.bus().busy_cycles();
   m.tcc_commit(0, 5, 100);
-  EXPECT_EQ(m.bus().busy_cycles() - before, 5u * cfg.commit_line_cycles);
+  EXPECT_EQ(m.bus().busy_cycles() - before, 5u * Config::kCommitLineCycles);
 }
 
 TEST_F(MemFixture, InvalidateCopiesForcesRefetch) {
@@ -124,9 +124,9 @@ TEST_F(MemFixture, EvictionMakesRoomAndLosesLine) {
   // Fill one set beyond associativity; the LRU way must be recycled.
   MemSys m = make();
   const std::uintptr_t set_stride =
-      static_cast<std::uintptr_t>(cfg.l1_sets) * Config::kLineBytes;
+      static_cast<std::uintptr_t>(Config::kL1Sets) * Config::kLineBytes;
   std::uint64_t t = 0;
-  for (std::uint32_t i = 0; i < cfg.l1_assoc + 1; ++i)
+  for (std::uint32_t i = 0; i < Config::kL1Ways + 1; ++i)
     t = m.plain_load(0, A + i * set_stride, t);
   std::uint64_t misses = stats.cpu(0).l1_misses;
   m.plain_load(0, A, t);  // the original line was LRU-evicted

@@ -1,5 +1,5 @@
 // Arena-segregated virtual addressing (sim/vaddr.h): disjoint ranges,
-// line-isolation guarantees, packing behaviour, determinism, overflow.
+// line-private classes, data packing, determinism, overflow.
 #include "sim/vaddr.h"
 
 #include <gtest/gtest.h>
@@ -11,32 +11,32 @@
 
 namespace {
 
-using sim::Arena;
-using sim::Isolation;
+using sim::MemClass;
 
 constexpr std::uintptr_t kLine = sim::kVaLineBytes;
+constexpr MemClass kAll[] = {MemClass::kMeta, MemClass::kCounter, MemClass::kLock,
+                             MemClass::kData};
 
 std::uintptr_t line_of(std::uintptr_t a) { return a / kLine; }
 
 TEST(VaddrTest, ArenaRangesAreDisjointAndOrdered) {
-  const Arena all[] = {Arena::kMeta, Arena::kCounter, Arena::kLock, Arena::kData};
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LT(sim::arena_base(all[i]), sim::arena_limit(all[i]));
+    EXPECT_LT(sim::arena_base(kAll[i]), sim::arena_limit(kAll[i]));
     for (std::size_t j = i + 1; j < 4; ++j) {
       // Later arenas begin at or after the earlier arena's limit.
-      EXPECT_GE(sim::arena_base(all[j]), sim::arena_limit(all[i]));
+      EXPECT_GE(sim::arena_base(kAll[j]), sim::arena_limit(kAll[i]));
     }
   }
-  EXPECT_EQ(sim::arena_base(Arena::kMeta), sim::kVaBase);
+  EXPECT_EQ(sim::arena_base(MemClass::kMeta), sim::kVaBase);
 }
 
 TEST(VaddrTest, AllocationsLandInTheirArena) {
   sim::va_reset();
-  for (Arena a : {Arena::kMeta, Arena::kCounter, Arena::kLock, Arena::kData}) {
-    for (Isolation iso : {Isolation::kPacked, Isolation::kLineIsolated}) {
-      const std::uintptr_t p = sim::va_alloc(8, a, iso);
-      EXPECT_GE(p, sim::arena_base(a));
-      EXPECT_LT(p, sim::arena_limit(a));
+  for (MemClass mc : kAll) {
+    for (int i = 0; i < 2; ++i) {
+      const std::uintptr_t p = sim::va_alloc(8, mc);
+      EXPECT_GE(p, sim::arena_base(mc));
+      EXPECT_LT(p, sim::arena_limit(mc));
     }
   }
   sim::va_reset();
@@ -44,8 +44,9 @@ TEST(VaddrTest, AllocationsLandInTheirArena) {
 
 TEST(VaddrTest, LineIsolatedCellsAreNeverCoResident) {
   sim::va_reset();
-  // Interleave isolated and packed allocations of several sizes in every
-  // arena; no line of an isolated cell may host any other allocation.
+  // Interleave allocations of several sizes in every class; no line of a
+  // cell in a line-private class (all but kData) may host any other
+  // allocation.
   struct Alloc {
     std::uintptr_t addr;
     std::size_t bytes;
@@ -54,12 +55,9 @@ TEST(VaddrTest, LineIsolatedCellsAreNeverCoResident) {
   std::vector<Alloc> allocs;
   const std::size_t sizes[] = {1, 8, 8, 64, 8, 128};
   for (int round = 0; round < 50; ++round) {
-    for (Arena a : {Arena::kMeta, Arena::kCounter, Arena::kLock, Arena::kData}) {
+    for (MemClass mc : kAll) {
       const std::size_t bytes = sizes[static_cast<std::size_t>(round) % 6];
-      const bool iso = (round % 3) != 0;
-      allocs.push_back(Alloc{
-          sim::va_alloc(bytes, a, iso ? Isolation::kLineIsolated : Isolation::kPacked),
-          bytes, iso});
+      allocs.push_back(Alloc{sim::va_alloc(bytes, mc), bytes, mc != MemClass::kData});
     }
   }
   auto lines = [](const Alloc& al) {
@@ -86,23 +84,13 @@ TEST(VaddrTest, PackedCellsStillShareLinesByAdjacency) {
   sim::va_reset();
   // Eight words to a 64-byte line, in allocation order — the false-sharing
   // model bulk data relies on must survive the arena split.
-  std::uintptr_t first = sim::va_alloc(8, Arena::kData, Isolation::kPacked);
+  std::uintptr_t first = sim::va_alloc(8, sim::kDataCell);
   for (int i = 1; i < 8; ++i) {
-    const std::uintptr_t p = sim::va_alloc(8, Arena::kData, Isolation::kPacked);
+    const std::uintptr_t p = sim::va_alloc(8, sim::kDataCell);
     EXPECT_EQ(p, first + static_cast<std::uintptr_t>(i) * 8);
     EXPECT_EQ(line_of(p), line_of(first));
   }
-  EXPECT_NE(line_of(sim::va_alloc(8, Arena::kData, Isolation::kPacked)), line_of(first));
-  sim::va_reset();
-}
-
-TEST(VaddrTest, LegacyOverloadIsPackedData) {
-  sim::va_reset();
-  const std::uintptr_t a = sim::va_alloc(8);
-  const std::uintptr_t b = sim::va_alloc(8);
-  EXPECT_GE(a, sim::arena_base(Arena::kData));
-  EXPECT_LT(b, sim::arena_limit(Arena::kData));
-  EXPECT_EQ(b, a + 8);
+  EXPECT_NE(line_of(sim::va_alloc(8, sim::kDataCell)), line_of(first));
   sim::va_reset();
 }
 
@@ -111,10 +99,7 @@ TEST(VaddrTest, DeterministicAcrossResetsAndThreads) {
     std::vector<std::uintptr_t> out;
     sim::va_reset();
     for (int i = 0; i < 64; ++i) {
-      out.push_back(sim::va_alloc(8, Arena::kMeta, Isolation::kLineIsolated));
-      out.push_back(sim::va_alloc(8, Arena::kCounter, Isolation::kLineIsolated));
-      out.push_back(sim::va_alloc(8, Arena::kLock, Isolation::kLineIsolated));
-      out.push_back(sim::va_alloc(16, Arena::kData, Isolation::kPacked));
+      for (MemClass mc : kAll) out.push_back(sim::va_alloc(mc == MemClass::kData ? 16 : 8, mc));
     }
     sim::va_reset();
     return out;
@@ -132,13 +117,13 @@ TEST(VaddrTest, DeterministicAcrossResetsAndThreads) {
 
 TEST(VaddrTest, ArenaOverflowThrowsDeterministically) {
   sim::va_reset();
-  const std::uintptr_t span = sim::arena_limit(Arena::kMeta) - sim::arena_base(Arena::kMeta);
+  const std::uintptr_t span =
+      sim::arena_limit(MemClass::kMeta) - sim::arena_base(MemClass::kMeta);
   const std::uintptr_t nlines = span / kLine;
-  for (std::uintptr_t i = 0; i < nlines; ++i)
-    sim::va_alloc(8, Arena::kMeta, Isolation::kLineIsolated);
-  EXPECT_THROW(sim::va_alloc(8, Arena::kMeta, Isolation::kLineIsolated), std::length_error);
+  for (std::uintptr_t i = 0; i < nlines; ++i) sim::va_alloc(8, sim::kMetaCell);
+  EXPECT_THROW(sim::va_alloc(8, sim::kMetaCell), std::length_error);
   // Other arenas are unaffected by the exhausted one.
-  EXPECT_NO_THROW(sim::va_alloc(8, Arena::kCounter, Isolation::kLineIsolated));
+  EXPECT_NO_THROW(sim::va_alloc(8, sim::kCounterCell));
   sim::va_reset();
 }
 

@@ -294,15 +294,14 @@ TEST_F(CheckedRuntimeTest, TransactionalStoresAreNotNaked) {
   EXPECT_EQ(audit::count(audit::Check::kNakedStore), 0u);
 }
 
-// A destroyed Shared cell must be forgotten: a worker store to a *different*
-// object reusing the address is that object's business, and setup/teardown
-// stores never report at all (not in a worker fiber).
+// Setup/teardown stores never report (not in a worker fiber), and a cell
+// destroyed before the run leaves nothing behind to report on.
 TEST_F(CheckedRuntimeTest, SetupStoresAndDeadCellsDoNotReport) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
   auto cell = std::make_unique<Shared<int>>(1);
   cell->set(2);  // setup-thread store: raw access, no report
-  cell.reset();  // unregisters
+  cell.reset();
   eng.spawn([&] {
     atomically([] {});
   });
@@ -340,16 +339,16 @@ TEST_F(CheckedRuntimeTest, TransactionalMapWorkloadIsClean) {
   EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
-// The Profile ordering contract (tm/profile.h): labels belong in setup,
-// after Runtime::profile().enable(true) and before Engine::run().  A label
-// attached from inside the running simulation is host state that a violated
-// transaction cannot roll back, so the auditor flags it; the same label
-// attached during setup is silent.
+// Labels belong in setup, after the Runtime and before Engine::run().  A
+// label attached to the tracer from inside the running simulation is host
+// state that a violated transaction cannot roll back, so the auditor flags
+// it; the same label attached during setup is silent.
 TEST_F(CheckedRuntimeTest, FlagsProfileLabelAttachedMidSimulation) {
+  trace::set_request("");  // in-memory tracer: labels are recorded
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  rt.profile().enable(true);
-  Shared<long> setup_cell(1, "setup-cell");  // contract order: silent
+  ASSERT_NE(rt.tracer(), nullptr);
+  Shared<long> setup_cell(1, "setup-cell");  // setup: silent
   EXPECT_EQ(audit::count(audit::Check::kLateProfileLabel), 0u);
   eng.spawn([&] {
     atomically([&] {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tm/runtime.h"
@@ -13,6 +15,25 @@
 
 namespace atomos {
 namespace {
+
+// A piece's compensation is part of the call's type, as a commit handler's
+// abort side is: a two-argument piece does not compile, plain or ranked,
+// and neither does a null compensation.  It takes a callable or
+// no_compensation.
+struct Body {
+  void operator()() const {}
+};
+template <class... A>
+constexpr bool kPiece = requires(Chop& c, A... a) { c.piece(a...); };
+
+static_assert(!kPiece<const char*, Body>);
+static_assert(!kPiece<int, const char*, Body>);
+static_assert(!kPiece<const char*, Body, std::nullptr_t>);
+static_assert(!kPiece<int, const char*, Body, std::nullptr_t>);
+static_assert(kPiece<const char*, Body, Body>);
+static_assert(kPiece<const char*, Body, NoCompensation>);
+static_assert(kPiece<int, const char*, Body, Body>);
+static_assert(kPiece<int, const char*, Body, NoCompensation>);
 
 sim::Config cfg(int cpus, sim::Mode mode = sim::Mode::kTcc) {
   sim::Config c;
@@ -32,12 +53,14 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
                [&] {
                  order.push_back(1);
                  a.set(a.get() + 1);
-               })
+               },
+               no_compensation)
         .piece("second",
                [&] {
                  order.push_back(2);
                  b.set(a.get() + 10);  // reads the first piece's commit
-               })
+               },
+               no_compensation)
         .run();
   });
   eng.run();
@@ -54,10 +77,10 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
 
 TEST(Chop, ExplicitRanksMustIncrease) {
   Chop c;
-  c.piece(10, "a", [] {});
-  EXPECT_THROW(c.piece(10, "b", [] {}), std::logic_error);
-  EXPECT_THROW(c.piece(3, "c", [] {}), std::logic_error);
-  c.piece(20, "d", [] {});  // strictly increasing: fine
+  c.piece(10, "a", [] {}, no_compensation);
+  EXPECT_THROW(c.piece(10, "b", [] {}, no_compensation), std::logic_error);
+  EXPECT_THROW(c.piece(3, "c", [] {}, no_compensation), std::logic_error);
+  c.piece(20, "d", [] {}, no_compensation);  // strictly increasing: fine
 }
 
 // A foreign commit touching an earlier piece's footprint between pieces is
@@ -74,9 +97,10 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
                [&] {
                  (void)x.get();
                  work(50);
-               })
-        .piece("gap", [&] { work(3000); })  // intruder commits in here
-        .piece("write-y", [&] { y.set(x.get()); })
+               },
+               no_compensation)
+        .piece("gap", [&] { work(3000); }, no_compensation)  // intruder commits in here
+        .piece("write-y", [&] { y.set(x.get()); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
@@ -91,7 +115,9 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
 }
 
 // Under kValidated the same interleaving compensates the committed prefix
-// (in reverse) and restarts the chop from its first piece.
+// (in reverse) and restarts the chop from its first piece.  Only the pieces
+// with a callable compensation are compensated; the read-only "audit" piece
+// between them passes no_compensation and registers nothing.
 TEST(Chop, ValidatedPolicyCompensatesAndRestarts) {
   sim::Engine eng(cfg(2));
   Runtime rt(eng);
@@ -111,8 +137,11 @@ TEST(Chop, ValidatedPolicyCompensatesAndRestarts) {
                  ledger.set(ledger.get() - 5);
                  events.push_back("refund");
                })
-        .piece("gap", [&] { work(3000); })
-        .piece("finish", [&] { events.push_back("finish"); })
+        .piece("audit", [&] { (void)ledger.get(); }, no_compensation)
+        .piece("reserve", [&] { events.push_back("reserve"); },
+               /*compensate=*/[&] { events.push_back("release"); })
+        .piece("gap", [&] { work(3000); }, no_compensation)
+        .piece("finish", [&] { events.push_back("finish"); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
@@ -121,14 +150,12 @@ TEST(Chop, ValidatedPolicyCompensatesAndRestarts) {
   });
   eng.run();
   EXPECT_EQ(rt.chop_stats().restarts, 1u);
-  EXPECT_EQ(rt.chop_stats().compensations, 1u);
+  EXPECT_EQ(rt.chop_stats().compensations, 2u);  // charge and reserve, not audit
   EXPECT_GE(rt.chop_stats().dep_breaks, 1u);
   EXPECT_EQ(rt.chop_stats().chops, 1u);
-  // charge -> refund (compensated restart) -> charge -> finish.
-  ASSERT_GE(events.size(), 4u);
-  EXPECT_EQ(events[0], "charge");
-  EXPECT_EQ(events[1], "refund");
-  EXPECT_EQ(events.back(), "finish");
+  // Compensated restart undoes newest-first, then the chop runs again.
+  EXPECT_EQ(events, (std::vector<std::string>{"charge", "reserve", "release", "refund",
+                                              "charge", "reserve", "finish"}));
   EXPECT_EQ(ledger.unsafe_peek(), 5);  // exactly one net charge survived
 }
 
@@ -148,7 +175,7 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
                    ledger.set(ledger.get() - 5);
                    compensated = true;
                  })
-          .piece("boom", [&] { throw std::runtime_error("piece failed"); })
+          .piece("boom", [&] { throw std::runtime_error("piece failed"); }, no_compensation)
           .run();
     } catch (const std::runtime_error&) {
       threw = true;
@@ -176,7 +203,7 @@ TEST(Chop, DegradesToFramesInsideEnclosingTransaction) {
         chopped()
             .piece("inner", [&] { v.set(41); },
                    [&] { compensated = true; })
-            .piece("inner2", [&] { v.set(v.get() + 1); })
+            .piece("inner2", [&] { v.set(v.get() + 1); }, no_compensation)
             .run();
         throw std::runtime_error("abort enclosing");
       });
@@ -195,7 +222,10 @@ TEST(Chop, LockModeRunsPlainly) {
   Runtime rt(eng);
   Shared<long> v(0);
   eng.spawn([&] {
-    chopped().piece("a", [&] { v.set(1); }).piece("b", [&] { v.set(v.get() + 1); }).run();
+    chopped()
+        .piece("a", [&] { v.set(1); }, no_compensation)
+        .piece("b", [&] { v.set(v.get() + 1); }, no_compensation)
+        .run();
   });
   eng.run();
   EXPECT_EQ(v.unsafe_peek(), 2);
@@ -212,9 +242,9 @@ TEST(Chop, UnrelatedCommitsDoNotBreakTheChop) {
   (void)pad;
   eng.spawn([&] {
     chopped()
-        .piece("p0", [&] { mine.set(mine.get() + 1); })
-        .piece("gap", [&] { work(2000); })
-        .piece("p1", [&] { mine.set(mine.get() + 1); })
+        .piece("p0", [&] { mine.set(mine.get() + 1); }, no_compensation)
+        .piece("gap", [&] { work(2000); }, no_compensation)
+        .piece("p1", [&] { mine.set(mine.get() + 1); }, no_compensation)
         .run();
   });
   eng.spawn([&] {

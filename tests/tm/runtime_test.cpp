@@ -19,6 +19,8 @@ namespace {
 // private clone no other CPU can conflict with.  Copying is a compile error,
 // which is what keeps lambdas from capturing a Shared by value.
 static_assert(!std::is_copy_constructible_v<Shared<long>>);
+// A cell is a value and an address, in every build: no registry tracks it.
+static_assert(std::is_trivially_destructible_v<Shared<long>>);
 
 // A commit handler's abort side is part of the registration's type: a
 // commit-only registration does not compile, in any form.  It takes a
@@ -698,6 +700,25 @@ TEST(RuntimeTest, DeterministicViolationCounts) {
     return std::pair(eng.elapsed_cycles(), eng.stats().total(&sim::CpuStats::violations));
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// A labelled cell names its line in the tracer the Runtime attached; with no
+// trace request there is no tracer, and nothing to label.
+TEST(RuntimeTest, LabelledCellsLabelTheAttachedTracer) {
+  {
+    sim::Engine eng(tcc_cfg(1));
+    Runtime rt(eng);
+    Shared<long> cell(0, "Map.size", sim::kMetaCell);
+    EXPECT_EQ(rt.tracer(), nullptr);
+  }
+  trace::set_request("");  // in-memory tracer, never written
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  ASSERT_NE(rt.tracer(), nullptr);
+  Shared<long> cell(0, "Map.size", sim::kMetaCell);
+  const auto& labels = rt.tracer()->labels();
+  ASSERT_EQ(labels.size(), 1u);
+  EXPECT_EQ(labels.begin()->second, "Map.size");
 }
 
 }  // namespace

@@ -30,15 +30,14 @@ bool fires_at(const std::vector<Finding>& fs, std::string_view rule, int line) {
                      [&](const Finding& f) { return f.rule == rule && f.line == line; });
 }
 
-TEST(TxlintRules, NineRulesRegistered) {
+TEST(TxlintRules, EightRulesRegistered) {
   const auto& rs = rules();
-  ASSERT_EQ(rs.size(), 9u);
+  ASSERT_EQ(rs.size(), 8u);
   std::vector<std::string_view> names;
   for (const auto& r : rs) names.push_back(r.name);
   for (const char* want : {"shared-field", "raw-peek", "catch-swallow",
                            "trace-hook", "isolation-class", "handler-mutation",
-                           "hot-path-container", "handler-closure",
-                           "chop-compensation"}) {
+                           "hot-path-container", "handler-closure"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end()) << want;
   }
 }
@@ -330,65 +329,6 @@ TEST(HandlerMutationRule, AllowsRegisteredMutationsAndNonMutatingHandlers) {
       "  insert(bag);\n"  // free call, not a method on a collection
       "}\n";
   EXPECT_TRUE(of_rule(scan(src), "handler-mutation").empty());
-}
-
-// ---- chop-compensation ----
-
-TEST(ChopCompensationRule, FlagsUncompensatedMutatingNonFinalPiece) {
-  const std::string src =
-      "void move(Bag* bag, long k, long v) {\n"                    // 1
-      "  atomos::chopped()\n"                                      // 2
-      "      .piece(\"insert\", [bag, k, v] {\n"                   // 3
-      "        bag->put(k, v);\n"                                  // 4  <- no undo
-      "      })\n"                                                 // 5
-      "      .piece(\"settle\", [bag, k] { bag->remove(k); })\n"   // 6  final: exempt
-      "      .run();\n"                                            // 7
-      "}\n";
-  const auto fs = scan(src);
-  const auto cc = of_rule(fs, "chop-compensation");
-  EXPECT_EQ(cc.size(), 1u);
-  EXPECT_TRUE(fires_at(fs, "chop-compensation", 4));
-}
-
-TEST(ChopCompensationRule, AllowsCompensatedRegisteredAndReadOnlyPieces) {
-  const std::string src =
-      "void compensated(Bag* bag, long k, long v) {\n"
-      "  atomos::chopped()\n"
-      "      .piece(\"insert\", [bag, k, v] { bag->put(k, v); },\n"
-      "             [bag, k] { bag->remove(k); })\n"  // undo lambda present
-      "      .piece(\"settle\", [bag] { bag->pop(); })\n"
-      "      .run();\n"
-      "}\n"
-      "void registered(Bag* bag, long k, long v) {\n"
-      "  atomos::chopped()\n"
-      "      .piece(\"insert\", [bag, k, v] {\n"
-      "        atomos::compensation_run(0, bag);\n"  // site in the body
-      "        bag->put(k, v);\n"
-      "      })\n"
-      "      .piece(\"probe\", [bag, k] { (void)bag->get(k); })\n"
-      "      .run();\n"
-      "}\n"
-      "void read_only(Bag* bag, long k) {\n"
-      "  atomos::chopped()\n"
-      "      .piece(\"probe\", [bag, k] { (void)bag->get(k); })\n"
-      "      .piece(\"audit\", [bag, k] { (void)bag->get(k + 1); })\n"
-      "      .run();\n"
-      "}\n";
-  EXPECT_TRUE(of_rule(scan(src), "chop-compensation").empty());
-}
-
-TEST(ChopCompensationRule, SuppressionCoversTheMutatingLine) {
-  const std::string src =
-      "void move(Bag* bag, long k, long v) {\n"
-      "  atomos::chopped()\n"
-      "      .piece(\"insert\", [bag, k, v] {\n"
-      "        // txlint: allow(chop-compensation) - fixture\n"
-      "        bag->put(k, v);\n"
-      "      })\n"
-      "      .piece(\"settle\", [bag, k] { bag->remove(k); })\n"
-      "      .run();\n"
-      "}\n";
-  EXPECT_TRUE(of_rule(scan(src), "chop-compensation").empty());
 }
 
 // ---- hot-path-container ----

@@ -1,10 +1,12 @@
 // Unit tests for the trace recorder and file reader: event layout, the
-// drop-newest overflow policy, deterministic serialization (pointer args
-// interned to dense first-appearance ids) and label round-tripping.
+// drop-newest overflow policy, per-cell conflict labels, deterministic
+// serialization (pointer args interned to dense first-appearance ids) and
+// label round-tripping.
 #include "trace/tracer.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -59,6 +61,62 @@ TEST(Tracer, OverflowDropsNewestButSeqStillAdvances) {
   EXPECT_EQ(t.events(0)[1].cycle, 20u);
 }
 
+// Conflict labels are recorded per cell, not per line: a line reports every
+// distinctly named cell resident on it.  A last-writer-wins per-line map
+// once mislabelled the fig4 culprit line "Warehouse.nextHistory" when the
+// hot cell was historyTable's table pointer (see EXPERIMENTS.md).
+constexpr std::uint64_t kBase = 0x200000;  // arbitrary line-aligned address
+constexpr std::uint64_t kLine = kBase >> kLineShift;
+
+const std::string* label_at(const Tracer& t, std::uint64_t line) {
+  auto it = t.labels().find(line);
+  return it == t.labels().end() ? nullptr : &it->second;
+}
+
+TEST(Tracer, SingleCellKeepsItsExactName) {
+  Tracer t(1);
+  t.label_cell(kBase, 8, "District.nextOrder");
+  ASSERT_NE(label_at(t, kLine), nullptr);
+  EXPECT_EQ(*label_at(t, kLine), "District.nextOrder");
+  EXPECT_EQ(label_at(t, kLine + 1), nullptr);
+}
+
+TEST(Tracer, CoResidentCellsJoinInConstructionOrder) {
+  // Three labelled cells on one 64-byte line — the fig4 accident in
+  // miniature.  Every name appears, in construction order.
+  Tracer t(1);
+  t.label_cell(kBase + 0, 8, "historyTable.table");
+  t.label_cell(kBase + 8, 8, "Warehouse.ytd");
+  t.label_cell(kBase + 16, 8, "Warehouse.nextHistory");
+  EXPECT_EQ(*label_at(t, kLine), "historyTable.table+Warehouse.ytd+Warehouse.nextHistory");
+}
+
+TEST(Tracer, DuplicateNamesAreDeduplicated) {
+  // Eight packed node cells sharing one label and one line must not yield
+  // "TreeMap.node+TreeMap.node+...".
+  Tracer t(1);
+  for (std::uint64_t i = 0; i < 8; ++i) t.label_cell(kBase + 8 * i, 8, "TreeMap.node");
+  t.label_cell(kBase + 32, 8, "orderTable.size");
+  EXPECT_EQ(*label_at(t, kLine), "TreeMap.node+orderTable.size");
+}
+
+TEST(Tracer, LateLabelExtendsTheJoin) {
+  Tracer t(1);
+  t.label_cell(kBase, 8, "a");
+  t.label_cell(kBase + 8, 8, "b");
+  EXPECT_EQ(*label_at(t, kLine), "a+b");
+  t.label_cell(kBase + 16, 8, "c");
+  EXPECT_EQ(*label_at(t, kLine), "a+b+c");
+}
+
+TEST(Tracer, MultiLineRangeCoversEveryLine) {
+  Tracer t(1);
+  t.label_cell(kBase + 56, 16, "straddler");  // crosses a line boundary
+  EXPECT_EQ(*label_at(t, kLine), "straddler");
+  EXPECT_EQ(*label_at(t, kLine + 1), "straddler");
+  EXPECT_EQ(label_at(t, kLine + 2), nullptr);
+}
+
 TEST(TraceFileRoundtrip, PreservesEventsLabelsAndTableNames) {
   const std::string path = tmp_path("roundtrip.trace");
   int a = 0, b = 0;  // two distinct host addresses to intern
@@ -66,7 +124,7 @@ TEST(TraceFileRoundtrip, PreservesEventsLabelsAndTableNames) {
     Tracer t(2);
     t.name_table(&a, "mapA.key2lockers");
     // &b deliberately left unnamed: the reader must fall back to table#N.
-    t.set_label(0x4000, "HashMap.size");
+    t.label_cell(0x4000 << kLineShift, 8, "HashMap.size");
     t.on_lock_acquire(0, 50, &b);   // first appearance: table id 0
     t.on_lock_acquire(0, 60, &a);   // second appearance: table id 1
     t.on_violation_flag(1, 70, 0x4000, 0);

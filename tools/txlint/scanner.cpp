@@ -22,7 +22,6 @@ constexpr std::string_view kIsolationClass = "isolation-class";
 constexpr std::string_view kHandlerMutation = "handler-mutation";
 constexpr std::string_view kHotPathContainer = "hot-path-container";
 constexpr std::string_view kHandlerClosure = "handler-closure";
-constexpr std::string_view kChopCompensation = "chop-compensation";
 
 const std::vector<RuleInfo> kRules = {
     {kSharedField,
@@ -58,12 +57,6 @@ const std::vector<RuleInfo> kRules = {
      "by value a local holding a shared-collection read (get/poll/take/peek) "
      "— the snapshot is outside the read set, so a violated transaction "
      "replays with stale data instead of re-reading"},
-    {kChopCompensation,
-     "chop piece (tm::chopped().piece(...)) that mutates a collection "
-     "without registering a compensation — a non-final piece's commit is "
-     "durable before the chop finishes, so without a compensation argument "
-     "(or a compensation_run site in the body) a failed or restarted chop "
-     "cannot undo it"},
 };
 
 // Collection observer methods whose result, captured by copy into a later
@@ -421,8 +414,7 @@ const std::unordered_set<std::string_view> kCollectionMutators = {
 // construction site (sim/vaddr.h).  String labels are blanked by
 // clean_source, so the rule keys on identifier tokens only.
 const std::unordered_set<std::string_view> kIsolationTokens = {
-    "kMetaCell", "kCounterCell", "kLockWord", "kDataCell",
-    "MemClass",  "kLineIsolated", "kPacked"};
+    "kMetaCell", "kCounterCell", "kLockWord", "kDataCell", "MemClass"};
 
 class Scanner {
  public:
@@ -438,7 +430,6 @@ class Scanner {
     catch_pass();
     isolation_pass();
     handler_mutation_pass();
-    chop_compensation_pass();
     hot_path_container_pass();
     std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
       return a.line != b.line ? a.line < b.line : a.rule < b.rule;
@@ -1057,62 +1048,6 @@ class Scanner {
              " handler with no compensation_run registration — record the site "
              "first (atomos::compensation_run) so the checked runtime and the "
              "txmc oracle can attribute it");
-  }
-
-  // ---- chop-compensation pass ----
-
-  /// Finds each `.piece(...)` call of the chop builder (tm/chop.h) and
-  /// checks: a piece body that directly mutates a collection must either
-  /// pass a compensation lambda as the trailing argument or register a
-  /// compensation_run site itself.  The FINAL piece of a chain (the one
-  /// `.run()` is called on) is exempt — nothing commits after it, so the
-  /// enclosing abort path already covers it.
-  void chop_compensation_pass() {
-    for (std::size_t i = 1; i + 2 < toks_.size(); ++i) {
-      if (toks_[i].text != "piece" || toks_[i].kind != Token::Kind::kIdent) continue;
-      if (toks_[i - 1].text != ".") continue;
-      if (!is(i + 1, "(")) continue;
-      const std::size_t pclose = match(i + 1);
-      if (pclose >= toks_.size()) continue;
-      if (is(pclose + 1, ".") && is(pclose + 2, "run")) continue;  // final piece
-      // Locate the body lambda: first '[' among the arguments (the name
-      // string literal is blanked by clean_source, a leading explicit rank
-      // is a number token — both sit before it).
-      std::size_t lam = i + 2;
-      while (lam < pclose && !is(lam, "[")) ++lam;
-      if (lam >= pclose) continue;
-      std::size_t j = match(lam) + 1;         // past the capture list
-      if (is(j, "(")) j = match(j) + 1;       // past the parameter list
-      while (j < pclose && !is(j, "{")) ++j;  // past mutable/noexcept/-> T
-      if (!is(j, "{")) continue;
-      const std::size_t bend = match(j);
-      if (bend >= pclose) continue;
-      // A top-level comma after the body lambda = a compensation argument.
-      bool compensated = false;
-      for (std::size_t m = bend + 1; m < pclose && !compensated; ++m) {
-        if (is(m, ",")) compensated = true;
-      }
-      std::string_view mutator;
-      int mutator_line = -1;
-      for (std::size_t k = j + 1; k < bend && !compensated; ++k) {
-        if (toks_[k].kind != Token::Kind::kIdent) continue;
-        if (toks_[k].text == "compensation_run") compensated = true;
-        if (mutator_line < 0 && kCollectionMutators.count(toks_[k].text) != 0 &&
-            (toks_[k - 1].text == "." || toks_[k - 1].text == "->") &&
-            is(k + 1, "(")) {
-          mutator = toks_[k].text;
-          mutator_line = toks_[k].line;
-        }
-      }
-      if (mutator_line >= 0 && !compensated) {
-        emit(kChopCompensation, mutator_line,
-             "chop piece mutates a collection ('" + std::string(mutator) +
-                 "') without a registered compensation — pass an undo lambda "
-                 "as the piece's compensation argument (or register a "
-                 "compensation_run site) so a failed or restarted chop can "
-                 "reverse the committed piece");
-      }
-    }
   }
 
   std::string path_;
