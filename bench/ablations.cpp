@@ -47,7 +47,7 @@ std::string run_isempty(bool use_isempty) {
         atomos::atomically([&] {
           const bool nonempty = use_isempty ? !map.is_empty() : map.size() != 0;
           if (nonempty) map.put(1000 + c * 100 + i, 1);  // unique keys
-          atomos::work(600);
+          if (atomos::work(600)) return;
         });
       }
     });
@@ -75,7 +75,7 @@ std::string run_blindput(bool blind) {
           } else {
             (void)map.put(7, c * 1000 + i);  // reads the old value too
           }
-          atomos::work(600);
+          if (atomos::work(600)) return;
         });
       }
     });
@@ -127,7 +127,7 @@ std::string run_segmented(const char* name, MapKind kind, int cpus = 16) {
               map->remove(key);
             }
           }
-          atomos::work(p.think_cycles);
+          if (atomos::work(p.think_cycles)) return;
         });
         for (int j = 0; j < 8; ++j) rnd(s);
       }
@@ -156,9 +156,9 @@ std::string run_pessimistic(tcc::Detection det) {
           std::uint64_t bs = body_seed;
           const long key = static_cast<long>(rnd(bs) % 8);  // tiny key space
           (void)map.get(key);
-          atomos::work(400);
+          if (atomos::work(400)) return;
           map.put(key, static_cast<long>(i));
-          atomos::work(400);
+          if (atomos::work(400)) return;
         });
         rnd(s);
         rnd(s);
@@ -193,7 +193,7 @@ std::string run_contention(const char* name, Cm which) {
       for (int i = 0; i < 40; ++i) {
         atomos::atomically([&] {
           hot.set(hot.get() + 1);
-          atomos::work(300);
+          if (atomos::work(300)) return;
         });
       }
     });

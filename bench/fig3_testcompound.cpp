@@ -13,19 +13,22 @@
 namespace bench {
 
 /// The compound operation: read one key, compute, update another key.
+/// Returns true when the computation finds the transaction doomed.
 template <class MapT>
-void compound_op(MapT& map, long key_space, std::uint64_t& s, std::uint64_t inner_think) {
+[[nodiscard]] bool compound_op(MapT& map, long key_space, std::uint64_t& s,
+                               std::uint64_t inner_think) {
   const long k1 = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
   const long k2 = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
   auto v = map.get(k1);
   if (sim::Engine::in_worker()) {
     if (atomos::Runtime::active()) {
-      atomos::Runtime::current().work(inner_think);
+      if (atomos::Runtime::current().work(inner_think)) return true;
     } else {
       sim::Engine::get().tick(inner_think);
     }
   }
   map.put(k2, v.value_or(0) + 1);
+  return false;
 }
 
 template <class MakeMap>
@@ -43,14 +46,14 @@ harness::Series java_compound(const std::string& name, const TestMapParams& p, M
           eng.spawn([&, c, salt] {
             std::uint64_t s = p.seed + salt + static_cast<std::uint64_t>(c) * 7919;
             for (int i = 0; i < per_cpu; ++i) {
-              atomos::Runtime::current().work(p.think_cycles / 2);
+              (void)atomos::Runtime::current().work(p.think_cycles / 2);  // lock mode
               {
                 // Coarse lock ACROSS the compound region, including the
                 // computation between the two operations.
                 atomos::LockGuard g(mu);
-                compound_op(*map, p.key_space, s, p.think_cycles);
+                (void)compound_op(*map, p.key_space, s, p.think_cycles);
               }
-              atomos::Runtime::current().work(p.think_cycles / 2);
+              (void)atomos::Runtime::current().work(p.think_cycles / 2);
             }
           });
         }
@@ -77,9 +80,9 @@ harness::Series atomos_compound(const std::string& name, const TestMapParams& p,
               const std::uint64_t body_seed = s;
               atomos::atomically([&] {
                 std::uint64_t bs = body_seed;
-                atomos::work(p.think_cycles / 2);
-                compound_op(*map, p.key_space, bs, p.think_cycles);
-                atomos::work(p.think_cycles / 2);
+                if (atomos::work(p.think_cycles / 2)) return;
+                if (compound_op(*map, p.key_space, bs, p.think_cycles)) return;
+                if (atomos::work(p.think_cycles / 2)) return;
               });
               rnd(s);
               rnd(s);

@@ -7,6 +7,9 @@
 // internals conflicts); "Atomos Open" — open-nested counters recover much
 // of the loss; "Atomos Transactional" — + TransactionalMap/SortedMap around
 // historyTable / orderTable / newOrderTable, the best transactional result.
+#include <stdexcept>
+#include <string>
+
 #include "bench/testmap_common.h"
 #include "harness/driver.h"
 #include "jbb/engine.h"
@@ -40,9 +43,9 @@ harness::Series jbb_series(const std::string& name, jbb::Flavor flavor, int tota
         }
         eng.run();
         std::string why;
-        if (!engine.check_consistency(&why)) {
-          std::fprintf(stderr, "CONSISTENCY FAILURE [%s cpus=%d]: %s\n", name.c_str(),
-                       cpus, why.c_str());
+        if (!engine.check_consistency(&why)) {  // poisons the point: the sweep exits 1
+          throw std::runtime_error("jbb consistency failure [" + name +
+                                   " cpus=" + std::to_string(cpus) + "]: " + why);
         }
         bench::collect_stats(eng, out);
       }};

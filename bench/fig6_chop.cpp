@@ -24,7 +24,7 @@
 //   ./fig6_chop --only Chopped    # the two chopped series
 //   ./fig6_chop --jobs 8          # byte-identical CSV, 8 host threads
 #include <cstdint>
-#include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,9 +86,9 @@ harness::Series jbb_series(const std::string& name, jbb::Flavor flavor, int tota
         }
         eng.run();
         std::string why;
-        if (!engine.check_consistency(&why)) {
-          std::fprintf(stderr, "CONSISTENCY FAILURE [%s cpus=%d]: %s\n", name.c_str(),
-                       cpus, why.c_str());
+        if (!engine.check_consistency(&why)) {  // poisons the point: the sweep exits 1
+          throw std::runtime_error("jbb consistency failure [" + name +
+                                   " cpus=" + std::to_string(cpus) + "]: " + why);
         }
         bench::collect_stats(eng, out);
         harness::LatencyHistogram merged;

@@ -255,10 +255,13 @@ harness::BenchResult bench_contended(int txns_per_cpu) {
 /// is found.  With none, a body is a read and a write or two: the flag lands
 /// while the last store misses or while the body queues for the commit
 /// token, and commit_txn finds it.  With long work it lands while the body
-/// runs and work() throws it.  ops counts committed transactions; the
-/// violations extra records the abort load.
+/// runs: work() reports it and the body returns.  With `read_finds`, the
+/// work is charged without a poll and the read of the private cell that
+/// follows finds the flag and throws it.  ops counts committed transactions;
+/// the violations extra records the abort load.
 harness::BenchResult bench_abort(const char* name, int cpus, int txns_per_cpu,
-                                 int writer_stride, std::uint64_t mid_body_work) {
+                                 int writer_stride, std::uint64_t mid_body_work,
+                                 bool read_finds = false) {
   sim::Config cfg = tcc_cfg();
   cfg.num_cpus = cpus;
   sim::Engine eng(cfg);
@@ -267,11 +270,16 @@ harness::BenchResult bench_abort(const char* name, int cpus, int txns_per_cpu,
   std::vector<PaddedCell> cells(static_cast<std::size_t>(8 * (cpus + 1)));
   for (int c = 0; c < cpus; ++c) {
     const bool writer = c % writer_stride == 0;
-    eng.spawn([&cells, c, writer, txns_per_cpu, mid_body_work] {
+    eng.spawn([&cells, c, writer, txns_per_cpu, mid_body_work, read_finds] {
       for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, c, writer, i, mid_body_work] {
+        atomos::atomically([&cells, c, writer, i, mid_body_work, read_finds] {
           const long v = cells[0].v.get();
-          if (mid_body_work != 0) atomos::work(mid_body_work);
+          if (read_finds) {
+            sim::Engine::get().tick(mid_body_work);  // compute that does not poll
+            (void)cells[8 * (c + 1)].v.get();
+          } else if (mid_body_work != 0 && atomos::work(mid_body_work)) {
+            return;
+          }
           cells[8 * (c + 1)].v.set(v + i);
           if (writer) cells[0].v.set(v + 1);
         });
@@ -555,6 +563,7 @@ int main(int argc, char** argv) {
   results.push_back(best_of([] { return bench_contended(4000); }));
   results.push_back(best_of([] { return bench_abort("abort_at_commit", 32, 200, 4, 0); }));
   results.push_back(best_of([] { return bench_abort("abort_mid_body", 8, 300, 1, 400); }));
+  results.push_back(best_of([] { return bench_abort("abort_mid_read", 8, 300, 1, 400, true); }));
   // Collection-class layer: semantic locks, store buffers and handlers.
   results.push_back(best_of([] { return bench_txmap_ops(20000); }));
   results.push_back(best_of([] { return bench_txsortedmap_ops(20000); }));

@@ -128,12 +128,12 @@ harness::Series java_series(const std::string& name, const TestMapParams& p, Mak
           eng.spawn([&, c, salt] {
             std::uint64_t s = p.seed + salt + static_cast<std::uint64_t>(c) * 7919;
             for (int i = 0; i < per_cpu; ++i) {
-              atomos::Runtime::current().work(p.think_cycles / 2);
+              (void)atomos::Runtime::current().work(p.think_cycles / 2);  // lock mode
               {
                 atomos::LockGuard g(mu);  // short critical section
                 op(*map, p.key_space, s);
               }
-              atomos::Runtime::current().work(p.think_cycles / 2);
+              (void)atomos::Runtime::current().work(p.think_cycles / 2);
             }
           });
         }
@@ -161,9 +161,9 @@ harness::Series atomos_series(const std::string& name, const TestMapParams& p, M
               std::uint64_t body_seed = s;  // retries replay the same op
               atomos::atomically([&] {
                 std::uint64_t bs = body_seed;
-                atomos::work(p.think_cycles / 2);
+                if (atomos::work(p.think_cycles / 2)) return;
                 op(*map, p.key_space, bs);
-                atomos::work(p.think_cycles / 2);
+                if (atomos::work(p.think_cycles / 2)) return;
               });
               // advance the thread RNG past the consumed draws
               rnd(s);

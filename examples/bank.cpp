@@ -63,7 +63,7 @@ int main() {
         const long amount = 1 + static_cast<long>(rnd() % 50);
         atomos::atomically([&] {
           const long c = checking.get(from).value_or(0);
-          atomos::work(200);  // interleaving window: isolation must hold
+          if (atomos::work(200)) return;  // interleaving window: isolation must hold
           checking.put(from, c - amount);
           const long v = savings.get(to).value_or(0);
           savings.put(to, v + amount);

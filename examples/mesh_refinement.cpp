@@ -64,7 +64,7 @@ int main() {
           if (!region.has_value()) return;
           worked = true;
           // "Refine" the region: mark it good, maybe spoil a neighbour.
-          atomos::work(400);
+          if (atomos::work(400)) return;
           mesh.quality[static_cast<std::size_t>(*region)]->set(1);
           if (rnd() % 8 == 0) {  // cascading work, enqueued atomically
             const long neighbour = (*region + 1) % Mesh::kRegions;

@@ -32,7 +32,7 @@ int main() {
         atomos::atomically([&] {
           const long key = cpu * 1000 + i;
           map.put(key, key * key);
-          atomos::work(500);  // business logic inside the transaction
+          if (atomos::work(500)) return;  // business logic; true: doomed, so return
           if (auto v = map.get(key); !v.has_value() || *v != key * key) {
             std::printf("lost our own write?!\n");
           }

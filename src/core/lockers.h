@@ -30,10 +30,13 @@ namespace tcc {
 // the txmc observer.
 using SemKind = atomos::SemEvent::Kind;
 
-/// Charges the cost of `n` semantic-lock / store-buffer ops.
+/// Charges the cost of `n` semantic-lock / store-buffer ops.  Its callers
+/// mutate lock tables next, so a doomed poll throws here instead of
+/// returning.
 inline void charge_sem_op(std::size_t n = 1) {
   if (atomos::Runtime::active() && sim::Engine::in_worker()) {
-    atomos::Runtime::current().work(n * sim::Config::kSemOpCycles);
+    atomos::Runtime& rt = atomos::Runtime::current();
+    if (rt.work(n * sim::Config::kSemOpCycles)) rt.throw_reported();
   }
 }
 

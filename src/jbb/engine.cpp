@@ -96,13 +96,11 @@ Engine::~Engine() {
   for (auto it = wh_->history_table->iterator(); it->has_next();) delete it->next().second;
 }
 
-void Engine::think(std::uint64_t cycles) {
-  if (!sim::Engine::in_worker()) return;
-  if (atomos::Runtime::active()) {
-    atomos::Runtime::current().work(cycles);  // also polls for violations
-  } else {
-    sim::Engine::get().tick(cycles);
-  }
+bool Engine::think(std::uint64_t cycles) {
+  if (!sim::Engine::in_worker()) return false;
+  if (atomos::Runtime::active()) return atomos::Runtime::current().work(cycles);
+  sim::Engine::get().tick(cycles);
+  return false;
 }
 
 template <class F>
@@ -150,7 +148,7 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
                  }
                  oid = d.next_order.next();
                  Order* o = atomos::tx_new<Order>(oid, cust->id, std::move(lines));
-                 think(cfg_.think_cycles);
+                 if (think(cfg_.think_cycles)) return;
                  d.order_table->put(oid, o);
                  d.new_order_table->put(oid, oid);
                  prev_last = cust->last_order.get();
@@ -171,7 +169,7 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
                    st.quantity.set(st.quantity.get() - qty);
                    st.ytd.set(st.ytd.get() + qty);
                  }
-                 think(cfg_.think_cycles);
+                 if (think(cfg_.think_cycles)) return;
                },
                atomos::no_compensation)  // final piece: nothing commits after it
         .run();
@@ -194,7 +192,7 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
       // SPECjbb-style coarse synchronized region: the district-data phase,
       // business logic included, under one lock.
       Guard g(d.mu, cfg_.flavor);
-      think(cfg_.think_cycles);
+      if (think(cfg_.think_cycles)) return;
       d.order_table->put(oid, o);
       d.new_order_table->put(oid, oid);
       cust->last_order.set(oid);
@@ -206,7 +204,7 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
       st.quantity.set(st.quantity.get() - qty);
       st.ytd.set(st.ytd.get() + qty);
     }
-    think(cfg_.think_cycles);
+    if (think(cfg_.think_cycles)) return;
   });
 }
 
@@ -236,11 +234,11 @@ void Engine::payment(int dnum, std::uint64_t& rng) {
                })
         .piece("district",
                [&] {
-                 think(cfg_.think_cycles);
+                 if (think(cfg_.think_cycles)) return;
                  d.ytd.add(amount);
                  cust->balance.set(cust->balance.get() - amount);
                  cust->ytd_payment.set(cust->ytd_payment.get() + amount);
-                 think(cfg_.think_cycles);
+                 if (think(cfg_.think_cycles)) return;
                },
                atomos::no_compensation)  // final piece: nothing commits after it
         .run();
@@ -260,12 +258,12 @@ void Engine::payment(int dnum, std::uint64_t& rng) {
     }
     {
       Guard g(d.mu, cfg_.flavor);
-      think(cfg_.think_cycles);
+      if (think(cfg_.think_cycles)) return;
       d.ytd.add(amount);
       cust->balance.set(cust->balance.get() - amount);
       cust->ytd_payment.set(cust->ytd_payment.get() + amount);
     }
-    think(cfg_.think_cycles);
+    if (think(cfg_.think_cycles)) return;
   });
 }
 
@@ -276,7 +274,7 @@ void Engine::order_status(int dnum, std::uint64_t& rng) {
     wh_->txn_count.add(1);
     Customer* cust = d.customers[cidx].get();
     Guard g(d.mu, cfg_.flavor);
-    think(cfg_.think_cycles);
+    if (think(cfg_.think_cycles)) return;
     const long oid = cust->last_order.get();
     if (oid != 0) {
       if (auto o = d.order_table->get(oid); o.has_value()) {
@@ -294,7 +292,7 @@ void Engine::delivery(int dnum, std::uint64_t& rng) {
   in_txn_or_plain([&] {
     wh_->txn_count.add(1);
     Guard g(d.mu, cfg_.flavor);
-    think(cfg_.think_cycles);
+    if (think(cfg_.think_cycles)) return;
     const auto first = d.new_order_table->first_key();
     if (!first.has_value()) return;
     d.new_order_table->remove(*first);
@@ -314,7 +312,7 @@ void Engine::stock_level(int dnum, std::uint64_t& rng) {
     std::vector<long> item_ids;
     {
       Guard g(d.mu, cfg_.flavor);
-      think(cfg_.think_cycles);
+      if (think(cfg_.think_cycles)) return;
       // Window of the ~10 most recent orders.  Derive the bound from the
       // order-id counter rather than lastKey(): observing the last key
       // would conflict with EVERY concurrent NewOrder (Section 5.1's

@@ -263,7 +263,9 @@ class Engine {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     return s >> 33;
   }
-  void think(std::uint64_t cycles);
+  /// Business logic: charges `cycles` of compute.  True when the
+  /// transaction is doomed (atomos::Runtime::work); the body then returns.
+  [[nodiscard]] bool think(std::uint64_t cycles);
 
   JbbConfig cfg_;
   std::vector<Item> items_;

@@ -127,14 +127,14 @@ std::unique_ptr<World> build_map_rmw(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           const long v = wp->rmap->get(1).value_or(0);
-          atomos::work(300);
+          if (atomos::work(300)) return;
           wp->rmap->put(1, v + 1);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           const long v = wp->rmap->get(1).value_or(0);
-          atomos::work(300);
+          if (atomos::work(300)) return;
           wp->rmap->put(1, v + 2);
         });
       },
@@ -150,14 +150,14 @@ std::unique_ptr<World> build_map_blind(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put_blind(1, 100);
-          atomos::work(200);
+          if (atomos::work(200)) return;
           (void)wp->rmap->get(2);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put_blind(1, 200);
-          atomos::work(100);
+          if (atomos::work(100)) return;
           (void)wp->rmap->get(3);
         });
       },
@@ -173,14 +173,14 @@ std::unique_ptr<World> build_map_size_empty(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           const long s = wp->rmap->size();
-          atomos::work(250);
+          if (atomos::work(250)) return;
           if (s < 3) wp->rmap->put(100, s);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           const bool e = wp->rmap->is_empty();
-          atomos::work(120);
+          if (atomos::work(120)) return;
           if (!e) wp->rmap->put(200, 5);
         });
       },
@@ -203,14 +203,14 @@ std::unique_ptr<World> build_sorted_endpoints(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           const long f = wp->rsorted->first_key().value_or(-1);
-          atomos::work(250);
+          if (atomos::work(250)) return;
           wp->rsorted->put(f + 100, 1);  // 105 or 101: distinct from corpus keys
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           (void)wp->rsorted->last_key();
-          atomos::work(80);
+          if (atomos::work(80)) return;
           wp->rsorted->put(1, 11);  // new minimum: violates first-key observers
         });
       },
@@ -226,14 +226,14 @@ std::unique_ptr<World> build_queue_pc(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rqueue->put(102);
-          atomos::work(150);
+          if (atomos::work(150)) return;
         });
         mc_txn(*op, [&] { wp->rqueue->put(103); });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           (void)wp->rqueue->poll();
-          atomos::work(120);
+          if (atomos::work(120)) return;
           (void)wp->rqueue->poll();
         });
       },
@@ -248,7 +248,7 @@ std::unique_ptr<World> build_queue_worklist(Oracle& o) {
   auto worker = [op, wp] {
     mc_txn(*op, [&] {
       const auto v = wp->rqueue->take();
-      atomos::work(140);
+      if (atomos::work(140)) return;
       if (v.has_value()) wp->rqueue->put(*v + 10);  // 211/212: globally unique
     });
   };
@@ -273,14 +273,14 @@ std::unique_ptr<World> build_compound(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           const auto v = wp->rqueue->poll();
-          atomos::work(100);
+          if (atomos::work(100)) return;
           if (v.has_value()) wp->rmap->put(*v, 1);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put(302, 2);
-          atomos::work(90);
+          if (atomos::work(90)) return;
           wp->rqueue->put(303);
         });
       },
@@ -298,14 +298,14 @@ std::unique_ptr<World> build_map_conflict(Oracle& o) {
         mc_txn(*op, [&] {
           (void)wp->rmap->get(1);
           (void)wp->cell->get();  // memory-level read: cpu1's commit dooms us
-          atomos::work(280);
+          if (atomos::work(280)) return;
           wp->rmap->put(2, 22);
           wp->cell->set(1);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(60);
+          if (atomos::work(60)) return;
           wp->cell->set(2);
           wp->rmap->put(1, 11);
         });
@@ -326,13 +326,13 @@ std::unique_ptr<World> build_mut_lost_lock(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           const long v = wp->rmap->get(1).value_or(0);
-          atomos::work(400);
+          if (atomos::work(400)) return;
           wp->rmap->put(2, v * 100);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(50);
+          if (atomos::work(50)) return;
           wp->rmap->put(1, 11);
         });
       },
@@ -351,7 +351,7 @@ std::unique_ptr<World> build_mut_open_leak(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put(50, 42);  // applied eagerly by the mutant
-          atomos::work(400);
+          if (atomos::work(400)) return;
         });
       },
   };
@@ -368,13 +368,13 @@ std::unique_ptr<World> build_mut_lost_update(Oracle& o) {
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put(1, 100);
-          atomos::work(300);
+          if (atomos::work(300)) return;
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
           wp->rmap->put(1, 200);
-          atomos::work(120);
+          if (atomos::work(120)) return;
         });
       },
   };
@@ -393,12 +393,12 @@ std::unique_ptr<World> build_mut_lossy_queue(Oracle& o) {
         mc_txn(*op, [&] {
           (void)wp->rqueue->poll();
           (void)wp->cell->get();  // cpu1's committed write aborts us mid-flight
-          atomos::work(250);
+          if (atomos::work(250)) return;
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(60);
+          if (atomos::work(60)) return;
           wp->cell->set(2);
         });
       },
@@ -438,7 +438,7 @@ std::unique_ptr<World> build_srv_handler(Oracle& o) {
   auto worker = [op, wp] {
     mc_txn(*op, [&] {
       const auto req = wp->rqueue->take();
-      atomos::work(140);
+      if (atomos::work(140)) return;
       if (req.has_value()) {
         const long bal = wp->rmap->get(1).value_or(0);
         wp->rmap->put(1, bal + *req);
@@ -467,7 +467,7 @@ std::unique_ptr<World> build_chop_transfer(Oracle& o) {
                [&] {
                  mc_attach(*op);
                  req = wp->rqueue->take();
-                 atomos::work(140);
+                 if (atomos::work(140)) return;
                },
                /*compensate=*/
                [&] {
@@ -511,7 +511,7 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
                      mc_attach(*op);
                      req = wp->rqueue->poll();
                      (void)wp->cell->get();  // cpu1's commit aborts this piece
-                     atomos::work(250);
+                     if (atomos::work(250)) return;
                    },
                    /*compensate=*/
                    [&] {
@@ -527,7 +527,7 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(60);
+          if (atomos::work(60)) return;
           wp->cell->set(9);
         });
       },
@@ -551,7 +551,7 @@ std::unique_ptr<World> build_mut_srv_lost_update(Oracle& o) {
         // Deposit first, then post-process: the un-committed RMW is exposed
         // for the whole think time, so handlers overlap on the session.
         if (req.has_value()) wp->rmap->put(1, 1000 + *req);
-        atomos::work(think);
+        if (atomos::work(think)) return;
       });
     };
   };
@@ -576,13 +576,13 @@ std::unique_ptr<World> build_mut_srv_lossy_handler(Oracle& o) {
         mc_txn(*op, [&] {
           const auto req = wp->rqueue->poll();
           (void)wp->cell->get();  // cpu1's committed write aborts us mid-handler
-          atomos::work(250);
+          if (atomos::work(250)) return;
           if (req.has_value()) wp->rmap->put(*req, 1);
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(60);
+          if (atomos::work(60)) return;
           wp->cell->set(9);
         });
       },
@@ -620,12 +620,12 @@ std::unique_ptr<World> build_mut_lock_leak(Oracle& o) {
         mc_txn(*op, [&] {
           (void)wp->cell->get();
           (void)wp->rmap->get(1);
-          atomos::work(300);
+          if (atomos::work(300)) return;
         });
       },
       [op, wp] {
         mc_txn(*op, [&] {
-          atomos::work(50);
+          if (atomos::work(50)) return;
           wp->cell->set(5);
         });
       },

@@ -44,38 +44,41 @@ enum Stat { kStatHit, kStatMiss, kStatRevenue };
 /// The flavor-independent handler logic.  `MapT` is any Map-shaped type
 /// (plain jstd::HashMap or TransactionalMap); `bump` records a statistics
 /// increment in whatever isolation the flavor uses.  Handlers draw no
-/// randomness, so a violated transaction replays bit-identically.
+/// randomness, so a violated transaction replays bit-identically.  Returns
+/// true when the think time finds the transaction doomed
+/// (atomos::Runtime::work); the caller's body then returns.
 template <class SessionsT, class CacheT, class BumpFn>
-void handle_request(const Request& r, SessionsT& sessions, CacheT& cache, BumpFn&& bump) {
+[[nodiscard]] bool handle_request(const Request& r, SessionsT& sessions, CacheT& cache,
+                                  BumpFn&& bump) {
   switch (r.kind) {
     case 0: {  // session lookup through the cache
       const long slot = r.key % kCacheSlots;
       const auto tag = cache.get(slot);
       (void)sessions.get(r.key);
       if (tag.has_value() && *tag == r.key) {
-        atomos::work(kThinkHit);
+        if (atomos::work(kThinkHit)) return true;
         bump(kStatHit, 1);
       } else {
-        atomos::work(kThinkMiss);
+        if (atomos::work(kThinkMiss)) return true;
         cache.put(slot, r.key);
         bump(kStatMiss, 1);
       }
-      break;
+      return false;
     }
     case 1: {  // single-session read-modify-write
       const long v = sessions.get(r.key).value_or(0);
-      atomos::work(kThinkUpdate);
+      if (atomos::work(kThinkUpdate)) return true;
       sessions.put(r.key, v + r.delta);
       bump(kStatRevenue, r.delta);
-      break;
+      return false;
     }
     default: {  // cross-session transfer (multi-key, conserves the total)
       const long a = sessions.get(r.key).value_or(0);
       const long b = sessions.get(r.key2).value_or(0);
-      atomos::work(kThinkTransfer);
+      if (atomos::work(kThinkTransfer)) return true;
       sessions.put(r.key, a - r.delta);
       sessions.put(r.key2, b + r.delta);
-      break;
+      return false;
     }
   }
 }
@@ -227,7 +230,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             idx = queue.poll();
           }
           if (!idx.has_value()) {
-            atomos::work(backoff);
+            (void)atomos::work(backoff);  // outside a transaction
             backoff = std::min(backoff * 2, kBackoffMax);
             continue;
           }
@@ -237,7 +240,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             // The classic coarse-grained server: ONE mutex held across the
             // entire handler, think time included — the hot conflict site.
             atomos::LockGuard g(state_mu);
-            handle_request(r, sessions, cache, bump);
+            (void)handle_request(r, sessions, cache, bump);  // lock mode: never doomed
           }
           finish(cpu, r.arrival);
         }
@@ -284,7 +287,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
             auto idx = queue.poll();
             if (!idx.has_value()) return false;
             const Request& r = reqs[static_cast<std::size_t>(*idx)];
-            handle_request(r, sessions, cache, bump);
+            if (handle_request(r, sessions, cache, bump)) return false;  // doomed: retried
             // Completion is recorded only on commit; an abort replays
             // the whole handler, so there is nothing to compensate.
             atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
@@ -294,7 +297,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
           if (got) {
             backoff = kBackoffMin;
           } else {
-            atomos::work(backoff);
+            (void)atomos::work(backoff);  // outside a transaction
             backoff = std::min(backoff * 2, kBackoffMax);
           }
         }
@@ -363,7 +366,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
                        [&] {
                          if (!idx.has_value()) return;
                          const Request& r = reqs[static_cast<std::size_t>(*idx)];
-                         handle_request(r, sessions, cache, bump);
+                         if (handle_request(r, sessions, cache, bump)) return;
                          atomos::on_commit(
                              [&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
                              atomos::no_compensation);
@@ -378,7 +381,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
               auto idx = queue.take();
               if (!idx.has_value()) return false;
               const Request& r = reqs[static_cast<std::size_t>(*idx)];
-              handle_request(r, sessions, cache, bump);
+              if (handle_request(r, sessions, cache, bump)) return false;  // doomed: retried
               atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
                                 atomos::no_compensation);
               return true;
@@ -387,7 +390,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
           if (got) {
             backoff = kBackoffMin;
           } else {
-            atomos::work(backoff);
+            (void)atomos::work(backoff);  // outside a transaction
             backoff = std::min(backoff * 2, kBackoffMax);
           }
         }

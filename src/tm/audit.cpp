@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,6 +33,9 @@ struct State {
   // settled test in O(1) memory: a release no-op for a settled owner is a
   // stale prune, for a live one a double release.
   std::unordered_map<int, std::uint64_t> settled_upto;
+  // Unsettled owners -> locks that conflict detection pruned from them
+  // during their compensation, whose own release will find nothing.
+  std::map<std::pair<int, std::uint64_t>, int> pruned;
   // In-progress abort-handler runs, tracked PER CPU (handler transactions
   // tick and yield, so scopes of different cpus interleave; on one cpu they
   // still nest when a compensation itself aborts): the sites whose
@@ -77,11 +81,17 @@ std::string ptr_str(const void* p) {
 
 }  // namespace
 
-void reset() {
+void begin_simulation() {
   State& s = st();
   s.locks.clear();
   s.settled_upto.clear();
+  s.pruned.clear();
   s.abort_scopes.clear();
+}
+
+void reset() {
+  begin_simulation();
+  State& s = st();
   s.counts.fill(0);
   s.findings.clear();
   sim::va_foreign_alloc_reset();
@@ -106,16 +116,33 @@ const std::vector<std::string>& reports() { return st().findings; }
 
 namespace {
 
+bool settled(State& s, const TxnId& owner) {
+  auto it = s.settled_upto.find(owner.cpu);
+  return it != s.settled_upto.end() && owner.incarnation <= it->second;
+}
+
 void lock_release_noop(const TxnId& owner, const void* table) {
   if (owner.cpu < 0) return;  // not a live transaction id
   State& s = st();
-  auto it = s.settled_upto.find(owner.cpu);
-  if (it != s.settled_upto.end() && owner.incarnation <= it->second) {
-    return;  // stale prune of a finished incarnation: benign by design
+  if (settled(s, owner)) return;  // stale prune of a finished incarnation: benign by design
+  // The owner's compensation releasing a lock that was pruned from it.
+  auto p = s.pruned.find({owner.cpu, owner.incarnation});
+  if (p != s.pruned.end()) {
+    if (--p->second == 0) s.pruned.erase(p);
+    return;
   }
   report(Check::kDoubleRelease,
          id_str(owner) + " released a semantic lock it does not hold in table " +
              ptr_str(table) + " (double release, or release without acquire)");
+}
+
+void lock_pruned(const SemEvent& e) {
+  State& s = st();
+  if (e.owner.cpu < 0 || settled(s, e.owner)) return;  // the entry settled already
+  // Neither live nor settled: the owner is running its compensation, and
+  // the prune released its lock in this set.
+  s.locks.apply({SemEvent::Kind::kReleaseAll, e.owner, e.set, e.site});
+  ++s.pruned[{e.owner.cpu, e.owner.incarnation}];
 }
 
 void compensation_run(int cpu, const void* site) {
@@ -145,6 +172,9 @@ void on_sem(const SemEvent& e) {
   switch (e.kind) {
     case SemEvent::Kind::kReleaseNoop:
       lock_release_noop(e.owner, e.set);
+      break;
+    case SemEvent::Kind::kPrune:
+      lock_pruned(e);
       break;
     case SemEvent::Kind::kCompensation:
       compensation_run(e.owner.cpu, e.set);
@@ -192,6 +222,7 @@ void txn_finished(const TxnId& id, bool committed) {
   std::uint64_t& upto = s.settled_upto[id.cpu];
   if (id.incarnation > upto) upto = id.incarnation;
   // Settling drops the entry: later stale prunes for this owner are no-ops.
+  s.pruned.erase({id.cpu, id.incarnation});
   const std::optional<LockLedger::Held> held = s.locks.settle(id);
   if (!held) return;
   report(Check::kLockLeak,

@@ -90,6 +90,11 @@ inline constexpr bool kEnabled = true;
 
 /// Clears counters, reports and the lock ledger.
 void reset();
+/// Starts the ledger of a new simulation (the Runtime constructor calls
+/// it).  Transaction ids restart with each Runtime, so the lock ledger, the
+/// settled incarnations and the abort scopes of an earlier simulation on
+/// this thread must not judge this one.  Counters and reports are kept.
+void begin_simulation();
 
 std::uint64_t count(Check c);
 std::uint64_t total();
@@ -103,6 +108,10 @@ const std::vector<std::string>& reports();
 ///  * kReleaseNoop is a release that found nothing to release.  For a
 ///    settled (finished) incarnation that is a benign stale prune; for a
 ///    live one it is a double release (kDoubleRelease);
+///  * kPrune is conflict detection dropping an owner that is not live.  One
+///    that has not settled yet is running its compensation: the prune
+///    released its lock, and the compensation's own release of it, which
+///    then finds nothing, is a stale one too;
 ///  * kCompensation is a collection compensation body starting on
 ///    owner.cpu.  The same site running twice inside one abort scope is
 ///    kDoubleCompensation;
@@ -159,6 +168,7 @@ void check_trace_nesting(const trace::Tracer& tracer);
 inline constexpr bool kEnabled = false;
 
 inline void reset() {}
+inline void begin_simulation() {}
 inline std::uint64_t count(Check) { return 0; }
 inline std::uint64_t total() { return 0; }
 inline const std::vector<std::string>& reports() {

@@ -20,6 +20,7 @@ Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
   if (tls_runtime_ != nullptr)
     throw std::logic_error("atomos::Runtime: another runtime is already active on this thread");
   tls_runtime_ = this;
+  audit::begin_simulation();
   active_chops_.assign(static_cast<std::size_t>(eng.config().num_cpus), nullptr);
   // Consume a pending thread-local trace request (set by the harness driver
   // before it invokes a series body, or directly by tests/benches).  The
@@ -131,6 +132,7 @@ Violated Runtime::count_violation(int cpu, Txn* flagged) {
   // Note: abort-handler (compensation) transactions are NOT exempt — they
   // run detached (their doomed ancestors are unreachable from ctx.cur), and
   // their own memory conflicts must retry like any other transaction's.
+  ctx(cpu).doom_reported = false;
   auto& st = eng_.stats().cpu(cpu);
   if (flagged->kill_semantic) st.semantic_violations++;
   if (!flagged->open && flagged->parent == nullptr && flagged->kill_frame == 0) {
@@ -289,7 +291,7 @@ void Runtime::acquire_token(int cpu) {
   token_depth_ = 1;
 }
 
-void Runtime::release_token(int cpu) {
+void Runtime::release_token([[maybe_unused]] int cpu) {
   assert(token_owner_ == cpu);
   if (--token_depth_ > 0) return;
   token_owner_ = -1;

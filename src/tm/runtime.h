@@ -19,11 +19,14 @@
 // written cache lines.  Flagged transactions retry: the whole transaction,
 // or just the nested frame / open-nested child whose read caused the
 // conflict.  How the violation reaches the retry loop depends on where the
-// flag is seen.  Mid-body (the next transactional read, write, work() or
-// child begin) it is thrown as Violated, because user frames must unwind.
-// At commit, after the body has returned, commit_txn hands it back as a
-// value and run_txn rolls back without a C++ unwind; it throws only when
-// the doomed transaction is an enclosing one.
+// flag is seen.  work(), the leaf poll, returns it as a bool: the body
+// returns to its atomically/open_atomically boundary, and the retry loop
+// takes the violation from there.  At commit, after the body has returned,
+// commit_txn hands it back as a value.  Either way run_txn rolls back
+// without a C++ unwind; it throws only when the doomed transaction is an
+// enclosing one.  The other mid-body polls (the next transactional read,
+// write or child begin, and collection code's tcc::charge_sem_op) throw
+// Violated, because the frames they sit in must not continue.
 // Because every commit holds the token, commit handlers can never be
 // violated while they run — the TCC property the paper relies on.
 #pragma once
@@ -412,11 +415,33 @@ class Runtime {
   void track_alloc(void* p, void (*del)(void*));
   void track_delete(void* p, void (*del)(void*));
 
-  /// Charges `cycles` of CPI-1.0 compute to the current CPU.  Also polls
-  /// for a pending violation, so a doomed transaction stops wasting work.
-  void work(std::uint64_t cycles) {
+  /// Charges `cycles` of CPI-1.0 compute to the current CPU, then polls for
+  /// a pending violation, so a doomed transaction stops wasting work.  True
+  /// means a transaction on this CPU is doomed: the caller returns, and so
+  /// does every caller up to the atomically/open_atomically body, whose
+  /// boundary aborts it with no C++ unwind.  Always false in Mode::kLock and
+  /// outside a transaction.  A caller that ignores a true result still stops
+  /// at the same clock: the next poll on this CPU (work(), a transactional
+  /// read or write, a child begin) throws the violation before it ticks.
+  [[nodiscard]] bool work(std::uint64_t cycles) {
+    if (mode() == sim::Mode::kLock) {
+      eng_.tick(cycles);
+      return false;
+    }
+    const int cpu = eng_.cpu_id();
+    CpuCtx& c = ctx(cpu);
+    if (c.doom_reported) throw_violation(cpu, flagged_txn(cpu));  // result ignored
     eng_.tick(cycles);
-    if (mode() == sim::Mode::kTcc && ctx(eng_.cpu_id()).cur != nullptr) check_kill(eng_.cpu_id());
+    c.doom_reported = flagged_txn(cpu) != nullptr;
+    return c.doom_reported;
+  }
+
+  /// Throws the violation that work() just reported.  For collection code
+  /// (tcc::charge_sem_op), whose callers go on to mutate lock tables and so
+  /// must not continue past a doomed poll.
+  [[noreturn]] void throw_reported() {
+    const int cpu = eng_.cpu_id();
+    throw_violation(cpu, flagged_txn(cpu));
   }
 
   /// Aggregate chopping counters (tm/chop.h), for figure extras and tests.
@@ -436,6 +461,9 @@ class Runtime {
     detail::Txn* cur = nullptr;  // innermost txn (open-nesting stack tip)
     std::uint64_t next_incarnation = 1;  // outlives pooled Txns: ids stay unique
     bool in_abort_handlers = false;  // this CPU is running compensation
+    // work() returned true and the violation has not been delivered yet.
+    // Delivery (count_violation) and any exception leaving run_txn clear it.
+    bool doom_reported = false;
     std::vector<detail::Txn*> pool;  // retired Txns awaiting reuse
     // Every Txn this CPU created.  A fiber killed mid-transaction (host
     // timeout, failed scheduler hook) unwinds without releasing its Txns.
@@ -475,6 +503,12 @@ class Runtime {
   /// Charges `flagged`'s violation to `cpu`'s stats and names its retry
   /// point.  Both delivery paths (thrown and returned) go through here.
   Violated count_violation(int cpu, detail::Txn* flagged);
+  /// The violation work() reported to a body that then returned, delivered
+  /// now; nullopt if none was reported.
+  std::optional<Violated> take_reported(int cpu) {
+    if (!ctx(cpu).doom_reported) return std::nullopt;
+    return count_violation(cpu, flagged_txn(cpu));
+  }
   /// Mid-body poll: throws Violated if any transaction on `cpu` is flagged.
   /// The throw path is out-of-line.
   void check_kill(int cpu) {
@@ -532,9 +566,10 @@ class Runtime {
   TxnId make_scope_id(int cpu) { return TxnId{cpu, ctx(cpu).next_incarnation++}; }
 
   /// The retry loop behind atomically() and open_atomically().  A violation
-  /// arrives thrown (flag seen mid-body) or returned by commit_txn (flag
-  /// seen after the body returned); either way `t` aborts the same way, and
-  /// only a violation of an enclosing transaction travels on as a throw.
+  /// arrives thrown (flag seen by a throwing poll) or returned by commit_txn
+  /// (flag seen after the body returned, including one work() reported);
+  /// either way `t` aborts the same way, and only a violation of an
+  /// enclosing transaction travels on as a throw.
   template <class F>
   auto run_txn(int cpu, bool open, F&& fn) {
     for (int attempt = 0;; ++attempt) {
@@ -553,6 +588,7 @@ class Runtime {
       } catch (const Violated& thrown) {  // txlint: allow(catch-swallow) handled below
         v = thrown;
       } catch (...) {
+        ctx(cpu).doom_reported = false;  // a report ends with its attempt
         abort_txn(t);  // user exception: abort, then propagate
         throw;
       }
@@ -561,32 +597,41 @@ class Runtime {
     }
   }
 
+  /// A closed-nested frame.  A body that returns after work() reported a
+  /// violation is handled exactly like one that threw it: the frame rolls
+  /// back, and it retries if it is the retry point.  Any other violation
+  /// travels on to the enclosing frame as a throw.
   template <class F>
   auto run_closed_frame(detail::Txn& t, F&& fn) {
     for (;;) {
       push_frame(t);
       const int my_depth = t.depth;
+      std::optional<Violated> v;
       try {
         if constexpr (std::is_void_v<decltype(fn())>) {
           fn();
-          pop_frame_commit(t);
-          return;
+          v = take_reported(t.cpu);
+          if (!v) {
+            pop_frame_commit(t);
+            return;
+          }
         } else {
           auto result = fn();
-          pop_frame_commit(t);
-          return result;
+          v = take_reported(t.cpu);
+          if (!v) {
+            pop_frame_commit(t);
+            return result;
+          }
         }
-      } catch (const Violated& v) {
-        pop_frame_abort(t);
-        if (v.txn == &t && v.frame == my_depth) {
-          clear_kill(t);
-          continue;  // retry just this frame
-        }
-        throw;
+      } catch (const Violated& thrown) {  // txlint: allow(catch-swallow) handled below
+        v = thrown;
       } catch (...) {
         pop_frame_abort(t);
         throw;
       }
+      pop_frame_abort(t);
+      if (v->txn != &t || v->frame != my_depth) throw *v;
+      clear_kill(t);  // retry just this frame
     }
   }
 
@@ -661,7 +706,9 @@ inline void on_abort(std::function<void()> h) { Runtime::current().on_abort(std:
 inline TxnId self_id() { return Runtime::current().self_id(); }
 inline bool violate(const TxnId& victim) { return Runtime::current().violate(victim); }
 inline bool in_txn() { return Runtime::active() && Runtime::current().in_txn(); }
-inline void work(std::uint64_t cycles) { Runtime::current().work(cycles); }
+/// See Runtime::work: true means the caller's transaction is doomed and the
+/// caller must return.
+[[nodiscard]] inline bool work(std::uint64_t cycles) { return Runtime::current().work(cycles); }
 
 /// See Runtime::report_sem.  Outside a simulation there is no observer and
 /// the event is dropped.

@@ -53,10 +53,6 @@ std::string hex(std::uint64_t v) {
   return b;
 }
 
-bool top_level(Kind k) {
-  return k == Kind::kTxnBegin || k == Kind::kTxnCommit || k == Kind::kTxnAbort;
-}
-
 }  // namespace
 
 TraceFile read_trace_file(const std::string& path) {

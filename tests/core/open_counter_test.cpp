@@ -28,7 +28,7 @@ TEST(OpenCounterTest, ConcurrentIncrementsDoNotViolateParents) {
       for (int i = 0; i < 10; ++i) {
         atomos::atomically([&] {
           counter.add(1);
-          atomos::work(500);  // long transaction around the counter bump
+          if (atomos::work(500)) return;  // long transaction around the counter bump
         });
       }
     });
@@ -50,7 +50,7 @@ TEST(OpenCounterTest, PlainSharedCounterWouldViolate) {
       for (int i = 0; i < 10; ++i) {
         atomos::atomically([&] {
           counter.set(counter.get() + 1);
-          atomos::work(500);
+          if (atomos::work(500)) return;
         });
       }
     });
@@ -108,7 +108,7 @@ TEST(OpenCounterTest, CompensatedCounterExactUnderContention) {
         atomos::atomically([&] {
           counter.add(1);
           hot.set(hot.get() + 1);  // contended: parents will retry
-          atomos::work(300);
+          if (atomos::work(300)) return;
         });
       }
     });
@@ -131,7 +131,7 @@ TEST(OpenCounterTest, UidGeneratorUniqueAndMonotonicWithHoles) {
         atomos::atomically([&] {
           const long id = uids.next();
           hot.set(hot.get() + 1);
-          atomos::work(200);
+          if (atomos::work(200)) return;
           // Only record on commit (the handler runs iff we commit).  It
           // observes and publishes no open-nested state: nothing to undo.
           atomos::Runtime::current().on_top_commit(

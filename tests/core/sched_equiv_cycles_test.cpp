@@ -178,20 +178,20 @@ std::uint64_t run_odd_width(const std::string& series, int cpus, int workers,
       std::uint64_t s = p.seed + static_cast<std::uint64_t>(c) * 7919;
       for (int i = 0; i < per_cpu; ++i) {
         if (java) {
-          atomos::work(p.think_cycles / 2);
+          (void)atomos::work(p.think_cycles / 2);
           {
             atomos::LockGuard g(mu);
             testmap_op(*map, p.key_space, s);
           }
-          atomos::work(p.think_cycles / 2);
+          (void)atomos::work(p.think_cycles / 2);
           continue;
         }
         const std::uint64_t body_seed = s;
         atomos::atomically([&] {
           std::uint64_t bs = body_seed;
-          atomos::work(p.think_cycles / 2);
+          if (atomos::work(p.think_cycles / 2)) return;
           testmap_op(*map, p.key_space, bs);
-          atomos::work(p.think_cycles / 2);
+          if (atomos::work(p.think_cycles / 2)) return;
         });
         rnd(s);
         rnd(s);

@@ -34,11 +34,11 @@ inline ScheduleResult run_schedule(sim::Engine& eng,
     atomos::atomically([&] {
       r.reader_attempts++;
       reader();
-      atomos::work(reader_tail);  // long tail: the writer commits inside it
+      if (atomos::work(reader_tail)) return;  // long tail: the writer commits inside it
     });
   });
   eng.spawn([&] {
-    atomos::work(writer_delay);  // land mid-reader-tail
+    (void)atomos::work(writer_delay);  // land mid-reader-tail
     atomos::atomically([&] { writer(); });
   });
   eng.run();

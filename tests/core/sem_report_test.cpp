@@ -92,7 +92,7 @@ TEST(SemReportTest, ObserverStreamMatchesTraceOneForOne) {
           // aborted reader's compensation is still running prunes that
           // reader's stale lock.
           const long v = map.get((c + i) % 4).value_or(0);
-          atomos::work(50);
+          if (atomos::work(50)) return;
           map.put((c + 2 * i + 1) % 4, v + 1);
         });
       }

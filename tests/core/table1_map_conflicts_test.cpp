@@ -201,7 +201,7 @@ TEST(Table1Map, InsertsOfDifferentNewKeys_CommuteForNonSizeReaders) {
     eng.spawn([&, c] {
       atomos::atomically([&] {
         f.map.put(100 + c, c);
-        atomos::work(5000);
+        if (atomos::work(5000)) return;
       });
     });
   }
@@ -293,22 +293,22 @@ TEST(Table1Map, PessimisticModeDoomsReaderAtOperationTime) {
       ++attempt;
       (void)map.get(7);
       if (attempt == 1) {
-        try {
-          for (int i = 0; i < 50; ++i) atomos::work(1000);  // poll often
-        } catch (...) {
-          reader_doomed_at = sim::Engine::get().now();
-          throw;
+        for (int i = 0; i < 50; ++i) {
+          if (atomos::work(1000)) {  // poll often
+            reader_doomed_at = sim::Engine::get().now();
+            return;
+          }
         }
         ADD_FAILURE() << "reader should have been doomed";
       }
     });
   });
   eng.spawn([&] {
-    atomos::work(1000);
+    (void)atomos::work(1000);
     atomos::atomically([&] {
       map.put(7, 700);
       writer_op_at = sim::Engine::get().now();
-      atomos::work(30000);  // long tail BEFORE commit
+      if (atomos::work(30000)) return;  // long tail BEFORE commit
     });
   });
   eng.run();

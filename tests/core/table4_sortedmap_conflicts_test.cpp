@@ -228,7 +228,7 @@ TEST(Table4SortedMap, DisjointRangeIterationsCommute) {
         const long lo = c == 0 ? 0 : 40;
         for (auto it = f.map.range_iterator(lo, lo + 10); it->has_next();) it->next();
         f.map.put(c == 0 ? 1L : 41L, 7);  // insert inside OWN range
-        atomos::work(20000);
+        if (atomos::work(20000)) return;
       });
     });
   }

@@ -35,7 +35,7 @@ TEST(TxQueue, PutBufferedUntilCommitTakeEager) {
       EXPECT_EQ(f.q.inner().size(), 1);    // reduced isolation: visible
       f.q.put(50);
       EXPECT_EQ(f.q.inner().size(), 1);    // put still buffered
-      atomos::work(100);
+      if (atomos::work(100)) return;
     });
     EXPECT_EQ(f.q.inner().size(), 2);      // addBuffer applied at commit
   });
@@ -90,14 +90,14 @@ TEST(Table7Queue, PutVsTakeNeverConflict) {
   eng.spawn([&] {
     atomos::atomically([&] {
       (void)f.q.take();
-      atomos::work(8000);
+      if (atomos::work(8000)) return;
     });
   });
   eng.spawn([&] {
-    atomos::work(500);
+    (void)atomos::work(500);
     atomos::atomically([&] {
       f.q.put(100);
-      atomos::work(8000);
+      if (atomos::work(8000)) return;
     });
   });
   eng.run();
@@ -115,7 +115,7 @@ TEST(Table7Queue, TakeVsTakeNoConflict) {
       atomos::atomically([&] {
         (void)f.q.take();
         (void)f.q.take();
-        atomos::work(8000);
+        if (atomos::work(8000)) return;
       });
     });
   }
@@ -233,17 +233,17 @@ TEST(TxQueueSize, AbortPutBackViolatesSizeObservers) {
     try {
       atomos::atomically([&] {
         (void)f.q.take();        // count 3 -> 2, eagerly
-        atomos::work(4000);
+        if (atomos::work(4000)) return;
         throw std::runtime_error("abort");  // put-back: count 2 -> 3
       });
     } catch (const std::runtime_error&) {
     }
   });
   eng.spawn([&] {
-    atomos::work(1000);  // start after the take, finish after the put-back
+    (void)atomos::work(1000);  // start after the take, finish after the put-back
     atomos::atomically([&] {
       (void)f.q.size();
-      atomos::work(8000);
+      if (atomos::work(8000)) return;
     });
   });
   eng.run();
@@ -284,7 +284,7 @@ TEST(Table7Queue, DelaunayWorkQueuePattern) {
               drained = true;
               return;
             }
-            atomos::work(200);
+            if (atomos::work(200)) return;
             if (poison_budget > 0) throw std::runtime_error("abort this work");
             processed_sum.set(processed_sum.get() + *item);
           });

@@ -59,11 +59,11 @@ TEST(TxMapTest, WritesInvisibleUntilCommitThenApplied) {
   eng.spawn([&] {
     atomos::atomically([&] {
       m->put(5, 50);
-      atomos::work(4000);  // hold the transaction open
+      if (atomos::work(4000)) return;  // hold the transaction open
     });
   });
   eng.spawn([&] {
-    atomos::work(500);
+    (void)atomos::work(500);
     observed_mid = atomos::atomically([&] { return m->get(5); });
   });
   eng.run();
@@ -162,7 +162,7 @@ TEST(TxMapTest, CommittedOpsSurviveRetries) {
       for (int i = 0; i < kIncs; ++i) {
         atomos::atomically([&] {
           const long v = *m->get(0);
-          atomos::work(50);
+          if (atomos::work(50)) return;
           m->put(0, v + 1);
         });
       }
@@ -209,7 +209,7 @@ TEST(TxMapTest, LongTransactionsOnDisjointKeysDoNotConflict) {
     eng.spawn([&, c] {
       atomos::atomically([&] {
         m->put(1000 + c, c);
-        atomos::work(3000);
+        if (atomos::work(3000)) return;
       });
     });
   }
@@ -275,7 +275,7 @@ TEST(TxMapTest, SerializabilityUnderRandomWorkload) {
                 break;
               }
             }
-            atomos::work(40);
+            if (atomos::work(40)) return;
           }
           // Commit-order observation only: nothing to compensate.
           atomos::Runtime::current().on_top_commit(

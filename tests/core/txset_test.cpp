@@ -47,7 +47,7 @@ TEST(TxSetTest, DisjointAddsInLongTransactionsCommute) {
       for (int i = 0; i < 10; ++i) {
         atomos::atomically([&] {
           set.add(c * 100 + i);
-          atomos::work(800);
+          if (atomos::work(800)) return;
         });
       }
     });
@@ -126,11 +126,11 @@ TEST(TxSortedSetTest, EndpointConflictSemantics) {
   eng.spawn([&] {
     atomos::atomically([&] {
       (void)set.first();
-      atomos::work(8000);
+      if (atomos::work(8000)) return;
     });
   });
   eng.spawn([&] {
-    atomos::work(1000);
+    (void)atomos::work(1000);
     atomos::atomically([&] { set.add(1); });  // new minimum
   });
   eng.run();

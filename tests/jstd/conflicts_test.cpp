@@ -30,7 +30,7 @@ TEST(ConflictsTest, HashMapInsertsOfDifferentKeysConflictOnSizeField) {
     eng.spawn([&, c] {
       atomos::atomically([&] {
         map.put(1000 + c, c);           // disjoint keys
-        atomos::Runtime::current().work(3000);  // long transaction tail
+        if (atomos::Runtime::current().work(3000)) return;  // long transaction tail
       });
     });
   }
@@ -48,7 +48,7 @@ TEST(ConflictsTest, HashMapReadOnlyTransactionsDoNotConflict) {
     eng.spawn([&, c] {
       atomos::atomically([&] {
         for (long i = 0; i < 20; ++i) EXPECT_EQ(map.get((c * 17 + i) % 100), (c * 17 + i) % 100);
-        atomos::Runtime::current().work(2000);
+        if (atomos::Runtime::current().work(2000)) return;
       });
     });
   }
@@ -68,7 +68,7 @@ TEST(ConflictsTest, TreeMapDisjointInsertsConflictViaRebalancing) {
       atomos::atomically([&] {
         // Far-apart keys: one low, one high.
         map.put(c == 0 ? 5L : 635L, 1);
-        atomos::Runtime::current().work(3000);
+        if (atomos::Runtime::current().work(3000)) return;
       });
     });
   }
@@ -90,7 +90,7 @@ TEST(ConflictsTest, SegmentedMapReducesButKeepsSizeConflictsWithinSegments) {
     eng.spawn([&, c] {
       atomos::atomically([&] {
         map.put(777, c);
-        atomos::Runtime::current().work(3000);
+        if (atomos::Runtime::current().work(3000)) return;
       });
     });
   }

@@ -81,7 +81,9 @@ TEST(TreeMapTest, AscendingInsertStaysBalanced) {
   TreeMap<long, long> m;
   for (long k = 0; k < 2048; ++k) {
     m.put(k, k);
-    if (k % 256 == 0) ASSERT_TRUE(m.check_invariants()) << "at k=" << k;
+    if (k % 256 == 0) {
+      ASSERT_TRUE(m.check_invariants()) << "at k=" << k;
+    }
   }
   EXPECT_TRUE(m.check_invariants());
   EXPECT_EQ(m.size(), 2048);
@@ -92,7 +94,9 @@ TEST(TreeMapTest, DescendingRemovalKeepsInvariants) {
   for (long k = 0; k < 512; ++k) m.put(k, k);
   for (long k = 511; k >= 0; --k) {
     EXPECT_EQ(m.remove(k), k);
-    if (k % 64 == 0) ASSERT_TRUE(m.check_invariants()) << "at k=" << k;
+    if (k % 64 == 0) {
+      ASSERT_TRUE(m.check_invariants()) << "at k=" << k;
+    }
   }
   EXPECT_EQ(m.size(), 0);
 }
@@ -146,7 +150,9 @@ TEST_P(TreeMapModelTest, MatchesStdMapAndKeepsRedBlackInvariants) {
         break;
       }
     }
-    if (step % 100 == 0) ASSERT_TRUE(m.check_invariants()) << "step " << step;
+    if (step % 100 == 0) {
+      ASSERT_TRUE(m.check_invariants()) << "step " << step;
+    }
   }
   ASSERT_TRUE(m.check_invariants());
   EXPECT_EQ(m.size(), static_cast<long>(oracle.size()));

@@ -268,7 +268,9 @@ TEST(FlatMapTest, ClearHeavyStressAgainstReference) {
     std::uint32_t* v = m.find(probe_key);
     const auto it = ref.find(probe_key);
     ASSERT_EQ(v == nullptr, it == ref.end());
-    if (v != nullptr) ASSERT_EQ(*v, it->second);
+    if (v != nullptr) {
+      ASSERT_EQ(*v, it->second);
+    }
     ASSERT_EQ(m.size(), ref.size());
     m.clear();
     ref.clear();

@@ -80,9 +80,9 @@ struct Fig1Small {
           std::uint64_t body_seed = s;
           atomos::atomically([&] {
             std::uint64_t bs = body_seed;
-            atomos::work(p.think_cycles / 2);
+            if (atomos::work(p.think_cycles / 2)) return;
             bench::testmap_op(*map, p.key_space, bs);
-            atomos::work(p.think_cycles / 2);
+            if (atomos::work(p.think_cycles / 2)) return;
           });
           bench::rnd(s);
           bench::rnd(s);
@@ -148,7 +148,9 @@ class ValidatingHook final : public sim::SchedulerHook {
     for (std::size_t i = 0; i < runnable.size(); ++i) {
       EXPECT_GE(runnable[i], 0);
       EXPECT_LT(runnable[i], cpus_);
-      if (i > 0) EXPECT_LT(runnable[i - 1], runnable[i]) << "ids not ascending";
+      if (i > 0) {
+        EXPECT_LT(runnable[i - 1], runnable[i]) << "ids not ascending";
+      }
     }
     return kUseDefault;
   }

@@ -43,7 +43,9 @@ TEST(SrvSchedule, DeterministicAndFlavorIndependent) {
     prev = r.arrival;
     EXPECT_GE(r.kind, 0);
     EXPECT_LE(r.kind, 2);
-    if (r.kind == 2) EXPECT_NE(r.key, r.key2);
+    if (r.kind == 2) {
+      EXPECT_NE(r.key, r.key2);
+    }
   }
   // A different salt (trial) or worker count perturbs the schedule.
   const auto salted = srv::make_schedule(cfg, 7, 1);

@@ -83,11 +83,11 @@ TEST_F(CheckedRuntimeTest, ReportsSemanticLockLeakedPastAbort) {
       // first (violated) attempt the lock leaks past the abort.
       locks.lock(1, self_id());
       hot.set(hot.get() + 1);
-      Runtime::current().work(2000);  // stay speculative long enough to lose
+      if (Runtime::current().work(2000)) return;  // stay speculative long enough to lose
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(100);
+    (void)Runtime::current().work(100);
     atomically([&] { hot.set(hot.get() + 10); });
   });
   eng.run();
@@ -179,6 +179,51 @@ TEST_F(CheckedRuntimeTest, StaleUnlockOfSettledOwnerIsNotDoubleRelease) {
     eng.run();
   }
   EXPECT_EQ(audit::count(audit::Check::kDoubleRelease), 0u);
+}
+
+// Conflict detection prunes a lock whose owner is not live, and an owner
+// running its compensation is not live.  A committer can therefore prune
+// the lock before the compensation releases it; that release then finds
+// nothing.  Neither is a finding: the prune released the lock, and the
+// compensation's release is a stale one.
+TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
+  sim::Engine eng(tcc_cfg(3));
+  Runtime rt(eng);
+  tcc::KeyLockTable<long> locks;
+  Shared<int> hot(0);
+  int attempts = 0;
+  std::size_t locked_after_prune = 1;
+  eng.spawn([&] {
+    atomically([&] {
+      ++attempts;
+      const TxnId me = self_id();
+      locks.lock(1, me);
+      Runtime::current().on_top_commit([&locks, me] { locks.unlock(1, me); },
+                                       [&locks, me] {
+                                         // CPU2 prunes the lock meanwhile.
+                                         if (Runtime::current().work(3000)) return;
+                                         locks.unlock(1, me);
+                                       });
+      (void)hot.get();
+      if (Runtime::current().work(2000)) return;  // CPU1's commit dooms attempt 1
+    });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(100);
+    atomically([&] { hot.set(1); });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(3000);  // inside CPU0's compensation
+    atomically([&] {
+      (void)locks.violate_holders(1, self_id());
+      locked_after_prune = locks.locked_key_count();
+    });
+  });
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(locked_after_prune, 0u);  // the prune landed before the unlock
+  EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
+  EXPECT_EQ(locks.locked_key_count(), 0u);
 }
 
 // The same compensation site running twice within one abort: compensations
@@ -329,7 +374,7 @@ TEST_F(CheckedRuntimeTest, TransactionalMapWorkloadIsClean) {
           } else {
             map.put(key, c);
           }
-          work(50);
+          if (work(50)) return;
         });
       }
     });
@@ -425,7 +470,7 @@ TEST_F(CheckedRuntimeTest, RealTracedRunIsWellNested) {
         for (int i = 0; i < 20; ++i) {
           atomically([&] {
             cell.set(cell.get() + 1);
-            open_atomically([&] { work(5); });
+            open_atomically([&] { if (work(5)) return; });
           });
         }
       });

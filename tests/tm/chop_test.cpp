@@ -96,15 +96,15 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
         .piece("read-x",
                [&] {
                  (void)x.get();
-                 work(50);
+                 if (work(50)) return;
                },
                no_compensation)
-        .piece("gap", [&] { work(3000); }, no_compensation)  // intruder commits in here
+        .piece("gap", [&] { if (work(3000)) return; }, no_compensation)  // intruder commits in here
         .piece("write-y", [&] { y.set(x.get()); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(7); });  // lands between chop pieces
   });
   eng.run();
@@ -140,12 +140,12 @@ TEST(Chop, ValidatedPolicyCompensatesAndRestarts) {
         .piece("audit", [&] { (void)ledger.get(); }, no_compensation)
         .piece("reserve", [&] { events.push_back("reserve"); },
                /*compensate=*/[&] { events.push_back("release"); })
-        .piece("gap", [&] { work(3000); }, no_compensation)
+        .piece("gap", [&] { if (work(3000)) return; }, no_compensation)
         .piece("finish", [&] { events.push_back("finish"); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(7); });
   });
   eng.run();
@@ -243,12 +243,12 @@ TEST(Chop, UnrelatedCommitsDoNotBreakTheChop) {
   eng.spawn([&] {
     chopped()
         .piece("p0", [&] { mine.set(mine.get() + 1); }, no_compensation)
-        .piece("gap", [&] { work(2000); }, no_compensation)
+        .piece("gap", [&] { if (work(2000)) return; }, no_compensation)
         .piece("p1", [&] { mine.set(mine.get() + 1); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
-    Runtime::current().work(300);
+    (void)Runtime::current().work(300);
     atomically([&] { other.set(9); });  // disjoint footprint
   });
   eng.run();

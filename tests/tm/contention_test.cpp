@@ -45,7 +45,7 @@ std::uint64_t run_symmetric(std::unique_ptr<ContentionManager> cm, int cpus, int
       for (int i = 0; i < iters; ++i) {
         atomically([&] {
           hot.set(hot.get() + 1);
-          work(10);
+          if (work(10)) return;
         });
       }
     });

@@ -103,11 +103,11 @@ TEST(ReaderDirIntegration, CommitFlagsLiveReader) {
     atomically([&] {
       ++attempts;
       final_read = x.get();
-      Runtime::current().work(5000);
+      if (Runtime::current().work(5000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(7); });
   });
   eng.run();
@@ -138,14 +138,14 @@ TEST(ReaderDirIntegration, FrameRollbackUnflagsTruncatedRead) {
         } else {
           (void)y.get();
         }
-        Runtime::current().work(4000);
+        if (Runtime::current().work(4000)) return;
       });
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(1); });  // violates CPU 0's frame
-    Runtime::current().work(2000);
+    (void)Runtime::current().work(2000);
     atomically([&] { x.set(2); });  // lands mid-retry: must NOT violate
   });
   eng.run();
@@ -170,7 +170,7 @@ TEST(ReaderDirIntegration, OpenNestedChildDoesNotFlagOwnParent) {
       ++attempts;
       before = x.get();
       open_atomically([&] { x.set(3); });
-      Runtime::current().work(50);
+      if (Runtime::current().work(50)) return;
       after = x.get();
     });
   });
@@ -193,14 +193,14 @@ TEST(ReaderDirIntegration, OpenNestedChildCommitFlagsOtherCpuReader) {
     atomically([&] {
       ++attempts;
       final_read = x.get();
-      Runtime::current().work(6000);
+      if (Runtime::current().work(6000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] {
       open_atomically([&] { x.set(9); });
-      Runtime::current().work(3000);  // parent still running after the child
+      if (Runtime::current().work(3000)) return;  // parent still running after the child
     });
   });
   eng.run();

@@ -94,11 +94,11 @@ TEST(RuntimeTest, SpeculativeWritesInvisibleToOthers) {
     atomically([&] {
       x.set(99);
       // Run long enough that CPU1 reads while we are still speculative.
-      Runtime::current().work(1000);
+      if (Runtime::current().work(1000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(100);  // land mid-transaction of CPU0
+    (void)Runtime::current().work(100);  // land mid-transaction of CPU0
     seen_by_1 = atomically([&] { return x.get(); });
     (void)flag;
   });
@@ -119,11 +119,11 @@ TEST(RuntimeTest, ConflictingReaderIsViolatedAndRetries) {
     atomically([&] {
       ++attempts;
       final_read = x.get();
-      Runtime::current().work(5000);
+      if (Runtime::current().work(5000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(7); });
   });
   eng.run();
@@ -144,13 +144,13 @@ TEST(RuntimeTest, DisjointWritesDoNotConflict) {
   eng.spawn([&] {
     atomically([&] {
       a->set(1);
-      Runtime::current().work(1000);
+      if (Runtime::current().work(1000)) return;
     });
   });
   eng.spawn([&] {
     atomically([&] {
       b->set(2);
-      Runtime::current().work(1000);
+      if (Runtime::current().work(1000)) return;
     });
   });
   eng.run();
@@ -191,16 +191,16 @@ TEST(RuntimeTest, ClosedNestingPartialRollback) {
   eng.spawn([&] {
     atomically([&] {
       ++parent_runs;
-      Runtime::current().work(100);
+      if (Runtime::current().work(100)) return;
       atomically([&] {  // closed-nested frame
         ++frame_runs;
         seen = y.get();
-        Runtime::current().work(4000);
+        if (Runtime::current().work(4000)) return;
       });
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(600);  // inside the nested frame's window
+    (void)Runtime::current().work(600);  // inside the nested frame's window
     atomically([&] { y.set(3); });
   });
   eng.run();
@@ -221,12 +221,12 @@ TEST(RuntimeTest, ParentReadConflictRestartsWholeTransaction) {
     atomically([&] {
       ++parent_runs;
       (void)y.get();
-      Runtime::current().work(100);
-      atomically([&] { Runtime::current().work(4000); });
+      if (Runtime::current().work(100)) return;
+      atomically([&] { if (Runtime::current().work(4000)) return; });
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(600);
+    (void)Runtime::current().work(600);
     atomically([&] { y.set(3); });
   });
   eng.run();
@@ -269,12 +269,12 @@ TEST(RuntimeTest, OpenNestedCommitsImmediatelyAndDropsDependencies) {
   eng.spawn([&] {
     atomically([&] {
       open_atomically([&] { counter.set(counter.get() + 1); });
-      Runtime::current().work(5000);  // long tail: CPU1 acts meanwhile
+      if (Runtime::current().work(5000)) return;  // long tail: CPU1 acts meanwhile
       data.set(1);
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(800);
+    (void)Runtime::current().work(800);
     observed = atomically([&] { return counter.get(); });
     // Committing a write to `counter` must NOT violate CPU0: its open child
     // already committed and its read/write dependencies were discarded.
@@ -330,11 +330,11 @@ TEST(RuntimeTest, AbortHandlerRunsOnEachAbort) {
       ++attempts;
       on_abort([&] { ++aborts; });
       (void)x.get();
-      Runtime::current().work(5000);
+      if (Runtime::current().work(5000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     atomically([&] { x.set(1); });
   });
   eng.run();
@@ -388,11 +388,11 @@ TEST(RuntimeTest, ProgramDirectedAbort) {
       ++victim_attempts;
       victim_id = self_id();
       id_captured = true;
-      Runtime::current().work(5000);
+      if (Runtime::current().work(5000)) return;
     });
   });
   eng.spawn([&] {
-    Runtime::current().work(500);
+    (void)Runtime::current().work(500);
     EXPECT_TRUE(id_captured);
     killed_ok = violate(victim_id);
   });
@@ -410,10 +410,10 @@ TEST(RuntimeTest, ViolateStaleIncarnationFails) {
   bool result = true;
   eng.spawn([&] {
     atomically([&] { old_id = self_id(); captured = true; });
-    Runtime::current().work(4000);  // stay alive while CPU1 tries the kill
+    (void)Runtime::current().work(4000);  // stay alive while CPU1 tries the kill
   });
   eng.spawn([&] {
-    Runtime::current().work(1000);  // after CPU0's transaction committed
+    (void)Runtime::current().work(1000);  // after CPU0's transaction committed
     EXPECT_TRUE(captured);
     result = violate(old_id);
   });
@@ -520,7 +520,7 @@ TEST(RuntimeTest, SerializedCommitsAreTotalOrder) {
     eng.spawn([&] {
       atomically([&] {
         int v = x.get();
-        Runtime::current().work(200);
+        if (Runtime::current().work(200)) return;
         x.set(v + 1);
       });
     });
@@ -546,7 +546,8 @@ void spawn_slow_committer(sim::Engine& eng, Shared<int>& x) {
   eng.spawn([&x] {
     atomically([&x] {
       x.set(7);
-      on_commit([] { Runtime::current().work(kSlowHandlerCycles); }, no_compensation);
+      // The handler holds the commit token, so no commit can doom it.
+      on_commit([] { (void)Runtime::current().work(kSlowHandlerCycles); }, no_compensation);
     });
   });
 }
@@ -560,7 +561,7 @@ TEST(RuntimeTest, CommitTimeViolationAbortsWithoutUnwinding) {
   int returned = 0;               // attempts whose body ran to the end
   int aborts_with_exception = 0;  // abort handlers that ran inside a catch block
   eng.spawn([&] {
-    Runtime::current().work(kLateStartCycles);
+    (void)Runtime::current().work(kLateStartCycles);
     atomically([&] {
       ++attempts;
       on_abort([&] {
@@ -593,7 +594,7 @@ TEST(RuntimeTest, NoCompensationRegistersNoAbortHandler) {
   int attempts = 0;
   int commits = 0;
   eng.spawn([&] {
-    Runtime::current().work(kLateStartCycles);
+    (void)Runtime::current().work(kLateStartCycles);
     atomically([&] {
       ++attempts;
       on_commit([&] { ++commits; }, no_compensation);
@@ -623,7 +624,7 @@ TEST(RuntimeTest, CommitTimeViolationOfParentUnwindsThroughOpenChild) {
   int parent_abort_rank = -1;  // position among the abort handlers that ran
   int child_abort_rank = -1;
   eng.spawn([&] {
-    Runtime::current().work(kLateStartCycles);
+    (void)Runtime::current().work(kLateStartCycles);
     atomically([&] {
       ++parent_runs;
       on_abort([&] { parent_abort_rank = aborts_run++; });
@@ -660,7 +661,7 @@ TEST(RuntimeTest, ReadOnlyOpenChildFlaggedInTokenWaitRetriesAlone) {
   int child_runs = 0;
   int child_returned = 0;
   eng.spawn([&] {
-    Runtime::current().work(kLateStartCycles);
+    (void)Runtime::current().work(kLateStartCycles);
     atomically([&] {
       ++parent_runs;
       const int v = open_atomically([&] {
@@ -682,6 +683,227 @@ TEST(RuntimeTest, ReadOnlyOpenChildFlaggedInTokenWaitRetriesAlone) {
   EXPECT_EQ(y.unsafe_peek(), 8);
 }
 
+// ---- violations found by work(), mid-body ----
+//
+// CPU0 reads x, then works for kTailCycles.  CPU1 commits a write to x
+// kWriterDelayCycles in, which flags CPU0 while it works.  work() reports
+// the flag and the body returns; the atomically boundary aborts it.  Each
+// race's simulated length is pinned: it is the same whether the violation
+// is returned or thrown.
+
+constexpr std::uint64_t kTailCycles = 5000;
+constexpr std::uint64_t kWriterDelayCycles = 500;
+constexpr std::uint64_t kWorkRaceCycles = 10133;
+constexpr std::uint64_t kDiscardRaceCycles = 15131;
+constexpr std::uint64_t kClosedFrameRaceCycles = 10050;
+constexpr std::uint64_t kOpenChildRaceCycles = 10217;
+
+void spawn_writer(sim::Engine& eng, Shared<int>& x) {
+  eng.spawn([&x] {
+    (void)Runtime::current().work(kWriterDelayCycles);
+    atomically([&x] { x.set(7); });
+  });
+}
+
+/// Counts the body frames that a C++ exception unwinds.
+struct UnwindProbe {
+  int& unwound;
+  ~UnwindProbe() {
+    if (std::uncaught_exceptions() > 0) ++unwound;
+  }
+};
+
+TEST(RuntimeTest, WorkViolationAbortsWithoutUnwinding) {
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int attempts = 0;
+  int unwound = 0;
+  int aborts_with_exception = 0;  // abort handlers that ran inside a catch block
+  eng.spawn([&] {
+    atomically([&] {
+      UnwindProbe probe{unwound};
+      ++attempts;
+      on_abort([&] {
+        if (std::current_exception() != nullptr) ++aborts_with_exception;
+      });
+      const int v = x.get();
+      if (Runtime::current().work(kTailCycles)) return;
+      y.set(v + 1);
+    });
+  });
+  spawn_writer(eng, x);
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
+  EXPECT_EQ(y.unsafe_peek(), 8);
+  // The body returned: nothing was thrown, so no frame unwound and the
+  // abort ran with no exception in flight.
+  EXPECT_EQ(unwound, 0);
+  EXPECT_EQ(aborts_with_exception, 0);
+  EXPECT_EQ(eng.elapsed_cycles(), kWorkRaceCycles);
+}
+
+TEST(RuntimeTest, DiscardedWorkResultThrowsAtTheSameClock) {
+  // A body that ignores work()'s report stops at its next poll, which throws
+  // before it ticks: the same clock and the same counts as returning.
+  struct Outcome {
+    std::uint64_t cycles = 0;
+    std::uint64_t violations = 0;
+    int attempts = 0;
+    int unwound = 0;
+  };
+  auto run = [](bool discard) {
+    sim::Engine eng(tcc_cfg(2));
+    Runtime rt(eng);
+    Shared<int> x(0);
+    Shared<int> y(0);
+    Outcome o;
+    eng.spawn([&] {
+      atomically([&] {
+        UnwindProbe probe{o.unwound};
+        ++o.attempts;
+        const int v = x.get();
+        if (discard) {
+          (void)Runtime::current().work(kTailCycles);
+          (void)Runtime::current().work(kTailCycles);  // throws a discarded report
+        } else {
+          if (Runtime::current().work(kTailCycles)) return;
+          if (Runtime::current().work(kTailCycles)) return;
+        }
+        y.set(v + 1);
+      });
+    });
+    spawn_writer(eng, x);
+    eng.run();
+    o.cycles = eng.elapsed_cycles();
+    o.violations = eng.stats().cpu(0).violations;
+    EXPECT_EQ(y.unsafe_peek(), 8);
+    return o;
+  };
+  const Outcome returned = run(false);
+  const Outcome discarded = run(true);
+  EXPECT_EQ(returned.cycles, kDiscardRaceCycles);
+  EXPECT_EQ(discarded.cycles, kDiscardRaceCycles);
+  EXPECT_EQ(returned.violations, 1u);
+  EXPECT_EQ(discarded.violations, 1u);
+  EXPECT_EQ(returned.attempts, 2);
+  EXPECT_EQ(discarded.attempts, 2);
+  EXPECT_EQ(returned.unwound, 0);
+  EXPECT_EQ(discarded.unwound, 1);  // the second poll threw
+}
+
+TEST(RuntimeTest, ClosedFrameWorkViolationRetriesOnlyThatFrame) {
+  // Only the innermost frame read x, so the flag names its depth.  That
+  // frame re-runs alone, and no frame around it runs again.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int top_runs = 0;
+  int outer_runs = 0;
+  int inner_runs = 0;
+  int unwound = 0;
+  eng.spawn([&] {
+    atomically([&] {
+      ++top_runs;
+      atomically([&] {
+        ++outer_runs;
+        atomically([&] {
+          UnwindProbe probe{unwound};
+          ++inner_runs;
+          const int v = x.get();
+          if (Runtime::current().work(kTailCycles)) return;
+          y.set(v + 1);
+        });
+      });
+    });
+  });
+  spawn_writer(eng, x);
+  eng.run();
+  EXPECT_EQ(top_runs, 1);
+  EXPECT_EQ(outer_runs, 1);
+  EXPECT_EQ(inner_runs, 2);
+  EXPECT_EQ(unwound, 0);
+  EXPECT_EQ(eng.stats().cpu(0).violations, 0u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 1u);
+  EXPECT_EQ(y.unsafe_peek(), 8);
+  EXPECT_EQ(eng.elapsed_cycles(), kClosedFrameRaceCycles);
+}
+
+TEST(RuntimeTest, OpenChildWorkFindsParentDoomed) {
+  // The parent read x; its open child is working when the flag lands.  The
+  // child returns and commits nothing, and the parent restarts.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  Shared<int> y(0);
+  int parent_runs = 0;
+  int child_runs = 0;
+  eng.spawn([&] {
+    atomically([&] {
+      ++parent_runs;
+      const int v = x.get();
+      open_atomically([&] {
+        ++child_runs;
+        if (Runtime::current().work(kTailCycles)) return;
+        y.set(v + 1);
+      });
+    });
+  });
+  spawn_writer(eng, x);
+  eng.run();
+  EXPECT_EQ(parent_runs, 2);
+  EXPECT_EQ(child_runs, 2);
+  EXPECT_EQ(eng.stats().cpu(0).open_commits, 1u);  // the retry's child only
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
+  EXPECT_EQ(y.unsafe_peek(), 8);
+  EXPECT_EQ(eng.elapsed_cycles(), kOpenChildRaceCycles);
+}
+
+TEST(RuntimeTest, WorkReportsNothingInLockModeOrOutsideATransaction) {
+  {
+    // Lock mode: atomically() is a plain call, and a write dooms no reader.
+    sim::Config cfg = tcc_cfg(2);
+    cfg.mode = sim::Mode::kLock;
+    sim::Engine eng(cfg);
+    Runtime rt(eng);
+    Shared<int> x(0);
+    int reported = 0;
+    eng.spawn([&] {
+      atomically([&] {
+        (void)x.get();
+        if (Runtime::current().work(kTailCycles)) ++reported;
+      });
+    });
+    spawn_writer(eng, x);
+    eng.run();
+    EXPECT_EQ(reported, 0);
+  }
+  // Outside a transaction, before and after this CPU's violated one.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  int reported = 0;
+  int attempts = 0;
+  eng.spawn([&] {
+    if (Runtime::current().work(100)) ++reported;
+    atomically([&] {
+      ++attempts;
+      (void)x.get();
+      if (Runtime::current().work(kTailCycles)) return;
+    });
+    if (Runtime::current().work(100)) ++reported;
+  });
+  spawn_writer(eng, x);
+  eng.run();
+  EXPECT_EQ(reported, 0);
+  EXPECT_EQ(attempts, 2);
+}
+
 TEST(RuntimeTest, DeterministicViolationCounts) {
   auto run_once = [] {
     sim::Engine eng(tcc_cfg(4));
@@ -692,7 +914,7 @@ TEST(RuntimeTest, DeterministicViolationCounts) {
         for (int k = 0; k < 10; ++k)
           atomically([&] {
             c.set(c.get() + 1);
-            Runtime::current().work(97);
+            if (Runtime::current().work(97)) return;
           });
       });
     }
