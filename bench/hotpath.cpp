@@ -466,10 +466,10 @@ harness::BenchResult bench_flatmap_probe(int iters) {
 }
 
 /// ReaderDir commit-broadcast kernel at the three CPU widths: sparse reader
-/// masks walked with for_each_reader_except, plus the add/remove churn a
-/// transaction lifetime causes.
+/// masks walked with for_each_reader_except, plus a first read whose bit a
+/// later committer clears.
 harness::BenchResult bench_reader_flag(int ncpus, int iters) {
-  atomos::ReaderDir rd(ncpus);
+  atomos::ReaderDir rd;
   constexpr std::uint64_t kLineBase = sim::kVaBase >> sim::Config::kLineShift;
   constexpr int kLines = 64;
   // Sparse population: 3 readers per line, spread across the mask words.
@@ -483,8 +483,10 @@ harness::BenchResult bench_reader_flag(int ncpus, int iters) {
     const int committer = i % ncpus;
     rd.for_each_reader_except(line, committer, [&sum](int cpu) { sum += cpu + 1; });
     const int churn = (i * 7) % ncpus;
-    rd.add(line, churn);
-    rd.remove(line, churn);
+    if (!rd.is_reader(line, churn)) {
+      rd.add(line, churn);
+      rd.clear(line, churn);
+    }
   }
   const auto t1 = std::chrono::steady_clock::now();
   harness::BenchResult r;

@@ -273,8 +273,8 @@ void check_txn_sets(const detail::Txn& t) {
     }
   });
   // Read-log / read-set agreement: every live first-read entry (prev < 0)
-  // corresponds to exactly one read-set line.  This is also the invariant
-  // the runtime's reader directory maintenance is keyed to.
+  // corresponds to exactly one read-set line.  The runtime derives a
+  // transaction's read lines from those entries (chop footprints, txmc).
   std::size_t first_reads = 0;
   for (const auto& [line, prev] : t.read_log) {
     if (prev < 0) ++first_reads;
@@ -292,26 +292,17 @@ void check_reader_dir(const detail::Txn& t, const ReaderDir& dir) {
   bool reported = false;
   t.read_frame.for_each([&](sim::LineAddr line, const std::int32_t&) {
     if (reported) return;
-    if (dir.count(line, t.cpu) == 0) {
+    if (!dir.is_reader(line, t.cpu)) {
       report(Check::kSetCorruption,
              id_str(id) + " read-set line " + std::to_string(line) +
-                 " holds no reader-directory reference: a committer of that "
-                 "line would not flag this transaction");
+                 " has no reader bit for its CPU: a committer of that line "
+                 "would not flag this transaction");
       reported = true;
     }
   });
 }
 
-// ---- reader directory (hooks declared in tm/reader_dir.h) ----
-
-void reader_count_overflow(sim::LineAddr line, int cpu) {
-  report(Check::kReaderOverflow,
-         "reader-directory count for line " + std::to_string(line) + " on cpu " +
-             std::to_string(cpu) +
-             " saturated at 255 (open-nesting depth > 255 on one line); the "
-             "reader bit is now sticky, so the CPU may see spurious "
-             "violations on this line for the rest of the run");
-}
+// ---- reader directory (hook called by tm/reader_dir.h) ----
 
 void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what) {
   report(Check::kSetCorruption,

@@ -75,12 +75,6 @@ enum class Check {
   /// inverse op to already-restored state), so a double registration
   /// corrupts the committed collection.
   kDoubleCompensation,
-  /// A per-(line, cpu) reader-directory count hit its 255 ceiling (one CPU
-  /// holding the same line in >255 stacked open-nested read sets).  The
-  /// count saturates stickily — the reader bit stays set for the rest of
-  /// the run — so conflict detection errs toward spurious violations, never
-  /// missed ones.  Reported by ReaderDir::add (tm/reader_dir.h).
-  kReaderOverflow,
   kChecks  // count sentinel
 };
 
@@ -127,10 +121,10 @@ void abort_scope_begin(const TxnId& id);
 void abort_scope_end(int cpu);
 /// Brackets one handler transaction's outcome inside the cpu's abort scope.
 /// The runtime runs each abort handler as a detached open transaction that
-/// can itself be doomed (the aborting transaction's reader-directory refs
-/// are still live) and retried; an aborted attempt rolled its effects back,
-/// so its compensation notes must be forgotten before the retry re-runs the
-/// body — only attempts that COMMIT count toward double-run detection.
+/// can itself be doomed (by a commit that conflicts with its own reads) and
+/// retried; an aborted attempt rolled its effects back, so its compensation
+/// notes must be forgotten before the retry re-runs the body — only attempts
+/// that COMMIT count toward double-run detection.
 void compensation_handler_committed(int cpu);
 void compensation_handler_aborted(int cpu);
 
@@ -138,12 +132,11 @@ void compensation_handler_aborted(int cpu);
 void txn_finished(const TxnId& id, bool committed);
 void check_txn_sets(const detail::Txn& t);
 /// Cross-checks the reader directory against a transaction's read set:
-/// every line a live transaction has read must hold at least one
-/// reader-directory reference for its CPU (else a committer would miss it).
+/// every line a live transaction has read must have its CPU's reader bit
+/// set (else a committer would miss it).
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
 
-// ---- hooks: reader directory (called by tm/reader_dir.h) ----
-void reader_count_overflow(sim::LineAddr line, int cpu);
+// ---- hook: reader directory (called by tm/reader_dir.h) ----
 void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what);
 
 // ---- hooks: Shared cells (called by tm/runtime.cpp and tm/shared.h) ----
@@ -183,7 +176,6 @@ inline void compensation_handler_aborted(int) {}
 inline void txn_finished(const TxnId&, bool) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
-inline void reader_count_overflow(sim::LineAddr, int) {}
 inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}
 inline void naked_store(std::uintptr_t, std::uint32_t) {}
 inline void late_profile_label(std::uintptr_t, const char*) {}

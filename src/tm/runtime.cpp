@@ -15,8 +15,7 @@ using detail::Txn;
 Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
     : eng_(eng),
       cm_(cm != nullptr ? std::move(cm) : std::make_unique<PoliteBackoff>()),
-      ctx_(static_cast<std::size_t>(eng.config().num_cpus)),
-      reader_dir_(eng.config().num_cpus) {
+      ctx_(static_cast<std::size_t>(eng.config().num_cpus)) {
   if (tls_runtime_ != nullptr)
     throw std::logic_error("atomos::Runtime: another runtime is already active on this thread");
   tls_runtime_ = this;
@@ -73,16 +72,20 @@ TxnId Runtime::self_id() {
   return TxnId{b->cpu, b->incarnation};
 }
 
-bool Runtime::txn_live(const TxnId& id) {
-  if (id.cpu < 0 || id.cpu >= eng_.config().num_cpus) return false;
-  Txn* b = bottom_of(id.cpu);
-  return b != nullptr && b->incarnation == id.incarnation;
+Txn* Runtime::live_top(const TxnId& id) {
+  if (id.cpu < 0 || id.cpu >= eng_.config().num_cpus) return nullptr;
+  Txn* found = nullptr;
+  for_each_live_txn(id.cpu, [&](Txn* t) {
+    if (t->parent == nullptr && t->incarnation == id.incarnation) found = t;
+  });
+  return found;
 }
 
+bool Runtime::txn_live(const TxnId& id) { return live_top(id) != nullptr; }
+
 bool Runtime::violate(const TxnId& victim) {
-  if (victim.cpu < 0) return false;
-  Txn* b = bottom_of(victim.cpu);
-  if (b == nullptr || b->incarnation != victim.incarnation) return false;
+  Txn* b = live_top(victim);
+  if (b == nullptr) return false;
   if (eng_.cpu_id() == victim.cpu) return false;  // never self-violate
   b->kill_frame = 0;
   b->kill_semantic = true;
@@ -109,23 +112,13 @@ Txn* Runtime::begin_txn(int cpu, bool open, int attempt) {
 }
 
 void Runtime::release_txn(Txn* t) {
-  // The lines still in the read set hold reader-directory references; drop
-  // them before the Txn identity disappears into the pool.  Every such line
-  // entered the read set as exactly one surviving prev<0 read_log entry
-  // (frame rollback removes the log entry and the read_frame entry
-  // together), so draining the log visits each live line exactly once —
-  // O(reads taken), not O(read-table capacity).
-  const int cpu = t->cpu;
-  for (const auto& [line, prev] : t->read_log) {
-    if (prev < 0) reader_dir_.remove(line, cpu);
-  }
   // Destroy captured state promptly (handlers can pin user objects); the
   // plain-data logs keep their capacity for the next incarnation.
   t->commit_handlers.clear();
   t->abort_handlers.clear();
   t->top_commit_handlers.clear();
   t->top_abort_handlers.clear();
-  ctx(cpu).pool.push_back(t);
+  ctx(t->cpu).pool.push_back(t);
 }
 
 Violated Runtime::count_violation(int cpu, Txn* flagged) {
@@ -200,14 +193,14 @@ void Runtime::pop_frame_abort(Txn& t) {
   }
   t.writes.resize(m.writes);
 
-  // Roll back read-set ownership changes (reverse order).  Undoing a
-  // first-read (prev < 0) also drops the line's reader-directory reference:
-  // the aborted frame's reads must not attract violations any more.
+  // Roll back read-set ownership changes (reverse order).  An undone
+  // first read leaves the read set, so the aborted frame's reads attract no
+  // violations any more; the line's reader bit stays for a committer to
+  // clear.
   for (std::size_t i = t.read_log.size(); i > m.read_log; --i) {
     const auto& [line, prev] = t.read_log[i - 1];
     if (prev < 0) {
       t.read_frame.erase(line);
-      reader_dir_.remove(line, t.cpu);
     } else {
       *t.read_frame.find(line) = prev;
     }
@@ -304,21 +297,24 @@ void Runtime::release_token([[maybe_unused]] int cpu) {
   }
 }
 
-/// Flags every transaction (other than the committer's CPU's own stack) that
-/// has `line` in a live read set.  Shared by the commit broadcast and the
-/// naked-store path.  The reader directory narrows the scan to CPUs that
-/// actually read the line, so a commit costs O(write lines x real readers).
+/// Flags every transaction (other than the committer's CPU's own) that has
+/// `line` in a live read set.  Shared by the commit broadcast and the
+/// naked-store path.  The reader directory narrows the scan to CPUs whose
+/// bit is set, so a commit costs O(write lines x reader bits).  A CPU where
+/// no transaction holds the line any more, set-aside stacks included, loses
+/// its bit here: the read that set it has ended.
 void Runtime::flag_readers(sim::LineAddr line, int committer) {
   reader_dir_.for_each_reader_except(line, committer, [&](int c) {
-    for (Txn* v = ctx(c).cur; v != nullptr; v = v->parent) {
-      // Ancestors of the committer are exempt by construction (they are on
-      // another CPU here, so no exemption needed).
+    bool held = false;
+    for_each_live_txn(c, [&](Txn* v) {
       const std::int32_t* f = v->read_frame.find(line);
-      if (f == nullptr) continue;
+      if (f == nullptr) return;
+      held = true;
       const int frame = *f;
       if (v->kill_frame < 0 || frame < v->kill_frame) v->kill_frame = frame;
       if (tracer_ != nullptr) tracer_->on_violation_flag(committer, eng_.now(), line, c);
-    }
+    });
+    if (!held) reader_dir_.clear(line, c);
   });
 }
 
@@ -485,10 +481,10 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
 
 void Runtime::abort_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
-  // A detached handler transaction doomed mid-compensation (the aborting
-  // owner's reader-directory refs are still live, so a concurrent commit can
-  // flag it): its effects rolled back and run_txn retries it, so the audit
-  // must forget this attempt's compensation notes.
+  // A detached handler transaction doomed mid-compensation (a concurrent
+  // commit can conflict with its own reads): its effects rolled back and
+  // run_txn retries it, so the audit must forget this attempt's
+  // compensation notes.
   if (c.in_abort_handlers && t->parent == nullptr && t->open)
     audit::compensation_handler_aborted(t->cpu);
   // Unwind any frames the exception path has not popped (it pops all of its
@@ -540,10 +536,11 @@ std::exception_ptr Runtime::run_compensation_handlers(
   CpuCtx& c = ctx(cpu);
   if (tracer_ != nullptr)
     tracer_->on_handler_run(cpu, eng_.now(), /*abort_path=*/true, handlers.size());
-  // Handlers run as *detached* open transactions: the current stack (a
-  // doomed transaction being unwound, or a chop between pieces) must not be
-  // able to re-kill or capture them.
-  Txn* saved = c.cur;
+  // Handlers run as *detached* open transactions: the current stack (the
+  // aborted transaction's parent, or a chop between pieces) must not be
+  // able to re-kill or capture them.  It is set aside, not gone: commits
+  // and semantic violations still reach it (for_each_live_txn).
+  c.set_aside.push_back(c.cur);
   c.cur = nullptr;
   const bool saved_flag = c.in_abort_handlers;
   c.in_abort_handlers = true;
@@ -569,7 +566,8 @@ std::exception_ptr Runtime::run_compensation_handlers(
   }
   audit::abort_scope_end(cpu);
   c.in_abort_handlers = saved_flag;
-  c.cur = saved;
+  c.cur = c.set_aside.back();
+  c.set_aside.pop_back();
   return first_failure;
 }
 
@@ -603,8 +601,9 @@ void Runtime::flag_chops(sim::LineAddr line, int committer) {
 void Runtime::chop_note_committed_piece(Txn& t) {
   detail::ChopState* s = active_chops_[static_cast<std::size_t>(t.cpu)];
   if (s == nullptr || t.parent != nullptr || t.open) return;
-  // Live read lines are the surviving prev<0 read_log entries (same idiom
-  // as release_txn); write lines may repeat per entry, try_emplace dedups.
+  // Live read lines are the surviving prev<0 read_log entries (frame
+  // rollback removes a log entry and its read_frame entry together); write
+  // lines may repeat per entry, try_emplace dedups.
   for (const auto& [line, prev] : t.read_log) {
     if (prev < 0) s->dep_lines.try_emplace(line, 1);
   }
@@ -617,8 +616,8 @@ void Runtime::chop_note_committed_piece(Txn& t) {
 void Runtime::notify_txn_sets(Txn* t, bool committed) {
   if (mc_observer_ == nullptr) return;
   // Same batched idioms as the commit path: live read lines come from the
-  // surviving prev<0 read_log entries (see release_txn), write lines from a
-  // sort+unique run.  The observer treats both as sets.
+  // surviving prev<0 read_log entries (see chop_note_committed_piece), write
+  // lines from a sort+unique run.  The observer treats both as sets.
   mc_reads_scratch_.clear();
   mc_writes_scratch_.clear();
   for (const auto& [line, prev] : t->read_log) {
@@ -635,8 +634,7 @@ void Runtime::notify_txn_sets(Txn* t, bool committed) {
 void Runtime::collect_garbage() {
   std::uint64_t min_active = next_epoch_;
   for (int c = 0; c < eng_.config().num_cpus; ++c) {
-    Txn* b = bottom_of(c);
-    if (b != nullptr && b->epoch < min_active) min_active = b->epoch;
+    for_each_live_txn(c, [&](Txn* t) { min_active = std::min(min_active, t->epoch); });
   }
   while (!purgatory_.empty() && purgatory_.front().epoch < min_active) {
     purgatory_.front().del(purgatory_.front().ptr);
@@ -658,7 +656,7 @@ void Runtime::tm_read(std::uintptr_t addr, void* out, std::uint32_t size,
     return;
   }
   // Track the read line in the innermost transaction at the current frame.
-  // A first read (insertion) also registers this CPU in the line's reader
+  // A first read (insertion) also sets this CPU's bit in the line's reader
   // directory, which is how committers find us.
   const sim::LineAddr line = sim::line_of(addr);
   auto [frame, inserted] = t->read_frame.try_emplace(line, t->depth);

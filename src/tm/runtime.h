@@ -402,9 +402,10 @@ class Runtime {
   /// True if the calling CPU is inside any transaction.
   bool in_txn();
 
-  /// True if `id` names the currently running top-level incarnation on its
-  /// CPU (same liveness test violate() applies).  Observation only — used by
-  /// the txmc oracle to tell a stale lock prune from a live double release.
+  /// True if `id` names a live top-level incarnation on its CPU, running or
+  /// set aside by a compensation (same liveness test violate() applies).
+  /// Observation only — used by the txmc oracle to tell a stale lock prune
+  /// from a live double release.
   bool txn_live(const TxnId& id);
 
   // ---- memory access (used by Shared<T>; Tcc mode only) ----
@@ -459,6 +460,12 @@ class Runtime {
   friend class Chop;  // piece execution + compensation entry points below
   struct CpuCtx {
     detail::Txn* cur = nullptr;  // innermost txn (open-nesting stack tip)
+    // Stack tips that running compensations have set aside (oldest first;
+    // compensations nest).  Those transactions live on: commits, semantic
+    // violations and reclamation still see them, but polls, self_id and
+    // handler registration read only `cur`, so a doomed parent cannot
+    // re-kill its detached handlers.  Entries may be null.
+    std::vector<detail::Txn*> set_aside;
     std::uint64_t next_incarnation = 1;  // outlives pooled Txns: ids stay unique
     bool in_abort_handlers = false;  // this CPU is running compensation
     // work() returned true and the violation has not been delivered yet.
@@ -471,7 +478,19 @@ class Runtime {
   };
 
   CpuCtx& ctx(int cpu) { return ctx_[static_cast<std::size_t>(cpu)]; }
-  detail::Txn* bottom_of(int cpu);  // outermost active txn on cpu (or null)
+  detail::Txn* bottom_of(int cpu);  // outermost txn of cpu's running stack (or null)
+  /// Calls f(t) for every transaction alive on `cpu`: the running stack,
+  /// innermost first, then each set-aside stack, newest first.
+  template <class F>
+  void for_each_live_txn(int cpu, F f) {
+    CpuCtx& c = ctx(cpu);
+    for (detail::Txn* t = c.cur; t != nullptr; t = t->parent) f(t);
+    for (auto it = c.set_aside.rbegin(); it != c.set_aside.rend(); ++it) {
+      for (detail::Txn* t = *it; t != nullptr; t = t->parent) f(t);
+    }
+  }
+  /// The live top-level transaction `id` names, running or set aside, or null.
+  detail::Txn* live_top(const TxnId& id);
 
   // The commit sides of on_commit / on_top_commit.
   void add_commit_handler(std::function<void()> h);
@@ -485,7 +504,7 @@ class Runtime {
   /// released.  Only violations raised inside commit handlers still throw.
   [[nodiscard]] std::optional<Violated> commit_txn(detail::Txn* t);
   void abort_txn(detail::Txn* t);   // rollback + abort handlers + backoff
-  void release_txn(detail::Txn* t);  // drop read-set dir refs, park in pool
+  void release_txn(detail::Txn* t);  // drop handlers, park in pool
   void push_frame(detail::Txn& t);
   void pop_frame_commit(detail::Txn& t);
   void pop_frame_abort(detail::Txn& t);
@@ -648,8 +667,9 @@ class Runtime {
   std::unique_ptr<trace::Tracer> tracer_;
   std::string trace_path_;
 
-  // Line -> reader-CPU bitmask, maintained at read-log append/rollback time,
-  // so commits flag conflicting readers without scanning every CPU's stack.
+  // Line -> reader-CPU bits, set by first reads and cleared by committers
+  // that find no reader, so commits flag conflicting readers without
+  // scanning every CPU's stack.
   ReaderDir reader_dir_;
 
   // Commit-broadcast scratch (write-set lines, sorted + uniqued per

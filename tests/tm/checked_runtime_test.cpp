@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -501,43 +500,6 @@ TEST_F(CheckedRuntimeTest, ReportsForeignVaAlloc) {
   EXPECT_EQ(audit::count(audit::Check::kForeignVaAlloc), 1u);
   stage.store(2);
   holder.join();
-}
-
-TEST_F(CheckedRuntimeTest, ReportsReaderCountOverflowPastOpenNestingDepth255) {
-  // A CPU stacking more than 255 live transactions that all read the same
-  // line saturates the per-(line, cpu) reader-directory count at its 8-bit
-  // ceiling.  The add that hits the ceiling must be reported — and the
-  // count held sticky (bit stays set, so violations can only be spurious,
-  // never missed) — instead of silently wrapping to zero.  Unwinding the
-  // stack afterwards must not report underflow: removes on a saturated
-  // count are no-ops by design.
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  Shared<int> x(1);
-  std::function<void(int)> deep = [&](int depth) {
-    (void)x.get();  // one reader-dir ref per open-nesting level
-    if (depth == 0) return;
-    open_atomically([&] { deep(depth - 1); });
-  };
-  eng.spawn([&] { atomically([&] { deep(256); }); });
-  eng.run();
-  EXPECT_GE(audit::count(audit::Check::kReaderOverflow), 1u);
-  EXPECT_EQ(audit::count(audit::Check::kSetCorruption), 0u);
-}
-
-TEST_F(CheckedRuntimeTest, OpenNestingBelowDepth255StaysSilent) {
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  Shared<int> x(1);
-  std::function<void(int)> deep = [&](int depth) {
-    (void)x.get();
-    if (depth == 0) return;
-    open_atomically([&] { deep(depth - 1); });
-  };
-  eng.spawn([&] { atomically([&] { deep(100); }); });
-  eng.run();
-  EXPECT_EQ(audit::count(audit::Check::kReaderOverflow), 0u);
-  EXPECT_EQ(audit::total(), 0u);
 }
 
 TEST_F(CheckedRuntimeTest, OwnThreadAndEngineLessVaAllocsAreSilent) {
