@@ -58,9 +58,8 @@ class LockerSet {
       owners_.erase(tail, owners_.end());
       atomos::report_sem({SemKind::kRelease, owner, this, trace_id()});
     } else {
-      // Nothing to release: a stale prune already dropped it (benign) or
-      // the caller is double-releasing (the auditor / txmc oracle decides
-      // by owner liveness).
+      // Nothing to release: a prune already dropped it or the caller is
+      // double-releasing (atomos::LockLedger tells which).
       atomos::report_sem({SemKind::kReleaseNoop, owner, this, trace_id()});
     }
   }

@@ -77,14 +77,11 @@ void Controller::note_table(const void* table) {
 void Controller::on_sem(const atomos::SemEvent& e) {
   using Kind = atomos::SemEvent::Kind;
   // Violations and compensations are not lock-table traffic: they leave the
-  // quantum's table footprint and the oracle's lock ledger alone.
+  // quantum's table footprint and the oracle's lock ledger alone.  A settle
+  // touches no table: only the ledger needs it.
   if (e.kind == Kind::kViolation || e.kind == Kind::kCompensation) return;
-  note_table(e.set);
-  if (oracle_ == nullptr) return;
-  // Liveness must be sampled NOW: during commit handlers the transaction is
-  // still the cpu's bottom txn, so a double release inside them is caught,
-  // while a prune of a long-settled owner is not.
-  oracle_->on_lock_event(e, e.kind == Kind::kReleaseNoop && rt_.txn_live(e.owner));
+  if (e.kind != Kind::kSettle) note_table(e.set);
+  if (oracle_ != nullptr) oracle_->on_lock_event(e);
 }
 
 }  // namespace mc

@@ -10,11 +10,9 @@
 //    appended to the executed Schedule, so any run is replayable from its
 //    encoded string alone;
 //  * the runtime's McObserver — per-quantum line footprints (reads/writes)
-//    feed the explorer's dependence-based reduction, and the lock-table
-//    events of the semantic layer (on_sem) are forwarded to the Oracle,
-//    with liveness of the releasing owner sampled AT EVENT TIME via
-//    Runtime::txn_live (a commit handler that double-releases still looks
-//    live; a stale prune of a settled owner does not).
+//    feed the explorer's dependence-based reduction, and the lock-table and
+//    settle events of the semantic layer (on_sem) are forwarded to the
+//    Oracle, whose lock ledger judges them.
 //
 // The controller is single-run: construct, install, run the engine, then
 // harvest capture()/executed().
@@ -59,8 +57,8 @@ struct RunCapture {
 
 class Controller final : public sim::SchedulerHook, public atomos::Runtime::McObserver {
  public:
-  Controller(sim::Engine& eng, atomos::Runtime& rt, Oracle* oracle, Schedule forced)
-      : eng_(eng), rt_(rt), oracle_(oracle), forced_(std::move(forced)) {}
+  Controller(sim::Engine& eng, Oracle* oracle, Schedule forced)
+      : eng_(eng), oracle_(oracle), forced_(std::move(forced)) {}
 
   // ---- sim::SchedulerHook ----
   int pick(const std::vector<int>& runnable) override;
@@ -80,7 +78,6 @@ class Controller final : public sim::SchedulerHook, public atomos::Runtime::McOb
   void note_table(const void* table);
 
   sim::Engine& eng_;
-  atomos::Runtime& rt_;
   Oracle* oracle_;
   Schedule forced_;
   RunCapture capture_;

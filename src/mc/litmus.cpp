@@ -314,6 +314,32 @@ std::unique_ptr<World> build_map_conflict(Oracle& o) {
   return w;
 }
 
+std::unique_ptr<World> build_map_read_cell(Oracle& o) {
+  // CPU 0's only map operation is a read, so the map's commit handler
+  // declines the commit token; its plain-cell write takes the token anyway,
+  // and the handler must still run and release the key lock.
+  auto w = with_map(o, plain_map(), {{1, 10}});
+  w->cell.emplace(0L);
+  World* wp = w.get();
+  Oracle* op = &o;
+  w->bodies = {
+      [op, wp] {
+        mc_txn(*op, [&] {
+          const long v = wp->rmap->get(1).value_or(0);
+          if (atomos::work(200)) return;
+          wp->cell->set(v);
+        });
+      },
+      [op, wp] {
+        mc_txn(*op, [&] {
+          if (atomos::work(60)) return;
+          wp->rmap->put(1, 11);
+        });
+      },
+  };
+  return w;
+}
+
 // ---- mutant corpus ----
 
 std::unique_ptr<World> build_mut_lost_lock(Oracle& o) {
@@ -658,6 +684,8 @@ const std::vector<Entry>& registry() {
           build_srv_handler);
     clean("chop_transfer", "chopped handler: take piece + deposit piece",
           build_chop_transfer);
+    clean("map_read_cell", "map read plus a plain-cell write vs a writer of the key",
+          build_map_read_cell);
     mutant("mut_lost_lock", "get() without the key lock",
            Anomaly::kLostSemanticLock, build_mut_lost_lock);
     mutant("mut_open_leak", "open-nested eager put leaks pre-commit state",
@@ -717,7 +745,7 @@ RunResult run_program(const Program& prog, const Schedule& forced) {
   sim::Engine eng(cfg);  // resets the va arenas: runs are bit-reproducible
   atomos::Runtime rt(eng);
   Oracle oracle;
-  Controller ctl(eng, rt, &oracle, forced);
+  Controller ctl(eng, &oracle, forced);
   eng.set_scheduler_hook(&ctl);
   rt.set_mc_observer(&ctl);
 

@@ -239,16 +239,20 @@ void Oracle::flush_abort(int cpu) {
 
 // ---- lock ledger ----
 
-void Oracle::on_lock_event(const atomos::SemEvent& e, bool owner_live) {
-  if (e.kind != atomos::SemEvent::Kind::kReleaseNoop) {
-    locks_.apply(e);
-    return;
+void Oracle::on_lock_event(const atomos::SemEvent& e) {
+  const std::optional<atomos::LockLedger::Finding> f = locks_.apply(e);
+  if (!f) return;
+  if (f->kind == atomos::LockLedger::Finding::Kind::kLeak) {
+    eager_violations_.push_back(Violation{
+        Anomaly::kLockLeak,
+        id_str(f->owner) + " finished still holding " + std::to_string(f->locks) +
+            " semantic lock(s), e.g. in " + table_name(f->set) + " [lock-leak]"});
+  } else {
+    eager_violations_.push_back(Violation{
+        Anomaly::kDoubleRelease,
+        id_str(f->owner) + " released a semantic lock it does not hold in " +
+            table_name(f->set) + " while still live (double release)"});
   }
-  if (e.owner.cpu < 0 || !owner_live) return;  // stale prune of a settled owner
-  eager_violations_.push_back(Violation{
-      Anomaly::kDoubleRelease,
-      id_str(e.owner) + " released a semantic lock it does not hold in " +
-          table_name(e.set) + " while still live (double release)"});
 }
 
 void Oracle::set_final_map(const void* table, std::vector<std::pair<long, long>> entries) {
@@ -574,24 +578,12 @@ void Oracle::check_queues(std::vector<Violation>& out) const {
   }
 }
 
-// ---- checking: locks ----
-
-void Oracle::check_locks(std::vector<Violation>& out) const {
-  locks_.for_each([&](const atomos::TxnId& owner, const atomos::LockLedger::Held& held) {
-    out.push_back(Violation{
-        Anomaly::kLockLeak,
-        id_str(owner) + " finished still holding " + std::to_string(held.locks) +
-            " semantic lock(s), e.g. in " + table_name(held.example) + " [lock-leak]"});
-  });
-}
-
 std::vector<Violation> Oracle::check() const {
   std::vector<Violation> out = eager_violations_;
   // Attempts that never flushed (defensive) are visible in history_ already;
   // pending ones are ignored — a litmus run always drains its workers.
   check_maps(out);
   check_queues(out);
-  check_locks(out);
   return out;
 }
 

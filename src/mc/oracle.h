@@ -21,9 +21,10 @@
 //    every polled element, and that every committed emptiness observation
 //    has a moment in its [observation, flush] window where the bag was
 //    truly empty.
-//  * semantic locks: the shared per-owner ledger (tm/lock_ledger.h); locks
-//    still held after the run are leaks, and a release that found nothing to
-//    release while its owner is still live is a double release.
+//  * semantic locks: the shared ledger (tm/lock_ledger.h) judges each
+//    lock-table event and each settle as it arrives; a settle with locks
+//    left is a leak, and an empty release it finds neither owed to a prune
+//    nor stale is a double release.
 //
 // Violations carry an anomaly class (mirrors the seeded-mutant corpus) and
 // a human-readable detail line.  The oracle itself is schedule-agnostic:
@@ -49,8 +50,8 @@ enum class Anomaly {
   kNonCommutingOpen,       ///< an open-nested eager effect leaked pre-commit state
   kCompensationInversion,  ///< an abort's compensation did not restore the collection
   kFinalStateDivergence,   ///< final collection state differs from the committed history
-  kLockLeak,               ///< a finished transaction still holds semantic locks
-  kDoubleRelease,          ///< a live transaction released a lock it no longer held
+  kLockLeak,               ///< a settled transaction still holds semantic locks
+  kDoubleRelease,          ///< an unsettled transaction released a lock it no longer held
 };
 
 const char* anomaly_name(Anomaly a);
@@ -126,10 +127,9 @@ class Oracle {
   void flush_abort(int cpu);
 
   // ---- semantic-lock events (forwarded by the controller) ----
-  /// Feeds one lock-table event to the lock ledger.  A release that found
-  /// nothing (kReleaseNoop) is a double release if `owner_live`, sampled at
-  /// the event, and the stale prune of a settled owner otherwise.
-  void on_lock_event(const atomos::SemEvent& e, bool owner_live);
+  /// Feeds one lock-table or settle event to the lock ledger and records
+  /// the leak or double release it finds.
+  void on_lock_event(const atomos::SemEvent& e);
 
   // ---- final states (litmus finish, outside the run) ----
   void set_final_map(const void* table, std::vector<std::pair<long, long>> entries);
@@ -161,7 +161,6 @@ class Oracle {
 
   void check_maps(std::vector<Violation>& out) const;
   void check_queues(std::vector<Violation>& out) const;
-  void check_locks(std::vector<Violation>& out) const;
 
   std::uint64_t event_counter_ = 0;
   std::unordered_map<const void*, TableInfo> tables_;
@@ -174,7 +173,7 @@ class Oracle {
   // the rec to aborted in place.
   std::vector<std::optional<std::size_t>> last_commit_;
   atomos::LockLedger locks_;
-  std::vector<Violation> eager_violations_;  // double releases, found mid-run
+  std::vector<Violation> eager_violations_;  // lock-rule breaches, found mid-run
 };
 
 }  // namespace mc

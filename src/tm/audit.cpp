@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,15 +26,6 @@ constexpr std::size_t kMaxKeptReports = 4096;
 struct State {
   // Semantic-lock ledger, shared with the txmc oracle.
   LockLedger locks;
-  // Highest finished top-level incarnation per CPU.  Lock owners are always
-  // top-level TxnIds, and top-level transactions on one CPU finish in
-  // incarnation order, so `incarnation <= settled_upto[cpu]` is an exact
-  // settled test in O(1) memory: a release no-op for a settled owner is a
-  // stale prune, for a live one a double release.
-  std::unordered_map<int, std::uint64_t> settled_upto;
-  // Unsettled owners -> locks that conflict detection pruned from them
-  // during their compensation, whose own release will find nothing.
-  std::map<std::pair<int, std::uint64_t>, int> pruned;
   // In-progress abort-handler runs, tracked PER CPU (handler transactions
   // tick and yield, so scopes of different cpus interleave; on one cpu they
   // still nest when a compensation itself aborts): the sites whose
@@ -84,8 +74,6 @@ std::string ptr_str(const void* p) {
 void begin_simulation() {
   State& s = st();
   s.locks.clear();
-  s.settled_upto.clear();
-  s.pruned.clear();
   s.abort_scopes.clear();
 }
 
@@ -116,35 +104,6 @@ const std::vector<std::string>& reports() { return st().findings; }
 
 namespace {
 
-bool settled(State& s, const TxnId& owner) {
-  auto it = s.settled_upto.find(owner.cpu);
-  return it != s.settled_upto.end() && owner.incarnation <= it->second;
-}
-
-void lock_release_noop(const TxnId& owner, const void* table) {
-  if (owner.cpu < 0) return;  // not a live transaction id
-  State& s = st();
-  if (settled(s, owner)) return;  // stale prune of a finished incarnation: benign by design
-  // The owner's compensation releasing a lock that was pruned from it.
-  auto p = s.pruned.find({owner.cpu, owner.incarnation});
-  if (p != s.pruned.end()) {
-    if (--p->second == 0) s.pruned.erase(p);
-    return;
-  }
-  report(Check::kDoubleRelease,
-         id_str(owner) + " released a semantic lock it does not hold in table " +
-             ptr_str(table) + " (double release, or release without acquire)");
-}
-
-void lock_pruned(const SemEvent& e) {
-  State& s = st();
-  if (e.owner.cpu < 0 || settled(s, e.owner)) return;  // the entry settled already
-  // Neither live nor settled: the owner is running its compensation, and
-  // the prune released its lock in this set.
-  s.locks.apply({SemEvent::Kind::kReleaseAll, e.owner, e.set, e.site});
-  ++s.pruned[{e.owner.cpu, e.owner.incarnation}];
-}
-
 void compensation_run(int cpu, const void* site) {
   State& s = st();
   auto it = s.abort_scopes.find(cpu);
@@ -169,19 +128,21 @@ void compensation_run(int cpu, const void* site) {
 }  // namespace
 
 void on_sem(const SemEvent& e) {
-  switch (e.kind) {
-    case SemEvent::Kind::kReleaseNoop:
-      lock_release_noop(e.owner, e.set);
-      break;
-    case SemEvent::Kind::kPrune:
-      lock_pruned(e);
-      break;
-    case SemEvent::Kind::kCompensation:
-      compensation_run(e.owner.cpu, e.set);
-      break;
-    default:
-      st().locks.apply(e);
-      break;
+  if (e.kind == SemEvent::Kind::kCompensation) {
+    compensation_run(e.owner.cpu, e.set);
+    return;
+  }
+  const std::optional<LockLedger::Finding> f = st().locks.apply(e);
+  if (!f) return;
+  if (f->kind == LockLedger::Finding::Kind::kLeak) {
+    report(Check::kLockLeak,
+           id_str(f->owner) + " settled still holding " + std::to_string(f->locks) +
+               " semantic lock(s) across " + std::to_string(f->sets) +
+               " table(s), e.g. table " + ptr_str(f->set));
+  } else {
+    report(Check::kDoubleRelease,
+           id_str(f->owner) + " released a semantic lock it does not hold in table " +
+               ptr_str(f->set) + " (double release, or release without acquire)");
   }
 }
 
@@ -216,21 +177,6 @@ void compensation_handler_aborted(int cpu) {
 }
 
 // ---- transaction lifecycle ----
-
-void txn_finished(const TxnId& id, bool committed) {
-  State& s = st();
-  std::uint64_t& upto = s.settled_upto[id.cpu];
-  if (id.incarnation > upto) upto = id.incarnation;
-  // Settling drops the entry: later stale prunes for this owner are no-ops.
-  s.pruned.erase({id.cpu, id.incarnation});
-  const std::optional<LockLedger::Held> held = s.locks.settle(id);
-  if (!held) return;
-  report(Check::kLockLeak,
-         id_str(id) + (committed ? " committed" : " aborted") + " still holding " +
-             std::to_string(held->locks) + " semantic lock(s) across " +
-             std::to_string(held->sets) + " table(s), e.g. table " +
-             ptr_str(held->example));
-}
 
 void check_txn_sets(const detail::Txn& t) {
   const TxnId id{t.cpu, t.incarnation};

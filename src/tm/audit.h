@@ -6,11 +6,11 @@
 //
 //  * semantic-lock acquire/release pairing — every lock a top-level
 //    transaction takes in a LockerSet / KeyLockTable / RangeLockTable must
-//    be released by the time that transaction finishes (commit handler on
+//    be released by the time that transaction settles (commit handler on
 //    commit, abort handler on abort).  A lock still held when the
 //    transaction is gone is a LEAK: no one will ever release it, and every
-//    later writer of that key is violated or serialized forever.  The
-//    ledger is tm/lock_ledger.h, shared with the txmc oracle;
+//    later writer of that key is violated or serialized forever.  The judge
+//    is tm/lock_ledger.h, shared with the txmc oracle;
 //  * read/write-set consistency — while the commit token is held the
 //    transaction's redo log and read set must be internally consistent
 //    (index maps and logs agree) before the write set is broadcast;
@@ -64,11 +64,11 @@ enum class Check {
   /// alias another simulation's addresses.  Detected in sim::va_alloc
   /// (sim/vaddr.h); the count lives there and is surfaced here.
   kForeignVaAlloc,
-  /// A semantic lock released twice by a live transaction: the release
-  /// request found nothing to release and the owner has not settled yet, so
-  /// this is not a stale prune — it is a second release (or a release
-  /// without acquire), which under optimistic read intents can strip
-  /// ANOTHER reader's protection from the key.
+  /// A semantic lock released twice by an unsettled transaction: the
+  /// release request found nothing to release, no prune had taken the lock
+  /// over, and the owner has not settled yet — a second release (or a
+  /// release without acquire), which under optimistic read intents can
+  /// strip ANOTHER reader's protection from the key.
   kDoubleRelease,
   /// The same collection compensation (abort handler) ran twice within one
   /// abort: compensations are not idempotent (a second run re-applies the
@@ -85,9 +85,9 @@ inline constexpr bool kEnabled = true;
 /// Clears counters, reports and the lock ledger.
 void reset();
 /// Starts the ledger of a new simulation (the Runtime constructor calls
-/// it).  Transaction ids restart with each Runtime, so the lock ledger, the
-/// settled incarnations and the abort scopes of an earlier simulation on
-/// this thread must not judge this one.  Counters and reports are kept.
+/// it).  Transaction ids restart with each Runtime, so the lock ledger and
+/// the abort scopes of an earlier simulation on this thread must not judge
+/// this one.  Counters and reports are kept.
 void begin_simulation();
 
 std::uint64_t count(Check c);
@@ -96,16 +96,9 @@ const std::vector<std::string>& reports();
 
 // ---- hook: semantic-layer events (Runtime::report_sem) ----
 /// Feeds the lock ledger and the compensation scopes:
-///  * kAcquire / kRelease / kReleaseAll keep the per-owner ledger that
-///    txn_finished() checks for leaks (LockLedger::apply, which ignores
-///    kPrune);
-///  * kReleaseNoop is a release that found nothing to release.  For a
-///    settled (finished) incarnation that is a benign stale prune; for a
-///    live one it is a double release (kDoubleRelease);
-///  * kPrune is conflict detection dropping an owner that is not live.  One
-///    that has not settled yet is running its compensation: the prune
-///    released its lock, and the compensation's own release of it, which
-///    then finds nothing, is a stale one too;
+///  * the lock-table events and kSettle go to atomos::LockLedger, which
+///    judges the lock rule; a leak found at a settle is kLockLeak, an empty
+///    release it finds neither owed to a prune nor stale is kDoubleRelease;
 ///  * kCompensation is a collection compensation body starting on
 ///    owner.cpu.  The same site running twice inside one abort scope is
 ///    kDoubleCompensation;
@@ -129,7 +122,6 @@ void compensation_handler_committed(int cpu);
 void compensation_handler_aborted(int cpu);
 
 // ---- hooks: transaction lifecycle (called by tm/runtime.cpp) ----
-void txn_finished(const TxnId& id, bool committed);
 void check_txn_sets(const detail::Txn& t);
 /// Cross-checks the reader directory against a transaction's read set:
 /// every line a live transaction has read must have its CPU's reader bit
@@ -173,7 +165,6 @@ inline void abort_scope_begin(const TxnId&) {}
 inline void abort_scope_end(int) {}
 inline void compensation_handler_committed(int) {}
 inline void compensation_handler_aborted(int) {}
-inline void txn_finished(const TxnId&, bool) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
 inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}

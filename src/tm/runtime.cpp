@@ -81,8 +81,6 @@ Txn* Runtime::live_top(const TxnId& id) {
   return found;
 }
 
-bool Runtime::txn_live(const TxnId& id) { return live_top(id) != nullptr; }
-
 bool Runtime::violate(const TxnId& victim) {
   Txn* b = live_top(victim);
   if (b == nullptr) return false;
@@ -373,21 +371,23 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
   // throwing it.  Flagged while working: abort instead of committing.
   if (Txn* f = flagged_txn(t->cpu)) return count_violation(t->cpu, f);
 
-  // An open child with a parent does not run handlers at its own commit:
-  // they transfer to the parent below (paper S4).
-  bool handlers_need_token = (t->parent == nullptr) && !t->commit_handlers.empty();
-  bool has_top_handlers = (t->parent == nullptr) && !t->top_commit_handlers.empty();
-  if (has_top_handlers && !handlers_need_token) {
+  // Handlers run at the bottom of the open-nesting stack only: an open
+  // child's handlers transfer to its parent below (paper S4).  The commit
+  // takes the token if it has writes, deletes, plain commit handlers or a
+  // top handler that needs it, and then runs every handler inside it;
+  // otherwise its top handlers run after it, token-free.
+  const bool top = t->parent == nullptr;
+  bool needs_token = !t->writes.empty() || !t->deletes.empty() ||
+                     (top && !t->commit_handlers.empty());
+  if (!needs_token && top) {
     for (const auto& th : t->top_commit_handlers) {
       if (!th.needs_token || th.needs_token()) {
-        handlers_need_token = true;
+        needs_token = true;
         break;
       }
     }
   }
-  const bool runs_handlers = handlers_need_token;
-  const bool trivial = t->writes.empty() && !runs_handlers && t->deletes.empty();
-  if (trivial && t->open && token_owner_ != -1 && token_owner_ != t->cpu) {
+  if (!needs_token && t->open && token_owner_ != -1 && token_owner_ != t->cpu) {
     // A read-only open child must not slip past an in-progress commit: its
     // semantic lock acquisitions have to be ordered either before that
     // committer's conflict detection or after its broadcast.  Waiting for
@@ -398,7 +398,7 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
     release_token(t->cpu);
     if (f != nullptr) return count_violation(t->cpu, f);
   }
-  if (!trivial) {
+  if (needs_token) {
     acquire_token(t->cpu);
     // Last chance: flagged while queueing for the token.
     if (Txn* f = flagged_txn(t->cpu)) {
@@ -412,7 +412,7 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
       audit::check_reader_dir(*t, reader_dir_);
       // Run commit handlers inside the token, each as a closed-nested
       // frame; they may register further commit handlers (run too).
-      if (runs_handlers) {
+      if (top && (!t->commit_handlers.empty() || !t->top_commit_handlers.empty())) {
         if (tracer_ != nullptr)
           tracer_->on_handler_run(
               t->cpu, eng_.now(), /*abort_path=*/false,
@@ -437,11 +437,9 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
       purgatory_.push_back(Purgatory{next_epoch_++, d.ptr, d.del});
     }
     release_token(t->cpu);
-  }
-
-  // Token-free cleanup path: every top handler declared itself pure
-  // cleanup and there is nothing to broadcast.
-  if (trivial && has_top_handlers) {
+  } else if (top) {
+    // Token-free cleanup path: every top handler declared itself pure
+    // cleanup and there is nothing to broadcast.
     for (std::size_t i = 0; i < t->top_commit_handlers.size(); ++i) {
       auto h = std::move(t->top_commit_handlers[i].fn);
       h();
@@ -465,10 +463,10 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
       for (auto& h : t->abort_handlers) t->parent->abort_handlers.push_back(std::move(h));
     }
   }
-  if (t->parent == nullptr) {
-    // Bottom of the open-nesting stack: the incarnation is over.  Commit
-    // handlers have run, so every semantic lock it took must be gone.
-    audit::txn_finished(TxnId{t->cpu, t->incarnation}, /*committed=*/true);
+  // Bottom of the open-nesting stack: commit handlers have run, so the
+  // incarnation settles and every semantic lock it took must be gone.
+  if (top) {
+    report_sem({SemEvent::Kind::kSettle, TxnId{t->cpu, t->incarnation}, nullptr, nullptr});
   }
   if (tracer_ != nullptr)
     tracer_->on_txn_commit(t->cpu, eng_.now(), t->open, t->writes.size());
@@ -512,18 +510,19 @@ void Runtime::abort_txn(Txn* t) {
   // transactions so a doomed enclosing transaction cannot re-kill them.
   c.cur = t->parent;
   for (auto& h : t->top_abort_handlers) t->abort_handlers.push_back(std::move(h));
+  std::exception_ptr first_failure;
   if (!t->abort_handlers.empty()) {
-    std::exception_ptr first_failure = run_compensation_handlers(
-        t->cpu, TxnId{t->cpu, t->incarnation}, t->abort_handlers);
-    if (first_failure) {
-      release_txn(t);
-      std::rethrow_exception(first_failure);
-    }
+    first_failure = run_compensation_handlers(t->cpu, TxnId{t->cpu, t->incarnation},
+                                              t->abort_handlers);
   }
-
+  // Compensation has run, a failed one too: the incarnation settles, and
+  // any semantic lock still on the books is leaked.
   if (t->parent == nullptr) {
-    // Compensation has run; any semantic lock still on the books is leaked.
-    audit::txn_finished(TxnId{t->cpu, t->incarnation}, /*committed=*/false);
+    report_sem({SemEvent::Kind::kSettle, TxnId{t->cpu, t->incarnation}, nullptr, nullptr});
+  }
+  if (first_failure) {
+    release_txn(t);
+    std::rethrow_exception(first_failure);
   }
   const std::uint64_t penalty = sim::Config::kViolationCycles +
                                 cm_->backoff_cycles(t->cpu, t->attempt);

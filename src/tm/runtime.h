@@ -64,18 +64,21 @@ struct TxnId {
 };
 
 /// One semantic-layer event: a step of a lock table in core/lockers.h (the
-/// paper's key2lockers, sizeLockers, rangeLockers, ...) or the start of a
-/// collection's abort-handler compensation.  Each is reported once, through
-/// Runtime::report_sem, which hands it to every observer of that layer.
+/// paper's key2lockers, sizeLockers, rangeLockers, ...), the start of a
+/// collection's abort-handler compensation, or the settle of a top-level
+/// transaction.  Each is reported once, through Runtime::report_sem, which
+/// hands it to every observer of that layer.  atomos::LockLedger
+/// (tm/lock_ledger.h) judges the lock rule from them.
 struct SemEvent {
   enum class Kind : std::uint8_t {
     kAcquire,       ///< `owner` took a read-intent lock in `set`
     kRelease,       ///< `owner` released the lock it held in `set`
     kReleaseAll,    ///< every range lock `owner` held in `set` was released
-    kReleaseNoop,   ///< a release found nothing: stale prune or double release
-    kPrune,         ///< conflict detection dropped a settled owner from `set`
+    kReleaseNoop,   ///< a release found nothing: owed to a prune, stale or double
+    kPrune,         ///< conflict detection dropped a non-live owner from `set`
     kViolation,     ///< a commit doomed the live `owner` (owner.cpu = victim)
     kCompensation,  ///< collection `set` began compensating on cpu owner.cpu
+    kSettle,        ///< top-level `owner` ran its commit handlers or compensations
   };
   Kind kind;
   TxnId owner;       ///< lock owner or victim (compensation: cpu only)
@@ -192,9 +195,10 @@ struct Txn {
   //
   // A top commit handler may carry a needs_token predicate: when every
   // registered handler reports false (e.g. a read-only collection commit
-  // whose handler only RELEASES semantic locks) the commit skips the token
-  // entirely — releasing read intents is monotone-safe, and this keeps
-  // read-dominated workloads from serializing on commit arbitration.
+  // whose handler only RELEASES semantic locks) and nothing else needs the
+  // token, the commit skips it entirely — releasing read intents is
+  // monotone-safe, and this keeps read-dominated workloads from serializing
+  // on commit arbitration.
   struct TopCommitHandler {
     std::function<void()> fn;
     std::function<bool()> needs_token;  // null => always needs the token
@@ -379,10 +383,12 @@ class Runtime {
   /// Like on_commit/on_abort, but pinned to the *top-level* transaction of
   /// the calling CPU: the registration survives closed-frame and open-child
   /// rollback (matching the open-nested state those handlers compensate).
-  /// `needs_token` (optional): evaluated at commit; when every top handler
-  /// reports false and the transaction wrote nothing, the handler runs
-  /// outside the commit token (safe only for pure cleanup such as releasing
-  /// semantic read locks; the handler must not write Shared memory).
+  /// `needs_token` (optional, null means true) is evaluated at commit.  A
+  /// commit takes the token if it has writes, deletes, plain commit handlers
+  /// or a top handler that needs it, and then runs every handler inside the
+  /// token.  A commit without the token runs its top handlers after it:
+  /// safe only for pure cleanup such as releasing semantic read locks (the
+  /// handler must not write Shared memory).
   template <AbortSide A>
   void on_top_commit(std::function<void()> h, A&& compensate,
                      std::function<bool()> needs_token = nullptr) {
@@ -401,12 +407,6 @@ class Runtime {
 
   /// True if the calling CPU is inside any transaction.
   bool in_txn();
-
-  /// True if `id` names a live top-level incarnation on its CPU, running or
-  /// set aside by a compensation (same liveness test violate() applies).
-  /// Observation only — used by the txmc oracle to tell a stale lock prune
-  /// from a live double release.
-  bool txn_live(const TxnId& id);
 
   // ---- memory access (used by Shared<T>; Tcc mode only) ----
   void tm_read(std::uintptr_t addr, void* out, std::uint32_t size, const void* committed);
@@ -552,6 +552,7 @@ class Runtime {
       case SemEvent::Kind::kReleaseNoop:
       case SemEvent::Kind::kPrune:
       case SemEvent::Kind::kCompensation:
+      case SemEvent::Kind::kSettle:
         break;
     }
   }

@@ -1,9 +1,10 @@
 // Runtime::report_sem is the one reporting call of the semantic layer: the
-// lock tables (core/lockers.h) and the collection compensations report each
-// event once, and the Runtime hands it to the tracer and to the txmc
-// observer.  A contended TransactionalMap workload runs with both attached;
-// the observer's stream must match the trace's lock and semantic-violation
-// events one for one.
+// lock tables (core/lockers.h), the collection compensations and the
+// runtime's settles report each event once, and the Runtime hands it to the
+// tracer and to the txmc observer.  A contended TransactionalMap workload
+// runs with both attached; the observer's stream must match the trace's
+// lock and semantic-violation events one for one.  Fed the same stream, the
+// txmc oracle's lock ledger must find the lock rule kept.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 
 #include "core/txmap.h"
 #include "jstd/hashmap.h"
+#include "mc/oracle.h"
 #include "tm/runtime.h"
 #include "trace/tracer.h"
 
@@ -41,6 +43,7 @@ class SemRecorder final : public atomos::Runtime::McObserver {
 
   void on_sem(const atomos::SemEvent& e) override {
     ++counts[static_cast<std::size_t>(e.kind)];
+    oracle.on_lock_event(e);
     ASSERT_TRUE(sim::Engine::in_worker());
     sim::Engine& eng = sim::Engine::get();
     auto& stream = per_cpu[static_cast<std::size_t>(eng.cpu_id())];
@@ -57,29 +60,31 @@ class SemRecorder final : public atomos::Runtime::McObserver {
                           static_cast<std::uint16_t>(e.owner.cpu)});
         break;
       default:
-        break;  // release no-ops, prunes and compensations are not traced
+        break;  // release no-ops, prunes, compensations and settles are not traced
     }
   }
 
-  std::array<std::uint64_t, 7> counts{};
+  std::array<std::uint64_t, 8> counts{};
   std::array<std::vector<Rec>, kCpus> per_cpu;
+  mc::Oracle oracle;  // judges the lock rule from the same stream
 };
 
 std::uint64_t count(const SemRecorder& r, Kind k) {
   return r.counts[static_cast<std::size_t>(k)];
 }
 
-TEST(SemReportTest, ObserverStreamMatchesTraceOneForOne) {
+sim::Config tcc_cfg() {
   sim::Config cfg;
   cfg.num_cpus = kCpus;
   cfg.mode = sim::Mode::kTcc;
-  sim::Engine eng(cfg);
-  trace::set_request("");  // in-memory tracer for the Runtime built next
-  atomos::Runtime rt(eng);
-  ASSERT_NE(rt.tracer(), nullptr);
-  SemRecorder rec;
-  rt.set_mc_observer(&rec);
+  return cfg;
+}
 
+/// Runs the contended workload on `eng`, whose Runtime is built, with `rec`
+/// installed as the txmc observer.
+void run_contended(sim::Engine& eng, SemRecorder& rec) {
+  atomos::Runtime& rt = atomos::Runtime::current();
+  rt.set_mc_observer(&rec);
   TransactionalMap<long, long> map(std::make_unique<jstd::HashMap<long, long>>(64));
   for (long k = 0; k < 4; ++k) map.put(k, 0);
   for (int c = 0; c < kCpus; ++c) {
@@ -101,13 +106,30 @@ TEST(SemReportTest, ObserverStreamMatchesTraceOneForOne) {
   eng.run();
   rt.set_mc_observer(nullptr);
 
-  // The workload exercises every kind of lock-table event it can reach.
+  // The workload exercises every kind of event it can reach.
   EXPECT_GT(count(rec, Kind::kAcquire), 0u);
   EXPECT_GT(count(rec, Kind::kRelease), 0u);
   EXPECT_GT(count(rec, Kind::kPrune), 0u);
   EXPECT_GT(count(rec, Kind::kReleaseNoop), 0u);  // the pruned reader's unlock
   EXPECT_GT(count(rec, Kind::kViolation), 0u);
   EXPECT_GT(count(rec, Kind::kCompensation), 0u);
+  // One settle per top-level commit or abort.  The workload's transactions
+  // commit (`commits`) or are violated whole (`violations`), and every
+  // attempt of a detached compensation transaction, committed or aborted,
+  // begins with one kCompensation.
+  const sim::Stats& st = eng.stats();
+  EXPECT_EQ(count(rec, Kind::kSettle), st.total(&sim::CpuStats::commits) +
+                                           st.total(&sim::CpuStats::violations) +
+                                           count(rec, Kind::kCompensation));
+}
+
+TEST(SemReportTest, ObserverStreamMatchesTraceOneForOne) {
+  sim::Engine eng(tcc_cfg());
+  trace::set_request("");  // in-memory tracer for the Runtime built next
+  atomos::Runtime rt(eng);
+  ASSERT_NE(rt.tracer(), nullptr);
+  SemRecorder rec;
+  run_contended(eng, rec);
 
   const trace::Tracer& tr = *rt.tracer();
   std::uint64_t traced = 0;
@@ -127,6 +149,16 @@ TEST(SemReportTest, ObserverStreamMatchesTraceOneForOne) {
   }
   EXPECT_EQ(traced, count(rec, Kind::kAcquire) + count(rec, Kind::kRelease) +
                         count(rec, Kind::kReleaseAll) + count(rec, Kind::kViolation));
+}
+
+// A reader pruned while its compensation runs releases nothing afterwards:
+// the prune already did.  Neither a leak nor a double release.
+TEST(SemReportTest, OracleFindsTheLockRuleKept) {
+  sim::Engine eng(tcc_cfg());
+  atomos::Runtime rt(eng);
+  SemRecorder rec;
+  run_contended(eng, rec);
+  for (const mc::Violation& v : rec.oracle.check()) ADD_FAILURE() << v.detail;
 }
 
 }  // namespace

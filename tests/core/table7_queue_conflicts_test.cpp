@@ -65,6 +65,20 @@ TEST(TxQueue, AbortReturnsTakenElementsAndDropsPuts) {
   EXPECT_EQ(drained, (std::vector<long>{1, 2, 3}));
 }
 
+// peek() on an empty queue takes the empty lock; a plain-cell write in the
+// same transaction takes the commit token, and the queue's commit handler,
+// which declines the token itself, must still run inside it and release it.
+TEST(TxQueue, EmptyLockReleasedWhenTheTransactionWritesAPlainCell) {
+  Fixture f;
+  atomos::Shared<long> y(0);
+  f.eng.spawn([&] {
+    atomos::atomically([&] { y.set(f.q.peek().has_value() ? 1 : 2); });
+  });
+  f.eng.run();
+  EXPECT_EQ(y.unsafe_peek(), 2);
+  EXPECT_EQ(f.q.empty_locker_count(), 0u);
+}
+
 TEST(TxQueue, ReadYourOwnPuts) {
   Fixture f;
   f.eng.spawn([&] {

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "jstd/hashmap.h"
+#include "tm/shared.h"
 
 namespace tcc {
 namespace {
@@ -90,6 +91,23 @@ TEST(TxMapTest, AbortCompensatesLocksAndBuffers) {
   EXPECT_EQ(m->inner().get(8), std::nullopt);  // buffered write discarded
   EXPECT_EQ(m->inner().get(7), 70);
   EXPECT_EQ(m->locked_key_count(), 0u);  // abort handler released the locks
+}
+
+// A read-only map operation in a transaction that writes a plain cell: the
+// write takes the commit token, and the map's commit handler, which declines
+// the token itself, must still run inside it and release the key lock.
+TEST(TxMapTest, ReadLockReleasedWhenTheTransactionWritesAPlainCell) {
+  sim::Engine eng(tcc_cfg(1));
+  atomos::Runtime rt(eng);
+  auto m = make_map();
+  m->put(7, 5);
+  atomos::Shared<long> y(0);
+  eng.spawn([&] {
+    atomos::atomically([&] { y.set(m->get(7).value_or(0)); });
+  });
+  eng.run();
+  EXPECT_EQ(y.unsafe_peek(), 5);
+  EXPECT_EQ(m->locked_key_count(), 0u);
 }
 
 TEST(TxMapTest, SingleOpsOutsideTransactionAreAtomic) {

@@ -1,9 +1,14 @@
 // Serializability-oracle unit tests: hand-authored histories driven through
 // the public record/flush API, one per anomaly class plus clean histories
-// that must be accepted.
+// that must be accepted, and one lock-ledger scenario run end to end under
+// an mc::Controller.
 #include "mc/oracle.h"
 
 #include <gtest/gtest.h>
+
+#include "core/lockers.h"
+#include "mc/controller.h"
+#include "tm/shared.h"
 
 namespace mc {
 namespace {
@@ -46,7 +51,8 @@ Op q_op(Op::Kind kind, const void* table, long observed = 0) {
   return op;
 }
 
-/// A lock-table event of cpu 0's first incarnation on `set`.
+/// A semantic-layer event of cpu 0's first incarnation on `set` (a settle
+/// names no set).
 atomos::SemEvent lock_event(atomos::SemEvent::Kind kind, const void* set) {
   return atomos::SemEvent{kind, id(0), set, set};
 }
@@ -210,20 +216,24 @@ TEST(OracleTest, LockLeakDetected) {
   using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), /*owner_live=*/true);
-  // A prune reaches only owners that are no longer live: the leak stays.
-  o.on_lock_event(lock_event(Kind::kPrune, &table_a), /*owner_live=*/false);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  EXPECT_TRUE(o.check().empty());  // unsettled: its handlers may still release
+  o.on_lock_event(lock_event(Kind::kSettle, nullptr));
   EXPECT_TRUE(has(o.check(), Anomaly::kLockLeak));
+  // A later prune of the settled owner is stale: one leak, nothing more.
+  o.on_lock_event(lock_event(Kind::kPrune, &table_a));
+  EXPECT_EQ(o.check().size(), 1u);
 }
 
 TEST(OracleTest, BalancedLocksAreClean) {
   using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), true);
-  o.on_lock_event(lock_event(Kind::kAcquire, &table_a), true);
-  o.on_lock_event(lock_event(Kind::kRelease, &table_a), true);
-  o.on_lock_event(lock_event(Kind::kReleaseAll, &table_a), true);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  o.on_lock_event(lock_event(Kind::kRelease, &table_a));
+  o.on_lock_event(lock_event(Kind::kReleaseAll, &table_a));
+  o.on_lock_event(lock_event(Kind::kSettle, nullptr));
   EXPECT_TRUE(o.check().empty());
 }
 
@@ -231,10 +241,90 @@ TEST(OracleTest, DoubleReleaseOnlyWhenOwnerLive) {
   using Kind = atomos::SemEvent::Kind;
   Oracle o;
   o.register_name(&table_a, "locks");
-  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a), /*owner_live=*/false);
-  EXPECT_TRUE(o.check().empty());  // stale prune of a settled owner
-  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a), /*owner_live=*/true);
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  o.on_lock_event(lock_event(Kind::kRelease, &table_a));
+  EXPECT_TRUE(o.check().empty());
+  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a));  // unsettled: a second release
   EXPECT_TRUE(has(o.check(), Anomaly::kDoubleRelease));
+  o.on_lock_event(lock_event(Kind::kSettle, nullptr));
+  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a));  // settled: stale
+  EXPECT_EQ(o.check().size(), 1u);
+}
+
+TEST(OracleTest, PrunedLockOwesOneEmptyRelease) {
+  // Conflict detection pruned the lock while its owner compensated: the
+  // prune released it, so the owner's own release finds nothing and is
+  // owed.  A second empty release is not.
+  using Kind = atomos::SemEvent::Kind;
+  Oracle o;
+  o.register_name(&table_a, "locks");
+  o.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  o.on_lock_event(lock_event(Kind::kPrune, &table_a));
+  o.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a));
+  o.on_lock_event(lock_event(Kind::kSettle, nullptr));
+  EXPECT_TRUE(o.check().empty());
+
+  Oracle twice;
+  twice.on_lock_event(lock_event(Kind::kAcquire, &table_a));
+  twice.on_lock_event(lock_event(Kind::kPrune, &table_a));
+  twice.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a));
+  twice.on_lock_event(lock_event(Kind::kReleaseNoop, &table_a));
+  twice.on_lock_event(lock_event(Kind::kSettle, nullptr));
+  const std::vector<Violation> vs = twice.check();
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].kind, Anomaly::kDoubleRelease);
+}
+
+// The prune window end to end, with CheckedRuntimeTest's scenario of the
+// same name run under an mc::Controller: CPU 1's commit dooms CPU 0, and
+// CPU 2 prunes CPU 0's key lock while CPU 0's compensation is still running,
+// so the compensation's release finds nothing.
+TEST(OracleTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
+  sim::Config cfg;
+  cfg.num_cpus = 3;
+  cfg.mode = sim::Mode::kTcc;
+  sim::Engine eng(cfg);
+  atomos::Runtime rt(eng);
+  Oracle oracle;
+  Controller ctl(eng, &oracle, Schedule{});
+  eng.set_scheduler_hook(&ctl);
+  rt.set_mc_observer(&ctl);
+  tcc::KeyLockTable<long> locks;
+  atomos::Shared<int> hot(0);
+  int attempts = 0;
+  std::size_t locked_after_prune = 1;
+  eng.spawn([&] {
+    atomos::atomically([&] {
+      ++attempts;
+      const atomos::TxnId me = atomos::self_id();
+      locks.lock(1, me);
+      rt.on_top_commit([&locks, me] { locks.unlock(1, me); },
+                       [&locks, me] {
+                         if (atomos::work(3000)) return;  // CPU 2 prunes meanwhile
+                         locks.unlock(1, me);
+                       });
+      (void)hot.get();
+      if (atomos::work(2000)) return;  // CPU 1's commit dooms attempt 1
+    });
+  });
+  eng.spawn([&] {
+    (void)atomos::work(100);
+    atomos::atomically([&] { hot.set(1); });
+  });
+  eng.spawn([&] {
+    (void)atomos::work(3000);  // inside CPU 0's compensation
+    atomos::atomically([&] {
+      (void)locks.violate_holders(1, atomos::self_id());
+      locked_after_prune = locks.locked_key_count();
+    });
+  });
+  eng.run();
+  rt.set_mc_observer(nullptr);
+  eng.set_scheduler_hook(nullptr);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(locked_after_prune, 0u);  // the prune landed before the unlock
+  const std::vector<Violation> vs = oracle.check();
+  EXPECT_TRUE(vs.empty()) << (vs.empty() ? "" : vs.front().detail);
 }
 
 TEST(OracleTest, AbortAfterCommitFlushDemotesInPlace) {

@@ -225,6 +225,54 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
   EXPECT_EQ(locks.locked_key_count(), 0u);
 }
 
+// The same prune, landing in the second of two compensations.  The first
+// one's detached transaction settles a newer incarnation on CPU 0 while the
+// owner is still compensating; the owner's ledger entry, not the CPU's
+// settled watermark, decides.
+TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersSecondCompensationIsNotReported) {
+  sim::Engine eng(tcc_cfg(3));
+  Runtime rt(eng);
+  tcc::KeyLockTable<long> locks;
+  Shared<int> hot(0);
+  int attempts = 0;
+  std::size_t locked_after_prune = 1;
+  eng.spawn([&] {
+    atomically([&] {
+      ++attempts;
+      const TxnId me = self_id();
+      locks.lock(1, me);
+      Runtime::current().on_top_commit([&locks, me] { locks.unlock(1, me); },
+                                       [&locks, me] {
+                                         // CPU2 prunes the lock meanwhile.
+                                         if (Runtime::current().work(3000)) return;
+                                         locks.unlock(1, me);
+                                       });
+      // Registered last, so it compensates first and settles first.
+      Runtime::current().on_top_abort([] {
+        if (Runtime::current().work(100)) return;
+      });
+      (void)hot.get();
+      if (Runtime::current().work(2000)) return;  // CPU1's commit dooms attempt 1
+    });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(100);
+    atomically([&] { hot.set(1); });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(3000);  // inside CPU0's second compensation
+    atomically([&] {
+      (void)locks.violate_holders(1, self_id());
+      locked_after_prune = locks.locked_key_count();
+    });
+  });
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(locked_after_prune, 0u);  // the prune landed before the unlock
+  EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
+  EXPECT_EQ(locks.locked_key_count(), 0u);
+}
+
 // The same compensation site running twice within one abort: compensations
 // are not idempotent, so a double registration corrupts the collection.
 TEST_F(CheckedRuntimeTest, ReportsCompensationRunTwiceInOneAbort) {
@@ -285,6 +333,31 @@ TEST_F(CheckedRuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
   EXPECT_TRUE(saw_failure);
   // Each sibling ran exactly once within the abort scope.
   EXPECT_EQ(audit::count(audit::Check::kDoubleCompensation), 0u);
+}
+
+// A compensation that throws before releasing its lock still settles its
+// owner: the compensations have run, and the lock they left is leaked.
+TEST_F(CheckedRuntimeTest, ReportsLockLeftByAThrowingCompensation) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  tcc::KeyLockTable<long> locks;
+  bool saw_failure = false;
+  eng.spawn([&] {
+    try {
+      atomically([&] {
+        const TxnId me = self_id();
+        locks.lock(7, me);
+        Runtime::current().on_top_commit([&locks, me] { locks.unlock(7, me); },
+                                         [] { throw std::logic_error("compensation failed"); });
+        throw std::runtime_error("force abort");
+      });
+    } catch (const std::logic_error&) {
+      saw_failure = true;
+    }
+  });
+  eng.run();
+  EXPECT_TRUE(saw_failure);
+  EXPECT_EQ(audit::count(audit::Check::kLockLeak), 1u);
 }
 
 // Distinct sites in one abort — and the same site across DIFFERENT aborts
