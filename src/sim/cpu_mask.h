@@ -53,11 +53,10 @@ struct CpuMask {
     }
   }
 
-  /// for_each with one CPU excluded — the shared kernel behind commit
-  /// broadcast (invalidate all copies but the committer's) and MESI
-  /// write-upgrade (drop all sharers but the writer).  The excluded bit is
-  /// masked out of its word up front, so members are walked with the same
-  /// branch-free countr_zero loop and callers drop their per-member
+  /// for_each with one CPU excluded — the commit broadcast's walk over a
+  /// line's readers, all but the committer (tm/reader_dir.h).  The excluded
+  /// bit is masked out of its word up front, so members are walked with the
+  /// same branch-free countr_zero loop and callers drop their per-member
   /// `if (c != me)` test.
   template <class F>
   void for_each_except(int skip, F f) const {

@@ -194,7 +194,7 @@ std::size_t round_up(std::size_t n, std::size_t align) {
 // reinstalls its ASan fake stack, and — exactly once per host thread — learns
 // the main stack's bounds if the switch originated there (a fiber entered by
 // transfer_to learns nothing: the initiator's bounds are already known).
-inline void finish_arrival_in_fiber(Fiber* self, void* fake_save) {
+inline void finish_arrival_in_fiber(void* fake_save) {
 #if defined(TCC_ASAN)
   const void* from_bottom = nullptr;
   std::size_t from_size = 0;
@@ -204,7 +204,6 @@ inline void finish_arrival_in_fiber(Fiber* self, void* fake_save) {
     g_ctx.main_asan_size = from_size;
   }
 #else
-  (void)self;
   (void)fake_save;
 #endif
 }
@@ -334,7 +333,7 @@ void Fiber::yield() {
                     g_ctx.main_asan_size);
   tcc_ctx_swap(&self->fiber_sp_, g_ctx.main_sp);
   // Re-entered (by resume() or a transfer_to() targeting us).
-  finish_arrival_in_fiber(self, self->asan_fake_stack_);
+  finish_arrival_in_fiber(self->asan_fake_stack_);
 }
 
 void Fiber::transfer_to(Fiber& next) {
@@ -354,14 +353,14 @@ void Fiber::transfer_to(Fiber& next) {
                     next.stack_size_);
   tcc_ctx_swap(&self->fiber_sp_, next.fiber_sp_);
   // Re-entered (by resume() or a transfer_to() targeting us).
-  finish_arrival_in_fiber(self, self->asan_fake_stack_);
+  finish_arrival_in_fiber(self->asan_fake_stack_);
 }
 
 void Fiber::run_body() noexcept {
   // First activation: complete the switch begun by resume()/transfer_to().
   // The seeded frame has no saved fake stack, so pass the field (still
   // nullptr) — later re-entries reinstall the one saved at suspension.
-  finish_arrival_in_fiber(this, asan_fake_stack_);
+  finish_arrival_in_fiber(asan_fake_stack_);
   try {
     body_();
   } catch (const FiberKilled&) {

@@ -49,97 +49,93 @@ MemSys::~MemSys() {
     pool.push_back(std::move(l1_));
 }
 
-MemSys::Way* MemSys::find(int cpu, LineAddr line) {
-  Way* c = l1_of(cpu);
-  const std::size_t set = static_cast<std::size_t>(line & kSetMask) * Config::kL1Ways;
+MemSys::Way* MemSys::find(int cpu, LineAddr line, std::uint64_t version) {
+  Way* set = set_of(cpu, line);
+  const auto tag = static_cast<std::uint32_t>(line);
   for (std::size_t i = 0; i < Config::kL1Ways; ++i) {
-    Way& w = c[set + i];
-    if (w.state != St::I && w.line == line) return &w;
+    Way& w = set[i];
+    if (w.line == tag && w.version == version && w.state != St::I) return &w;
   }
   return nullptr;
 }
 
+bool MemSys::valid(const Way& w) const {
+  return w.state != St::I && w.version == lines_.find(w.line)->version;
+}
+
+// A stale way counts as invalid: the first invalid or stale way in index
+// order is taken, and only a set of valid ways evicts its least-recent one.
 MemSys::Way& MemSys::victim(int cpu, LineAddr line) {
-  Way* c = l1_of(cpu);
-  const std::size_t set = static_cast<std::size_t>(line & kSetMask) * Config::kL1Ways;
-  Way* best = &c[set];
+  Way* set = set_of(cpu, line);
+  Way* best = set;
   for (std::size_t i = 0; i < Config::kL1Ways; ++i) {
-    Way& w = c[set + i];
-    if (w.state == St::I) return w;
+    Way& w = set[i];
+    if (!valid(w)) return w;
     if (w.lru < best->lru) best = &w;
   }
   evict(cpu, *best);
   return *best;
 }
 
-void MemSys::dir_remove_cpu(LineAddr line, int cpu) {
-  Dir* d = dir_.find(line);
-  if (d == nullptr) return;
-  d->sharers.clear(cpu);
-  if (d->owner == cpu) d->owner = -1;
-  if (d->sharers.none() && d->owner < 0) dir_.erase(line);
-}
-
+// Drops `cpu`'s valid way `w`, with its sharer bit and any ownership.
 void MemSys::evict(int cpu, Way& w) {
-  if (w.state == St::I) return;
   // Note: a TCC L1 must not evict speculatively written lines; real hardware
   // would stall or overflow-serialize.  We evict silently and rely on the TM
   // layer's write buffer for values; only timing fidelity is lost, and the
   // benchmarks' write sets fit in L1 anyway.
-  dir_remove_cpu(w.line, cpu);
+  Line& rec = *lines_.find(w.line);
+  rec.sharers.clear(cpu);
+  if (rec.owner == cpu) rec.owner = -1;
   w.state = St::I;
   w.spec_dirty = false;
 }
 
-void MemSys::drop_from(int cpu, LineAddr line) {
-  if (Way* w = find(cpu, line)) {
-    w->state = St::I;
-    w->spec_dirty = false;
-  }
-  dir_remove_cpu(line, cpu);
+// Every fill writes the state, the version and a clear spec_dirty: a stale
+// victim may still carry the flag of the copy it was.
+void MemSys::fill(Way& w, LineAddr line, const Line& rec, St state) {
+  w.line = static_cast<std::uint32_t>(line);
+  w.state = state;
+  w.spec_dirty = false;
+  w.version = rec.version;
 }
 
 std::uint64_t MemSys::plain_load(int cpu, std::uintptr_t addr, std::uint64_t t) {
   stats_.cpu(cpu).loads++;
   const LineAddr line = line_of(addr);
-  if (Way* w = find(cpu, line)) {
+  Line& rec = lines_.at(line);
+  if (Way* w = find(cpu, line, rec.version)) {
     w->lru = ++lru_tick_;
     return t + Config::kL1HitCycles;
   }
   stats_.cpu(cpu).l1_misses++;
   if (tracer_ != nullptr)
     tracer_->on_miss(cpu, t, line, trace::MissClass::kPlainLoad);
-  // Work on a copy: victim() below may evict other lines, which mutates the
-  // directory table and would invalidate a live Dir pointer.
-  Dir d = *dir_.try_emplace(line, Dir{}).first;
   std::uint32_t occ = Config::kBusXferCycles;
-  if (d.owner >= 0 && d.owner != cpu) {
+  if (rec.owner >= 0 && rec.owner != cpu) {
     // Another CPU holds the line exclusively (E or M): downgrade it to S,
     // paying a writeback only if the copy was dirty.
-    if (Way* ow = find(d.owner, line)) {
+    if (Way* ow = find(rec.owner, line, rec.version)) {
       if (ow->state == St::M) occ += Config::kWritebackCycles;
       ow->state = St::S;
     }
-    d.sharers.set(d.owner);
-    d.owner = -1;
+    rec.sharers.set(rec.owner);
+    rec.owner = -1;
   }
   const std::uint64_t done =
       bus_.transact(t, Config::kBusArbCycles, occ) + Config::kL2HitCycles;
   Way& w = victim(cpu, line);
-  w.line = line;
+  fill(w, line, rec, rec.sharers.none() ? St::E : St::S);
   w.lru = ++lru_tick_;
-  w.spec_dirty = false;
-  w.state = d.sharers.none() ? St::E : St::S;
-  if (w.state == St::E) d.owner = cpu;
-  d.sharers.set(cpu);
-  *dir_.try_emplace(line, Dir{}).first = d;
+  if (w.state == St::E) rec.owner = cpu;
+  rec.sharers.set(cpu);
   return done;
 }
 
 std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t) {
   stats_.cpu(cpu).stores++;
   const LineAddr line = line_of(addr);
-  Way* w = find(cpu, line);
+  Line& rec = lines_.at(line);
+  Way* w = find(cpu, line, rec.version);
   if (w != nullptr && w->state == St::M) {
     w->lru = ++lru_tick_;
     return t + Config::kL1HitCycles;
@@ -147,28 +143,20 @@ std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t)
   if (w != nullptr && w->state == St::E) {
     w->state = St::M;
     w->lru = ++lru_tick_;
-    dir_.try_emplace(line, Dir{}).first->owner = cpu;
+    rec.owner = cpu;
     return t + Config::kL1HitCycles;
   }
   // Upgrade (S) or read-for-ownership (miss): invalidate all other copies.
-  // Batched like invalidate_copies: the entry is overwritten wholesale at
-  // the end, so the per-sharer directory bookkeeping drop_from would do is
-  // dead work — only the L1 ways need dropping.  An exclusive owner is
-  // always in the sharer mask (plain_load/plain_store maintain that), so
-  // the walk below covers it; its writeback charge is read off first.
-  Dir d{};
-  if (const Dir* p = dir_.find(line)) d = *p;
+  // An exclusive owner is always a sharer, so the bump below covers it; its
+  // writeback charge is read off first.
   std::uint32_t occ = (w != nullptr) ? 0 : Config::kBusXferCycles;
-  if (d.owner >= 0 && d.owner != cpu) {
-    if (Way* ow = find(d.owner, line); ow != nullptr && ow->state == St::M)
+  if (rec.owner >= 0 && rec.owner != cpu) {
+    if (Way* ow = find(rec.owner, line, rec.version); ow != nullptr && ow->state == St::M)
       occ += Config::kWritebackCycles;
   }
-  d.sharers.for_each_except(cpu, [&](int c) {
-    if (Way* ow = find(c, line)) {
-      ow->state = St::I;
-      ow->spec_dirty = false;
-    }
-  });
+  CpuMask others = rec.sharers;
+  others.clear(cpu);
+  if (others.any()) ++rec.version;  // every copy but the one re-stamped below
   const bool was_miss = (w == nullptr);
   if (was_miss) {
     stats_.cpu(cpu).l1_misses++;
@@ -177,21 +165,19 @@ std::uint64_t MemSys::plain_store(int cpu, std::uintptr_t addr, std::uint64_t t)
   }
   const std::uint64_t done =
       bus_.transact(t, Config::kBusArbCycles, occ) + (was_miss ? Config::kL2HitCycles : 0);
-  if (w == nullptr) {
-    w = &victim(cpu, line);
-    w->line = line;
-  }
-  w->state = St::M;
-  w->spec_dirty = false;
+  if (w == nullptr) w = &victim(cpu, line);
+  fill(*w, line, rec, St::M);
   w->lru = ++lru_tick_;
-  *dir_.try_emplace(line, Dir{}).first = Dir{CpuMask::one(cpu), cpu};
+  rec.sharers = CpuMask::one(cpu);
+  rec.owner = cpu;
   return done;
 }
 
 std::uint64_t MemSys::tx_load(int cpu, std::uintptr_t addr, std::uint64_t t) {
   stats_.cpu(cpu).loads++;
   const LineAddr line = line_of(addr);
-  if (Way* w = find(cpu, line)) {
+  Line& rec = lines_.at(line);
+  if (Way* w = find(cpu, line, rec.version)) {
     w->lru = ++lru_tick_;
     return t + Config::kL1HitCycles;
   }
@@ -201,18 +187,17 @@ std::uint64_t MemSys::tx_load(int cpu, std::uintptr_t addr, std::uint64_t t) {
   const std::uint64_t done =
       bus_.transact(t, Config::kBusArbCycles, Config::kBusXferCycles) + Config::kL2HitCycles;
   Way& w = victim(cpu, line);
-  w.line = line;
-  w.state = St::S;  // "valid" in TCC mode
-  w.spec_dirty = false;
+  fill(w, line, rec, St::S);  // S is "valid" in TCC mode
   w.lru = ++lru_tick_;
-  dir_.try_emplace(line, Dir{}).first->sharers.set(cpu);
+  rec.sharers.set(cpu);
   return done;
 }
 
 std::uint64_t MemSys::tx_store(int cpu, std::uintptr_t addr, std::uint64_t t) {
   stats_.cpu(cpu).stores++;
   const LineAddr line = line_of(addr);
-  Way* w = find(cpu, line);
+  Line& rec = lines_.at(line);
+  Way* w = find(cpu, line, rec.version);
   std::uint64_t done = t + Config::kL1HitCycles;
   if (w == nullptr) {
     // Write-allocate: fetch the line so commit can merge into it.
@@ -222,9 +207,8 @@ std::uint64_t MemSys::tx_store(int cpu, std::uintptr_t addr, std::uint64_t t) {
     done = bus_.transact(t, Config::kBusArbCycles, Config::kBusXferCycles) +
            Config::kL2HitCycles;
     w = &victim(cpu, line);
-    w->line = line;
-    w->state = St::S;
-    dir_.try_emplace(line, Dir{}).first->sharers.set(cpu);
+    fill(*w, line, rec, St::S);
+    rec.sharers.set(cpu);
   }
   if (!w->spec_dirty) {
     w->spec_dirty = true;  // buffered in cache, no bus traffic until commit
@@ -248,23 +232,20 @@ std::uint64_t MemSys::tcc_commit(int cpu, std::size_t write_lines, std::uint64_t
 }
 
 void MemSys::invalidate_copies(int committer, LineAddr line) {
-  Dir* d = dir_.find(line);
-  if (d == nullptr) return;
-  // Batched drop: one directory probe for the whole broadcast.  The L1 way
-  // invalidations never touch dir_, so holding d across them is safe; the
-  // final sharer state is written back (or the entry erased) exactly once,
-  // instead of a find+erase round trip per sharer (drop_from).
-  d->sharers.for_each_except(committer, [&](int c) {
-    if (Way* w = find(c, line)) {
-      w->state = St::I;
-      w->spec_dirty = false;
-    }
-  });
-  const bool keep = d->sharers.test(committer);
-  d->sharers.reset();
-  if (keep) d->sharers.set(committer);
-  if (d->owner != committer) d->owner = -1;
-  if (!keep && d->owner < 0) dir_.erase(line);
+  Line* rec = lines_.find(line);
+  if (rec == nullptr) return;
+  CpuMask others = rec->sharers;
+  others.clear(committer);
+  if (others.any()) {
+    // One bump drops every other copy; the committer's own stays valid.
+    Way* own = find(committer, line, rec->version);
+    ++rec->version;
+    if (own != nullptr) own->version = rec->version;
+  }
+  const bool keep = rec->sharers.test(committer);
+  rec->sharers.reset();
+  if (keep) rec->sharers.set(committer);
+  if (rec->owner != committer) rec->owner = -1;
 }
 
 void MemSys::abort_clear_speculative(int cpu) {
@@ -272,11 +253,7 @@ void MemSys::abort_clear_speculative(int cpu) {
   auto& sw = spec_ways_[static_cast<std::size_t>(cpu)];
   for (const std::uint32_t i : sw) {
     Way& w = c[i];
-    if (w.state != St::I && w.spec_dirty) {
-      dir_remove_cpu(w.line, cpu);
-      w.state = St::I;
-      w.spec_dirty = false;
-    }
+    if (w.spec_dirty && valid(w)) evict(cpu, w);
   }
   sw.clear();
 }

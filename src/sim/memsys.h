@@ -21,9 +21,8 @@
 
 #include "sim/config.h"
 #include "sim/cpu_mask.h"
-#include "sim/flat_map.h"
+#include "sim/line_table.h"
 #include "sim/stats.h"
-#include "sim/vaddr.h"
 
 namespace trace {
 class Tracer;
@@ -31,17 +30,10 @@ class Tracer;
 
 namespace sim {
 
-using LineAddr = std::uint64_t;
-
 /// Converts a byte address to its cache-line address.
 constexpr LineAddr line_of(std::uintptr_t addr) {
   return static_cast<LineAddr>(addr) >> Config::kLineShift;
 }
-
-// The arena allocator's line-isolation arithmetic (sim/vaddr.h) must agree
-// with the cost model's line granularity.
-static_assert(kVaLineBytes == (std::uintptr_t{1} << Config::kLineShift),
-              "sim::kVaLineBytes out of sync with Config::kLineShift");
 
 /// Shared split-transaction bus: a single resource with queuing.
 class Bus {
@@ -106,24 +98,38 @@ class MemSys {
  private:
   enum class St : std::uint8_t { I, S, E, M };
 
+  // A way is valid only while its state is not I and its version is its
+  // line's: a bump of the line's version invalidates every copy stamped
+  // with the old one at once.  Versions are 64-bit and grow by one per
+  // invalidating store or commit, so none wraps within an engine's life.
   struct Way {
-    LineAddr line = 0;
+    std::uint32_t line = 0;  // line tag: every virtual line fits (below)
     St state = St::I;
     bool spec_dirty = false;  // TCC: holds speculative (uncommitted) data
+    std::uint64_t version = 0;
     std::uint64_t lru = 0;
   };
+  static_assert(kLineEnd <= (LineAddr{1} << 32), "a Way's line tag must hold every virtual line");
+  static_assert(sizeof(Way) == 24);
 
-  struct Dir {
+  // Per-line coherence record.  Invariant: a CPU holding a valid way of the
+  // line has its bit in `sharers`, and `owner` is -1 or one of the sharers.
+  struct Line {
     CpuMask sharers;  // CPUs with a copy (multi-word: up to kMaxCpus)
-    int owner = -1;   // CPU holding the line in E or M (MESI mode)
+    std::uint64_t version = 0;
+    int owner = -1;  // CPU holding the line in E or M (MESI mode)
   };
 
-  Way* find(int cpu, LineAddr line);
+  Way* find(int cpu, LineAddr line, std::uint64_t version);
+  bool valid(const Way& w) const;
   Way& victim(int cpu, LineAddr line);
   void evict(int cpu, Way& w);
-  void drop_from(int cpu, LineAddr line);  // cache+dir removal
-  void dir_remove_cpu(LineAddr line, int cpu);
+  static void fill(Way& w, LineAddr line, const Line& rec, St state);
 
+  Way* set_of(int cpu, LineAddr line) {
+    return l1_.data() + static_cast<std::size_t>(cpu) * kCpuStride +
+           static_cast<std::size_t>(line & kSetMask) * Config::kL1Ways;
+  }
   Way* l1_of(int cpu) { return l1_.data() + static_cast<std::size_t>(cpu) * kCpuStride; }
 
   static std::vector<std::vector<Way>>& l1_pool();  // per-thread recycled buffers
@@ -146,14 +152,13 @@ class MemSys {
   std::vector<Way> l1_;
   // Ways a CPU has speculatively written (spec_dirty set by tx_store), so
   // commit/abort clear exactly those instead of sweeping the whole L1.
-  // May hold stale indices (eviction clears the flag without unlisting);
-  // consumers re-check spec_dirty, which makes duplicates idempotent too.
+  // May hold stale indices (eviction clears the flag without unlisting, and
+  // a version bump leaves it on a way that is now stale); abort re-checks
+  // the flag and the way's validity, which makes duplicates idempotent too.
   std::vector<std::vector<std::uint32_t>> spec_ways_;
-  // Line directory as an open-addressing flat table.  NOTE: unlike
-  // unordered_map, insert AND erase can move other entries, so no Dir
-  // pointer/reference may be held across another dir_ mutation — the
-  // accessors below copy out and write back instead.
-  FlatMap<LineAddr, Dir> dir_;
+  // Coherence records.  victim() and evict() use find(), which never grows
+  // the table, so an access may hold its own line's record across them.
+  LineTable<Line> lines_;
   std::uint64_t lru_tick_ = 0;
   trace::Tracer* tracer_ = nullptr;
 };

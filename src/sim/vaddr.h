@@ -35,10 +35,10 @@
 //    workload's construction order, byte-identical for any --jobs N;
 //  * false sharing between packed data cells is modelled by construction
 //    adjacency, as before;
-//  * virtual addresses stay dense and small: the line-private arenas sit at
-//    low addresses with fixed spans and the data arena comes last, so the TM
-//    layer's flat reader directory (indexed by line - base) grows only with
-//    real data-arena allocation.
+//  * virtual lines are dense inside each arena, so per-line state (the
+//    MemSys coherence records and the TM reader directory) lives in a
+//    sim::LineTable: one array per arena, indexed from the arena's own base
+//    and grown only as far as the workload allocates in it.
 //
 // The cursors are reset by each Engine's constructor.  Invariant: simulated
 // cells must be constructed on the Engine's own host thread, after the
@@ -63,13 +63,13 @@ namespace sim {
 inline constexpr std::uintptr_t kVaBase = std::uintptr_t{1} << 20;
 
 /// Bytes per virtual cache line.  Must agree with Config::kLineShift (the
-/// cross-check static_assert lives in sim/memsys.h, which sees both).
+/// cross-check static_assert lives in sim/line_table.h, which sees both).
 inline constexpr std::uintptr_t kVaLineBytes = 64;
 
 /// The memory class a cell declares: which arena its virtual address comes
-/// from, in ascending base-address order.  kData is last so the flat reader
-/// directory's high-water mark tracks real data allocation instead of the
-/// fixed spans of the small arenas.  Every class but kData gives each cell a
+/// from, in ascending base-address order.  The order is part of the cost
+/// model: every cell's address, and with it its L1 set and every simulated
+/// cycle total, follows from it.  Every class but kData gives each cell a
 /// private line.  Scoped, so a class never converts to a cell's value type.
 enum class MemClass : std::uint8_t {
   kMeta = 0,     ///< collection metadata: dispatch pointers, size fields
@@ -88,10 +88,10 @@ inline constexpr MemClass kLockWord = MemClass::kLock;
 /// Fixed span of each arena.  The line-private arenas hold 16Ki lines
 /// each — about 6x the hungriest workload in the repo (SPECjbb Java mode:
 /// ~2700 per-object lock words) — and overflow is a hard, deterministic
-/// error (never a silent collision).  kData is effectively unbounded.  The
-/// spans are kept small on purpose: the TM reader directory is a flat array
-/// indexed from kVaBase, so every byte of fixed span ahead of the data
-/// arena is index offset it pays for.
+/// error (never a silent collision).  kData is effectively unbounded.  An
+/// unused span costs no host memory (sim/line_table.h indexes each arena
+/// from its own base); the spans stay fixed because every address follows
+/// from them.
 inline constexpr std::uintptr_t kArenaSpan[kArenaCount] = {
     std::uintptr_t{1} << 20,  // kMeta:    1 MiB = 16384 isolated lines
     std::uintptr_t{1} << 20,  // kCounter: 1 MiB
@@ -112,7 +112,7 @@ constexpr std::uintptr_t arena_limit(MemClass arena) {
 }
 
 static_assert(arena_base(MemClass::kMeta) == kVaBase,
-              "reader-directory line base assumes the first arena starts at kVaBase");
+              "the first arena starts the virtual heap at kVaBase");
 static_assert(arena_base(MemClass::kMeta) % kVaLineBytes == 0);
 static_assert(arena_base(MemClass::kCounter) % kVaLineBytes == 0);
 static_assert(arena_base(MemClass::kLock) % kVaLineBytes == 0);

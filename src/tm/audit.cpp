@@ -248,14 +248,6 @@ void check_reader_dir(const detail::Txn& t, const ReaderDir& dir) {
   });
 }
 
-// ---- reader directory (hook called by tm/reader_dir.h) ----
-
-void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what) {
-  report(Check::kSetCorruption,
-         "reader directory: " + std::string(what) + " (line " +
-             std::to_string(line) + ", cpu " + std::to_string(cpu) + ")");
-}
-
 void check_trace_nesting(const trace::Tracer& tracer) {
   using trace::Kind;
   for (int cpu = 0; cpu < tracer.num_cpus(); ++cpu) {

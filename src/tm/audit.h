@@ -33,14 +33,12 @@
 #include <string>
 #include <vector>
 
-#include "sim/memsys.h"
-
 namespace trace {
 class Tracer;
 }
 
-// Declared, not included: tm/runtime.h and tm/reader_dir.h include this
-// header to call its hooks.
+// Declared, not included: tm/runtime.h includes this header to call its
+// hooks.
 namespace atomos {
 struct TxnId;
 struct SemEvent;
@@ -128,9 +126,6 @@ void check_txn_sets(const detail::Txn& t);
 /// set (else a committer would miss it).
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
 
-// ---- hook: reader directory (called by tm/reader_dir.h) ----
-void reader_dir_corrupt(sim::LineAddr line, int cpu, const char* what);
-
 // ---- hooks: Shared cells (called by tm/runtime.cpp and tm/shared.h) ----
 /// A worker's non-transactional store of `size` bytes to the Shared cell
 /// whose committed storage is at `addr` (Runtime::tm_write outside any
@@ -167,7 +162,6 @@ inline void compensation_handler_committed(int) {}
 inline void compensation_handler_aborted(int) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
-inline void reader_dir_corrupt(sim::LineAddr, int, const char*) {}
 inline void naked_store(std::uintptr_t, std::uint32_t) {}
 inline void late_profile_label(std::uintptr_t, const char*) {}
 inline void check_trace_nesting(const trace::Tracer&) {}

@@ -14,36 +14,22 @@
 // set bits are a superset of the CPUs with a live reader (checked under
 // TXCC_CHECKED), and a stale bit costs at most one visit, which clears it.
 //
-// Virtual addresses (sim/vaddr.h) are dense, so this is flat-array
-// indexing, not hashing: idx = line - (kVaBase >> kLineShift).
+// Virtual lines are dense per arena, so the masks live in a sim::LineTable:
+// one indexed load per line, not a hash probe.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "sim/config.h"
 #include "sim/cpu_mask.h"
-#include "sim/memsys.h"
-#include "sim/vaddr.h"
-#include "tm/audit.h"
+#include "sim/line_table.h"
 
 namespace atomos {
 
 class ReaderDir {
  public:
-  void add(sim::LineAddr line, int cpu) {
-    if (line < kLineBase) {
-      audit::reader_dir_corrupt(line, cpu, "add below virtual heap");
-      return;
-    }
-    const std::size_t i = index(line);
-    if (i >= masks_.size()) masks_.resize(i + 1);
-    masks_[i].set(cpu);
-  }
+  /// Sets `cpu`'s bit.  A line outside the virtual heap throws (LineTable).
+  void add(sim::LineAddr line, int cpu) { masks_.at(line).set(cpu); }
 
   void clear(sim::LineAddr line, int cpu) {
-    const std::size_t i = index(line);
-    if (i < masks_.size()) masks_[i].clear(cpu);
+    if (sim::CpuMask* m = masks_.find(line)) m->clear(cpu);
   }
 
   /// Calls f(cpu) for every reader of `line` except `except` (the committer
@@ -51,25 +37,19 @@ class ReaderDir {
   /// of `line`: the walk runs over a copy of the mask.
   template <class F>
   void for_each_reader_except(sim::LineAddr line, int except, F f) const {
-    const std::size_t i = index(line);
-    if (i >= masks_.size()) return;
-    const sim::CpuMask readers = masks_[i];
+    const sim::CpuMask* m = masks_.find(line);
+    if (m == nullptr) return;
+    const sim::CpuMask readers = *m;
     readers.for_each_except(except, f);
   }
 
   bool is_reader(sim::LineAddr line, int cpu) const {
-    const std::size_t i = index(line);
-    return i < masks_.size() && masks_[i].test(cpu);
+    const sim::CpuMask* m = masks_.find(line);
+    return m != nullptr && m->test(cpu);
   }
 
  private:
-  static constexpr sim::LineAddr kLineBase = sim::kVaBase >> sim::Config::kLineShift;
-
-  static std::size_t index(sim::LineAddr line) {
-    return static_cast<std::size_t>(line - kLineBase);
-  }
-
-  std::vector<sim::CpuMask> masks_;  // [line - kLineBase]: reader-CPU bits
+  sim::LineTable<sim::CpuMask> masks_;  // reader-CPU bits per line
 };
 
 }  // namespace atomos

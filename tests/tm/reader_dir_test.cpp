@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 
 #include "tm/runtime.h"
 #include "tm/shared.h"
@@ -82,6 +83,28 @@ TEST(ReaderDirTest, MultiWordMasksAbove64Cpus) {
   EXPECT_FALSE(dir.is_reader(kLine0, 5));
   EXPECT_FALSE(dir.is_reader(kLine0, 64));
   EXPECT_TRUE(dir.is_reader(kLine0, 127));
+}
+
+TEST(ReaderDirTest, EveryArenaKeepsItsOwnMasks) {
+  // The directory is one array per arena: a line in each arena, all at the
+  // same offset inside their arenas, must keep a bit of its own.
+  ReaderDir dir;
+  sim::LineAddr lines[sim::kArenaCount];
+  for (std::size_t a = 0; a < sim::kArenaCount; ++a) {
+    lines[a] = (sim::arena_base(static_cast<sim::MemClass>(a)) >> sim::Config::kLineShift) + 3;
+    dir.add(lines[a], static_cast<int>(a));
+  }
+  for (std::size_t a = 0; a < sim::kArenaCount; ++a) {
+    for (int cpu = 0; cpu < static_cast<int>(sim::kArenaCount); ++cpu)
+      EXPECT_EQ(dir.is_reader(lines[a], cpu), cpu == static_cast<int>(a)) << "arena " << a;
+  }
+  for (std::size_t a = 0; a < sim::kArenaCount; ++a) {
+    dir.clear(lines[a], static_cast<int>(a));
+    EXPECT_FALSE(dir.is_reader(lines[a], static_cast<int>(a)));
+    for (std::size_t b = a + 1; b < sim::kArenaCount; ++b)
+      EXPECT_TRUE(dir.is_reader(lines[b], static_cast<int>(b))) << "arena " << b;
+  }
+  EXPECT_THROW(dir.add(kLine0 - 1, 0), std::out_of_range);  // below the heap
 }
 
 TEST(ReaderDirIntegration, CommitFlagsLiveReader) {
