@@ -10,7 +10,7 @@
 //             transactional collections (jbb kAtomosTransactional,
 //             srv kSemanticTm);
 //   Chopped — Open, plus tm::chopped(): NewOrder/Payment and the srv
-//             dequeue/handle path commit as rank-ordered pieces, so the
+//             dequeue/handle path commit as ordered pieces, so the
 //             conflict window shrinks from the whole operation to one
 //             piece (jbb kAtomosChopped, srv kChoppedTm).
 //

@@ -50,9 +50,9 @@ int main() {
             for (auto it = checking.iterator(); it->has_next();) total += it->next().second;
             for (auto it = savings.iterator(); it->has_next();) total += it->next().second;
             // Record on commit only: aborted audits don't count, and there
-            // is nothing to compensate.
+            // is nothing to compensate.  The tallies own the handler.
             atomos::Runtime::current().on_top_commit(
-                [&, total] { (total == expected_total ? audits_ok : audits_bad)++; },
+                &audits_ok, [&, total] { (total == expected_total ? audits_ok : audits_bad)++; },
                 atomos::no_compensation);
           });
           continue;

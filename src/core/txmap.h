@@ -274,7 +274,7 @@ class TransactionalMap : public Iface {
     auto* self = const_cast<TransactionalMap*>(this);
     // Read-only transactions (empty store buffer) only release locks at
     // commit: pure cleanup, no token needed.
-    rt.on_top_commit([self, cpu] { self->commit_handler(cpu); },
+    rt.on_top_commit(self, [self, cpu] { self->commit_handler(cpu); },
                      [self, cpu] { self->abort_handler(cpu); },
                      [self, cpu] {
                        return !self->locals_[static_cast<std::size_t>(cpu)].store.empty();
@@ -367,10 +367,6 @@ class TransactionalMap : public Iface {
 
   /// THE abort handler: pure compensation (paper Section 5 rules).
   virtual void abort_handler(int cpu) {
-    // Report the compensation body to the auditor / txmc oracle before the
-    // local state is cleared (a second run for the same abort is invisible
-    // afterwards — detection is scoped by the runtime's abort bracket).
-    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(ls.key_locks.size() + 1);
     release_and_clear(ls);

@@ -239,7 +239,7 @@ class TransactionalQueue : public jstd::Channel<T> {
     const int cpu = rt.engine().cpu_id();
     auto* self = const_cast<TransactionalQueue*>(this);
     // Only transactions with pending puts need the token at commit.
-    rt.on_top_commit([self, cpu] { self->commit_handler(cpu); },
+    rt.on_top_commit(self, [self, cpu] { self->commit_handler(cpu); },
                      [self, cpu] { self->abort_handler(cpu); },
                      [self, cpu] {
                        return !self->locals_[static_cast<std::size_t>(cpu)].add_buffer.empty();
@@ -263,7 +263,6 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// Compensation: eagerly removed elements go back (order not preserved —
   /// the queue deliberately keeps no strict ordering across transactions).
   virtual void abort_handler(int cpu) {
-    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(ls.remove_buffer.size() + 1);
     if (!ls.remove_buffer.empty()) {

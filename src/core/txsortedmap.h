@@ -159,8 +159,6 @@ class TransactionalSortedMap final
   }
 
   void abort_handler(int cpu) override {
-    // Does not chain to the Map handler, so report the compensation here.
-    atomos::compensation_run(cpu, this);
     LocalState& ls = this->locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(ls.key_locks.size() + 2);
     release_sorted(ls);

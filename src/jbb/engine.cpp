@@ -125,11 +125,12 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
   }
   if (cfg_.flavor == Flavor::kAtomosChopped && atomos::Runtime::active()) {
     // Chopped: the district phase and the stock walk commit as separate
-    // rank-ordered pieces (tm/chop.h), so a concurrent operation that
+    // ordered pieces (tm/chop.h), so a concurrent operation that
     // conflicts only with the stock walk no longer violates the district
     // work (and vice versa).  The district piece registers a compensation
-    // that removes the order again; kRanked never runs it, but the contract
-    // (tm/chop.h) wants mutating non-final pieces to be undoable.
+    // that removes the order again; it runs only if the stock piece throws,
+    // but the contract (tm/chop.h) wants mutating non-final pieces to be
+    // undoable.
     Customer* cust = d.customers[cidx].get();
     long oid = 0;
     long total = 0;

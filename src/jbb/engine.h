@@ -18,7 +18,7 @@
 //                          pieces (tm/chop.h): the district phase and the
 //                          stock walk (NewOrder), the warehouse section and
 //                          the district section (Payment) each commit as
-//                          their own rank-ordered transaction, shrinking
+//                          their own transaction, in order, shrinking
 //                          the conflict window below the open-nested
 //                          flavour's whole-operation footprint (fig6).
 #pragma once

@@ -76,10 +76,10 @@ void Controller::note_table(const void* table) {
 
 void Controller::on_sem(const atomos::SemEvent& e) {
   using Kind = atomos::SemEvent::Kind;
-  // Violations and compensations are not lock-table traffic: they leave the
-  // quantum's table footprint and the oracle's lock ledger alone.  A settle
-  // touches no table: only the ledger needs it.
-  if (e.kind == Kind::kViolation || e.kind == Kind::kCompensation) return;
+  // Violations are not lock-table traffic: they leave the quantum's table
+  // footprint and the oracle's lock ledger alone.  A settle touches no
+  // table: only the ledger needs it.
+  if (e.kind == Kind::kViolation) return;
   if (e.kind != Kind::kSettle) note_table(e.set);
   if (oracle_ != nullptr) oracle_->on_lock_event(e);
 }

@@ -30,8 +30,8 @@ void mc_attach(Oracle& o) {
   o.attempt_begin(id.cpu, id);
   Oracle* op = &o;
   const int cpu = id.cpu;
-  rt.on_top_commit([op, cpu] { op->flush_commit(cpu); }, [op, cpu] { op->flush_abort(cpu); },
-                   [] { return false; });
+  rt.on_top_commit(op, [op, cpu] { op->flush_commit(cpu); },
+                   [op, cpu] { op->flush_abort(cpu); }, [] { return false; });
 }
 
 /// Runs `body` as one top-level transaction under the oracle.
@@ -477,7 +477,7 @@ std::unique_ptr<World> build_srv_handler(Oracle& o) {
 
 std::unique_ptr<World> build_chop_transfer(Oracle& o) {
   // The srv handler shape as a tm::chopped() transaction: the take and the
-  // session deposit commit as separate rank-ordered pieces.  Within the take
+  // session deposit commit as separate ordered pieces.  Within the take
   // piece TransactionalQueue's eager open-nested remove must put the element
   // back if the piece aborts (try_dequeue abort put-back), so in EVERY
   // schedule the two requests are consumed exactly once and the FIFO bag is

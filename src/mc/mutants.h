@@ -100,7 +100,6 @@ class LossyQueue final : public tcc::TransactionalQueue<long> {
 
  protected:
   void abort_handler(int cpu) override {
-    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     tcc::charge_sem_op();
     ls.remove_buffer.clear();  // BUG: elements vanish instead of returning
@@ -132,7 +131,6 @@ class LeakyAbortMap final : public LongMap {
 
  protected:
   void abort_handler(int cpu) override {
-    atomos::compensation_run(cpu, this);
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     tcc::charge_sem_op();
     ls.clear();  // BUG: key/size/empty locks never released

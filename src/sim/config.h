@@ -59,8 +59,8 @@ struct Config {
   // --- semantic-layer cost model (host-side lock tables / store buffers) ---
   static constexpr std::uint32_t kSemOpCycles = 12;      ///< one semantic-lock / store-buffer op
 
-  static constexpr std::uint32_t kLineBytes = 64;
   static constexpr std::uint32_t kLineShift = 6;
+  static constexpr std::uint32_t kLineBytes = 1u << kLineShift;
 };
 
 }  // namespace sim

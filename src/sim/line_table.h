@@ -27,11 +27,6 @@ namespace sim {
 
 using LineAddr = std::uint64_t;
 
-// The arena allocator's line-isolation arithmetic (sim/vaddr.h) must agree
-// with the cost model's line granularity.
-static_assert(kVaLineBytes == (std::uintptr_t{1} << Config::kLineShift),
-              "sim::kVaLineBytes out of sync with Config::kLineShift");
-
 /// One past the last virtual line: the end of the last arena.
 inline constexpr LineAddr kLineEnd =
     arena_limit(static_cast<MemClass>(kArenaCount - 1)) >> Config::kLineShift;

@@ -56,15 +56,13 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/config.h"
+
 namespace sim {
 
 /// Base of the simulated shared heap.  Non-zero so a virtual address can
 /// never be confused with a null pointer.
 inline constexpr std::uintptr_t kVaBase = std::uintptr_t{1} << 20;
-
-/// Bytes per virtual cache line.  Must agree with Config::kLineShift (the
-/// cross-check static_assert lives in sim/line_table.h, which sees both).
-inline constexpr std::uintptr_t kVaLineBytes = 64;
 
 /// The memory class a cell declares: which arena its virtual address comes
 /// from, in ascending base-address order.  The order is part of the cost
@@ -113,10 +111,10 @@ constexpr std::uintptr_t arena_limit(MemClass arena) {
 
 static_assert(arena_base(MemClass::kMeta) == kVaBase,
               "the first arena starts the virtual heap at kVaBase");
-static_assert(arena_base(MemClass::kMeta) % kVaLineBytes == 0);
-static_assert(arena_base(MemClass::kCounter) % kVaLineBytes == 0);
-static_assert(arena_base(MemClass::kLock) % kVaLineBytes == 0);
-static_assert(arena_base(MemClass::kData) % kVaLineBytes == 0);
+static_assert(arena_base(MemClass::kMeta) % Config::kLineBytes == 0);
+static_assert(arena_base(MemClass::kCounter) % Config::kLineBytes == 0);
+static_assert(arena_base(MemClass::kLock) % Config::kLineBytes == 0);
+static_assert(arena_base(MemClass::kData) % Config::kLineBytes == 0);
 
 namespace detail {
 
@@ -192,8 +190,9 @@ inline std::uintptr_t va_alloc(std::size_t bytes, MemClass mc) {
   std::uintptr_t a = next;
   std::uintptr_t end;
   if (mc != MemClass::kData) {
-    a = (a + kVaLineBytes - 1) & ~(kVaLineBytes - 1);
-    end = (a + bytes + kVaLineBytes - 1) & ~(kVaLineBytes - 1);
+    constexpr std::uintptr_t line = Config::kLineBytes;
+    a = (a + line - 1) & ~(line - 1);
+    end = (a + bytes + line - 1) & ~(line - 1);
   } else {
     end = a + ((bytes + 7u) & ~static_cast<std::uintptr_t>(7u));
   }

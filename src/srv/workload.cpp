@@ -346,7 +346,7 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
           bool got = false;
           if (f == Flavor::kChoppedTm) {
             // Chopped handler: the dequeue and the handler body commit as
-            // separate rank-ordered pieces, so a session/cache conflict in
+            // separate ordered pieces, so a session/cache conflict in
             // the body never forces the dequeue to replay, and the body's
             // conflict window excludes the queue traffic entirely.  The
             // take piece's compensation re-enqueues the request (the

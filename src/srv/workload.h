@@ -59,7 +59,7 @@ enum class Flavor {
   kFlatTm,      ///< flat closed-nested transactions over plain collections
   kSemanticTm,  ///< open-nested / semantic transactional collections
   kChoppedTm,   ///< semantic collections + tm::chopped() handler pieces:
-                ///< dequeue and handler body commit as separate rank-ordered
+                ///< dequeue and handler body commit as separate ordered
                 ///< transactions, shrinking the conflict window per piece
 };
 

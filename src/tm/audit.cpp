@@ -2,12 +2,9 @@
 
 #if defined(TXCC_CHECKED) && TXCC_CHECKED
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/vaddr.h"
@@ -26,18 +23,6 @@ constexpr std::size_t kMaxKeptReports = 4096;
 struct State {
   // Semantic-lock ledger, shared with the txmc oracle.
   LockLedger locks;
-  // In-progress abort-handler runs, tracked PER CPU (handler transactions
-  // tick and yield, so scopes of different cpus interleave; on one cpu they
-  // still nest when a compensation itself aborts): the sites whose
-  // compensation already ran in that scope, and which of them were already
-  // reported as duplicates.
-  struct AbortScope {
-    TxnId id;
-    std::unordered_set<const void*> ran;       // committed handler attempts
-    std::vector<const void*> attempt;          // in-flight handler attempt
-    std::unordered_set<const void*> reported;
-  };
-  std::unordered_map<int, std::vector<AbortScope>> abort_scopes;
   std::array<std::uint64_t, static_cast<std::size_t>(Check::kChecks)> counts{};
   std::vector<std::string> findings;
 };
@@ -71,11 +56,7 @@ std::string ptr_str(const void* p) {
 
 }  // namespace
 
-void begin_simulation() {
-  State& s = st();
-  s.locks.clear();
-  s.abort_scopes.clear();
-}
+void begin_simulation() { st().locks.clear(); }
 
 void reset() {
   begin_simulation();
@@ -102,36 +83,7 @@ const std::vector<std::string>& reports() { return st().findings; }
 
 // ---- semantic-layer events ----
 
-namespace {
-
-void compensation_run(int cpu, const void* site) {
-  State& s = st();
-  auto it = s.abort_scopes.find(cpu);
-  if (it == s.abort_scopes.end() || it->second.empty()) return;  // not audited
-  State::AbortScope& scope = it->second.back();
-  const bool seen =
-      scope.ran.count(site) != 0 ||
-      std::find(scope.attempt.begin(), scope.attempt.end(), site) != scope.attempt.end();
-  if (!seen) {
-    scope.attempt.push_back(site);  // counted only if this attempt commits
-    return;
-  }
-  if (scope.reported.insert(site).second) {
-    report(Check::kDoubleCompensation,
-           id_str(scope.id) + " ran the compensation for collection " +
-               ptr_str(site) +
-               " more than once in a single abort: compensations are not "
-               "idempotent, the second run corrupts committed state");
-  }
-}
-
-}  // namespace
-
 void on_sem(const SemEvent& e) {
-  if (e.kind == SemEvent::Kind::kCompensation) {
-    compensation_run(e.owner.cpu, e.set);
-    return;
-  }
   const std::optional<LockLedger::Finding> f = st().locks.apply(e);
   if (!f) return;
   if (f->kind == LockLedger::Finding::Kind::kLeak) {
@@ -144,36 +96,6 @@ void on_sem(const SemEvent& e) {
            id_str(f->owner) + " released a semantic lock it does not hold in table " +
                ptr_str(f->set) + " (double release, or release without acquire)");
   }
-}
-
-// ---- compensation scoping ----
-
-void abort_scope_begin(const TxnId& id) {
-  st().abort_scopes[id.cpu].push_back(State::AbortScope{id, {}, {}, {}});
-}
-
-void abort_scope_end(int cpu) {
-  State& s = st();
-  auto it = s.abort_scopes.find(cpu);
-  if (it == s.abort_scopes.end() || it->second.empty()) return;
-  it->second.pop_back();
-  if (it->second.empty()) s.abort_scopes.erase(it);
-}
-
-void compensation_handler_committed(int cpu) {
-  State& s = st();
-  auto it = s.abort_scopes.find(cpu);
-  if (it == s.abort_scopes.end() || it->second.empty()) return;
-  State::AbortScope& scope = it->second.back();
-  for (const void* site : scope.attempt) scope.ran.insert(site);
-  scope.attempt.clear();
-}
-
-void compensation_handler_aborted(int cpu) {
-  // The handler transaction rolled back: its compensation never happened.
-  State& s = st();
-  auto it = s.abort_scopes.find(cpu);
-  if (it != s.abort_scopes.end() && !it->second.empty()) it->second.back().attempt.clear();
 }
 
 // ---- transaction lifecycle ----

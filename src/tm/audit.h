@@ -40,7 +40,6 @@ class Tracer;
 // Declared, not included: tm/runtime.h includes this header to call its
 // hooks.
 namespace atomos {
-struct TxnId;
 struct SemEvent;
 class ReaderDir;
 namespace detail {
@@ -68,11 +67,6 @@ enum class Check {
   /// release without acquire), which under optimistic read intents can
   /// strip ANOTHER reader's protection from the key.
   kDoubleRelease,
-  /// The same collection compensation (abort handler) ran twice within one
-  /// abort: compensations are not idempotent (a second run re-applies the
-  /// inverse op to already-restored state), so a double registration
-  /// corrupts the committed collection.
-  kDoubleCompensation,
   kChecks  // count sentinel
 };
 
@@ -83,9 +77,9 @@ inline constexpr bool kEnabled = true;
 /// Clears counters, reports and the lock ledger.
 void reset();
 /// Starts the ledger of a new simulation (the Runtime constructor calls
-/// it).  Transaction ids restart with each Runtime, so the lock ledger and
-/// the abort scopes of an earlier simulation on this thread must not judge
-/// this one.  Counters and reports are kept.
+/// it).  Transaction ids restart with each Runtime, so the lock ledger of
+/// an earlier simulation on this thread must not judge this one.  Counters
+/// and reports are kept.
 void begin_simulation();
 
 std::uint64_t count(Check c);
@@ -93,31 +87,11 @@ std::uint64_t total();
 const std::vector<std::string>& reports();
 
 // ---- hook: semantic-layer events (Runtime::report_sem) ----
-/// Feeds the lock ledger and the compensation scopes:
-///  * the lock-table events and kSettle go to atomos::LockLedger, which
-///    judges the lock rule; a leak found at a settle is kLockLeak, an empty
-///    release it finds neither owed to a prune nor stale is kDoubleRelease;
-///  * kCompensation is a collection compensation body starting on
-///    owner.cpu.  The same site running twice inside one abort scope is
-///    kDoubleCompensation;
-///  * kViolation is not audited.
+/// Feeds atomos::LockLedger, which judges the lock rule from the lock-table
+/// events and kSettle: a leak found at a settle is kLockLeak, an empty
+/// release it finds neither owed to a prune nor stale is kDoubleRelease.
+/// kViolation is not audited.
 void on_sem(const SemEvent& e);
-
-// ---- hooks: compensation scoping (called by tm/runtime.cpp) ----
-/// Brackets one transaction's abort-handler run.  Scopes are tracked PER
-/// CPU: handler transactions tick and yield, so abort scopes of different
-/// cpus interleave arbitrarily under the fiber scheduler and a global stack
-/// would misattribute compensations.
-void abort_scope_begin(const TxnId& id);
-void abort_scope_end(int cpu);
-/// Brackets one handler transaction's outcome inside the cpu's abort scope.
-/// The runtime runs each abort handler as a detached open transaction that
-/// can itself be doomed (by a commit that conflicts with its own reads) and
-/// retried; an aborted attempt rolled its effects back, so its compensation
-/// notes must be forgotten before the retry re-runs the body — only attempts
-/// that COMMIT count toward double-run detection.
-void compensation_handler_committed(int cpu);
-void compensation_handler_aborted(int cpu);
 
 // ---- hooks: transaction lifecycle (called by tm/runtime.cpp) ----
 void check_txn_sets(const detail::Txn& t);
@@ -156,10 +130,6 @@ inline const std::vector<std::string>& reports() {
   return kNone;
 }
 inline void on_sem(const SemEvent&) {}
-inline void abort_scope_begin(const TxnId&) {}
-inline void abort_scope_end(int) {}
-inline void compensation_handler_committed(int) {}
-inline void compensation_handler_aborted(int) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
 inline void naked_store(std::uintptr_t, std::uint32_t) {}

@@ -45,7 +45,7 @@ class LockLedger {
   };
 
   /// Applies one semantic-layer event and returns the breach it completes,
-  /// if any.  Violations and compensations leave the ledger alone.
+  /// if any.  Violations leave the ledger alone.
   std::optional<Finding> apply(const SemEvent& e) {
     using Kind = SemEvent::Kind;
     if (e.owner.cpu < 0) return std::nullopt;  // no transaction owns it
@@ -90,7 +90,6 @@ class LockLedger {
         return f;
       }
       case Kind::kViolation:
-      case Kind::kCompensation:
         break;
     }
     return std::nullopt;

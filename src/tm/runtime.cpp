@@ -239,7 +239,7 @@ void Runtime::on_abort(std::function<void()> h) {
   t->abort_handlers.push_back(std::move(h));
 }
 
-void Runtime::add_top_commit_handler(std::function<void()> h,
+void Runtime::add_top_commit_handler(const void* owner, std::function<void()> h,
                                      std::function<bool()> needs_token) {
   if (mode() == sim::Mode::kLock || !sim::Engine::in_worker()) {
     h();
@@ -250,8 +250,14 @@ void Runtime::add_top_commit_handler(std::function<void()> h,
     h();
     return;
   }
+  for (const auto& th : b->top_commit_handlers) {
+    if (th.owner == owner)
+      throw std::logic_error(
+          "atomos::on_top_commit: this owner already registered a handler pair "
+          "on the current top-level transaction");
+  }
   b->top_commit_handlers.push_back(
-      detail::Txn::TopCommitHandler{std::move(h), std::move(needs_token)});
+      detail::Txn::TopCommitHandler{owner, std::move(h), std::move(needs_token)});
 }
 
 void Runtime::on_top_abort(std::function<void()> h) {
@@ -479,12 +485,6 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
 
 void Runtime::abort_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
-  // A detached handler transaction doomed mid-compensation (a concurrent
-  // commit can conflict with its own reads): its effects rolled back and
-  // run_txn retries it, so the audit must forget this attempt's
-  // compensation notes.
-  if (c.in_abort_handlers && t->parent == nullptr && t->open)
-    audit::compensation_handler_aborted(t->cpu);
   // Unwind any frames the exception path has not popped (it pops all of its
   // own; this is belt-and-braces for user exceptions thrown mid-frame).
   while (t->depth > 0) pop_frame_abort(*t);
@@ -512,8 +512,7 @@ void Runtime::abort_txn(Txn* t) {
   for (auto& h : t->top_abort_handlers) t->abort_handlers.push_back(std::move(h));
   std::exception_ptr first_failure;
   if (!t->abort_handlers.empty()) {
-    first_failure = run_compensation_handlers(t->cpu, TxnId{t->cpu, t->incarnation},
-                                              t->abort_handlers);
+    first_failure = run_compensation_handlers(t->cpu, t->abort_handlers);
   }
   // Compensation has run, a failed one too: the incarnation settles, and
   // any semantic lock still on the books is leaked.
@@ -531,7 +530,7 @@ void Runtime::abort_txn(Txn* t) {
 }
 
 std::exception_ptr Runtime::run_compensation_handlers(
-    int cpu, const TxnId& scope, std::vector<std::function<void()>>& handlers) {
+    int cpu, std::vector<std::function<void()>>& handlers) {
   CpuCtx& c = ctx(cpu);
   if (tracer_ != nullptr)
     tracer_->on_handler_run(cpu, eng_.now(), /*abort_path=*/true, handlers.size());
@@ -541,13 +540,6 @@ std::exception_ptr Runtime::run_compensation_handlers(
   // and semantic violations still reach it (for_each_live_txn).
   c.set_aside.push_back(c.cur);
   c.cur = nullptr;
-  const bool saved_flag = c.in_abort_handlers;
-  c.in_abort_handlers = true;
-  // Scope the compensation run for the auditor: a collection compensation
-  // that executes twice for the same aborted incarnation (e.g. a handler
-  // registered twice) is detectable only within this bracket, because the
-  // handler itself resets its collection-local state on first run.
-  audit::abort_scope_begin(scope);
   // A compensation that unwinds (a user exception escaping its detached
   // open transaction) must not drop its *siblings*: each registered
   // compensation undoes an independent committed effect, so the rest still
@@ -558,13 +550,10 @@ std::exception_ptr Runtime::run_compensation_handlers(
     auto h = std::move(handlers[i - 1]);
     try {
       run_txn(cpu, /*open=*/true, [&h] { h(); });
-      audit::compensation_handler_committed(cpu);
     } catch (...) {  // txlint: allow(catch-swallow) rethrown by the caller
       if (!first_failure) first_failure = std::current_exception();
     }
   }
-  audit::abort_scope_end(cpu);
-  c.in_abort_handlers = saved_flag;
   c.cur = c.set_aside.back();
   c.set_aside.pop_back();
   return first_failure;
@@ -589,7 +578,6 @@ void Runtime::flag_chops(sim::LineAddr line, int committer) {
     detail::ChopState* s = active_chops_[c];
     if (s == nullptr || static_cast<int>(c) == committer) continue;
     if (s->dep_lines.find(line) != nullptr) {
-      s->broken = true;
       ++s->breaks;
       if (tracer_ != nullptr)
         tracer_->on_violation_flag(committer, eng_.now(), line, static_cast<int>(c));

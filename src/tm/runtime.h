@@ -64,11 +64,10 @@ struct TxnId {
 };
 
 /// One semantic-layer event: a step of a lock table in core/lockers.h (the
-/// paper's key2lockers, sizeLockers, rangeLockers, ...), the start of a
-/// collection's abort-handler compensation, or the settle of a top-level
-/// transaction.  Each is reported once, through Runtime::report_sem, which
-/// hands it to every observer of that layer.  atomos::LockLedger
-/// (tm/lock_ledger.h) judges the lock rule from them.
+/// paper's key2lockers, sizeLockers, rangeLockers, ...) or the settle of a
+/// top-level transaction.  Each is reported once, through
+/// Runtime::report_sem, which hands it to every observer of that layer.
+/// atomos::LockLedger (tm/lock_ledger.h) judges the lock rule from them.
 struct SemEvent {
   enum class Kind : std::uint8_t {
     kAcquire,       ///< `owner` took a read-intent lock in `set`
@@ -77,11 +76,10 @@ struct SemEvent {
     kReleaseNoop,   ///< a release found nothing: owed to a prune, stale or double
     kPrune,         ///< conflict detection dropped a non-live owner from `set`
     kViolation,     ///< a commit doomed the live `owner` (owner.cpu = victim)
-    kCompensation,  ///< collection `set` began compensating on cpu owner.cpu
     kSettle,        ///< top-level `owner` ran its commit handlers or compensations
   };
   Kind kind;
-  TxnId owner;       ///< lock owner or victim (compensation: cpu only)
+  TxnId owner;       ///< lock owner or victim
   const void* set;   ///< locker-set identity (a KeyLockTable's keys: per key)
   const void* site;  ///< trace site: the table a trace names the set by
 };
@@ -192,6 +190,8 @@ struct Txn {
   // their single commit/abort handler pair (paper S5's "only one handler,
   // registered on first use"): the open-nested operations they compensate
   // are themselves immune to frame rollback, so the handlers must be too.
+  // Each pair names its owner, and one owner registers at most one pair per
+  // top-level transaction (Runtime::on_top_commit).
   //
   // A top commit handler may carry a needs_token predicate: when every
   // registered handler reports false (e.g. a read-only collection commit
@@ -200,6 +200,7 @@ struct Txn {
   // monotone-safe, and this keeps read-dominated workloads from serializing
   // on commit arbitration.
   struct TopCommitHandler {
+    const void* owner;
     std::function<void()> fn;
     std::function<bool()> needs_token;  // null => always needs the token
   };
@@ -248,28 +249,21 @@ struct Txn {
 };
 
 /// Book-keeping for one in-flight *chop* (tm/chop.h): a long transaction
-/// declared as rank-ordered pieces, each committing as its own top-level
+/// declared as ordered pieces, each committing as its own top-level
 /// transaction.  Between pieces the chop holds no speculative state — only
 /// this record of the cache lines its already-committed pieces read or
 /// wrote.  A concurrent commit that touches one of those lines *breaks the
 /// forward dependency*: the next piece would read state inconsistent with
-/// what the earlier pieces observed.  The runtime flags it here; the Chop
-/// driver decides at the next piece boundary (count it under kRanked,
-/// compensate-and-restart under kValidated).
+/// what the earlier pieces observed.  The runtime counts it here; the
+/// declared piece order vouches for serializability.
 struct ChopState {
   sim::FlatMap<sim::LineAddr, std::int32_t> dep_lines;  // committed pieces' footprint
-  bool broken = false;       // a foreign commit hit a dep line
   std::uint64_t breaks = 0;  // break events observed by this chop
-
-  void reset() {
-    dep_lines.clear();
-    broken = false;
-  }
 };
 
 }  // namespace detail
 
-class Chop;  // tm/chop.h: rank-ordered piece builder over this runtime
+class Chop;  // tm/chop.h: ordered piece builder over this runtime
 
 /// Per-simulation TM runtime.  Construct one around an Engine before
 /// spawning workers; workers then use the free functions at the bottom of
@@ -383,16 +377,20 @@ class Runtime {
   /// Like on_commit/on_abort, but pinned to the *top-level* transaction of
   /// the calling CPU: the registration survives closed-frame and open-child
   /// rollback (matching the open-nested state those handlers compensate).
-  /// `needs_token` (optional, null means true) is evaluated at commit.  A
-  /// commit takes the token if it has writes, deletes, plain commit handlers
-  /// or a top handler that needs it, and then runs every handler inside the
-  /// token.  A commit without the token runs its top handlers after it:
-  /// safe only for pure cleanup such as releasing semantic read locks (the
-  /// handler must not write Shared memory).
+  /// `owner` names what the pair commits and compensates (a collection, an
+  /// oracle, a tally): one owner registers at most one pair per top-level
+  /// transaction, because a compensation run twice re-applies its inverse
+  /// to restored state.  A second registration throws std::logic_error and
+  /// registers nothing.  `needs_token` (optional, null means true) is
+  /// evaluated at commit.  A commit takes the token if it has writes,
+  /// deletes, plain commit handlers or a top handler that needs it, and then
+  /// runs every handler inside the token.  A commit without the token runs
+  /// its top handlers after it: safe only for pure cleanup such as releasing
+  /// semantic read locks (the handler must not write Shared memory).
   template <AbortSide A>
-  void on_top_commit(std::function<void()> h, A&& compensate,
+  void on_top_commit(const void* owner, std::function<void()> h, A&& compensate,
                      std::function<bool()> needs_token = nullptr) {
-    add_top_commit_handler(std::move(h), std::move(needs_token));
+    add_top_commit_handler(owner, std::move(h), std::move(needs_token));
     if constexpr (kCompensates<A>) on_top_abort(std::forward<A>(compensate));
   }
   void on_top_abort(std::function<void()> h);
@@ -449,9 +447,8 @@ class Runtime {
   /// Purely observational — never feeds back into simulated timing.
   struct ChopStats {
     std::uint64_t chops = 0;           ///< completed Chop::run calls
-    std::uint64_t pieces = 0;          ///< pieces committed (incl. re-runs)
+    std::uint64_t pieces = 0;          ///< pieces committed
     std::uint64_t dep_breaks = 0;      ///< forward-dependency break events
-    std::uint64_t restarts = 0;        ///< kValidated compensate-and-restart rounds
     std::uint64_t compensations = 0;   ///< committed-piece compensations run
   };
   const ChopStats& chop_stats() const { return chop_stats_; }
@@ -467,7 +464,6 @@ class Runtime {
     // re-kill its detached handlers.  Entries may be null.
     std::vector<detail::Txn*> set_aside;
     std::uint64_t next_incarnation = 1;  // outlives pooled Txns: ids stay unique
-    bool in_abort_handlers = false;  // this CPU is running compensation
     // work() returned true and the violation has not been delivered yet.
     // Delivery (count_violation) and any exception leaving run_txn clear it.
     bool doom_reported = false;
@@ -494,7 +490,8 @@ class Runtime {
 
   // The commit sides of on_commit / on_top_commit.
   void add_commit_handler(std::function<void()> h);
-  void add_top_commit_handler(std::function<void()> h, std::function<bool()> needs_token);
+  void add_top_commit_handler(const void* owner, std::function<void()> h,
+                              std::function<bool()> needs_token);
 
   // Non-template machinery (runtime.cpp).
   detail::Txn* begin_txn(int cpu, bool open, int attempt);
@@ -551,7 +548,6 @@ class Runtime {
         break;
       case SemEvent::Kind::kReleaseNoop:
       case SemEvent::Kind::kPrune:
-      case SemEvent::Kind::kCompensation:
       case SemEvent::Kind::kSettle:
         break;
     }
@@ -567,7 +563,7 @@ class Runtime {
   /// start probing its dep_lines.  One chop per CPU at a time.
   void chop_begin(int cpu, detail::ChopState* s);
   void chop_end(int cpu);
-  /// Marks foreign chops whose dep_lines contain `line` as broken.  Called
+  /// Counts a break on foreign chops whose dep_lines contain `line`.  Called
   /// under the commit broadcast and the naked-store path; a single counter
   /// test keeps it off every hot path while no chop is active.
   void flag_chops(sim::LineAddr line, int committer);
@@ -575,15 +571,13 @@ class Runtime {
   /// forward-dependency footprint (called from commit_txn, still inside the
   /// commit's token scope so no foreign commit can slip in unprobed).
   void chop_note_committed_piece(detail::Txn& t);
-  /// Runs `handlers` newest-first as detached open transactions inside one
-  /// TXCC_CHECKED abort/compensation scope — the shared machinery behind
-  /// both abort compensation (abort_txn) and chop compensate-and-restart
-  /// (Chop::run).  A handler that unwinds does not drop its siblings; the
-  /// first escaped exception is returned for the caller to rethrow.
-  std::exception_ptr run_compensation_handlers(int cpu, const TxnId& scope,
+  /// Runs `handlers` newest-first as detached open transactions — the
+  /// shared machinery behind both abort compensation (abort_txn) and the
+  /// sweep of a chop whose piece threw (Chop::run).  A handler that unwinds
+  /// does not drop its siblings; the first escaped exception is returned for
+  /// the caller to rethrow.
+  std::exception_ptr run_compensation_handlers(int cpu,
                                                std::vector<std::function<void()>>& handlers);
-  /// A fresh incarnation id for a non-Txn audit scope (chop restarts).
-  TxnId make_scope_id(int cpu) { return TxnId{cpu, ctx(cpu).next_incarnation++}; }
 
   /// The retry loop behind atomically() and open_atomically().  A violation
   /// arrives thrown (flag seen by a throwing poll) or returned by commit_txn
@@ -735,14 +729,6 @@ inline bool in_txn() { return Runtime::active() && Runtime::current().in_txn(); 
 /// the event is dropped.
 inline void report_sem(const SemEvent& e) {
   if (Runtime* rt = Runtime::current_or_null()) rt->report_sem(e);
-}
-
-/// Reports that the compensation (abort-handler body) of collection `site`
-/// is starting on `cpu`.  Collections call it first thing in their abort
-/// handler.  The auditor flags a site that compensates twice in one abort;
-/// txlint's handler-mutation rule looks for this call.
-inline void compensation_run(int cpu, const void* site) {
-  report_sem({SemEvent::Kind::kCompensation, TxnId{cpu, 0}, site, site});
 }
 
 /// Allocates a T inside (or outside) a transaction.  If the allocating

@@ -135,7 +135,7 @@ TEST(OpenCounterTest, UidGeneratorUniqueAndMonotonicWithHoles) {
           // Only record on commit (the handler runs iff we commit).  It
           // observes and publishes no open-nested state: nothing to undo.
           atomos::Runtime::current().on_top_commit(
-              [&per_cpu, c, id] { per_cpu[static_cast<std::size_t>(c)].push_back(id); },
+              &per_cpu, [&per_cpu, c, id] { per_cpu[static_cast<std::size_t>(c)].push_back(id); },
               atomos::no_compensation);
         });
       }

@@ -297,7 +297,8 @@ TEST(TxMapTest, SerializabilityUnderRandomWorkload) {
           }
           // Commit-order observation only: nothing to compensate.
           atomos::Runtime::current().on_top_commit(
-              [&committed, &rec] { committed.push_back(rec); }, atomos::no_compensation);
+              &committed, [&committed, &rec] { committed.push_back(rec); },
+              atomos::no_compensation);
         });
       }
     });

@@ -298,7 +298,7 @@ TEST(OracleTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
       ++attempts;
       const atomos::TxnId me = atomos::self_id();
       locks.lock(1, me);
-      rt.on_top_commit([&locks, me] { locks.unlock(1, me); },
+      rt.on_top_commit(&locks, [&locks, me] { locks.unlock(1, me); },
                        [&locks, me] {
                          if (atomos::work(3000)) return;  // CPU 2 prunes meanwhile
                          locks.unlock(1, me);

@@ -13,7 +13,7 @@ namespace {
 
 using sim::MemClass;
 
-constexpr std::uintptr_t kLine = sim::kVaLineBytes;
+constexpr std::uintptr_t kLine = sim::Config::kLineBytes;
 constexpr MemClass kAll[] = {MemClass::kMeta, MemClass::kCounter, MemClass::kLock,
                              MemClass::kData};
 

@@ -105,7 +105,7 @@ TEST_F(CheckedRuntimeTest, PairedHandlersReleaseCleanly) {
     atomically([&] {
       const TxnId me = self_id();
       locks.lock(7, me);
-      Runtime::current().on_top_commit([&locks, me] { locks.unlock(7, me); },
+      Runtime::current().on_top_commit(&locks, [&locks, me] { locks.unlock(7, me); },
                                        [&locks, me] { locks.unlock(7, me); });
     });
   });
@@ -138,6 +138,7 @@ TEST_F(CheckedRuntimeTest, ReportsSemanticLockDoubleRelease) {
       const TxnId me = self_id();
       locks.lock(7, me);
       Runtime::current().on_top_commit(
+          &locks,
           [&locks, me] {
             locks.unlock(7, me);
             locks.unlock(7, me);  // second release: nothing left to release
@@ -197,7 +198,7 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
       ++attempts;
       const TxnId me = self_id();
       locks.lock(1, me);
-      Runtime::current().on_top_commit([&locks, me] { locks.unlock(1, me); },
+      Runtime::current().on_top_commit(&locks, [&locks, me] { locks.unlock(1, me); },
                                        [&locks, me] {
                                          // CPU2 prunes the lock meanwhile.
                                          if (Runtime::current().work(3000)) return;
@@ -241,7 +242,7 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersSecondCompensationIsNotRepor
       ++attempts;
       const TxnId me = self_id();
       locks.lock(1, me);
-      Runtime::current().on_top_commit([&locks, me] { locks.unlock(1, me); },
+      Runtime::current().on_top_commit(&locks, [&locks, me] { locks.unlock(1, me); },
                                        [&locks, me] {
                                          // CPU2 prunes the lock meanwhile.
                                          if (Runtime::current().work(3000)) return;
@@ -273,26 +274,37 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersSecondCompensationIsNotRepor
   EXPECT_EQ(locks.locked_key_count(), 0u);
 }
 
-// The same compensation site running twice within one abort: compensations
-// are not idempotent, so a double registration corrupts the collection.
-TEST_F(CheckedRuntimeTest, ReportsCompensationRunTwiceInOneAbort) {
+// Compensations are not idempotent, so one owner registers one handler pair
+// per top-level transaction.  A second registration throws: the transaction
+// aborts, its one compensation releases the lock, and the auditor has
+// nothing to report.
+TEST_F(CheckedRuntimeTest, SecondHandlerPairOfOneOwnerThrowsAndCompensatesOnce) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  int site;  // a compensation is identified by a stable site address
+  tcc::KeyLockTable<long> locks;
+  int compensations = 0;
+  bool rejected = false;
   eng.spawn([&] {
     try {
       atomically([&] {
-        Runtime::current().on_top_abort([&] { compensation_run(0, &site); });
-        Runtime::current().on_top_abort([&] { compensation_run(0, &site); });
-        throw std::runtime_error("force abort");
+        const TxnId me = self_id();
+        locks.lock(7, me);
+        Runtime::current().on_top_commit(&locks, [&locks, me] { locks.unlock(7, me); },
+                                         [&locks, me, &compensations] {
+                                           ++compensations;
+                                           locks.unlock(7, me);
+                                         });
+        Runtime::current().on_top_commit(&locks, [] {}, [&compensations] { ++compensations; });
       });
-    } catch (const std::runtime_error&) {
+    } catch (const std::logic_error&) {
+      rejected = true;
     }
   });
   eng.run();
-  EXPECT_EQ(audit::count(audit::Check::kDoubleCompensation), 1u);
-  ASSERT_FALSE(audit::reports().empty());
-  EXPECT_NE(audit::reports().back().find("compensation"), std::string::npos);
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(compensations, 1);
+  EXPECT_EQ(locks.locked_key_count(), 0u);
+  EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
 // A compensation that unwinds (a user exception escaping its detached open
@@ -303,22 +315,15 @@ TEST_F(CheckedRuntimeTest, ReportsCompensationRunTwiceInOneAbort) {
 TEST_F(CheckedRuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  int site_a, site_b, site_c;
-  bool ran_a = false, ran_b = false;
+  int runs_a = 0, runs_b = 0, runs_c = 0;
   bool saw_failure = false;
   eng.spawn([&] {
     try {
       atomically([&] {
+        Runtime::current().on_top_abort([&] { ++runs_a; });
+        Runtime::current().on_top_abort([&] { ++runs_b; });
         Runtime::current().on_top_abort([&] {
-          compensation_run(0, &site_a);
-          ran_a = true;
-        });
-        Runtime::current().on_top_abort([&] {
-          compensation_run(0, &site_b);
-          ran_b = true;
-        });
-        Runtime::current().on_top_abort([&] {
-          compensation_run(0, &site_c);
+          ++runs_c;
           throw std::logic_error("compensation failed");  // runs first
         });
         throw std::runtime_error("force abort");
@@ -328,11 +333,10 @@ TEST_F(CheckedRuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
     }
   });
   eng.run();
-  EXPECT_TRUE(ran_a) << "first-registered sibling compensation was dropped";
-  EXPECT_TRUE(ran_b) << "second-registered sibling compensation was dropped";
+  EXPECT_EQ(runs_a, 1) << "first-registered sibling compensation was dropped";
+  EXPECT_EQ(runs_b, 1) << "second-registered sibling compensation was dropped";
+  EXPECT_EQ(runs_c, 1);
   EXPECT_TRUE(saw_failure);
-  // Each sibling ran exactly once within the abort scope.
-  EXPECT_EQ(audit::count(audit::Check::kDoubleCompensation), 0u);
 }
 
 // A compensation that throws before releasing its lock still settles its
@@ -347,7 +351,7 @@ TEST_F(CheckedRuntimeTest, ReportsLockLeftByAThrowingCompensation) {
       atomically([&] {
         const TxnId me = self_id();
         locks.lock(7, me);
-        Runtime::current().on_top_commit([&locks, me] { locks.unlock(7, me); },
+        Runtime::current().on_top_commit(&locks, [&locks, me] { locks.unlock(7, me); },
                                          [] { throw std::logic_error("compensation failed"); });
         throw std::runtime_error("force abort");
       });
@@ -360,18 +364,19 @@ TEST_F(CheckedRuntimeTest, ReportsLockLeftByAThrowingCompensation) {
   EXPECT_EQ(audit::count(audit::Check::kLockLeak), 1u);
 }
 
-// Distinct sites in one abort — and the same site across DIFFERENT aborts
-// (a retried transaction re-registers each attempt) — are both legal.
+// Distinct compensations in one abort — and the same one across DIFFERENT
+// aborts (a retried transaction re-registers each attempt) — each run once
+// per abort.
 TEST_F(CheckedRuntimeTest, DistinctAndReattemptedCompensationsAreLegal) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  int site_a, site_b;
+  int runs_a = 0, runs_b = 0;
   eng.spawn([&] {
     for (int round = 0; round < 2; ++round) {
       try {
         atomically([&] {
-          Runtime::current().on_top_abort([&] { compensation_run(0, &site_a); });
-          Runtime::current().on_top_abort([&] { compensation_run(0, &site_b); });
+          Runtime::current().on_top_abort([&] { ++runs_a; });
+          Runtime::current().on_top_abort([&] { ++runs_b; });
           throw std::runtime_error("force abort");
         });
       } catch (const std::runtime_error&) {
@@ -379,7 +384,9 @@ TEST_F(CheckedRuntimeTest, DistinctAndReattemptedCompensationsAreLegal) {
     }
   });
   eng.run();
-  EXPECT_EQ(audit::count(audit::Check::kDoubleCompensation), 0u);
+  EXPECT_EQ(runs_a, 2);
+  EXPECT_EQ(runs_b, 2);
+  EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
 // A worker-fiber store to a registered Shared cell outside any transaction

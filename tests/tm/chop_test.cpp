@@ -1,6 +1,6 @@
 // Transaction chopping (tm/chop.h): piece execution, forward-dependency
-// tracking, compensation-and-restart, and the degraded in-transaction /
-// lock-mode paths.
+// counting, the compensation of a chop whose piece throws, and the degraded
+// in-transaction / lock-mode paths.
 #include "tm/chop.h"
 
 #include <gtest/gtest.h>
@@ -17,9 +17,9 @@ namespace atomos {
 namespace {
 
 // A piece's compensation is part of the call's type, as a commit handler's
-// abort side is: a two-argument piece does not compile, plain or ranked,
-// and neither does a null compensation.  It takes a callable or
-// no_compensation.
+// abort side is: a two-argument piece does not compile, and neither does a
+// null compensation.  It takes a callable or no_compensation.  Pieces run
+// in declaration order, so no form takes a rank.
 struct Body {
   void operator()() const {}
 };
@@ -32,8 +32,8 @@ static_assert(!kPiece<const char*, Body, std::nullptr_t>);
 static_assert(!kPiece<int, const char*, Body, std::nullptr_t>);
 static_assert(kPiece<const char*, Body, Body>);
 static_assert(kPiece<const char*, Body, NoCompensation>);
-static_assert(kPiece<int, const char*, Body, Body>);
-static_assert(kPiece<int, const char*, Body, NoCompensation>);
+static_assert(!kPiece<int, const char*, Body, Body>);
+static_assert(!kPiece<int, const char*, Body, NoCompensation>);
 
 sim::Config cfg(int cpus, sim::Mode mode = sim::Mode::kTcc) {
   sim::Config c;
@@ -72,27 +72,18 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
   EXPECT_EQ(rt.chop_stats().chops, 1u);
   EXPECT_EQ(rt.chop_stats().pieces, 2u);
   EXPECT_EQ(rt.chop_stats().dep_breaks, 0u);
-  EXPECT_EQ(rt.chop_stats().restarts, 0u);
-}
-
-TEST(Chop, ExplicitRanksMustIncrease) {
-  Chop c;
-  c.piece(10, "a", [] {}, no_compensation);
-  EXPECT_THROW(c.piece(10, "b", [] {}, no_compensation), std::logic_error);
-  EXPECT_THROW(c.piece(3, "c", [] {}, no_compensation), std::logic_error);
-  c.piece(20, "d", [] {}, no_compensation);  // strictly increasing: fine
 }
 
 // A foreign commit touching an earlier piece's footprint between pieces is
-// a forward-dependency break.  Under kRanked it is counted and the chop
-// completes; the final state reflects the interleaving.
+// a forward-dependency break.  It is counted and the chop completes; the
+// final state reflects the interleaving.
 TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
   sim::Engine eng(cfg(2));
   Runtime rt(eng);
   Shared<long> x(0);   // read by piece 0, written by the intruder
   Shared<long> y(-1);  // written by piece 1
   eng.spawn([&] {
-    chopped(ChopPolicy::kRanked)
+    chopped()
         .piece("read-x",
                [&] {
                  (void)x.get();
@@ -110,71 +101,35 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
   eng.run();
   EXPECT_EQ(rt.chop_stats().chops, 1u);
   EXPECT_GE(rt.chop_stats().dep_breaks, 1u);
-  EXPECT_EQ(rt.chop_stats().restarts, 0u);
-  EXPECT_EQ(y.unsafe_peek(), 7);  // ranked chop read the intruder's commit
+  EXPECT_EQ(y.unsafe_peek(), 7);  // the chop read the intruder's commit
 }
 
-// Under kValidated the same interleaving compensates the committed prefix
-// (in reverse) and restarts the chop from its first piece.  Only the pieces
-// with a callable compensation are compensated; the read-only "audit" piece
-// between them passes no_compensation and registers nothing.
-TEST(Chop, ValidatedPolicyCompensatesAndRestarts) {
-  sim::Engine eng(cfg(2));
-  Runtime rt(eng);
-  Shared<long> x(0);
-  Shared<long> ledger(0);  // piece 0 "charges" 5; compensation refunds it
-  std::vector<std::string> events;
-  eng.spawn([&] {
-    chopped(ChopPolicy::kValidated)
-        .piece("charge",
-               [&] {
-                 (void)x.get();
-                 ledger.set(ledger.get() + 5);
-                 events.push_back("charge");
-               },
-               /*compensate=*/
-               [&] {
-                 ledger.set(ledger.get() - 5);
-                 events.push_back("refund");
-               })
-        .piece("audit", [&] { (void)ledger.get(); }, no_compensation)
-        .piece("reserve", [&] { events.push_back("reserve"); },
-               /*compensate=*/[&] { events.push_back("release"); })
-        .piece("gap", [&] { if (work(3000)) return; }, no_compensation)
-        .piece("finish", [&] { events.push_back("finish"); }, no_compensation)
-        .run();
-  });
-  eng.spawn([&] {
-    (void)Runtime::current().work(500);
-    atomically([&] { x.set(7); });
-  });
-  eng.run();
-  EXPECT_EQ(rt.chop_stats().restarts, 1u);
-  EXPECT_EQ(rt.chop_stats().compensations, 2u);  // charge and reserve, not audit
-  EXPECT_GE(rt.chop_stats().dep_breaks, 1u);
-  EXPECT_EQ(rt.chop_stats().chops, 1u);
-  // Compensated restart undoes newest-first, then the chop runs again.
-  EXPECT_EQ(events, (std::vector<std::string>{"charge", "reserve", "release", "refund",
-                                              "charge", "reserve", "finish"}));
-  EXPECT_EQ(ledger.unsafe_peek(), 5);  // exactly one net charge survived
-}
-
-// A piece body throwing undoes the committed prefix before propagating:
-// the chop is all-or-nothing at the semantic level.
+// A piece body throwing undoes the committed prefix, newest-first, before
+// propagating: the chop is all-or-nothing at the semantic level.  Only the
+// pieces with a callable compensation are compensated; the read-only
+// "audit" piece between them passes no_compensation and registers nothing.
 TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
   sim::Engine eng(cfg(1));
   Runtime rt(eng);
-  Shared<long> ledger(0);
-  bool compensated = false, threw = false;
+  Shared<long> ledger(0);  // "charge" adds 5; its compensation refunds it
+  std::vector<std::string> events;
+  bool threw = false;
   eng.spawn([&] {
     try {
       chopped()
-          .piece("charge", [&] { ledger.set(ledger.get() + 5); },
+          .piece("charge",
+                 [&] {
+                   ledger.set(ledger.get() + 5);
+                   events.push_back("charge");
+                 },
                  /*compensate=*/
                  [&] {
                    ledger.set(ledger.get() - 5);
-                   compensated = true;
+                   events.push_back("refund");
                  })
+          .piece("audit", [&] { (void)ledger.get(); }, no_compensation)
+          .piece("reserve", [&] { events.push_back("reserve"); },
+                 /*compensate=*/[&] { events.push_back("release"); })
           .piece("boom", [&] { throw std::runtime_error("piece failed"); }, no_compensation)
           .run();
     } catch (const std::runtime_error&) {
@@ -183,10 +138,11 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
   });
   eng.run();
   EXPECT_TRUE(threw);
-  EXPECT_TRUE(compensated);
+  EXPECT_EQ(events, (std::vector<std::string>{"charge", "reserve", "release", "refund"}));
   EXPECT_EQ(ledger.unsafe_peek(), 0);
   EXPECT_EQ(rt.chop_stats().chops, 0u);  // never completed
-  EXPECT_EQ(rt.chop_stats().compensations, 1u);
+  EXPECT_EQ(rt.chop_stats().pieces, 3u);
+  EXPECT_EQ(rt.chop_stats().compensations, 2u);  // charge and reserve, not audit
 }
 
 // Inside an enclosing transaction a chop degrades to closed-nested frames:

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <exception>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -24,7 +25,9 @@ static_assert(std::is_trivially_destructible_v<Shared<long>>);
 
 // A commit handler's abort side is part of the registration's type: a
 // commit-only registration does not compile, in any form.  It takes a
-// compensation or no_compensation; a null handler is neither.
+// compensation or no_compensation; a null handler is neither.  A top-level
+// pair also names its owner: an owner-less on_top_commit does not compile.
+using Owner = const void*;
 struct Handler {
   void operator()() const {}
 };
@@ -45,18 +48,22 @@ template <class... A>
 constexpr bool kFreeOnAbort = requires(A... a) { atomos::on_abort(a...); };
 
 static_assert(!kOnCommit<Runtime, Handler>);
-static_assert(!kOnTopCommit<Runtime, Handler>);
+static_assert(!kOnTopCommit<Runtime, Owner, Handler>);
 static_assert(!kFreeOnCommit<Handler>);
 static_assert(!kOnCommit<Runtime, Handler, std::nullptr_t>);
-static_assert(!kOnTopCommit<Runtime, Handler, std::nullptr_t, NeedsToken>);
+static_assert(!kOnTopCommit<Runtime, Owner, Handler, std::nullptr_t, NeedsToken>);
+static_assert(!kOnTopCommit<Runtime, Handler, Handler>);
+static_assert(!kOnTopCommit<Runtime, Handler, NoCompensation>);
+static_assert(!kOnTopCommit<Runtime, Handler, Handler, NeedsToken>);
+static_assert(!kOnTopCommit<Runtime, Handler, NoCompensation, NeedsToken>);
 static_assert(kOnCommit<Runtime, Handler, Handler>);
 static_assert(kOnCommit<Runtime, Handler, NoCompensation>);
 static_assert(kFreeOnCommit<Handler, Handler>);
 static_assert(kFreeOnCommit<Handler, NoCompensation>);
-static_assert(kOnTopCommit<Runtime, Handler, Handler>);
-static_assert(kOnTopCommit<Runtime, Handler, NoCompensation>);
-static_assert(kOnTopCommit<Runtime, Handler, Handler, NeedsToken>);
-static_assert(kOnTopCommit<Runtime, Handler, NoCompensation, NeedsToken>);
+static_assert(kOnTopCommit<Runtime, Owner, Handler, Handler>);
+static_assert(kOnTopCommit<Runtime, Owner, Handler, NoCompensation>);
+static_assert(kOnTopCommit<Runtime, Owner, Handler, Handler, NeedsToken>);
+static_assert(kOnTopCommit<Runtime, Owner, Handler, NoCompensation, NeedsToken>);
 static_assert(kOnAbort<Runtime, Handler>);
 static_assert(kOnTopAbort<Runtime, Handler>);
 static_assert(kFreeOnAbort<Handler>);
@@ -340,6 +347,61 @@ TEST(RuntimeTest, AbortHandlerRunsOnEachAbort) {
   eng.run();
   EXPECT_GE(attempts, 2);
   EXPECT_EQ(aborts, attempts - 1);  // every aborted attempt compensated once
+}
+
+// One owner, one top-level pair per transaction: a second registration
+// throws and registers nothing, so the abort it causes runs the first
+// pair's compensation once and never the second's.
+TEST(RuntimeTest, SecondTopCommitOfOneOwnerThrows) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  const int owner = 0;
+  int commits = 0, first_aborts = 0, second_aborts = 0;
+  bool rejected = false;
+  eng.spawn([&] {
+    try {
+      atomically([&] {
+        Runtime::current().on_top_commit(&owner, [&] { ++commits; }, [&] { ++first_aborts; });
+        Runtime::current().on_top_commit(&owner, [&] { ++commits; }, [&] { ++second_aborts; });
+      });
+    } catch (const std::logic_error&) {
+      rejected = true;
+    }
+  });
+  eng.run();
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(commits, 0);
+  EXPECT_EQ(first_aborts, 1);
+  EXPECT_EQ(second_aborts, 0);
+}
+
+// Two owners in one transaction each keep their pair, and an owner
+// registers again on every retry: each attempt is a new transaction.
+TEST(RuntimeTest, TopCommitOwnersAreDistinctPerTransaction) {
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  const int a = 0, b = 0;
+  int attempts = 0, commits_a = 0, commits_b = 0, aborts_a = 0, aborts_b = 0;
+  eng.spawn([&] {
+    atomically([&] {
+      ++attempts;
+      Runtime::current().on_top_commit(&a, [&] { ++commits_a; }, [&] { ++aborts_a; });
+      Runtime::current().on_top_commit(&b, [&] { ++commits_b; }, [&] { ++aborts_b; });
+      (void)x.get();
+      if (Runtime::current().work(5000)) return;
+    });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(500);
+    atomically([&] { x.set(1); });
+  });
+  eng.run();
+  EXPECT_GE(attempts, 2);
+  EXPECT_EQ(commits_a, 1);
+  EXPECT_EQ(commits_b, 1);
+  EXPECT_EQ(aborts_a, attempts - 1);
+  EXPECT_EQ(aborts_b, attempts - 1);
 }
 
 TEST(RuntimeTest, HandlersOfAbortedNestedFrameAreDiscarded) {

@@ -12,6 +12,7 @@ struct Table {
 
 void paired_registration(Table* t) {
   atomos::Runtime::current().on_top_commit(
+      t,
       [t] {
         t->apply();
         t->release();

@@ -19,7 +19,6 @@ constexpr std::string_view kRawPeek = "raw-peek";
 constexpr std::string_view kCatchSwallow = "catch-swallow";
 constexpr std::string_view kTraceHook = "trace-hook";
 constexpr std::string_view kIsolationClass = "isolation-class";
-constexpr std::string_view kHandlerMutation = "handler-mutation";
 constexpr std::string_view kHotPathContainer = "hot-path-container";
 constexpr std::string_view kHandlerClosure = "handler-closure";
 
@@ -42,16 +41,11 @@ const std::vector<RuleInfo> kRules = {
      "counter) never constructed with an explicit sim:: memory class — it "
      "defaults to the packed data arena and can share a virtual line with "
      "unrelated hot cells"},
-    {kHandlerMutation,
-     "collection mutation inside an on_abort/on_commit handler body with no "
-     "compensation_run site registration — the runtime auditor and the txmc "
-     "oracle cannot attribute the compensation, so a doubled or lost handler "
-     "run corrupts the collection silently"},
     {kHotPathContainer,
-     "node-based std:: container (std::unordered_*, std::set/map) in a TM "
-     "hot-path header (flat_map.h, reader_dir.h, cpu_mask.h) — these headers "
-     "are the per-access data path and must stay on flat, SIMD-probeable "
-     "layouts"},
+     "node-based std:: container (std::unordered_*, std::set/map) in a "
+     "hot-path header (flat_map.h, reader_dir.h, cpu_mask.h, line_table.h, "
+     "memsys.h) — these headers are the per-access data path and must stay "
+     "on flat, SIMD-probeable layouts"},
     {kHandlerClosure,
      "transaction-body lambda (atomically/open_atomically argument) captures "
      "by value a local holding a shared-collection read (get/poll/take/peek) "
@@ -64,12 +58,13 @@ const std::vector<RuleInfo> kRules = {
 const std::unordered_set<std::string_view> kCollectionReads = {
     "get", "poll", "take", "peek", "try_dequeue"};
 
-// Headers on the per-access TM data path: every tm_read/tm_write and every
-// commit broadcast goes through these.  A node-based standard container here
-// reintroduces exactly the pointer-chasing the FlatMap/CpuMask rewrite
-// removed, so its appearance is a discipline violation, not a style choice.
+// Headers on the per-access data path: every tm_read/tm_write, every plain
+// load/store and every commit broadcast goes through these.  A node-based
+// standard container here reintroduces exactly the pointer-chasing the
+// FlatMap/CpuMask rewrite and the per-line tables removed, so its
+// appearance is a discipline violation, not a style choice.
 const std::unordered_set<std::string_view> kHotPathHeaders = {
-    "flat_map.h", "reader_dir.h", "cpu_mask.h"};
+    "flat_map.h", "reader_dir.h", "cpu_mask.h", "line_table.h", "memsys.h"};
 const std::unordered_set<std::string_view> kNodeContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset", "set", "multiset", "map", "multimap"};
@@ -399,17 +394,6 @@ const std::unordered_set<std::string_view> kTraceHookTmAccess = {
     "Shared", "atomically", "open_atomically", "tm_read", "tm_write",
     "unsafe_peek"};
 
-// Collection-mutating method names.  A handler lambda that calls one of
-// these on an object must register the compensation site first
-// (atomos::compensation_run), the way the transactional collections' abort
-// handlers do.  Lock-release calls (unlock / release / clear) are
-// intentionally absent: releasing semantic locks in a handler is the
-// disciplined pattern, not a mutation.
-const std::unordered_set<std::string_view> kCollectionMutators = {
-    "put",     "remove",     "insert",  "erase",   "push",    "pop",
-    "push_back", "push_front", "pop_back", "pop_front", "enqueue", "dequeue",
-    "add",     "take"};
-
 // Tokens that count as declaring a memory class at a Shared cell's
 // construction site (sim/vaddr.h).  String labels are blanked by
 // clean_source, so the rule keys on identifier tokens only.
@@ -429,7 +413,6 @@ class Scanner {
     walk();
     catch_pass();
     isolation_pass();
-    handler_mutation_pass();
     hot_path_container_pass();
     std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
       return a.line != b.line ? a.line < b.line : a.rule < b.rule;
@@ -978,76 +961,6 @@ class Scanner {
                  "unwind and corrupt transaction state");
       }
     }
-  }
-
-  // ---- handler-mutation pass ----
-
-  /// Finds each lambda registered directly in an on_abort / on_top_abort /
-  /// on_commit / on_top_commit call and checks its body: a direct
-  /// collection-mutating method call (`bag->put(...)`, `q.remove(...)`)
-  /// must be covered by a compensation_run site registration in the same
-  /// body.  A commit registration carries two handlers, the commit side
-  /// and then the abort side; both are checked.  Handlers that only
-  /// dispatch (`self->abort_handler(cpu)`) or only release locks never
-  /// match a mutator and stay silent.
-  void handler_mutation_pass() {
-    for (std::size_t i = 0; i + 2 < toks_.size(); ++i) {
-      const std::string_view id = toks_[i].text;
-      const bool commit_form = id == "on_commit" || id == "on_top_commit";
-      if (!commit_form && id != "on_abort" && id != "on_top_abort") continue;
-      if (toks_[i].kind != Token::Kind::kIdent || !is(i + 1, "(") || is(i + 2, ")")) {
-        continue;  // definition signature or argless call, not a registration
-      }
-      const std::size_t pclose = match(i + 1);
-      if (pclose >= toks_.size()) continue;
-      std::size_t arg = i + 2;
-      for (int side = 0; side < (commit_form ? 2 : 1) && arg < pclose; ++side) {
-        const std::size_t next = next_arg(arg, pclose);
-        check_handler_body(arg, next, commit_form && side == 0 ? "a commit" : "an abort");
-        arg = next;
-      }
-    }
-  }
-
-  /// Index just past the top-level comma that ends the argument starting at
-  /// `k`, or `end` for the last argument.
-  std::size_t next_arg(std::size_t k, std::size_t end) const {
-    while (k < end && !is(k, ",")) {
-      if (is(k, "(") || is(k, "[") || is(k, "{")) k = match(k);
-      ++k;
-    }
-    return std::min(k + 1, end);
-  }
-
-  /// Checks the handler lambda literal in argument tokens [begin, end), if
-  /// the argument is one; `side` names the handler in the finding.
-  void check_handler_body(std::size_t begin, std::size_t end, const char* side) {
-    std::size_t lam = begin;
-    while (lam < end && !is(lam, "[")) ++lam;
-    if (lam >= end) return;
-    std::size_t j = match(lam) + 1;      // past the capture list
-    if (is(j, "(")) j = match(j) + 1;    // past the parameter list
-    while (j < end && !is(j, "{")) ++j;  // past mutable/noexcept/-> T
-    if (!is(j, "{")) return;
-    const std::size_t bend = match(j);
-
-    std::string_view mutator;
-    int mutator_line = -1;
-    for (std::size_t k = j + 1; k < bend && k < toks_.size(); ++k) {
-      if (toks_[k].kind != Token::Kind::kIdent) continue;
-      if (toks_[k].text == "compensation_run") return;
-      if (mutator_line < 0 && kCollectionMutators.count(toks_[k].text) != 0 &&
-          (toks_[k - 1].text == "." || toks_[k - 1].text == "->") && is(k + 1, "(")) {
-        mutator = toks_[k].text;
-        mutator_line = toks_[k].line;
-      }
-    }
-    if (mutator_line < 0) return;
-    emit(kHandlerMutation, mutator_line,
-         "collection mutation '" + std::string(mutator) + "' inside " + side +
-             " handler with no compensation_run registration — record the site "
-             "first (atomos::compensation_run) so the checked runtime and the "
-             "txmc oracle can attribute it");
   }
 
   std::string path_;
