@@ -159,8 +159,9 @@ harness::BenchResult bench_read_dominated(int txns_per_cpu) {
   return r;
 }
 
-/// Closed-nested frames inside each transaction (frame push/pop, read-set
-/// ownership transfer on frame commit).
+/// Nested atomically blocks inside each transaction: they run inline, as
+/// part of the enclosing transaction (the name predates flattened nesting;
+/// BENCH_hotpath.json and its comparator key on it).
 harness::BenchResult bench_nested_frames(int txns_per_cpu) {
   sim::Engine eng(tcc_cfg());
   atomos::Runtime rt(eng);
@@ -554,6 +555,12 @@ harness::BenchResult traced_twin(harness::BenchResult (*scenario)(int), int txns
 }  // namespace
 
 int main(int argc, char** argv) {
+  // One optional argument, the output path.  Anything else (an option, a
+  // second argument) is a usage error, reported before any scenario runs.
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: hotpath [OUTPUT.json]  (default BENCH_hotpath.json)\n");
+    return 2;
+  }
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
 
   const double calib = calibrate();

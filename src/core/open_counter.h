@@ -65,8 +65,9 @@ class CompensatedCounter {
 
   void add(long delta) {
     atomos::open_atomically([&] { v_.set(v_.get() + delta); });
-    // Pinned to the top-level transaction: the open-nested update above is
-    // immune to frame rollback, so its compensation must be too.
+    // Pinned to the top-level transaction: the open-nested update above
+    // survives the rollback of any open child around it, so its
+    // compensation must too.
     atomos::Runtime::current().on_top_abort([this, delta] {
       atomos::open_atomically([&] { v_.set(v_.get() - delta); });
     });

@@ -23,10 +23,10 @@
 // operation time.
 //
 // Scope note (matches the paper): the collection's buffered semantic state
-// is scoped to the *top-level* transaction.  Rolling back a closed-nested
-// user frame does not undo collection operations performed inside it — the
-// paper's store buffers are updated by open-nested transactions and have
-// the same property.
+// is scoped to the *top-level* transaction.  Aborting an open-nested user
+// transaction does not undo collection operations performed inside it —
+// the paper's store buffers are updated by open-nested transactions and
+// have the same property.
 #pragma once
 
 #include <cassert>
@@ -340,7 +340,7 @@ class TransactionalMap : public Iface {
   }
 
   /// THE commit handler (Table 2 "Write Conflict" column): runs inside the
-  /// commit token as a closed-nested frame of the committing transaction.
+  /// commit token, as part of the committing transaction.
   virtual void commit_handler(int cpu) {
     LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
     charge_sem_op(1 + ls.store.size());

@@ -1,34 +1,28 @@
 // sim::FlatMap — the open-addressing hash table behind every TM hot path.
 //
 // Replaces std::unordered_map in the per-access structures (transaction
-// read/write sets, the memory-system line directory): a SwissTable-style
-// two-array layout probed a 16-slot group at a time.  A byte array of 7-bit
-// hash fragments (control bytes) runs ahead of the slot array, so a probe
-// compares 16 candidate fragments in one SSE2 cmpeq/movemask and touches
-// the wide slot array only for fragment hits.  Misses usually terminate without loading a
-// single slot, and collision chains cost one group scan instead of a
+// read/write sets, chop footprints): a SwissTable-style two-array layout
+// probed a 16-slot group at a time.  A byte array of 7-bit hash fragments
+// (control bytes) runs ahead of the slot array, so a probe compares 16
+// candidate fragments in one SSE2 cmpeq/movemask and touches the wide slot
+// array only for fragment hits.  Misses usually terminate without loading
+// a single slot, and collision chains cost one group scan instead of a
 // slot-by-slot walk.
 //
 // The probe SEQUENCE is still plain linear probing over slot indices —
 // insertion goes to the first empty slot at or after home(key), exactly as
-// the pre-SIMD implementation placed it — so the physical layout, the
-// for_each visit order, and the backward-shift erase are all bit-identical
-// to the scalar table.  The control bytes are a pure acceleration structure.
+// the pre-SIMD implementation placed it — so the physical layout and the
+// for_each visit order are bit-identical to the scalar table.  The control
+// bytes are a pure acceleration structure.
 //
-// Two properties are load-bearing for the TM runtime:
-//
-//  * O(1) generation-stamped clear() — pooled transactions reset their logs
-//    between attempts by bumping a generation counter, never by touching
-//    the (possibly large) slot array.  Occupancy lives in the control
-//    bytes, so the generation is per GROUP: a group whose stamp is stale is
-//    logically all-empty and its control bytes are re-materialized lazily
-//    on the first insert that probes it.
-//  * tombstone-free erase() (backward-shift deletion) — closed-nested frame
-//    rollback erases exactly the keys its positional logs name, and probe
-//    sequences stay dense afterwards, so a table that aborts frames all day
-//    never degrades.  The shift moves control bytes in lockstep with slots
-//    and crosses group boundaries freely (groups are alignment, not probe
-//    windows' limits).
+// The table only grows: there is no erase.  Entries leave all at once,
+// through the property the TM runtime leans on: an O(1)
+// generation-stamped clear() — pooled transactions reset their sets
+// between attempts by bumping a generation counter, never by touching the
+// (possibly large) slot array.  Occupancy lives in the control bytes, so
+// the generation is per GROUP: a group whose stamp is stale is logically
+// all-empty and its control bytes are re-materialized lazily on the first
+// insert that probes it.
 //
 // K and V must be trivially copyable; K is compared with ==.  Iteration
 // (for_each) visits live slots in ascending slot order — callers must not
@@ -118,7 +112,7 @@ class FlatMap {
   const V* find(K key) const { return const_cast<FlatMap*>(this)->find(key); }
 
   /// Inserts (key, init) if absent.  Returns (value slot, inserted?).
-  /// The returned pointer is valid until the next insert/erase/clear.
+  /// The returned pointer is valid until the next insert or clear.
   std::pair<V*, bool> try_emplace(K key, V init) {
     if (size_ + 1 > cap_threshold()) grow();
     const std::uint64_t h = hash_u64(static_cast<std::uint64_t>(key));
@@ -178,31 +172,6 @@ class FlatMap {
     }
   }
 
-  /// Removes `key` with backward-shift deletion (no tombstones).  Control
-  /// bytes shift in lockstep with slots, across group boundaries.
-  bool erase(K key) {
-    if (size_ == 0) return false;
-    std::size_t i = probe(key);
-    if (i == kNpos) return false;
-    // Shift later probe-chain members back over the gap.
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask_;
-      if (!occupied(j)) break;
-      const std::size_t h = home(slots_[j].key);
-      const std::size_t dist = (j - h) & mask_;  // occupant's probe distance
-      const std::size_t gap = (j - i) & mask_;   // distance back to the gap
-      if (dist >= gap) {
-        slots_[i] = slots_[j];
-        ctrl_[i] = ctrl_[j];
-        i = j;
-      }
-    }
-    ctrl_[i] = detail::kCtrlEmpty;
-    --size_;
-    return true;
-  }
-
   /// Visits every live (key, value) pair in ascending slot order;
   /// `fn(K, const V&)`.  Stale groups are skipped 16 slots at a time.
   template <class F>
@@ -246,12 +215,6 @@ class FlatMap {
     return static_cast<std::uint8_t>(h >> 57);
   }
 
-  std::size_t home(K key) const {
-    return static_cast<std::size_t>(hash_u64(static_cast<std::uint64_t>(key))) & mask_;
-  }
-  bool occupied(std::size_t i) const {
-    return ggen_[i / detail::kGroupSlots] == gen_ && ctrl_[i] < detail::kCtrlEmpty;
-  }
   std::size_t group_count() const { return slots_.size() / detail::kGroupSlots; }
   std::size_t cap_threshold() const { return slots_.size() - slots_.size() / 4; }  // 75%
 

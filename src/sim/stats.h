@@ -14,7 +14,7 @@ struct CpuStats {
   std::uint64_t commits = 0;            ///< top-level transaction commits
   std::uint64_t open_commits = 0;       ///< open-nested child commits
   std::uint64_t violations = 0;         ///< top-level (parent) violations
-  std::uint64_t nested_violations = 0;  ///< violations confined to a nested frame
+  std::uint64_t nested_violations = 0;  ///< violations of open-nested transactions
   std::uint64_t semantic_violations = 0;///< program-directed aborts received
   std::uint64_t lost_cycles = 0;        ///< cycles discarded by rollbacks
   std::uint64_t lock_spin_cycles = 0;   ///< cycles spent spinning on sim::Mutex

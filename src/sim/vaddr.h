@@ -45,15 +45,14 @@
 // Engine that simulates them, and never reused under a later Engine.  The
 // cursors are thread_local (host-parallel sweeps run one Engine per worker
 // thread), so a cell constructed on a *different* thread than its Engine
-// would silently draw from a stale cursor and alias addresses — TXCC_CHECKED
-// audits exactly that (foreign-va-alloc), and debug builds assert it.
+// would draw from a stale cursor and alias another simulation's addresses.
+// va_alloc throws std::logic_error for such a foreign allocation, in every
+// build.
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 
 #include "sim/config.h"
@@ -119,7 +118,7 @@ static_assert(arena_base(MemClass::kData) % Config::kLineBytes == 0);
 namespace detail {
 
 /// Per-host-thread allocator state: one bump cursor per arena plus the
-/// owning Engine (for the cross-thread construction audit).  thread_local
+/// owning Engine (for the cross-thread construction check).  thread_local
 /// so concurrent sweep points on different host threads stay independent.
 struct VaState {
   std::uintptr_t next[kArenaCount] = {
@@ -131,14 +130,9 @@ struct VaState {
 inline thread_local VaState va_state;
 
 /// Number of live Engines process-wide; maintained by Engine's ctor/dtor.
-/// Used only to scope the cross-thread audit: allocating with no Engine
+/// Used only to scope the cross-thread check: allocating with no Engine
 /// alive anywhere (unit tests constructing bare cells) is legitimate.
 inline std::atomic<long> va_live_engines{0};
-
-inline std::uint64_t& va_foreign_allocs_ref() {
-  thread_local std::uint64_t n = 0;
-  return n;
-}
 
 /// True when allocating on this thread cannot alias another simulation's
 /// addresses: either this thread's cursors are owned by a live Engine, or
@@ -147,27 +141,7 @@ inline bool va_owner_ok() {
   return va_state.owner_live || va_live_engines.load(std::memory_order_relaxed) == 0;
 }
 
-inline void va_audit_alloc() {
-#if defined(TXCC_CHECKED) && TXCC_CHECKED
-  if (!va_owner_ok()) {
-    if (++va_foreign_allocs_ref() <= 8) {
-      std::fprintf(stderr,
-                   "[txcc-audit] foreign-va-alloc: simulated cell constructed on a host "
-                   "thread whose va cursors are not owned by a live Engine (stale owner "
-                   "%p); addresses may alias another simulation's\n",
-                   va_state.owner);
-    }
-  }
-#endif
-}
-
 }  // namespace detail
-
-/// Count of foreign (cross-thread) allocations observed on the calling host
-/// thread.  Only ever non-zero under TXCC_CHECKED; surfaced through
-/// atomos::audit as Check::kForeignVaAlloc.
-inline std::uint64_t va_foreign_alloc_count() { return detail::va_foreign_allocs_ref(); }
-inline void va_foreign_alloc_reset() { detail::va_foreign_allocs_ref() = 0; }
 
 /// Allocates `bytes` of simulated address space from the arena of `mc`.
 ///
@@ -177,15 +151,13 @@ inline void va_foreign_alloc_reset() { detail::va_foreign_allocs_ref() = 0; }
 ///    ever resident on the cell's line(s).
 ///
 /// Overflowing an arena throws (deterministically) rather than bleeding
-/// into the neighbouring arena.
+/// into the neighbouring arena, and so does a foreign allocation (see the
+/// invariant above).
 inline std::uintptr_t va_alloc(std::size_t bytes, MemClass mc) {
-#if !(defined(TXCC_CHECKED) && TXCC_CHECKED)
-  // Checked builds count-and-report instead (va_audit_alloc), so negative
-  // tests can observe the violation; plain debug builds hard-stop.
-  assert(detail::va_owner_ok() &&
-         "simulated cell constructed on a different host thread than its Engine");
-#endif
-  detail::va_audit_alloc();
+  if (!detail::va_owner_ok())
+    throw std::logic_error(
+        "va_alloc: simulated cell constructed on a host thread whose va cursors "
+        "no live Engine owns; build cells after their Engine, on its thread");
   std::uintptr_t& next = detail::va_state.next[static_cast<std::size_t>(mc)];
   std::uintptr_t a = next;
   std::uintptr_t end;
@@ -215,8 +187,8 @@ inline void va_reset(const void* owner = nullptr) {
 }
 
 /// Called by Engine's destructor: if this thread's cursors are owned by the
-/// dying Engine, mark them stale so later allocations (which would silently
-/// reuse addresses) are auditable.
+/// dying Engine, mark them stale so later allocations (which would reuse
+/// addresses) throw while another Engine is live.
 inline void va_owner_destroyed(const void* owner) {
   if (detail::va_state.owner == owner) detail::va_state.owner_live = false;
 }

@@ -7,7 +7,6 @@
 #include <optional>
 #include <utility>
 
-#include "sim/vaddr.h"
 #include "tm/lock_ledger.h"
 #include "tm/runtime.h"
 #include "trace/tracer.h"
@@ -63,18 +62,12 @@ void reset() {
   State& s = st();
   s.counts.fill(0);
   s.findings.clear();
-  sim::va_foreign_alloc_reset();
 }
 
-std::uint64_t count(Check c) {
-  // Detected at the sim layer (sim/vaddr.h) so the allocator need not link
-  // against the TM auditor; surfaced through the common Check interface.
-  if (c == Check::kForeignVaAlloc) return sim::va_foreign_alloc_count();
-  return st().counts[static_cast<std::size_t>(c)];
-}
+std::uint64_t count(Check c) { return st().counts[static_cast<std::size_t>(c)]; }
 
 std::uint64_t total() {
-  std::uint64_t n = sim::va_foreign_alloc_count();
+  std::uint64_t n = 0;
   for (const auto c : st().counts) n += c;
   return n;
 }
@@ -118,47 +111,12 @@ void check_txn_sets(const detail::Txn& t) {
       idx_reported = true;  // one detailed report per commit is enough
     }
   });
-  for (const auto& u : t.write_undo) {
-    if (u.idx >= t.writes.size()) {
-      report(Check::kSetCorruption,
-             id_str(id) + " write-undo entry points past the redo log");
-      break;
-    }
-  }
-  if (static_cast<std::size_t>(t.depth) != t.marks.size()) {
-    report(Check::kSetCorruption,
-           id_str(id) + " frame depth " + std::to_string(t.depth) + " != " +
-               std::to_string(t.marks.size()) + " frame marks");
-  }
-  bool frame_reported = false;
-  t.read_frame.for_each([&](sim::LineAddr, const std::int32_t& frame) {
-    if (frame_reported) return;
-    if (frame < 0 || frame > t.depth) {
-      report(Check::kSetCorruption,
-             id_str(id) + " read-set entry owned by frame " + std::to_string(frame) +
-                 " outside [0, " + std::to_string(t.depth) + "]");
-      frame_reported = true;
-    }
-  });
-  // Read-log / read-set agreement: every live first-read entry (prev < 0)
-  // corresponds to exactly one read-set line.  The runtime derives a
-  // transaction's read lines from those entries (chop footprints, txmc).
-  std::size_t first_reads = 0;
-  for (const auto& [line, prev] : t.read_log) {
-    if (prev < 0) ++first_reads;
-  }
-  if (first_reads != t.read_frame.size()) {
-    report(Check::kSetCorruption,
-           id_str(id) + " read log records " + std::to_string(first_reads) +
-               " first-reads but the read set has " + std::to_string(t.read_frame.size()) +
-               " lines");
-  }
 }
 
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir) {
   const TxnId id{t.cpu, t.incarnation};
   bool reported = false;
-  t.read_frame.for_each([&](sim::LineAddr line, const std::int32_t&) {
+  t.read_set.for_each([&](sim::LineAddr line, bool) {
     if (reported) return;
     if (!dir.is_reader(line, t.cpu)) {
       report(Check::kSetCorruption,
@@ -219,13 +177,6 @@ void check_trace_nesting(const trace::Tracer& tracer) {
 }
 
 // ---- Shared cells ----
-
-void naked_store(std::uintptr_t addr, std::uint32_t size) {
-  report(Check::kNakedStore,
-         "naked (non-transactional) store from a worker to registered Shared cell " +
-             ptr_str(reinterpret_cast<const void*>(addr)) + " (" +
-             std::to_string(size) + " bytes) bypasses commit arbitration");
-}
 
 void late_profile_label(std::uintptr_t va, const char* name) {
   report(Check::kLateProfileLabel,

@@ -12,11 +12,10 @@
 //    later writer of that key is violated or serialized forever.  The judge
 //    is tm/lock_ledger.h, shared with the txmc oracle;
 //  * read/write-set consistency — while the commit token is held the
-//    transaction's redo log and read set must be internally consistent
-//    (index maps and logs agree) before the write set is broadcast;
-//  * naked stores — a non-transactional store from a worker fiber in Tcc
-//    mode to a Shared cell bypasses commit arbitration and is reported
-//    (legal at the memory level, but almost always a missing `atomically`).
+//    transaction's redo log and its index must agree, and every line of its
+//    read set must carry its CPU's reader bit, before the write set is
+//    broadcast;
+//  * profile labels attached mid-simulation, and torn trace streams.
 //
 // Findings are counted and recorded (query with count()/reports()); the
 // first few are echoed to stderr.  The auditor never throws or aborts: the
@@ -52,15 +51,8 @@ namespace atomos::audit {
 enum class Check {
   kLockLeak = 0,
   kSetCorruption,
-  kNakedStore,
   kLateProfileLabel,
   kTornTrace,
-  /// A simulated cell was constructed on a host thread whose va arena
-  /// cursors are not owned by a live Engine (while Engines are live
-  /// elsewhere): the cell draws from a stale thread_local cursor and can
-  /// alias another simulation's addresses.  Detected in sim::va_alloc
-  /// (sim/vaddr.h); the count lives there and is surfaced here.
-  kForeignVaAlloc,
   /// A semantic lock released twice by an unsettled transaction: the
   /// release request found nothing to release, no prune had taken the lock
   /// over, and the owner has not settled yet — a second release (or a
@@ -100,11 +92,7 @@ void check_txn_sets(const detail::Txn& t);
 /// set (else a committer would miss it).
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
 
-// ---- hooks: Shared cells (called by tm/runtime.cpp and tm/shared.h) ----
-/// A worker's non-transactional store of `size` bytes to the Shared cell
-/// whose committed storage is at `addr` (Runtime::tm_write outside any
-/// transaction in Tcc mode).
-void naked_store(std::uintptr_t addr, std::uint32_t size);
+// ---- hooks: Shared cells (called by tm/shared.h) ----
 /// A TAPE profile label attached to the tracer from a worker fiber, while
 /// the simulation is already running: the label map is host state (not
 /// rolled back on abort) and covers only the rest of the run.  Labels
@@ -132,7 +120,6 @@ inline const std::vector<std::string>& reports() {
 inline void on_sem(const SemEvent&) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
-inline void naked_store(std::uintptr_t, std::uint32_t) {}
 inline void late_profile_label(std::uintptr_t, const char*) {}
 inline void check_trace_nesting(const trace::Tracer&) {}
 

@@ -10,9 +10,9 @@ void Chop::run() {
     return;
   }
   if (rt.in_txn()) {
-    // Inside an enclosing transaction the pieces cannot commit early; they
-    // degrade to closed-nested frames and the enclosing commit/abort covers
-    // them (compensations are unnecessary: nothing committed yet).
+    // Inside an enclosing transaction the pieces cannot commit early; each
+    // runs inline as a nested atomically, and the enclosing commit/abort
+    // covers them (compensations are unnecessary: nothing committed yet).
     for (auto& p : pieces_) rt.atomically(p.body);
     return;
   }

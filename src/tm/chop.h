@@ -61,8 +61,8 @@ class Chop {
 
   /// Executes the pieces in declaration order.  Outside a simulation worker
   /// (or in Mode::kLock) the bodies run plainly; inside an enclosing
-  /// transaction the pieces degrade to closed-nested frames of it (the chop
-  /// loses its early commits but keeps its semantics).
+  /// transaction the pieces run inline as part of it (the chop loses its
+  /// early commits but keeps its semantics).
   void run();
 
  private:

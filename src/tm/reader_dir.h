@@ -6,11 +6,11 @@
 // that O(write-set x CPUs x depth) even when nobody read anything.  This
 // directory inverts the read sets: per line, one sim::CpuMask bit per CPU.
 //
-// A transaction's first read of a line (its prev < 0 read-log append) sets
-// the bit.  Nothing else sets it, and commit, abort and frame rollback leave
-// it alone.  Runtime::flag_readers walks the CPUs whose bit is set and
-// decides each flag from the transactions' own read_frame; a CPU where no
-// transaction holds the line any more gets its bit cleared there.  So the
+// A transaction's first read of a line (its read-set insertion) sets the
+// bit.  Nothing else sets it, and commit and abort leave it alone.
+// Runtime::flag_readers walks the CPUs whose bit is set and decides each
+// flag from the transactions' own read_set; a CPU where no transaction
+// holds the line any more gets its bit cleared there.  So the
 // set bits are a superset of the CPUs with a live reader (checked under
 // TXCC_CHECKED), and a stale bit costs at most one visit, which clears it.
 //

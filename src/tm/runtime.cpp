@@ -85,7 +85,7 @@ bool Runtime::violate(const TxnId& victim) {
   Txn* b = live_top(victim);
   if (b == nullptr) return false;
   if (eng_.cpu_id() == victim.cpu) return false;  // never self-violate
-  b->kill_frame = 0;
+  b->killed = true;
   b->kill_semantic = true;
   return true;
 }
@@ -100,7 +100,7 @@ Txn* Runtime::begin_txn(int cpu, bool open, int attempt) {
   } else {
     t = c.owned.emplace_back(std::make_unique<Txn>()).get();
   }
-  assert(open || c.cur == nullptr);  // closed nesting uses frames
+  assert(open || c.cur == nullptr);  // a nested atomically runs inline
   t->reset(cpu, c.next_incarnation++, next_epoch_++, open, c.cur, eng_.now(), attempt);
   c.cur = t;
   if (tracer_ != nullptr)
@@ -126,95 +126,16 @@ Violated Runtime::count_violation(int cpu, Txn* flagged) {
   ctx(cpu).doom_reported = false;
   auto& st = eng_.stats().cpu(cpu);
   if (flagged->kill_semantic) st.semantic_violations++;
-  if (!flagged->open && flagged->parent == nullptr && flagged->kill_frame == 0) {
-    st.violations++;
-  } else {
+  if (flagged->open) {
     st.nested_violations++;
+  } else {
+    st.violations++;
   }
-  return Violated{flagged, flagged->kill_frame};
+  return Violated{flagged};
 }
 
 void Runtime::throw_violation(int cpu, Txn* flagged) {
   throw count_violation(cpu, flagged);
-}
-
-void Runtime::clear_kill(Txn& t) {
-  t.kill_frame = -1;
-  t.kill_semantic = false;
-}
-
-// ---- frames (closed nesting) ----
-
-void Runtime::push_frame(Txn& t) {
-  detail::FrameMark m;
-  m.read_log = t.read_log.size();
-  m.writes = t.writes.size();
-  m.write_undo = t.write_undo.size();
-  m.commit_handlers = t.commit_handlers.size();
-  m.abort_handlers = t.abort_handlers.size();
-  m.allocs = t.allocs.size();
-  m.deletes = t.deletes.size();
-  t.marks.push_back(m);
-  t.depth++;
-}
-
-void Runtime::pop_frame_commit(Txn& t) {
-  // Reads taken by this frame now belong to the parent frame: a later
-  // conflict on them must restart the parent, not the (gone) child.
-  const detail::FrameMark& m = t.marks.back();
-  const int parent_depth = t.depth - 1;
-  for (std::size_t i = m.read_log; i < t.read_log.size(); ++i) {
-    std::int32_t* f = t.read_frame.find(t.read_log[i].first);
-    if (f != nullptr && *f > parent_depth) *f = parent_depth;
-  }
-  // Writes, handlers, allocs and deletes transfer positionally: they simply
-  // stay in the logs, now below the parent's high-water mark.
-  t.marks.pop_back();
-  t.depth--;
-}
-
-void Runtime::pop_frame_abort(Txn& t) {
-  const detail::FrameMark m = t.marks.back();
-  t.marks.pop_back();
-  t.depth--;
-
-  // Reverse-apply in-place write updates, then drop writes appended by the
-  // frame (order matters only for undo entries; see Txn docs).
-  for (std::size_t i = t.write_undo.size(); i > m.write_undo; --i) {
-    const auto& u = t.write_undo[i - 1];
-    t.writes[u.idx].val = u.prev_val;
-    t.writes[u.idx].size = u.prev_size;
-  }
-  t.write_undo.resize(m.write_undo);
-  for (std::size_t i = t.writes.size(); i > m.writes; --i) {
-    t.write_idx.erase(t.writes[i - 1].addr);
-  }
-  t.writes.resize(m.writes);
-
-  // Roll back read-set ownership changes (reverse order).  An undone
-  // first read leaves the read set, so the aborted frame's reads attract no
-  // violations any more; the line's reader bit stays for a committer to
-  // clear.
-  for (std::size_t i = t.read_log.size(); i > m.read_log; --i) {
-    const auto& [line, prev] = t.read_log[i - 1];
-    if (prev < 0) {
-      t.read_frame.erase(line);
-    } else {
-      *t.read_frame.find(line) = prev;
-    }
-  }
-  t.read_log.resize(m.read_log);
-
-  // Handlers registered by the aborted frame are discarded (paper S4).
-  t.commit_handlers.resize(m.commit_handlers);
-  t.abort_handlers.resize(m.abort_handlers);
-
-  // Objects the frame allocated were never published: destroy them (LIFO).
-  for (std::size_t i = t.allocs.size(); i > m.allocs; --i) {
-    t.allocs[i - 1].del(t.allocs[i - 1].ptr);
-  }
-  t.allocs.resize(m.allocs);
-  t.deletes.resize(m.deletes);  // deferred deletes cancelled
 }
 
 // ---- handlers ----
@@ -302,20 +223,17 @@ void Runtime::release_token([[maybe_unused]] int cpu) {
 }
 
 /// Flags every transaction (other than the committer's CPU's own) that has
-/// `line` in a live read set.  Shared by the commit broadcast and the
-/// naked-store path.  The reader directory narrows the scan to CPUs whose
-/// bit is set, so a commit costs O(write lines x reader bits).  A CPU where
-/// no transaction holds the line any more, set-aside stacks included, loses
-/// its bit here: the read that set it has ended.
+/// `line` in a live read set.  The reader directory narrows the scan to
+/// CPUs whose bit is set, so a commit costs O(write lines x reader bits).  A
+/// CPU where no transaction holds the line any more, set-aside stacks
+/// included, loses its bit here: the read that set it has ended.
 void Runtime::flag_readers(sim::LineAddr line, int committer) {
   reader_dir_.for_each_reader_except(line, committer, [&](int c) {
     bool held = false;
     for_each_live_txn(c, [&](Txn* v) {
-      const std::int32_t* f = v->read_frame.find(line);
-      if (f == nullptr) return;
+      if (v->read_set.find(line) == nullptr) return;
       held = true;
-      const int frame = *f;
-      if (v->kill_frame < 0 || frame < v->kill_frame) v->kill_frame = frame;
+      v->killed = true;
       if (tracer_ != nullptr) tracer_->on_violation_flag(committer, eng_.now(), line, c);
     });
     if (!held) reader_dir_.clear(line, c);
@@ -330,7 +248,7 @@ void Runtime::broadcast_and_apply(Txn& t) {
   // the (cache-resident) gathered lines; past that the cost flips and a
   // sort + unique run wins.  Line order within a broadcast is
   // timing-irrelevant: the commit is charged up front as one bus
-  // occupancy, and reader flagging only min-updates kill_frame, which is
+  // occupancy, and reader flagging only sets flags, which is
   // order-independent.
   constexpr std::size_t kSortedDrainThreshold = 32;
   scratch_lines_.clear();
@@ -370,7 +288,7 @@ void Runtime::broadcast_and_apply(Txn& t) {
 
 std::optional<Violated> Runtime::commit_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
-  assert(c.cur == t && t->depth == 0);
+  assert(c.cur == t);
 
   // The body has returned, so a flag found here needs no unwind: each check
   // below hands the violation back to run_txn (token released) instead of
@@ -416,8 +334,10 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
       // internally consistent before anything is broadcast (txcheck).
       audit::check_txn_sets(*t);
       audit::check_reader_dir(*t, reader_dir_);
-      // Run commit handlers inside the token, each as a closed-nested
-      // frame; they may register further commit handlers (run too).
+      // Run commit handlers inside the token, each through the nested
+      // atomically path: a handler that returns after work() reported its
+      // transaction doomed aborts the commit.  They may register further
+      // commit handlers (run too).
       if (top && (!t->commit_handlers.empty() || !t->top_commit_handlers.empty())) {
         if (tracer_ != nullptr)
           tracer_->on_handler_run(
@@ -425,11 +345,11 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
               t->commit_handlers.size() + t->top_commit_handlers.size());
         for (std::size_t i = 0; i < t->commit_handlers.size(); ++i) {
           auto h = std::move(t->commit_handlers[i]);
-          run_closed_frame(*t, [&h] { h(); });
+          run_inline(t->cpu, h);
         }
         for (std::size_t i = 0; i < t->top_commit_handlers.size(); ++i) {
           auto h = std::move(t->top_commit_handlers[i].fn);
-          run_closed_frame(*t, [&h] { h(); });
+          run_inline(t->cpu, h);
         }
       }
       broadcast_and_apply(*t);
@@ -485,9 +405,6 @@ std::optional<Violated> Runtime::commit_txn(Txn* t) {
 
 void Runtime::abort_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
-  // Unwind any frames the exception path has not popped (it pops all of its
-  // own; this is belt-and-braces for user exceptions thrown mid-frame).
-  while (t->depth > 0) pop_frame_abort(*t);
   notify_txn_sets(t, /*committed=*/false);
 
   eng_.memsys().abort_clear_speculative(t->cpu);
@@ -587,13 +504,10 @@ void Runtime::flag_chops(sim::LineAddr line, int committer) {
 
 void Runtime::chop_note_committed_piece(Txn& t) {
   detail::ChopState* s = active_chops_[static_cast<std::size_t>(t.cpu)];
-  if (s == nullptr || t.parent != nullptr || t.open) return;
-  // Live read lines are the surviving prev<0 read_log entries (frame
-  // rollback removes a log entry and its read_frame entry together); write
-  // lines may repeat per entry, try_emplace dedups.
-  for (const auto& [line, prev] : t.read_log) {
-    if (prev < 0) s->dep_lines.try_emplace(line, 1);
-  }
+  if (s == nullptr || t.open) return;
+  // The read set's lines, then the write lines (these may repeat per entry;
+  // try_emplace dedups).
+  t.read_set.for_each([s](sim::LineAddr line, bool) { s->dep_lines.try_emplace(line, 1); });
   for (const auto& w : t.writes) {
     s->dep_lines.try_emplace(sim::line_of(w.addr), 1);
   }
@@ -602,14 +516,11 @@ void Runtime::chop_note_committed_piece(Txn& t) {
 
 void Runtime::notify_txn_sets(Txn* t, bool committed) {
   if (mc_observer_ == nullptr) return;
-  // Same batched idioms as the commit path: live read lines come from the
-  // surviving prev<0 read_log entries (see chop_note_committed_piece), write
-  // lines from a sort+unique run.  The observer treats both as sets.
+  // Read lines come from the read set, write lines from a sort+unique run.
+  // The observer treats both as sets.
   mc_reads_scratch_.clear();
   mc_writes_scratch_.clear();
-  for (const auto& [line, prev] : t->read_log) {
-    if (prev < 0) mc_reads_scratch_.push_back(line);
-  }
+  t->read_set.for_each([this](sim::LineAddr line, bool) { mc_reads_scratch_.push_back(line); });
   for (const auto& w : t->writes) mc_writes_scratch_.push_back(sim::line_of(w.addr));
   std::sort(mc_writes_scratch_.begin(), mc_writes_scratch_.end());
   mc_writes_scratch_.erase(
@@ -642,18 +553,11 @@ void Runtime::tm_read(std::uintptr_t addr, void* out, std::uint32_t size,
     std::memcpy(out, committed, size);
     return;
   }
-  // Track the read line in the innermost transaction at the current frame.
-  // A first read (insertion) also sets this CPU's bit in the line's reader
-  // directory, which is how committers find us.
+  // Track the read line in the innermost transaction.  A first read
+  // (insertion) also sets this CPU's bit in the line's reader directory,
+  // which is how committers find us.
   const sim::LineAddr line = sim::line_of(addr);
-  auto [frame, inserted] = t->read_frame.try_emplace(line, t->depth);
-  if (inserted) {
-    t->read_log.emplace_back(line, -1);
-    reader_dir_.add(line, cpu);
-  } else if (*frame > t->depth) {
-    t->read_log.emplace_back(line, *frame);
-    *frame = t->depth;
-  }
+  if (t->read_set.try_emplace(line, true).second) reader_dir_.add(line, cpu);
   // Read-own-writes: innermost buffered value wins, walking out through
   // enclosing (open-nesting) ancestors.  The per-transaction write summary
   // short-circuits the walk for addresses no level ever wrote.
@@ -671,21 +575,16 @@ void Runtime::tm_read(std::uintptr_t addr, void* out, std::uint32_t size,
 void Runtime::tm_write(std::uintptr_t addr, const void* in, std::uint32_t size,
                        void* committed) {
   const int cpu = eng_.cpu_id();
+  Txn* t = ctx(cpu).cur;
+  // A store outside a transaction would publish without the commit token,
+  // flagging readers that may be running commit handlers.
+  if (t == nullptr)
+    throw std::logic_error(
+        "atomos::Shared: a worker stored to a cell outside any transaction in Tcc mode "
+        "(wrap the store in atomically)");
   check_kill(cpu);
   eng_.advance_to(eng_.memsys().tx_store(cpu, addr, eng_.now()));
   if (mc_observer_ != nullptr) mc_observer_->on_access(cpu, sim::line_of(addr), true);
-  Txn* t = ctx(cpu).cur;
-  if (t == nullptr) {
-    // Non-transactional store in Tcc mode: commits instantly; flag any
-    // in-flight reader of the line (mini TCC commit).
-    audit::naked_store(reinterpret_cast<std::uintptr_t>(committed), size);
-    std::memcpy(committed, in, size);
-    const sim::LineAddr line = sim::line_of(addr);
-    eng_.memsys().invalidate_copies(cpu, line);
-    flag_readers(line, cpu);
-    if (active_chop_count_ != 0) flag_chops(line, cpu);
-    return;
-  }
   std::uint64_t val = 0;
   std::memcpy(&val, in, size);
   auto [idx, inserted] = t->write_idx.try_emplace(addr, static_cast<std::uint32_t>(t->writes.size()));
@@ -694,7 +593,6 @@ void Runtime::tm_write(std::uintptr_t addr, const void* in, std::uint32_t size,
     t->note_write(addr);
   } else {
     detail::WriteEntry& e = t->writes[*idx];
-    t->write_undo.push_back(detail::Txn::WriteUndo{*idx, e.val, e.size});
     e.val = val;
     e.size = size;
   }

@@ -3,12 +3,16 @@
 // Provides the transactional semantics the paper enumerates in Section 4 as
 // prerequisites for transactional collection classes:
 //
-//  * closed-nested transactions with partial rollback (frames),
+//  * flattened closed nesting: an `atomically` inside a transaction runs
+//    inline, as part of the enclosing transaction, so a violation restarts
+//    that whole transaction and a user exception caught around the block
+//    leaves the block's effects in place, as for any block of code,
 //  * open-nested transactions (child commits before the parent; its read and
 //    write dependencies are NOT merged into the parent),
 //  * commit and abort handlers registered at the current nesting level
-//    (moved to the parent on nested commit, discarded on nested abort;
-//    commit handlers run inside the commit, abort handlers after rollback),
+//    (moved to the parent on open-nested commit; an aborted child runs its
+//    abort handlers and drops its commit handlers; commit handlers run
+//    inside the commit, abort handlers after rollback),
 //  * program-directed transaction abort: a transaction can obtain a stable
 //    TxnId for its top-level transaction, store it in a semantic lock, and a
 //    later committer can violate() that id.
@@ -16,19 +20,23 @@
 // Conflict detection is lazy (TCC): speculative writes are buffered; at
 // commit the writer acquires the global commit token, broadcasts its write
 // set, and flags every other in-flight transaction that has read one of the
-// written cache lines.  Flagged transactions retry: the whole transaction,
-// or just the nested frame / open-nested child whose read caused the
+// written cache lines.  Flagged transactions retry: the top-level
+// transaction, or just the open-nested child whose read caused the
 // conflict.  How the violation reaches the retry loop depends on where the
 // flag is seen.  work(), the leaf poll, returns it as a bool: the body
 // returns to its atomically/open_atomically boundary, and the retry loop
 // takes the violation from there.  At commit, after the body has returned,
 // commit_txn hands it back as a value.  Either way run_txn rolls back
 // without a C++ unwind; it throws only when the doomed transaction is an
-// enclosing one.  The other mid-body polls (the next transactional read,
-// write or child begin, and collection code's tcc::charge_sem_op) throw
-// Violated, because the frames they sit in must not continue.
-// Because every commit holds the token, commit handlers can never be
-// violated while they run — the TCC property the paper relies on.
+// enclosing one, or when the body that returned was a nested atomically,
+// whose enclosing body must not run on.  The other mid-body polls (the next
+// transactional read, write or child begin, and collection code's
+// tcc::charge_sem_op) throw Violated, because the code around them must
+// not continue.
+// Only a commit holding the token flags readers (a store outside a
+// transaction is rejected), and commit handlers run inside it, so no memory
+// conflict can reach a commit handler while it runs — the TCC property the
+// paper relies on.
 #pragma once
 
 #include <concepts>
@@ -102,12 +110,11 @@ concept AbortSide = std::same_as<std::remove_cvref_t<A>, NoCompensation> ||
 template <class A>
 inline constexpr bool kCompensates = !std::same_as<std::remove_cvref_t<A>, NoCompensation>;
 
-/// Names a violated transaction (or one of its frames) and so its retry
-/// point.  Thrown to unwind user frames, or returned by the commit path.
-/// Internal control flow; user code must never swallow it.
+/// Names a violated transaction, and so its retry point.  Thrown to unwind
+/// user code, or returned by the commit path.  Internal control flow; user
+/// code must never swallow it.
 struct Violated {
   const void* txn;  // which transaction must retry
-  int frame;        // which of its frames must retry (0 = whole transaction)
 };
 
 namespace detail {
@@ -119,19 +126,9 @@ struct WriteEntry {
   std::uint32_t size;
 };
 
-struct FrameMark {
-  std::size_t read_log = 0;
-  std::size_t writes = 0;
-  std::size_t write_undo = 0;
-  std::size_t commit_handlers = 0;
-  std::size_t abort_handlers = 0;
-  std::size_t allocs = 0;
-  std::size_t deletes = 0;
-};
-
-/// One transaction: a top-level transaction or an open-nested child.
-/// Closed nesting is represented as frames *within* one Txn; all frame
-/// rollback is positional (log truncation to the frame's FrameMark).
+/// One transaction: a top-level transaction or an open-nested child.  A
+/// closed-nested `atomically` has no Txn of its own: it runs inline in the
+/// enclosing one, which is the only unit of rollback.
 ///
 /// Txn objects are pooled per CPU: reset() rearms one for a fresh
 /// incarnation in O(live entries) — the flat maps clear by generation bump
@@ -143,28 +140,24 @@ struct Txn {
   std::uint64_t epoch = 0;        // global begin order, for safe reclamation
   bool open = false;              // an open-nested child
   Txn* parent = nullptr;          // enclosing transaction (open-nesting link)
-  int depth = 0;                  // current closed-nesting frame depth
   std::uint64_t start_clock = 0;  // for lost-cycle accounting
   int attempt = 0;
 
-  // Pending violation: frame that must restart (-1 = none).
-  int kill_frame = -1;
+  // Pending violation: the transaction must restart.
+  bool killed = false;
   bool kill_semantic = false;
 
-  // Read set: line -> shallowest frame that read it, with an undo log.
-  sim::FlatMap<sim::LineAddr, std::int32_t> read_frame;
-  std::vector<std::pair<sim::LineAddr, int>> read_log;  // (line, prev frame or -1)
+  // Read set: the lines this transaction has read (the values are unused).
+  sim::FlatMap<sim::LineAddr, bool> read_set;
 
-  // Redo-log write set.  Entries are unique per address (repeat writes are
-  // in-place updates recorded in write_undo), so frame rollback is
-  // "reverse-apply write_undo, then truncate writes".
+  // Redo-log write set.  Entries are unique per address: a repeat write
+  // updates its entry in place.
   sim::FlatMap<std::uintptr_t, std::uint32_t> write_idx;
   std::vector<WriteEntry> writes;
 
   // 256-bit Bloom-style summary of written addresses.  tm_read consults it
   // before probing write_idx on each open-nesting ancestor, so read-mostly
-  // transactions skip the read-own-writes walk entirely.  Bits are never
-  // cleared by frame rollback (stale bits only cost a wasted probe).
+  // transactions skip the read-own-writes walk entirely.
   std::uint64_t write_filter[4] = {0, 0, 0, 0};
 
   void note_write(std::uintptr_t addr) {
@@ -175,21 +168,14 @@ struct Txn {
     const std::uint64_t h = sim::hash_u64(addr);
     return (write_filter[(h >> 6) & 3u] >> (h & 63u)) & 1u;
   }
-  struct WriteUndo {
-    std::size_t idx;
-    std::uint64_t prev_val;
-    std::uint32_t prev_size;
-  };
-  std::vector<WriteUndo> write_undo;
-
   std::vector<std::function<void()>> commit_handlers;
   std::vector<std::function<void()>> abort_handlers;
 
   // Handlers pinned to the whole (top-level) transaction: immune to
-  // closed-frame truncation.  This is where the collection classes register
+  // open-child rollback.  This is where the collection classes register
   // their single commit/abort handler pair (paper S5's "only one handler,
   // registered on first use"): the open-nested operations they compensate
-  // are themselves immune to frame rollback, so the handlers must be too.
+  // outlive any child that ran them, so the handlers must too.
   // Each pair names its owner, and one owner registers at most one pair per
   // top-level transaction (Runtime::on_top_commit).
   //
@@ -216,8 +202,6 @@ struct Txn {
   std::vector<Resource> allocs;
   std::vector<Resource> deletes;
 
-  std::vector<FrameMark> marks;  // one per open closed-nested frame
-
   /// Rearms a pooled Txn for a new incarnation.  The vectors keep their
   /// capacity; the flat maps clear in O(1) by generation bump.
   void reset(int cpu_, std::uint64_t incarnation_, std::uint64_t epoch_, bool open_,
@@ -227,16 +211,13 @@ struct Txn {
     epoch = epoch_;
     open = open_;
     parent = parent_;
-    depth = 0;
     start_clock = start_clock_;
     attempt = attempt_;
-    kill_frame = -1;
+    killed = false;
     kill_semantic = false;
-    read_frame.clear();
-    read_log.clear();
+    read_set.clear();
     write_idx.clear();
     writes.clear();
-    write_undo.clear();
     write_filter[0] = write_filter[1] = write_filter[2] = write_filter[3] = 0;
     commit_handlers.clear();
     abort_handlers.clear();
@@ -244,7 +225,6 @@ struct Txn {
     top_abort_handlers.clear();
     allocs.clear();
     deletes.clear();
-    marks.clear();
   }
 };
 
@@ -311,7 +291,8 @@ class Runtime {
   class McObserver {
    public:
     virtual ~McObserver() = default;
-    /// A transactional (or naked, in Tcc mode) load/store of `line` by `cpu`.
+    /// A transactional load or store of `line` by `cpu` (or, in Tcc mode, a
+    /// load outside any transaction).
     virtual void on_access(int cpu, sim::LineAddr line, bool is_write) = 0;
     /// A transaction finished: its read-set lines and de-duplicated
     /// write-set lines.  `open` marks open-nested children.
@@ -338,16 +319,17 @@ class Runtime {
 
   // ---- transactional region API ----
 
-  /// Runs `fn` as a transaction: top-level if none is active on this CPU,
-  /// otherwise a closed-nested frame with partial rollback.  Retries on
-  /// violation.  In Mode::kLock this is a plain call.
+  /// Runs `fn` as a top-level transaction, retried on violation, when none
+  /// is active on this CPU.  Inside a transaction `fn` runs inline as part
+  /// of it (flattened closed nesting): a violation restarts the enclosing
+  /// top-level or open-nested transaction.  In Mode::kLock this is a plain
+  /// call.
   template <class F>
   auto atomically(F&& fn) {
     if (mode() == sim::Mode::kLock || !sim::Engine::in_worker()) return fn();
     const int cpu = eng_.cpu_id();
-    detail::Txn* t = ctx(cpu).cur;
-    if (t == nullptr) return run_txn(cpu, /*open=*/false, std::forward<F>(fn));
-    return run_closed_frame(*t, std::forward<F>(fn));
+    if (ctx(cpu).cur == nullptr) return run_txn(cpu, /*open=*/false, std::forward<F>(fn));
+    return run_inline(cpu, std::forward<F>(fn));
   }
 
   /// Runs `fn` as an open-nested child transaction: it commits (and becomes
@@ -361,10 +343,10 @@ class Runtime {
   }
 
   /// Registers `h` to run if the current transaction commits (at commit,
-  /// holding the commit token, as a closed-nested frame) and `compensate`
-  /// to run if it aborts (see on_abort).  What a commit handler publishes or
-  /// releases, an abort must undo, so the abort side is required: a callable,
-  /// or no_compensation when `h` is pure bookkeeping.
+  /// holding the commit token) and `compensate` to run if it aborts (see
+  /// on_abort).  What a commit handler publishes or releases, an abort must
+  /// undo, so the abort side is required: a callable, or no_compensation
+  /// when `h` is pure bookkeeping.
   template <AbortSide A>
   void on_commit(std::function<void()> h, A&& compensate) {
     add_commit_handler(std::move(h));
@@ -375,8 +357,8 @@ class Runtime {
   void on_abort(std::function<void()> h);
 
   /// Like on_commit/on_abort, but pinned to the *top-level* transaction of
-  /// the calling CPU: the registration survives closed-frame and open-child
-  /// rollback (matching the open-nested state those handlers compensate).
+  /// the calling CPU: the registration survives open-child rollback
+  /// (matching the open-nested state those handlers compensate).
   /// `owner` names what the pair commits and compensates (a collection, an
   /// oracle, a tally): one owner registers at most one pair per top-level
   /// transaction, because a compensation run twice re-applies its inverse
@@ -418,7 +400,8 @@ class Runtime {
   /// a pending violation, so a doomed transaction stops wasting work.  True
   /// means a transaction on this CPU is doomed: the caller returns, and so
   /// does every caller up to the atomically/open_atomically body, whose
-  /// boundary aborts it with no C++ unwind.  Always false in Mode::kLock and
+  /// boundary aborts it with no C++ unwind (a nested atomically's boundary
+  /// throws it on to the enclosing one).  Always false in Mode::kLock and
   /// outside a transaction.  A caller that ignores a true result still stops
   /// at the same clock: the next poll on this CPU (work(), a transactional
   /// read or write, a child begin) throws the violation before it ticks.
@@ -436,8 +419,9 @@ class Runtime {
   }
 
   /// Throws the violation that work() just reported.  For collection code
-  /// (tcc::charge_sem_op), whose callers go on to mutate lock tables and so
-  /// must not continue past a doomed poll.
+  /// (tcc::charge_sem_op), whose callers go on to mutate lock tables, and
+  /// for a nested atomically: neither may let its caller continue past a
+  /// doomed poll.
   [[noreturn]] void throw_reported() {
     const int cpu = eng_.cpu_id();
     throw_violation(cpu, flagged_txn(cpu));
@@ -502,29 +486,19 @@ class Runtime {
   [[nodiscard]] std::optional<Violated> commit_txn(detail::Txn* t);
   void abort_txn(detail::Txn* t);   // rollback + abort handlers + backoff
   void release_txn(detail::Txn* t);  // drop handlers, park in pool
-  void push_frame(detail::Txn& t);
-  void pop_frame_commit(detail::Txn& t);
-  void pop_frame_abort(detail::Txn& t);
-  void clear_kill(detail::Txn& t);
   /// The outermost flagged transaction on `cpu` (it dominates everything
   /// nested inside it), or null.  Inline: the scan almost always finds
   /// nothing.
   detail::Txn* flagged_txn(int cpu) {
     detail::Txn* flagged = nullptr;
     for (detail::Txn* t = ctx(cpu).cur; t != nullptr; t = t->parent) {
-      if (t->kill_frame >= 0) flagged = t;
+      if (t->killed) flagged = t;
     }
     return flagged;
   }
   /// Charges `flagged`'s violation to `cpu`'s stats and names its retry
   /// point.  Both delivery paths (thrown and returned) go through here.
   Violated count_violation(int cpu, detail::Txn* flagged);
-  /// The violation work() reported to a body that then returned, delivered
-  /// now; nullopt if none was reported.
-  std::optional<Violated> take_reported(int cpu) {
-    if (!ctx(cpu).doom_reported) return std::nullopt;
-    return count_violation(cpu, flagged_txn(cpu));
-  }
   /// Mid-body poll: throws Violated if any transaction on `cpu` is flagged.
   /// The throw path is out-of-line.
   void check_kill(int cpu) {
@@ -564,8 +538,8 @@ class Runtime {
   void chop_begin(int cpu, detail::ChopState* s);
   void chop_end(int cpu);
   /// Counts a break on foreign chops whose dep_lines contain `line`.  Called
-  /// under the commit broadcast and the naked-store path; a single counter
-  /// test keeps it off every hot path while no chop is active.
+  /// under the commit broadcast; a single counter test keeps it off every
+  /// hot path while no chop is active.
   void flag_chops(sim::LineAddr line, int committer);
   /// Folds a just-committed piece's read/write lines into its chop's
   /// forward-dependency footprint (called from commit_txn, still inside the
@@ -611,41 +585,18 @@ class Runtime {
     }
   }
 
-  /// A closed-nested frame.  A body that returns after work() reported a
-  /// violation is handled exactly like one that threw it: the frame rolls
-  /// back, and it retries if it is the retry point.  Any other violation
-  /// travels on to the enclosing frame as a throw.
+  /// A nested atomically: `fn` runs as part of the enclosing transaction.
+  /// A body that returns after work() reported a violation throws it, so the
+  /// enclosing body stops there as it would at any other doomed poll.
   template <class F>
-  auto run_closed_frame(detail::Txn& t, F&& fn) {
-    for (;;) {
-      push_frame(t);
-      const int my_depth = t.depth;
-      std::optional<Violated> v;
-      try {
-        if constexpr (std::is_void_v<decltype(fn())>) {
-          fn();
-          v = take_reported(t.cpu);
-          if (!v) {
-            pop_frame_commit(t);
-            return;
-          }
-        } else {
-          auto result = fn();
-          v = take_reported(t.cpu);
-          if (!v) {
-            pop_frame_commit(t);
-            return result;
-          }
-        }
-      } catch (const Violated& thrown) {  // txlint: allow(catch-swallow) handled below
-        v = thrown;
-      } catch (...) {
-        pop_frame_abort(t);
-        throw;
-      }
-      pop_frame_abort(t);
-      if (v->txn != &t || v->frame != my_depth) throw *v;
-      clear_kill(t);  // retry just this frame
+  auto run_inline(int cpu, F&& fn) {
+    if constexpr (std::is_void_v<decltype(fn())>) {
+      fn();
+      if (ctx(cpu).doom_reported) throw_reported();
+    } else {
+      auto result = fn();
+      if (ctx(cpu).doom_reported) throw_reported();
+      return result;
     }
   }
 

@@ -1,13 +1,18 @@
 // Arena-segregated virtual addressing (sim/vaddr.h): disjoint ranges,
-// line-private classes, data packing, determinism, overflow.
+// line-private classes, data packing, determinism, overflow, and foreign
+// allocations.
 #include "sim/vaddr.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "sim/engine.h"
 
 namespace {
 
@@ -124,6 +129,39 @@ TEST(VaddrTest, ArenaOverflowThrowsDeterministically) {
   EXPECT_THROW(sim::va_alloc(8, sim::kMetaCell), std::length_error);
   // Other arenas are unaffected by the exhausted one.
   EXPECT_NO_THROW(sim::va_alloc(8, sim::kCounterCell));
+  sim::va_reset();
+}
+
+// A foreign allocation draws from cursors no live Engine owns while an
+// Engine is live elsewhere, so its address can alias that simulation's: it
+// throws, in every build.
+TEST(VaddrTest, ForeignAllocationThrows) {
+  sim::va_reset();
+  std::atomic<int> stage{0};
+  std::thread holder([&] {
+    sim::Engine eng(sim::Config{});  // owns *its* thread's cursors
+    stage.store(1);
+    while (stage.load() < 2) std::this_thread::yield();
+  });
+  while (stage.load() < 1) std::this_thread::yield();
+  EXPECT_THROW(sim::va_alloc(8, sim::kDataCell), std::logic_error);
+  stage.store(2);
+  holder.join();
+  EXPECT_NO_THROW(sim::va_alloc(8, sim::kDataCell));  // no Engine live now
+  sim::va_reset();
+}
+
+TEST(VaddrTest, OwnThreadAndEngineLessAllocationsDoNotThrow) {
+  // No Engine alive anywhere: bare-cell construction is legitimate setup.
+  sim::va_reset();
+  EXPECT_NO_THROW(sim::va_alloc(8, sim::kDataCell));
+  {
+    // Cells built on the Engine's own thread, after the Engine.
+    sim::Engine eng(sim::Config{});
+    EXPECT_NO_THROW(sim::va_alloc(8, sim::kDataCell));
+    EXPECT_NO_THROW(sim::va_alloc(8, sim::kMetaCell));
+  }
+  EXPECT_NO_THROW(sim::va_alloc(8, sim::kDataCell));
   sim::va_reset();
 }
 

@@ -8,11 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/lockers.h"
 #include "core/txmap.h"
@@ -389,50 +387,6 @@ TEST_F(CheckedRuntimeTest, DistinctAndReattemptedCompensationsAreLegal) {
   EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
-// A worker-fiber store to a registered Shared cell outside any transaction
-// bypasses commit arbitration: the auditor must call it out.
-TEST_F(CheckedRuntimeTest, ReportsNakedStoreFromWorker) {
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  Shared<int> x(0);
-  eng.spawn([&] {
-    x.set(42);  // naked: no enclosing atomically
-  });
-  eng.run();
-  EXPECT_EQ(x.unsafe_peek(), 42);  // the store itself still works
-  EXPECT_EQ(audit::count(audit::Check::kNakedStore), 1u);
-  ASSERT_FALSE(audit::reports().empty());
-  EXPECT_NE(audit::reports()[0].find("naked"), std::string::npos);
-}
-
-TEST_F(CheckedRuntimeTest, TransactionalStoresAreNotNaked) {
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  Shared<int> x(0);
-  eng.spawn([&] {
-    atomically([&] { x.set(42); });
-    open_atomically([&] { x.set(43); });
-  });
-  eng.run();
-  EXPECT_EQ(x.unsafe_peek(), 43);
-  EXPECT_EQ(audit::count(audit::Check::kNakedStore), 0u);
-}
-
-// Setup/teardown stores never report (not in a worker fiber), and a cell
-// destroyed before the run leaves nothing behind to report on.
-TEST_F(CheckedRuntimeTest, SetupStoresAndDeadCellsDoNotReport) {
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  auto cell = std::make_unique<Shared<int>>(1);
-  cell->set(2);  // setup-thread store: raw access, no report
-  cell.reset();
-  eng.spawn([&] {
-    atomically([] {});
-  });
-  eng.run();
-  EXPECT_EQ(audit::count(audit::Check::kNakedStore), 0u);
-}
-
 // End-to-end clean path: a TransactionalMap workload under contention —
 // semantic locks taken and released by the collection's own paired handlers,
 // open-nested commits, retries — must leave the auditor with nothing to say.
@@ -559,42 +513,6 @@ TEST_F(CheckedRuntimeTest, RealTracedRunIsWellNested) {
   trace::clear_request();
   EXPECT_EQ(audit::count(audit::Check::kTornTrace), 0u)
       << (audit::reports().empty() ? "" : audit::reports().back());
-}
-
-// Cross-thread construction audit (sim/vaddr.h): building a simulated cell
-// on a host thread whose va cursors are not owned by a live Engine draws
-// from a stale (or never-reset) cursor and can alias another simulation's
-// addresses.  The audit is scoped so engine-less unit-test construction
-// stays legal: it fires only while an Engine is live *somewhere else*.
-TEST_F(CheckedRuntimeTest, ReportsForeignVaAlloc) {
-  std::atomic<int> stage{0};
-  std::thread holder([&] {
-    sim::Engine eng(tcc_cfg(1));  // owns *its* thread's cursors
-    stage.store(1);
-    while (stage.load() < 2) std::this_thread::yield();
-  });
-  while (stage.load() < 1) std::this_thread::yield();
-  EXPECT_EQ(audit::count(audit::Check::kForeignVaAlloc), 0u);
-  // This thread's cursors are not owned by the live Engine over there.
-  { Shared<int> foreign(7); }
-  EXPECT_EQ(audit::count(audit::Check::kForeignVaAlloc), 1u);
-  stage.store(2);
-  holder.join();
-}
-
-TEST_F(CheckedRuntimeTest, OwnThreadAndEngineLessVaAllocsAreSilent) {
-  // No Engine alive anywhere: bare-cell construction is legitimate setup.
-  { Shared<int> bare(1); }
-  EXPECT_EQ(audit::count(audit::Check::kForeignVaAlloc), 0u);
-  // Cells built on the Engine's own thread, after the Engine: legitimate.
-  {
-    sim::Engine eng(tcc_cfg(1));
-    Runtime rt(eng);
-    Shared<int> owned(2);
-    eng.spawn([&] { atomically([&] { owned.set(3); }); });
-    eng.run();
-  }
-  EXPECT_EQ(audit::count(audit::Check::kForeignVaAlloc), 0u);
 }
 
 }  // namespace

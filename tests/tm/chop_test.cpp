@@ -145,7 +145,7 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
   EXPECT_EQ(rt.chop_stats().compensations, 2u);  // charge and reserve, not audit
 }
 
-// Inside an enclosing transaction a chop degrades to closed-nested frames:
+// Inside an enclosing transaction a chop's pieces run inline as part of it:
 // nothing commits early, so an enclosing abort rolls everything back and
 // compensations never run.
 TEST(Chop, DegradesToFramesInsideEnclosingTransaction) {

@@ -5,9 +5,9 @@
 // directory's correctness rests on:
 //   * a committed write flags CPUs that hold the line in a live read set
 //     (flag-on-commit), however many transactions on that CPU read it;
-//   * a read that closed-frame rollback truncates leaves the read set, so
-//     later commits flag nothing for it: the committer finds no reader and
-//     clears the CPU's bit (unflag-on-truncation); and
+//   * a read by an open child that aborts leaves with the child, so later
+//     commits flag nothing for it: the committer finds no reader and clears
+//     the CPU's bit (unflag-on-abort); and
 //   * an open-nested child's commit never flags its own CPU's stack, so a
 //     parent that read a line its child then wrote survives (the open-nesting
 //     exemption the transactional collection classes rely on).
@@ -130,25 +130,24 @@ TEST(ReaderDirIntegration, CommitFlagsLiveReader) {
   EXPECT_GE(eng.stats().cpu(0).violations, 1u);
 }
 
-TEST(ReaderDirIntegration, FrameRollbackUnflagsTruncatedRead) {
-  // CPU 0 reads x only inside attempt 0 of a closed-nested frame.  The frame
-  // is violated and retried; the rollback truncates the prev<0 read-log
-  // entry for x, which drops x from the read set.  CPU 0's reader bit for x
-  // stays, so CPU 1's second commit of x visits CPU 0, finds no transaction
-  // holding x, flags nothing and clears the bit: the frame runs exactly
-  // twice, not three times.
+TEST(ReaderDirIntegration, RetriedOpenChildUnflagsItsAbortedRead) {
+  // CPU 0 reads x only inside attempt 0 of an open-nested child.  The child
+  // is violated and retried alone; its abort drops x from every read set on
+  // CPU 0.  CPU 0's reader bit for x stays, so CPU 1's second commit of x
+  // visits CPU 0, finds no transaction holding x, flags nothing and clears
+  // the bit: the child runs exactly twice, not three times.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   Shared<int> x(0);
   Shared<int> y(0);
-  int frame_runs = 0;
+  int child_runs = 0;
   int outer_runs = 0;
   eng.spawn([&] {
     atomically([&] {
       ++outer_runs;
-      atomically([&] {
-        ++frame_runs;
-        if (frame_runs == 1) {
+      open_atomically([&] {
+        ++child_runs;
+        if (child_runs == 1) {
           (void)x.get();
         } else {
           (void)y.get();
@@ -159,13 +158,14 @@ TEST(ReaderDirIntegration, FrameRollbackUnflagsTruncatedRead) {
   });
   eng.spawn([&] {
     (void)Runtime::current().work(500);
-    atomically([&] { x.set(1); });  // violates CPU 0's frame
+    atomically([&] { x.set(1); });  // violates CPU 0's child
     (void)Runtime::current().work(2000);
     atomically([&] { x.set(2); });  // lands mid-retry: must NOT violate
   });
   eng.run();
-  EXPECT_EQ(outer_runs, 1);  // partial rollback: only the frame retried
-  EXPECT_EQ(frame_runs, 2);
+  EXPECT_EQ(outer_runs, 1);  // only the child read x
+  EXPECT_EQ(child_runs, 2);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 1u);
   EXPECT_EQ(x.unsafe_peek(), 2);
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the Atomos/TCC-style TM runtime: atomicity, isolation,
 // read-own-writes, conflict detection and retry, nesting semantics, commit
-// and abort handlers, and program-directed abort.
+// and abort handlers, program-directed abort, and stores outside a
+// transaction.
 #include "tm/runtime.h"
 
 #include <gtest/gtest.h>
@@ -185,41 +186,41 @@ TEST(RuntimeTest, AtomicityUnderContention) {
   EXPECT_EQ(counter.unsafe_peek(), static_cast<long>(kCpus) * kIncs);
 }
 
-TEST(RuntimeTest, ClosedNestingPartialRollback) {
-  // A nested frame reads y (written by the other CPU); only the frame
-  // retries, the parent's earlier side effect (recorded attempts) shows the
-  // parent body ran once.
+TEST(RuntimeTest, NestedAtomicallyConflictRestartsTheEnclosingTransaction) {
+  // A nested atomically reads y (written by the other CPU).  The block is
+  // part of its enclosing transaction, so the whole transaction restarts.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   Shared<int> y(0);
   int parent_runs = 0;
-  int frame_runs = 0;
+  int nested_runs = 0;
   int seen = -1;
   eng.spawn([&] {
     atomically([&] {
       ++parent_runs;
       if (Runtime::current().work(100)) return;
-      atomically([&] {  // closed-nested frame
-        ++frame_runs;
+      atomically([&] {
+        ++nested_runs;
         seen = y.get();
         if (Runtime::current().work(4000)) return;
       });
     });
   });
   eng.spawn([&] {
-    (void)Runtime::current().work(600);  // inside the nested frame's window
+    (void)Runtime::current().work(600);  // inside the nested block's window
     atomically([&] { y.set(3); });
   });
   eng.run();
-  EXPECT_EQ(parent_runs, 1);   // parent never re-ran
-  EXPECT_GE(frame_runs, 2);    // the frame did
+  EXPECT_EQ(parent_runs, 2);
+  EXPECT_EQ(nested_runs, 2);
   EXPECT_EQ(seen, 3);
-  EXPECT_GE(eng.stats().cpu(0).nested_violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
 }
 
 TEST(RuntimeTest, ParentReadConflictRestartsWholeTransaction) {
-  // The parent itself read y before entering the frame: a conflicting commit
-  // must restart the parent, not just the frame.
+  // The parent itself read y before entering the nested block: a
+  // conflicting commit restarts the parent.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   Shared<int> y(0);
@@ -240,13 +241,15 @@ TEST(RuntimeTest, ParentReadConflictRestartsWholeTransaction) {
   EXPECT_GE(parent_runs, 2);
 }
 
-TEST(RuntimeTest, NestedFrameWritesRollBackWithFrame) {
-  // A user exception aborts the frame; its buffered writes must vanish while
-  // the parent's survive.
+TEST(RuntimeTest, ExceptionCaughtAroundNestedAtomicallyKeepsItsWrites) {
+  // A user exception leaves a nested atomically as it leaves any block of
+  // code: the enclosing body catches it, and the block's writes and commit
+  // handler stay in the enclosing transaction, which commits them.
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
   Shared<int> x(0);
   Shared<int> z(0);
+  int commit_runs = 0, abort_runs = 0;
   eng.spawn([&] {
     atomically([&] {
       x.set(1);
@@ -254,17 +257,21 @@ TEST(RuntimeTest, NestedFrameWritesRollBackWithFrame) {
         atomically([&] {
           z.set(42);
           x.set(100);
-          throw std::runtime_error("frame fails");
+          on_commit([&] { ++commit_runs; }, [&] { ++abort_runs; });
+          throw std::runtime_error("nested block fails");
         });
       } catch (const std::runtime_error&) {
       }
-      EXPECT_EQ(z.get(), 0);  // frame write rolled back
-      EXPECT_EQ(x.get(), 1);  // parent's shadowed value restored
+      EXPECT_EQ(z.get(), 42);
+      EXPECT_EQ(x.get(), 100);
     });
   });
   eng.run();
-  EXPECT_EQ(x.unsafe_peek(), 1);
-  EXPECT_EQ(z.unsafe_peek(), 0);
+  EXPECT_EQ(x.unsafe_peek(), 100);
+  EXPECT_EQ(z.unsafe_peek(), 42);
+  EXPECT_EQ(commit_runs, 1);
+  EXPECT_EQ(abort_runs, 0);
+  EXPECT_EQ(eng.stats().cpu(0).commits, 1u);
 }
 
 TEST(RuntimeTest, OpenNestedCommitsImmediatelyAndDropsDependencies) {
@@ -404,24 +411,34 @@ TEST(RuntimeTest, TopCommitOwnersAreDistinctPerTransaction) {
   EXPECT_EQ(aborts_b, attempts - 1);
 }
 
-TEST(RuntimeTest, HandlersOfAbortedNestedFrameAreDiscarded) {
+TEST(RuntimeTest, AbortedOpenChildRunsItsAbortHandlersAndDropsItsCommitHandlers) {
+  // Paper S4: an aborting transaction runs its abort handlers and discards
+  // its commit handlers; only a committing open child hands its handlers to
+  // the parent.  The first child aborts on a user exception that the parent
+  // catches, the second commits.
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  int commit_runs = 0, abort_runs = 0;
+  std::vector<int> order;
   eng.spawn([&] {
     atomically([&] {
       try {
-        atomically([&] {
-          on_commit([&] { ++commit_runs; }, [&] { ++abort_runs; });
-          throw std::runtime_error("abort the frame");
+        open_atomically([&] {
+          on_commit([&] { order.push_back(1); }, [&] { order.push_back(-1); });
+          throw std::runtime_error("abort the child");
         });
       } catch (const std::runtime_error&) {
       }
+      order.push_back(0);  // the aborted child's compensation ran before this
+      open_atomically([&] {
+        on_commit([&] { order.push_back(2); }, [&] { order.push_back(-2); });
+      });
     });
   });
   eng.run();
-  EXPECT_EQ(commit_runs, 0);  // discarded with the frame, not run at commit
-  EXPECT_EQ(abort_runs, 0);   // "discarded without executing" (paper S4)
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 2}));
+  // The second child, and the first child's compensation, which runs as a
+  // detached open transaction.
+  EXPECT_EQ(eng.stats().cpu(0).open_commits, 2u);
 }
 
 TEST(RuntimeTest, OpenChildHandlersTransferToParent) {
@@ -570,6 +587,28 @@ TEST(RuntimeTest, UserExceptionAbortsAndPropagates) {
   eng.run();
   EXPECT_TRUE(caught);
   EXPECT_EQ(x.unsafe_peek(), 0);  // aborted: nothing published
+}
+
+// A worker's store outside any transaction in Tcc mode would publish
+// without the commit token: it throws and leaves the cell as it was.
+// Stores inside atomically and open_atomically, and setup-thread stores,
+// are fine.
+TEST(RuntimeTest, StoreOutsideATransactionThrowsInAWorker) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  x.set(1);  // setup thread: a plain store
+  eng.spawn([&] {
+    // Caught here: an exception escaping a fiber body aborts the process.
+    EXPECT_THROW(x.set(42), std::logic_error);
+    EXPECT_EQ(x.unsafe_peek(), 1);
+    atomically([&] { x.set(x.get() + 1); });
+    open_atomically([&] { x.set(x.get() + 1); });
+  });
+  eng.run();
+  EXPECT_EQ(x.unsafe_peek(), 3);
+  x.set(4);  // setup thread again, after the run
+  EXPECT_EQ(x.unsafe_peek(), 4);
 }
 
 TEST(RuntimeTest, SerializedCommitsAreTotalOrder) {
@@ -757,7 +796,7 @@ constexpr std::uint64_t kTailCycles = 5000;
 constexpr std::uint64_t kWriterDelayCycles = 500;
 constexpr std::uint64_t kWorkRaceCycles = 10133;
 constexpr std::uint64_t kDiscardRaceCycles = 15131;
-constexpr std::uint64_t kClosedFrameRaceCycles = 10050;
+constexpr std::uint64_t kNestedRaceCycles = 10131;
 constexpr std::uint64_t kOpenChildRaceCycles = 10217;
 
 void spawn_writer(sim::Engine& eng, Shared<int>& x) {
@@ -857,16 +896,17 @@ TEST(RuntimeTest, DiscardedWorkResultThrowsAtTheSameClock) {
   EXPECT_EQ(discarded.unwound, 1);  // the second poll threw
 }
 
-TEST(RuntimeTest, ClosedFrameWorkViolationRetriesOnlyThatFrame) {
-  // Only the innermost frame read x, so the flag names its depth.  That
-  // frame re-runs alone, and no frame around it runs again.
+TEST(RuntimeTest, NestedWorkViolationStopsEveryEnclosingBody) {
+  // The innermost of three nested atomically blocks read x, and its work()
+  // reports the doom.  That block returns, and its boundary throws the
+  // violation on: no host code after an inner call runs in the doomed
+  // attempt, and the top-level transaction restarts.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   Shared<int> x(0);
   Shared<int> y(0);
-  int top_runs = 0;
-  int outer_runs = 0;
-  int inner_runs = 0;
+  int top_runs = 0, outer_runs = 0, inner_runs = 0;
+  int after_inner = 0, after_outer = 0;
   int unwound = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -880,19 +920,23 @@ TEST(RuntimeTest, ClosedFrameWorkViolationRetriesOnlyThatFrame) {
           if (Runtime::current().work(kTailCycles)) return;
           y.set(v + 1);
         });
+        ++after_inner;
       });
+      ++after_outer;
     });
   });
   spawn_writer(eng, x);
   eng.run();
-  EXPECT_EQ(top_runs, 1);
-  EXPECT_EQ(outer_runs, 1);
+  EXPECT_EQ(top_runs, 2);
+  EXPECT_EQ(outer_runs, 2);
   EXPECT_EQ(inner_runs, 2);
-  EXPECT_EQ(unwound, 0);
-  EXPECT_EQ(eng.stats().cpu(0).violations, 0u);
-  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 1u);
+  EXPECT_EQ(after_inner, 1);  // the committing attempt only
+  EXPECT_EQ(after_outer, 1);
+  EXPECT_EQ(unwound, 0);  // the reporting block returned
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
   EXPECT_EQ(y.unsafe_peek(), 8);
-  EXPECT_EQ(eng.elapsed_cycles(), kClosedFrameRaceCycles);
+  EXPECT_EQ(eng.elapsed_cycles(), kNestedRaceCycles);
 }
 
 TEST(RuntimeTest, OpenChildWorkFindsParentDoomed) {
@@ -924,6 +968,49 @@ TEST(RuntimeTest, OpenChildWorkFindsParentDoomed) {
   EXPECT_EQ(eng.stats().cpu(0).nested_violations, 0u);
   EXPECT_EQ(y.unsafe_peek(), 8);
   EXPECT_EQ(eng.elapsed_cycles(), kOpenChildRaceCycles);
+}
+
+TEST(RuntimeTest, CommitHandlerFindingItsTransactionDoomedAbortsTheCommit) {
+  // CPU 0's commit handler is working, inside the commit token, when CPU 1
+  // violate()s its transaction.  The handler's work() reports the doom and
+  // the handler returns: the commit aborts and retries instead of
+  // publishing, so the retry reads the unpublished value again.
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0);
+  TxnId victim;
+  bool captured = false;
+  bool violated = false;
+  int attempts = 0, handler_runs = 0, handler_finished = 0;
+  eng.spawn([&] {
+    atomically([&] {
+      ++attempts;
+      victim = self_id();
+      captured = true;
+      x.set(x.get() + 1);
+      on_commit(
+          [&] {
+            ++handler_runs;
+            if (Runtime::current().work(kTailCycles)) return;
+            ++handler_finished;
+          },
+          no_compensation);
+    });
+  });
+  eng.spawn([&] {
+    (void)Runtime::current().work(kWriterDelayCycles);  // CPU 0 is in its handler
+    EXPECT_TRUE(captured);
+    violated = violate(victim);
+  });
+  eng.run();
+  EXPECT_TRUE(violated);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(handler_runs, 2);
+  EXPECT_EQ(handler_finished, 1);
+  EXPECT_EQ(x.unsafe_peek(), 1);  // the doomed commit published nothing
+  EXPECT_EQ(eng.stats().cpu(0).commits, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).violations, 1u);
+  EXPECT_EQ(eng.stats().cpu(0).semantic_violations, 1u);
 }
 
 TEST(RuntimeTest, WorkReportsNothingInLockModeOrOutsideATransaction) {
