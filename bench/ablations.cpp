@@ -187,7 +187,7 @@ std::string run_contention(const char* name, Cm which) {
   }
   sim::Engine eng(make_cfg(sim::Mode::kTcc, 8));
   atomos::Runtime rt(eng, std::move(cm));
-  atomos::Shared<long> hot(0);
+  atomos::Shared<long> hot(0, sim::kDataCell);
   for (int c = 0; c < 8; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < 40; ++i) {

@@ -73,7 +73,7 @@ harness::BenchResult best_of(const std::function<harness::BenchResult()>& scenar
 // another CPU's block.  The uncontended scenarios therefore measure pure
 // hot-path cost, not violation handling.
 struct PaddedCell {
-  atomos::Shared<long> v;
+  atomos::Shared<long> v{0, sim::kDataCell};
 };
 
 sim::Config tcc_cfg() {

@@ -24,7 +24,7 @@ struct Mesh {
   Mesh() {
     quality.reserve(kRegions);
     for (long r = 0; r < kRegions; ++r)
-      quality.push_back(std::make_unique<atomos::Shared<long>>(0));
+      quality.push_back(std::make_unique<atomos::Shared<long>>(0, sim::kDataCell));
   }
 };
 
@@ -47,7 +47,7 @@ int main() {
     ++seeded;
   }
 
-  atomos::Shared<long> refined(0);
+  atomos::Shared<long> refined(0, sim::kDataCell);
 
   for (int cpu = 0; cpu < kCpus; ++cpu) {
     engine.spawn([&, cpu] {

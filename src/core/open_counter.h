@@ -34,7 +34,7 @@ namespace tcc {
 class OpenCounter {
  public:
   explicit OpenCounter(long initial = 0, const char* name = nullptr)
-      : v_(initial, name, sim::kCounterCell) {}
+      : v_(initial, sim::kCounterCell, name) {}
 
   long get() const {
     return atomos::open_atomically([&] { return v_.get(); });
@@ -57,7 +57,7 @@ class OpenCounter {
 class CompensatedCounter {
  public:
   explicit CompensatedCounter(long initial = 0, const char* name = nullptr)
-      : v_(initial, name, sim::kCounterCell) {}
+      : v_(initial, sim::kCounterCell, name) {}
 
   long get() const {
     return atomos::open_atomically([&] { return v_.get(); });
@@ -85,7 +85,7 @@ class CompensatedCounter {
 class UidGenerator {
  public:
   explicit UidGenerator(long first = 1, const char* name = nullptr)
-      : next_(first, name, sim::kCounterCell) {}
+      : next_(first, sim::kCounterCell, name) {}
 
   long next() {
     return atomos::open_atomically([&] {
@@ -96,6 +96,8 @@ class UidGenerator {
   }
 
   long unsafe_peek_next() const { return next_.unsafe_peek(); }
+  /// A bound on the next id that may be stale (Shared::stale_read).
+  long stale_next() const { return next_.stale_read(); }
 
  private:
   atomos::Shared<long> next_;

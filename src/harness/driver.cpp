@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -447,10 +449,13 @@ namespace {
   std::exit(code);
 }
 
-long parse_long(const char* bench, const char* flag, const std::string& v, long min_value) {
+long parse_long(const char* bench, const char* flag, const std::string& v, long min_value,
+                long max_value = LONG_MAX) {
   char* end = nullptr;
+  errno = 0;
   const long n = std::strtol(v.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v.empty() || n < min_value) {
+  if (end == nullptr || *end != '\0' || v.empty() || errno == ERANGE || n < min_value ||
+      n > max_value) {
     std::fprintf(stderr, "%s: bad value '%s' for %s\n", bench, v.c_str(), flag);
     usage(bench, 2);
   }
@@ -484,9 +489,10 @@ Cli Cli::parse(int argc, char** argv, const char* bench, double default_timeout_
     if (a == "--help" || a == "-h") {
       usage(bench, 0);
     } else if (a == "--jobs" || a == "-j") {
-      cli.opts.jobs = static_cast<int>(parse_long(bench, "--jobs", value("--jobs"), 1));
+      cli.opts.jobs = static_cast<int>(parse_long(bench, "--jobs", value("--jobs"), 1, INT_MAX));
     } else if (a == "--trials") {
-      cli.opts.trials = static_cast<int>(parse_long(bench, "--trials", value("--trials"), 1));
+      cli.opts.trials =
+          static_cast<int>(parse_long(bench, "--trials", value("--trials"), 1, INT_MAX));
     } else if (a == "--ops") {
       cli.ops = parse_long(bench, "--ops", value("--ops"), 1);
     } else if (a == "--csv") {

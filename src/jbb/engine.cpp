@@ -370,7 +370,6 @@ long Engine::committed_new_order_count() const {
 
 // Offline consistency oracle: runs between simulations on quiesced state, so
 // raw committed-value reads are exactly what it wants.
-// txlint: begin-allow(raw-peek)
 bool Engine::check_consistency(std::string* why) const {
   auto fail = [&](const std::string& msg) {
     if (why != nullptr) *why = msg;
@@ -411,6 +410,5 @@ bool Engine::check_consistency(std::string* why) const {
     return fail("history id holes in a fully-isolated flavour");
   return true;
 }
-// txlint: end-allow(raw-peek)
 
 }  // namespace jbb

@@ -73,7 +73,7 @@ class Sequence {
   // pathology must be the *semantic* parent-level RMW on the counter, never
   // accidental co-residency with unrelated cells.
   explicit Sequence(long first, const char* name)
-      : flavor_(Flavor::kJava), uid_(first, name), plain_(first, name, sim::kCounterCell) {}
+      : flavor_(Flavor::kJava), uid_(first, name), plain_(first, sim::kCounterCell, name) {}
 
   void set_flavor(Flavor f) { flavor_ = f; }
 
@@ -119,8 +119,7 @@ class Sequence {
       case Flavor::kAtomosChopped:
         // Documented stale read: callers accept an unsynchronized bound, so
         // no semantic lock (and no read-set entry) is taken on purpose.
-        // txlint: allow(raw-peek) - deliberate lock-free stale bound
-        return atomos::open_atomically([&] { return uid_.unsafe_peek_next(); });
+        return atomos::open_atomically([&] { return uid_.stale_next(); });
     }
     throw std::logic_error("unreachable");
   }
@@ -142,7 +141,7 @@ class Sequence {
 class Accumulator {
  public:
   explicit Accumulator(const char* name)
-      : flavor_(Flavor::kJava), cc_(0, name), plain_(0, name, sim::kCounterCell) {}
+      : flavor_(Flavor::kJava), cc_(0, name), plain_(0, sim::kCounterCell, name) {}
 
   void set_flavor(Flavor f) { flavor_ = f; }
 

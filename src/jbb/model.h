@@ -29,15 +29,16 @@ struct Item {
 /// Per-(warehouse,item) stock record.  In the Java flavour each Stock is
 /// its own synchronization object (Java's synchronized(stock) idiom).
 struct Stock {
-  explicit Stock(long q) : quantity(q), ytd(0) {}
+  explicit Stock(long q) : quantity(q, sim::kDataCell), ytd(0, sim::kDataCell) {}
   atomos::Shared<long> quantity;
   atomos::Shared<long> ytd;
   atomos::Mutex mu;
 };
 
 struct Customer {
-  Customer(long id_, long district) : id(id_), district_id(district), balance(0),
-                                      ytd_payment(0), last_order(0) {}
+  Customer(long id_, long district)
+      : id(id_), district_id(district), balance(0, sim::kDataCell),
+        ytd_payment(0, sim::kDataCell), last_order(0, sim::kDataCell) {}
   const long id;
   const long district_id;
   atomos::Shared<long> balance;      // cents
@@ -53,7 +54,7 @@ struct OrderLine {
 
 struct Order {
   Order(long id_, long customer, std::vector<OrderLine> lines_)
-      : id(id_), customer_id(customer), lines(std::move(lines_)), carrier_id(0) {}
+      : id(id_), customer_id(customer), lines(std::move(lines_)), carrier_id(0, sim::kDataCell) {}
   const long id;
   const long customer_id;
   const std::vector<OrderLine> lines;  // immutable after creation

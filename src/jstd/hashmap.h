@@ -33,13 +33,13 @@ class HashMap final : public Map<K, V> {
   explicit HashMap(std::size_t initial_buckets = 16,
                    const char* size_label = "HashMap.size",
                    const char* table_label = "HashMap.table")
-      : size_(0, size_label, sim::kMetaCell),
-        table_(new Table(round_up_pow2(initial_buckets)), table_label, sim::kMetaCell) {}
+      : size_(0, sim::kMetaCell, size_label),
+        table_(new Table(round_up_pow2(initial_buckets)), sim::kMetaCell, table_label) {}
 
   ~HashMap() override {
     Table* t = table_.unsafe_peek();
     for (std::size_t i = 0; i < t->nbuckets; ++i) {
-      Node* n = t->buckets[i].unsafe_peek();
+      Node* n = t->buckets[i].head.unsafe_peek();
       while (n != nullptr) {
         Node* next = n->next.unsafe_peek();
         delete n;
@@ -112,27 +112,29 @@ class HashMap final : public Map<K, V> {
   }
 
   /// Current bucket-array capacity (for tests of resize behaviour).
-  // txlint: allow(raw-peek) - test oracle: capacity probe outside the workload
   std::size_t bucket_count() const { return table_.unsafe_peek()->nbuckets; }
 
  private:
   struct Node {
     Node(std::size_t h, const K& k, const V& v, Node* nxt)
-        : hash(h), key(k), val(v), next(nxt) {}
+        : hash(h), key(k, sim::kDataCell), val(v, sim::kDataCell), next(nxt, sim::kDataCell) {}
     const std::size_t hash;     // immutable: cached full hash
     atomos::Shared<K> key;      // immutable after construction
     atomos::Shared<V> val;
     atomos::Shared<Node*> next;
   };
 
+  struct Bucket {  // a chain head; a Table builds its buckets in index order
+    atomos::Shared<Node*> head{nullptr, sim::kDataCell};
+  };
+
   struct Table {
-    explicit Table(std::size_t n)
-        : nbuckets(n), buckets(std::make_unique<atomos::Shared<Node*>[]>(n)) {}
+    explicit Table(std::size_t n) : nbuckets(n), buckets(std::make_unique<Bucket[]>(n)) {}
     atomos::Shared<Node*>& bucket(std::size_t hash) const {
-      return buckets[hash & (nbuckets - 1)];
+      return buckets[hash & (nbuckets - 1)].head;
     }
     const std::size_t nbuckets;
-    std::unique_ptr<atomos::Shared<Node*>[]> buckets;
+    std::unique_ptr<Bucket[]> buckets;
   };
 
   static std::size_t round_up_pow2(std::size_t n) {
@@ -144,7 +146,7 @@ class HashMap final : public Map<K, V> {
   void resize(Table* old) {
     Table* bigger = atomos::tx_new<Table>(old->nbuckets * 2);
     for (std::size_t i = 0; i < old->nbuckets; ++i) {
-      for (Node* n = old->buckets[i].get(); n != nullptr;) {
+      for (Node* n = old->buckets[i].head.get(); n != nullptr;) {
         Node* next = n->next.get();
         atomos::Shared<Node*>& head = bigger->bucket(n->hash);
         n->next.set(head.get());
@@ -172,7 +174,7 @@ class HashMap final : public Map<K, V> {
    private:
     void advance() {
       while (n_ == nullptr && bucket_ < t_->nbuckets) {
-        n_ = t_->buckets[bucket_++].get();
+        n_ = t_->buckets[bucket_++].head.get();
       }
     }
     Table* t_;

@@ -16,9 +16,9 @@ template <class T>
 class LinkedQueue final : public Queue<T> {
  public:
   LinkedQueue()
-      : head_(nullptr, "LinkedQueue.head", sim::kMetaCell),
-        tail_(nullptr, "LinkedQueue.tail", sim::kMetaCell),
-        size_(0, "LinkedQueue.size", sim::kMetaCell) {
+      : head_(nullptr, sim::kMetaCell, "LinkedQueue.head"),
+        tail_(nullptr, sim::kMetaCell, "LinkedQueue.tail"),
+        size_(0, sim::kMetaCell, "LinkedQueue.size") {
     Node* dummy = new Node(T{});
     head_ = dummy;
     tail_ = dummy;
@@ -65,7 +65,7 @@ class LinkedQueue final : public Queue<T> {
 
  private:
   struct Node {
-    explicit Node(const T& v) : item(v), next(nullptr) {}
+    explicit Node(const T& v) : item(v, sim::kDataCell), next(nullptr, sim::kDataCell) {}
     atomos::Shared<T> item;
     atomos::Shared<Node*> next;
   };

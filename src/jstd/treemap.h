@@ -29,8 +29,8 @@ class TreeMap final : public SortedMap<K, V> {
   explicit TreeMap(Compare cmp = Compare(),
                    const char* size_label = "TreeMap.size",
                    const char* root_label = "TreeMap.root")
-      : cmp_(cmp), size_(0, size_label, sim::kMetaCell),
-        root_(nullptr, root_label, sim::kMetaCell),
+      : cmp_(cmp), size_(0, sim::kMetaCell, size_label),
+        root_(nullptr, sim::kMetaCell, root_label),
         node_label_("TreeMap.node") {}
 
   ~TreeMap() override { destroy(root_.unsafe_peek()); }
@@ -68,9 +68,9 @@ class TreeMap final : public SortedMap<K, V> {
         return old;
       }
     }
-    // Label node link cells only during setup population (host side): labels
-    // attached from a running worker fiber are host state that an abort
-    // cannot roll back (see audit::late_profile_label).
+    // Label node link cells only during setup population (host side): a
+    // label is host state that an abort cannot roll back, so a labelled cell
+    // built on a worker fiber throws (tm/shared.h).
     Node* fresh = atomos::tx_new<Node>(
         key, value, parent, sim::Engine::in_worker() ? nullptr : node_label_);
     if (parent == nullptr) {
@@ -137,7 +137,6 @@ class TreeMap final : public SortedMap<K, V> {
   }
 
   // ---- white-box invariant checks (tests only; untimed raw access) ----
-  // txlint: begin-allow(raw-peek)
 
   /// Verifies every red-black + BST invariant; returns false on corruption.
   bool check_invariants() const {
@@ -147,13 +146,13 @@ class TreeMap final : public SortedMap<K, V> {
     const bool ok = check_node(root_.unsafe_peek(), nullptr, nullptr, nullptr, 0, bh, count);
     return ok && count == size_.unsafe_peek();
   }
-  // txlint: end-allow(raw-peek)
 
  private:
   struct Node {
     Node(const K& k, const V& v, Node* p, const char* label = nullptr)
-        : key(k), val(v), parent(p, label), left(nullptr, label),
-          right(nullptr, label), red(true, label) {}
+        : key(k, sim::kDataCell), val(v, sim::kDataCell), parent(p, sim::kDataCell, label),
+          left(nullptr, sim::kDataCell, label), right(nullptr, sim::kDataCell, label),
+          red(true, sim::kDataCell, label) {}
     atomos::Shared<K> key;  // immutable after construction
     atomos::Shared<V> val;
     atomos::Shared<Node*> parent;
@@ -423,7 +422,6 @@ class TreeMap final : public SortedMap<K, V> {
   };
 
   // -- teardown / invariant helpers (raw access) --
-  // txlint: begin-allow(raw-peek)
 
   void destroy(Node* n) {
     if (n == nullptr) return;
@@ -449,7 +447,6 @@ class TreeMap final : public SortedMap<K, V> {
     return check_node(n->left.unsafe_peek(), n, lo, &k, bd, leaf_black_depth, count) &&
            check_node(n->right.unsafe_peek(), n, &k, hi, bd, leaf_black_depth, count);
   }
-  // txlint: end-allow(raw-peek)
 
   Compare cmp_;
   atomos::Shared<long> size_;

@@ -290,7 +290,7 @@ std::unique_ptr<World> build_compound(Oracle& o) {
 
 std::unique_ptr<World> build_map_conflict(Oracle& o) {
   auto w = with_map(o, plain_map(), {{1, 10}});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {
@@ -319,7 +319,7 @@ std::unique_ptr<World> build_map_read_cell(Oracle& o) {
   // declines the commit token; its plain-cell write takes the token anyway,
   // and the handler must still run and release the key lock.
   auto w = with_map(o, plain_map(), {{1, 10}});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {
@@ -411,7 +411,7 @@ std::unique_ptr<World> build_mut_lossy_queue(Oracle& o) {
   auto w = with_queue(o, std::make_unique<LossyQueue>(
                              std::make_unique<jstd::LinkedQueue<long>>()),
                       {401, 402});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {
@@ -525,7 +525,7 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
             std::make_unique<LossyQueue>(
                 std::make_unique<jstd::LinkedQueue<long>>()),
             {601, 602});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {
@@ -594,7 +594,7 @@ std::unique_ptr<World> build_mut_srv_lossy_handler(Oracle& o) {
             std::make_unique<LossyQueue>(
                 std::make_unique<jstd::LinkedQueue<long>>()),
             {601, 602});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {
@@ -638,7 +638,7 @@ std::unique_ptr<World> build_mut_lock_leak(Oracle& o) {
   auto w = with_map(o, std::make_unique<LeakyAbortMap>(
                            std::make_unique<jstd::HashMap<long, long>>(16)),
                     {{1, 10}});
-  w->cell.emplace(0L);
+  w->cell.emplace(0L, sim::kDataCell);
   World* wp = w.get();
   Oracle* op = &o;
   w->bodies = {

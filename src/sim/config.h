@@ -30,14 +30,15 @@ struct Config {
 
   // --- host-deadline supervision (wall-clock, never affects simulated time) -
   /// The host deadline (Engine::set_host_deadline) is polled once every
-  /// (deadline_poll_mask + 1) scheduling decisions; must be 2^k - 1.
-  std::uint32_t deadline_poll_mask = 511;
+  /// (kDeadlinePollMask + 1) scheduling decisions.
+  static constexpr std::uint32_t kDeadlinePollMask = 511;
+  static_assert((kDeadlinePollMask & (kDeadlinePollMask + 1)) == 0, "must be 2^k - 1");
   /// With a deadline armed, no fiber is handed a run budget of more than
   /// this many cycles past its own clock, so even a sole runnable fiber
   /// spinning in tick() re-enters the scheduler (where the deadline is
   /// polled).  Capping only inserts extra yields; simulated clocks are
   /// unaffected.
-  std::uint64_t deadline_quantum = 65536;
+  static constexpr std::uint64_t kDeadlineQuantum = 65536;
 
   // --- memory hierarchy timing (cycles) ---
   static constexpr std::uint32_t kL1HitCycles = 1;

@@ -12,8 +12,6 @@ namespace {
 const Config& validated(const Config& cfg) {
   if (cfg.num_cpus < 1 || cfg.num_cpus > Config::kMaxCpus)
     throw std::invalid_argument("Engine: num_cpus must be in [1,128]");
-  if ((cfg.deadline_poll_mask & (cfg.deadline_poll_mask + 1)) != 0)
-    throw std::invalid_argument("Engine: deadline_poll_mask must be 2^k - 1");
   return cfg;
 }
 }  // namespace

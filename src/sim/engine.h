@@ -208,14 +208,14 @@ class Engine {
   void set_run_limit(std::uint64_t clock, std::uint64_t second) {
     run_limit_ = second;
     if (host_deadline_armed_) {
-      const std::uint64_t quantum = clock + cfg_.deadline_quantum;
+      const std::uint64_t quantum = clock + Config::kDeadlineQuantum;
       if (quantum < run_limit_) run_limit_ = quantum;
     }
   }
   /// Counts one scheduling decision against the host deadline; true (and
   /// deadline_hit_ set) once it has expired.
   bool deadline_expired() {
-    if (host_deadline_armed_ && (++deadline_poll_ & cfg_.deadline_poll_mask) == 0 &&
+    if (host_deadline_armed_ && (++deadline_poll_ & Config::kDeadlinePollMask) == 0 &&
         std::chrono::steady_clock::now() > host_deadline_) {
       deadline_hit_ = true;
     }

@@ -18,7 +18,8 @@
 // every parent mid-flight: a feedback storm that collapsed Atomos Open to
 // 0.00x at 32 CPUs (see EXPERIMENTS.md, fig4 case study).  Conflict
 // detection must follow the abstraction's sharing structure, not accidental
-// layout.  Cells are therefore placed by *memory class*, one arena each:
+// layout.  Cells are therefore placed by *memory class*, one arena each,
+// and every cell names its class where it is built (no class is a default):
 //
 //  * MemClass::kMeta    — collection metadata (dispatch pointers, size
 //                         fields); each cell gets a private 64-byte line;
@@ -72,7 +73,7 @@ enum class MemClass : std::uint8_t {
   kMeta = 0,     ///< collection metadata: dispatch pointers, size fields
   kCounter = 1,  ///< open-nested / semantic counters
   kLock = 2,     ///< sim::Mutex lock words
-  kData = 3,     ///< bulk element cells (default), packed eight words per line
+  kData = 3,     ///< bulk element cells, packed eight words per line
 };
 inline constexpr std::size_t kArenaCount = 4;
 

@@ -176,18 +176,6 @@ void check_trace_nesting(const trace::Tracer& tracer) {
   }
 }
 
-// ---- Shared cells ----
-
-void late_profile_label(std::uintptr_t va, const char* name) {
-  report(Check::kLateProfileLabel,
-         "profile label '" + std::string(name != nullptr ? name : "<null>") +
-             "' attached to simulated address " +
-             ptr_str(reinterpret_cast<const void*>(va)) +
-             " from inside a running simulation: the label map is host state "
-             "(not rolled back on abort) and only covers the rest of the run; "
-             "label objects during setup, after the Runtime");
-}
-
 }  // namespace atomos::audit
 
 #endif  // TXCC_CHECKED

@@ -15,7 +15,10 @@
 //    transaction's redo log and its index must agree, and every line of its
 //    read set must carry its CPU's reader bit, before the write set is
 //    broadcast;
-//  * profile labels attached mid-simulation, and torn trace streams.
+//  * torn trace streams.
+//
+// Misuse that one call can see is not audited: it throws std::logic_error at
+// that call, in every build (tm/shared.h, Runtime::tm_write, sim/vaddr.h).
 //
 // Findings are counted and recorded (query with count()/reports()); the
 // first few are echoed to stderr.  The auditor never throws or aborts: the
@@ -51,7 +54,6 @@ namespace atomos::audit {
 enum class Check {
   kLockLeak = 0,
   kSetCorruption,
-  kLateProfileLabel,
   kTornTrace,
   /// A semantic lock released twice by an unsettled transaction: the
   /// release request found nothing to release, no prune had taken the lock
@@ -92,12 +94,7 @@ void check_txn_sets(const detail::Txn& t);
 /// set (else a committer would miss it).
 void check_reader_dir(const detail::Txn& t, const ReaderDir& dir);
 
-// ---- hooks: Shared cells (called by tm/shared.h) ----
-/// A TAPE profile label attached to the tracer from a worker fiber, while
-/// the simulation is already running: the label map is host state (not
-/// rolled back on abort) and covers only the rest of the run.  Labels
-/// belong in object setup, after the Runtime is constructed.
-void late_profile_label(std::uintptr_t va, const char* name);
+// ---- hook: trace streams (called by ~Runtime) ----
 /// Audits a trace stream for well-nestedness per CPU: every kTxnBegin must
 /// pair with a kTxnCommit/kTxnAbort, every kOpenBegin with a matching open
 /// exit, in stack order.  CPUs whose buffer overflowed (dropped events) are
@@ -120,7 +117,6 @@ inline const std::vector<std::string>& reports() {
 inline void on_sem(const SemEvent&) {}
 inline void check_txn_sets(const detail::Txn&) {}
 inline void check_reader_dir(const detail::Txn&, const ReaderDir&) {}
-inline void late_profile_label(std::uintptr_t, const char*) {}
 inline void check_trace_nesting(const trace::Tracer&) {}
 
 #endif

@@ -518,6 +518,7 @@ void Runtime::notify_txn_sets(Txn* t, bool committed) {
   if (mc_observer_ == nullptr) return;
   // Read lines come from the read set, write lines from a sort+unique run.
   // The observer treats both as sets.
+  // txmc folds only the writes; perfbench's AccessCounter counts the reads.
   mc_reads_scratch_.clear();
   mc_writes_scratch_.clear();
   t->read_set.for_each([this](sim::LineAddr line, bool) { mc_reads_scratch_.push_back(line); });

@@ -19,15 +19,19 @@
 // (eight words per virtual cache line) is deliberately modelled, as on the
 // paper's HTM.  Using virtual rather than host addresses makes simulated
 // cycle counts independent of the binary's memory layout.
+//
+// A cell checks its own contract: its memory class is a required constructor
+// argument, and a raw peek or a profile label on a worker fiber throws
+// std::logic_error, in every build.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "sim/engine.h"
 #include "sim/vaddr.h"
-#include "tm/audit.h"
 #include "tm/runtime.h"
 #include "trace/tracer.h"
 
@@ -39,26 +43,23 @@ class Shared {
   static_assert(sizeof(T) <= 8, "Shared<T> holds at most a machine word");
 
  public:
-  /// `mc` selects the cell's memory class (sim/vaddr.h): which arena the
-  /// cell's virtual address comes from and whether it gets a private cache
-  /// line.  Bulk element cells keep the packed data-arena default; hot
-  /// metadata and counter cells declare sim::kMetaCell / sim::kCounterCell.
-  explicit Shared(sim::MemClass mc) : v_{}, va_(sim::va_alloc(sizeof(T), mc)) {}
-
-  Shared() : Shared(sim::kDataCell) {}
-
-  /// `name` (optional) labels this cell for TAPE-style conflict profiling:
-  /// the active Runtime's tracer, when one is attached, resolves conflicts
-  /// on the cell's line to it (trace::Tracer::label_cell).  Only the
-  /// Runtime attaches a tracer, so construct labelled cells after it.
-  explicit Shared(T v, const char* name = nullptr, sim::MemClass mc = sim::kDataCell)
+  /// `mc` is the cell's memory class (sim/vaddr.h): which arena its virtual
+  /// address comes from and whether it gets a private cache line.  It has
+  /// no default: bulk element cells name sim::kDataCell, hot metadata and
+  /// counter cells sim::kMetaCell / sim::kCounterCell.
+  ///
+  /// `name` (optional) labels the cell for TAPE-style conflict profiling in
+  /// the tracer the Runtime attached (trace::Tracer::label_cell).  A label
+  /// is host state that no abort rolls back, so it belongs in setup, after
+  /// the Runtime: on a worker fiber it throws, tracer or not.
+  explicit Shared(T v, sim::MemClass mc, const char* name = nullptr)
       : v_(v), va_(sim::va_alloc(sizeof(T), mc)) {
     if (name == nullptr) return;
+    if (sim::Engine::in_worker())
+      throw std::logic_error("atomos::Shared: a labelled cell built on a worker fiber");
     Runtime* rt = Runtime::current_or_null();
     trace::Tracer* tracer = rt != nullptr ? rt->tracer() : nullptr;
-    if (tracer == nullptr) return;
-    if (sim::Engine::in_worker()) audit::late_profile_label(va_, name);
-    tracer->label_cell(va_, sizeof(T), name);
+    if (tracer != nullptr) tracer->label_cell(va_, sizeof(T), name);
   }
 
   Shared(const Shared&) = delete;
@@ -94,9 +95,18 @@ class Shared {
     Runtime::current().tm_write(va_, &v, sizeof(T), &v_);
   }
 
-  /// Raw access to the committed value — only for assertions/test oracles
-  /// and setup code; never call from workload code during a simulation.
-  const T& unsafe_peek() const { return v_; }
+  /// The committed value, read behind the read set: for setup, oracles,
+  /// post-run audits and teardown.  On a worker fiber, where no conflict
+  /// detection would cover the read, it throws.
+  const T& unsafe_peek() const {
+    if (sim::Engine::in_worker())
+      throw std::logic_error("atomos::Shared::unsafe_peek on a worker fiber");
+    return v_;
+  }
+
+  /// The committed value with no check, no read-set entry and no cost: only
+  /// for jbb's Sequence::current(), whose callers accept a stale bound.
+  const T& stale_read() const { return v_; }
 
   // Sugar so Shared fields read naturally in data-structure code.
   operator T() const { return get(); }         // NOLINT(google-explicit-constructor)

@@ -44,7 +44,7 @@ TEST(OpenCounterTest, PlainSharedCounterWouldViolate) {
   constexpr int kCpus = 8;
   sim::Engine eng(tcc_cfg(kCpus));
   atomos::Runtime rt(eng);
-  atomos::Shared<long> counter(0);
+  atomos::Shared<long> counter(0, sim::kDataCell);
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < 10; ++i) {
@@ -101,7 +101,7 @@ TEST(OpenCounterTest, CompensatedCounterExactUnderContention) {
   sim::Engine eng(tcc_cfg(kCpus));
   atomos::Runtime rt(eng);
   CompensatedCounter counter;
-  atomos::Shared<long> hot(0);  // forces violations in the parents
+  atomos::Shared<long> hot(0, sim::kDataCell);  // forces violations in the parents
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < 10; ++i) {
@@ -123,7 +123,7 @@ TEST(OpenCounterTest, UidGeneratorUniqueAndMonotonicWithHoles) {
   sim::Engine eng(tcc_cfg(kCpus));
   atomos::Runtime rt(eng);
   UidGenerator uids(1);
-  atomos::Shared<long> hot(0);
+  atomos::Shared<long> hot(0, sim::kDataCell);
   std::vector<std::vector<long>> per_cpu(kCpus);
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&, c] {

@@ -48,8 +48,8 @@ void failing_child(int comps, std::uint64_t cycles) {
 TEST(SetAsideStackTest, CommitDuringChildCompensationFlagsParentReader) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0, nullptr, sim::kMetaCell);
-  Shared<int> y(0, nullptr, sim::kMetaCell);
+  Shared<int> x(0, sim::kMetaCell);
+  Shared<int> y(0, sim::kMetaCell);
   int parent_runs = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -75,7 +75,7 @@ TEST(SetAsideStackTest, SemanticLockOfParentSurvivesChildCompensation) {
   auto inner = std::make_unique<jstd::HashMap<long, long>>(16);
   inner->put(7, 5);
   tcc::TransactionalMap<long, long> m(std::move(inner));
-  Shared<long> out(0, nullptr, sim::kMetaCell);
+  Shared<long> out(0, sim::kMetaCell);
   eng.spawn([&] {
     atomically([&] {
       const std::optional<long> v = m.get(7);  // key lock on 7
@@ -103,8 +103,8 @@ TEST(SetAsideStackTest, DeleteDuringChildCompensationWaitsForParent) {
   };
   live = 0;
   sim::Engine eng(tcc_cfg(2));
-  Shared<Obj*> head(nullptr, nullptr, sim::kMetaCell);
-  Shared<int> z(0, nullptr, sim::kMetaCell);
+  Shared<Obj*> head(nullptr, sim::kMetaCell);
+  Shared<int> z(0, sim::kMetaCell);
   int live_on_resume = -1;
   {
     Runtime rt(eng);

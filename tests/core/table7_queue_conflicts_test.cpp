@@ -70,7 +70,7 @@ TEST(TxQueue, AbortReturnsTakenElementsAndDropsPuts) {
 // which declines the token itself, must still run inside it and release it.
 TEST(TxQueue, EmptyLockReleasedWhenTheTransactionWritesAPlainCell) {
   Fixture f;
-  atomos::Shared<long> y(0);
+  atomos::Shared<long> y(0, sim::kDataCell);
   f.eng.spawn([&] {
     atomos::atomically([&] { y.set(f.q.peek().has_value() ? 1 : 2); });
   });
@@ -285,7 +285,7 @@ TEST(Table7Queue, DelaunayWorkQueuePattern) {
   atomos::Runtime rt(eng);
   TransactionalQueue<long> q(std::make_unique<jstd::LinkedQueue<long>>());
   for (long i = 1; i <= 40; ++i) q.put(i);
-  atomos::Shared<long> processed_sum(0);
+  atomos::Shared<long> processed_sum(0, sim::kDataCell);
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&, c] {
       int poison_budget = (c == 0) ? 3 : 0;  // CPU0 aborts its first 3 items

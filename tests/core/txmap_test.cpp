@@ -101,7 +101,7 @@ TEST(TxMapTest, ReadLockReleasedWhenTheTransactionWritesAPlainCell) {
   atomos::Runtime rt(eng);
   auto m = make_map();
   m->put(7, 5);
-  atomos::Shared<long> y(0);
+  atomos::Shared<long> y(0, sim::kDataCell);
   eng.spawn([&] {
     atomos::atomically([&] { y.set(m->get(7).value_or(0)); });
   });

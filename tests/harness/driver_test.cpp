@@ -216,4 +216,23 @@ TEST(DriverTest, TrialStatsBracketCanonicalRun) {
   }
 }
 
+// An integer flag past its type's range is a usage error (exit 2), never a
+// silently wrapped or clamped value: 2^32 + 2 trials once narrowed to 2.
+// These only parse, so no sweep or thread starts in the child.
+void parse_flag(const char* flag, const char* value) {
+  char prog[] = "fig";
+  std::string f = flag, v = value;
+  char* argv[] = {prog, f.data(), v.data(), nullptr};
+  (void)harness::Cli::parse(3, argv, "fig");
+}
+
+TEST(CliDeathTest, IntegerFlagsOutOfRangeExitWithUsage) {
+  EXPECT_EXIT(parse_flag("--trials", "4294967298"), ::testing::ExitedWithCode(2), "bad value");
+  EXPECT_EXIT(parse_flag("--jobs", "4294967297"), ::testing::ExitedWithCode(2), "bad value");
+  EXPECT_EXIT(parse_flag("--ops", "99999999999999999999"), ::testing::ExitedWithCode(2),
+              "bad value");
+  EXPECT_EXIT(parse_flag("--trace-cap", "99999999999999999999"), ::testing::ExitedWithCode(2),
+              "bad value");
+}
+
 }  // namespace

@@ -290,7 +290,7 @@ TEST(OracleTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
   eng.set_scheduler_hook(&ctl);
   rt.set_mc_observer(&ctl);
   tcc::KeyLockTable<long> locks;
-  atomos::Shared<int> hot(0);
+  atomos::Shared<int> hot(0, sim::kDataCell);
   int attempts = 0;
   std::size_t locked_after_prune = 1;
   eng.spawn([&] {

@@ -71,7 +71,7 @@ TEST_F(CheckedRuntimeTest, ReportsSemanticLockLeakedPastAbort) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   tcc::KeyLockTable<long> locks;
-  Shared<int> hot(0);
+  Shared<int> hot(0, sim::kDataCell);
   int attempts = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -188,7 +188,7 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersCompensationIsNotReported) {
   sim::Engine eng(tcc_cfg(3));
   Runtime rt(eng);
   tcc::KeyLockTable<long> locks;
-  Shared<int> hot(0);
+  Shared<int> hot(0, sim::kDataCell);
   int attempts = 0;
   std::size_t locked_after_prune = 1;
   eng.spawn([&] {
@@ -232,7 +232,7 @@ TEST_F(CheckedRuntimeTest, LockPrunedDuringItsOwnersSecondCompensationIsNotRepor
   sim::Engine eng(tcc_cfg(3));
   Runtime rt(eng);
   tcc::KeyLockTable<long> locks;
-  Shared<int> hot(0);
+  Shared<int> hot(0, sim::kDataCell);
   int attempts = 0;
   std::size_t locked_after_prune = 1;
   eng.spawn([&] {
@@ -417,29 +417,6 @@ TEST_F(CheckedRuntimeTest, TransactionalMapWorkloadIsClean) {
   EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
-// Labels belong in setup, after the Runtime and before Engine::run().  A
-// label attached to the tracer from inside the running simulation is host
-// state that a violated transaction cannot roll back, so the auditor flags
-// it; the same label attached during setup is silent.
-TEST_F(CheckedRuntimeTest, FlagsProfileLabelAttachedMidSimulation) {
-  trace::set_request("");  // in-memory tracer: labels are recorded
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  ASSERT_NE(rt.tracer(), nullptr);
-  Shared<long> setup_cell(1, "setup-cell");  // setup: silent
-  EXPECT_EQ(audit::count(audit::Check::kLateProfileLabel), 0u);
-  eng.spawn([&] {
-    atomically([&] {
-      Shared<long> mid_run_cell(5, "mid-run-cell");  // inside the simulation
-      (void)mid_run_cell.get();
-    });
-  });
-  eng.run();
-  EXPECT_EQ(audit::count(audit::Check::kLateProfileLabel), 1u);
-  ASSERT_FALSE(audit::reports().empty());
-  EXPECT_NE(audit::reports().back().find("mid-run-cell"), std::string::npos);
-}
-
 // A trace stream whose begin/commit events do not nest means an emission
 // point was lost (a torn stream).  Drive a Tracer by hand to plant the tear.
 TEST_F(CheckedRuntimeTest, FlagsTornTraceStreams) {
@@ -497,7 +474,7 @@ TEST_F(CheckedRuntimeTest, RealTracedRunIsWellNested) {
     sim::Engine eng(tcc_cfg(2));
     Runtime rt(eng);
     ASSERT_NE(rt.tracer(), nullptr);
-    Shared<long> cell(0);
+    Shared<long> cell(0, sim::kDataCell);
     for (int c = 0; c < 2; ++c) {
       eng.spawn([&] {
         for (int i = 0; i < 20; ++i) {

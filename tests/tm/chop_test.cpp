@@ -45,7 +45,7 @@ sim::Config cfg(int cpus, sim::Mode mode = sim::Mode::kTcc) {
 TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
   sim::Engine eng(cfg(1));
   Runtime rt(eng);
-  Shared<int> a(0), b(0);
+  Shared<int> a(0, sim::kDataCell), b(0, sim::kDataCell);
   std::vector<int> order;
   eng.spawn([&] {
     chopped()
@@ -80,8 +80,8 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
 TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
   sim::Engine eng(cfg(2));
   Runtime rt(eng);
-  Shared<long> x(0);   // read by piece 0, written by the intruder
-  Shared<long> y(-1);  // written by piece 1
+  Shared<long> x(0, sim::kDataCell);   // read by piece 0, written by the intruder
+  Shared<long> y(-1, sim::kDataCell);  // written by piece 1
   eng.spawn([&] {
     chopped()
         .piece("read-x",
@@ -111,7 +111,7 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
 TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
   sim::Engine eng(cfg(1));
   Runtime rt(eng);
-  Shared<long> ledger(0);  // "charge" adds 5; its compensation refunds it
+  Shared<long> ledger(0, sim::kDataCell);  // "charge" adds 5; its compensation refunds it
   std::vector<std::string> events;
   bool threw = false;
   eng.spawn([&] {
@@ -151,7 +151,7 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
 TEST(Chop, DegradesToFramesInsideEnclosingTransaction) {
   sim::Engine eng(cfg(1));
   Runtime rt(eng);
-  Shared<long> v(0);
+  Shared<long> v(0, sim::kDataCell);
   bool compensated = false;
   eng.spawn([&] {
     try {
@@ -176,7 +176,7 @@ TEST(Chop, DegradesToFramesInsideEnclosingTransaction) {
 TEST(Chop, LockModeRunsPlainly) {
   sim::Engine eng(cfg(1, sim::Mode::kLock));
   Runtime rt(eng);
-  Shared<long> v(0);
+  Shared<long> v(0, sim::kDataCell);
   eng.spawn([&] {
     chopped()
         .piece("a", [&] { v.set(1); }, no_compensation)
@@ -192,10 +192,8 @@ TEST(Chop, LockModeRunsPlainly) {
 TEST(Chop, UnrelatedCommitsDoNotBreakTheChop) {
   sim::Engine eng(cfg(2));
   Runtime rt(eng);
-  Shared<long> mine(0);
-  Shared<long> pad[16]{};  // keep `other` off the chop's cache line
-  Shared<long> other(0);
-  (void)pad;
+  Shared<long> mine(0, sim::kDataCell);
+  Shared<long> other(0, sim::kMetaCell);  // a line of its own, off the chop's
   eng.spawn([&] {
     chopped()
         .piece("p0", [&] { mine.set(mine.get() + 1); }, no_compensation)

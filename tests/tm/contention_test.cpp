@@ -39,7 +39,7 @@ sim::Config tcc_cfg(int cpus) {
 std::uint64_t run_symmetric(std::unique_ptr<ContentionManager> cm, int cpus, int iters) {
   sim::Engine eng(tcc_cfg(cpus));
   Runtime rt(eng, std::move(cm));
-  Shared<long> hot(0);
+  Shared<long> hot(0, sim::kDataCell);
   for (int c = 0; c < cpus; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < iters; ++i) {

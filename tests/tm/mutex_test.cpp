@@ -23,7 +23,7 @@ TEST(MutexTest, ProvidesMutualExclusion) {
   sim::Engine eng(lock_cfg(kCpus));
   Runtime rt(eng);
   Mutex mu;
-  Shared<long> counter(0);
+  Shared<long> counter(0, sim::kDataCell);
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < kIncs; ++i) {

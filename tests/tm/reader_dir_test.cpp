@@ -110,7 +110,7 @@ TEST(ReaderDirTest, EveryArenaKeepsItsOwnMasks) {
 TEST(ReaderDirIntegration, CommitFlagsLiveReader) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int final_read = -1;
   eng.spawn([&] {
@@ -138,8 +138,8 @@ TEST(ReaderDirIntegration, RetriedOpenChildUnflagsItsAbortedRead) {
   // the bit: the child runs exactly twice, not three times.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int child_runs = 0;
   int outer_runs = 0;
   eng.spawn([&] {
@@ -176,7 +176,7 @@ TEST(ReaderDirIntegration, OpenNestedChildDoesNotFlagOwnParent) {
   // sees the child's committed value.
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int before = -1;
   int after = -1;
@@ -202,7 +202,7 @@ TEST(ReaderDirIntegration, ParentStillFlaggedAfterItsOpenChildReadTheLine) {
   // commit of x.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int final_read = -1;
   eng.spawn([&] {
@@ -229,7 +229,7 @@ TEST(ReaderDirIntegration, OpenNestingTowerDeeperThan255IsFlagged) {
   // tower, which retries from the bottom and then sees the new value.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int innermost_read = -1;
   std::function<void(int)> deep = [&](int depth) {
@@ -262,7 +262,7 @@ TEST(ReaderDirIntegration, OpenNestedChildCommitFlagsOtherCpuReader) {
   // flag it even though the child's parent is still speculative.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int final_read = -1;
   eng.spawn([&] {

@@ -24,6 +24,17 @@ static_assert(!std::is_copy_constructible_v<Shared<long>>);
 // A cell is a value and an address, in every build: no registry tracks it.
 static_assert(std::is_trivially_destructible_v<Shared<long>>);
 
+// A cell names its memory class where it is built: no construction without
+// one compiles, whether it omits every argument, gives only the value, or
+// gives a label in the class's place.
+template <class... Args>
+concept CellFrom = requires(Args... args) { Shared<long>(args...); };
+static_assert(!CellFrom<>);
+static_assert(!CellFrom<int>);
+static_assert(!CellFrom<int, const char*>);
+static_assert(CellFrom<int, sim::MemClass>);
+static_assert(CellFrom<int, sim::MemClass, const char*>);
+
 // A commit handler's abort side is part of the registration's type: a
 // commit-only registration does not compile, in any form.  It takes a
 // compensation or no_compensation; a null handler is neither.  A top-level
@@ -79,7 +90,7 @@ sim::Config tcc_cfg(int cpus) {
 TEST(RuntimeTest, CommitPublishesWrites) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(1);
+  Shared<int> x(1, sim::kDataCell);
   eng.spawn([&] {
     atomically([&] {
       x.set(5);
@@ -95,8 +106,8 @@ TEST(RuntimeTest, CommitPublishesWrites) {
 TEST(RuntimeTest, SpeculativeWritesInvisibleToOthers) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> flag(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> flag(0, sim::kDataCell);
   int seen_by_1 = -1;
   eng.spawn([&] {
     atomically([&] {
@@ -118,7 +129,7 @@ TEST(RuntimeTest, SpeculativeWritesInvisibleToOthers) {
 TEST(RuntimeTest, ConflictingReaderIsViolatedAndRetries) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int attempts = 0;
   int final_read = -1;
   // CPU0: long transaction that reads x early, then works; CPU1 commits a
@@ -145,9 +156,9 @@ TEST(RuntimeTest, DisjointWritesDoNotConflict) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
   // Separate heap allocations land on distinct cache lines.
-  auto a = std::make_unique<Shared<int>>(0);
+  auto a = std::make_unique<Shared<int>>(0, sim::kDataCell);
   auto pad = std::make_unique<std::array<char, 256>>();
-  auto b = std::make_unique<Shared<int>>(0);
+  auto b = std::make_unique<Shared<int>>(0, sim::kDataCell);
   (void)pad;
   eng.spawn([&] {
     atomically([&] {
@@ -174,7 +185,7 @@ TEST(RuntimeTest, AtomicityUnderContention) {
   constexpr int kIncs = 25;
   sim::Engine eng(tcc_cfg(kCpus));
   Runtime rt(eng);
-  Shared<long> counter(0);
+  Shared<long> counter(0, sim::kDataCell);
   for (int c = 0; c < kCpus; ++c) {
     eng.spawn([&] {
       for (int i = 0; i < kIncs; ++i) {
@@ -191,7 +202,7 @@ TEST(RuntimeTest, NestedAtomicallyConflictRestartsTheEnclosingTransaction) {
   // part of its enclosing transaction, so the whole transaction restarts.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> y(0);
+  Shared<int> y(0, sim::kDataCell);
   int parent_runs = 0;
   int nested_runs = 0;
   int seen = -1;
@@ -223,7 +234,7 @@ TEST(RuntimeTest, ParentReadConflictRestartsWholeTransaction) {
   // conflicting commit restarts the parent.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> y(0);
+  Shared<int> y(0, sim::kDataCell);
   int parent_runs = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -247,8 +258,8 @@ TEST(RuntimeTest, ExceptionCaughtAroundNestedAtomicallyKeepsItsWrites) {
   // handler stay in the enclosing transaction, which commits them.
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> z(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> z(0, sim::kDataCell);
   int commit_runs = 0, abort_runs = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -277,8 +288,8 @@ TEST(RuntimeTest, ExceptionCaughtAroundNestedAtomicallyKeepsItsWrites) {
 TEST(RuntimeTest, OpenNestedCommitsImmediatelyAndDropsDependencies) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> counter(0);
-  Shared<int> data(0);
+  Shared<int> counter(0, sim::kDataCell);
+  Shared<int> data(0, sim::kDataCell);
   int observed = -1;
   eng.spawn([&] {
     atomically([&] {
@@ -305,7 +316,7 @@ TEST(RuntimeTest, OpenNestedCommitsImmediatelyAndDropsDependencies) {
 TEST(RuntimeTest, OpenChildSeesParentBufferedWrites) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int seen = -1;
   eng.spawn([&] {
     atomically([&] {
@@ -320,7 +331,7 @@ TEST(RuntimeTest, OpenChildSeesParentBufferedWrites) {
 TEST(RuntimeTest, CommitHandlerRunsOnCommitOnly) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int commits = 0, aborts = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -336,7 +347,7 @@ TEST(RuntimeTest, CommitHandlerRunsOnCommitOnly) {
 TEST(RuntimeTest, AbortHandlerRunsOnEachAbort) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int aborts = 0;
   int attempts = 0;
   eng.spawn([&] {
@@ -387,7 +398,7 @@ TEST(RuntimeTest, SecondTopCommitOfOneOwnerThrows) {
 TEST(RuntimeTest, TopCommitOwnersAreDistinctPerTransaction) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   const int a = 0, b = 0;
   int attempts = 0, commits_a = 0, commits_b = 0, aborts_a = 0, aborts_b = 0;
   eng.spawn([&] {
@@ -555,7 +566,7 @@ TEST(RuntimeTest, LockModeIsPassthrough) {
   cfg.mode = sim::Mode::kLock;
   sim::Engine eng(cfg);
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int commit_runs = 0;
   eng.spawn([&] {
     atomically([&] {
@@ -572,7 +583,7 @@ TEST(RuntimeTest, LockModeIsPassthrough) {
 TEST(RuntimeTest, UserExceptionAbortsAndPropagates) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   bool caught = false;
   eng.spawn([&] {
     try {
@@ -596,17 +607,16 @@ TEST(RuntimeTest, UserExceptionAbortsAndPropagates) {
 TEST(RuntimeTest, StoreOutsideATransactionThrowsInAWorker) {
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   x.set(1);  // setup thread: a plain store
   eng.spawn([&] {
     // Caught here: an exception escaping a fiber body aborts the process.
     EXPECT_THROW(x.set(42), std::logic_error);
-    EXPECT_EQ(x.unsafe_peek(), 1);
     atomically([&] { x.set(x.get() + 1); });
     open_atomically([&] { x.set(x.get() + 1); });
   });
   eng.run();
-  EXPECT_EQ(x.unsafe_peek(), 3);
+  EXPECT_EQ(x.unsafe_peek(), 3);  // 1 + 2: the refused store left no trace
   x.set(4);  // setup thread again, after the run
   EXPECT_EQ(x.unsafe_peek(), 4);
 }
@@ -616,7 +626,7 @@ TEST(RuntimeTest, SerializedCommitsAreTotalOrder) {
   // violates, none is lost (x ends at 2).
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   for (int c = 0; c < 2; ++c) {
     eng.spawn([&] {
       atomically([&] {
@@ -656,8 +666,8 @@ void spawn_slow_committer(sim::Engine& eng, Shared<int>& x) {
 TEST(RuntimeTest, CommitTimeViolationAbortsWithoutUnwinding) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int attempts = 0;
   int returned = 0;               // attempts whose body ran to the end
   int aborts_with_exception = 0;  // abort handlers that ran inside a catch block
@@ -690,8 +700,8 @@ TEST(RuntimeTest, NoCompensationRegistersNoAbortHandler) {
   // compensation lambda would run there as a detached open transaction.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int attempts = 0;
   int commits = 0;
   eng.spawn([&] {
@@ -716,8 +726,8 @@ TEST(RuntimeTest, CommitTimeViolationOfParentUnwindsThroughOpenChild) {
   // frames unwind and it restarts once.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int parent_runs = 0;
   int child_runs = 0;
   int child_returned = 0;
@@ -756,8 +766,8 @@ TEST(RuntimeTest, ReadOnlyOpenChildFlaggedInTokenWaitRetriesAlone) {
   // commit in progress.  Only the child read x, so only the child retries.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int parent_runs = 0;
   int child_runs = 0;
   int child_returned = 0;
@@ -817,8 +827,8 @@ struct UnwindProbe {
 TEST(RuntimeTest, WorkViolationAbortsWithoutUnwinding) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int attempts = 0;
   int unwound = 0;
   int aborts_with_exception = 0;  // abort handlers that ran inside a catch block
@@ -859,8 +869,8 @@ TEST(RuntimeTest, DiscardedWorkResultThrowsAtTheSameClock) {
   auto run = [](bool discard) {
     sim::Engine eng(tcc_cfg(2));
     Runtime rt(eng);
-    Shared<int> x(0);
-    Shared<int> y(0);
+    Shared<int> x(0, sim::kDataCell);
+    Shared<int> y(0, sim::kDataCell);
     Outcome o;
     eng.spawn([&] {
       atomically([&] {
@@ -903,8 +913,8 @@ TEST(RuntimeTest, NestedWorkViolationStopsEveryEnclosingBody) {
   // attempt, and the top-level transaction restarts.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int top_runs = 0, outer_runs = 0, inner_runs = 0;
   int after_inner = 0, after_outer = 0;
   int unwound = 0;
@@ -944,8 +954,8 @@ TEST(RuntimeTest, OpenChildWorkFindsParentDoomed) {
   // child returns and commits nothing, and the parent restarts.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
-  Shared<int> y(0);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
   int parent_runs = 0;
   int child_runs = 0;
   eng.spawn([&] {
@@ -977,7 +987,7 @@ TEST(RuntimeTest, CommitHandlerFindingItsTransactionDoomedAbortsTheCommit) {
   // publishing, so the retry reads the unpublished value again.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   TxnId victim;
   bool captured = false;
   bool violated = false;
@@ -1020,7 +1030,7 @@ TEST(RuntimeTest, WorkReportsNothingInLockModeOrOutsideATransaction) {
     cfg.mode = sim::Mode::kLock;
     sim::Engine eng(cfg);
     Runtime rt(eng);
-    Shared<int> x(0);
+    Shared<int> x(0, sim::kDataCell);
     int reported = 0;
     eng.spawn([&] {
       atomically([&] {
@@ -1035,7 +1045,7 @@ TEST(RuntimeTest, WorkReportsNothingInLockModeOrOutsideATransaction) {
   // Outside a transaction, before and after this CPU's violated one.
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  Shared<int> x(0);
+  Shared<int> x(0, sim::kDataCell);
   int reported = 0;
   int attempts = 0;
   eng.spawn([&] {
@@ -1057,7 +1067,7 @@ TEST(RuntimeTest, DeterministicViolationCounts) {
   auto run_once = [] {
     sim::Engine eng(tcc_cfg(4));
     Runtime rt(eng);
-    Shared<long> c(0);
+    Shared<long> c(0, sim::kDataCell);
     for (int i = 0; i < 4; ++i) {
       eng.spawn([&] {
         for (int k = 0; k < 10; ++k)
@@ -1079,17 +1089,61 @@ TEST(RuntimeTest, LabelledCellsLabelTheAttachedTracer) {
   {
     sim::Engine eng(tcc_cfg(1));
     Runtime rt(eng);
-    Shared<long> cell(0, "Map.size", sim::kMetaCell);
+    Shared<long> cell(0, sim::kMetaCell, "Map.size");
     EXPECT_EQ(rt.tracer(), nullptr);
   }
   trace::set_request("");  // in-memory tracer, never written
   sim::Engine eng(tcc_cfg(1));
   Runtime rt(eng);
   ASSERT_NE(rt.tracer(), nullptr);
-  Shared<long> cell(0, "Map.size", sim::kMetaCell);
+  Shared<long> cell(0, sim::kMetaCell, "Map.size");
   const auto& labels = rt.tracer()->labels();
   ASSERT_EQ(labels.size(), 1u);
   EXPECT_EQ(labels.begin()->second, "Map.size");
+}
+
+// unsafe_peek reads the committed value behind the read set, so a worker
+// fiber may not call it: there it throws, in every build.  Setup code and
+// the code after the run read the value freely.
+TEST(RuntimeTest, UnsafePeekOnAWorkerFiberThrows) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  Shared<int> x(7, sim::kDataCell);
+  EXPECT_EQ(x.unsafe_peek(), 7);
+  eng.spawn([&] {
+    // Caught here: an exception escaping a fiber body aborts the process.
+    EXPECT_THROW(x.unsafe_peek(), std::logic_error);
+    atomically([&] { x.set(x.get() + 1); });
+  });
+  eng.run();
+  EXPECT_EQ(x.unsafe_peek(), 8);
+}
+
+// A profile label is host state that no abort rolls back, so it belongs in
+// setup: a labelled cell built on a worker fiber throws whether or not a
+// tracer is attached, while a label attached during setup reaches the
+// tracer.  An unlabelled cell may be built anywhere.
+TEST(RuntimeTest, LabelledCellBuiltOnAWorkerFiberThrows) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "with a tracer" : "without a tracer");
+    if (traced) trace::set_request("");  // in-memory tracer, never written
+    sim::Engine eng(tcc_cfg(1));
+    Runtime rt(eng);
+    ASSERT_EQ(rt.tracer() != nullptr, traced);
+    Shared<long> setup_cell(1, sim::kMetaCell, "setup-cell");
+    eng.spawn([&] {
+      EXPECT_THROW(Shared<long>(5, sim::kDataCell, "mid-run-cell"), std::logic_error);
+      Shared<long> unlabelled(5, sim::kDataCell);
+      atomically([&] { setup_cell.set(setup_cell.get() + unlabelled.get()); });
+    });
+    eng.run();
+    EXPECT_EQ(setup_cell.unsafe_peek(), 6);
+    if (traced) {
+      const auto& labels = rt.tracer()->labels();
+      ASSERT_EQ(labels.size(), 1u);
+      EXPECT_EQ(labels.begin()->second, "setup-cell");
+    }
+  }
 }
 
 }  // namespace

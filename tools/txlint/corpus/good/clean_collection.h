@@ -10,21 +10,15 @@ namespace jstd {
 template <class K, class V>
 class CleanList {
  public:
-  /// Collection metadata declares its memory class (isolation-class rule):
-  /// hot single-cell state goes to the line-isolated meta arena.
+  /// Hot single-cell metadata lives in the line-isolated meta arena.
   CleanList()
-      : size_(0, "CleanList.size", sim::kMetaCell),
-        head_(nullptr, "CleanList.head", sim::kMetaCell) {}
+      : size_(0, sim::kMetaCell, "CleanList.size"),
+        head_(nullptr, sim::kMetaCell, "CleanList.head") {}
 
   long size() const { return size_.get(); }
 
-  /// Oracle accessors named unsafe_* may peek at committed state.
-  long unsafe_size() const {
-    return size_.unsafe_peek();  // txlint: allow(raw-peek) - oracle accessor
-  }
-
   ~CleanList() {
-    Node* n = head_.unsafe_peek();  // destructors are teardown: exempt
+    Node* n = head_.unsafe_peek();  // teardown reads the committed value
     (void)n;
   }
 

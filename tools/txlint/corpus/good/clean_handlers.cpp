@@ -45,16 +45,9 @@ int aborting_catch() {
 }
 
 void capture_by_reference() {
-  atomos::Shared<long> cell(0);
+  atomos::Shared<long> cell(0, sim::kDataCell);
   atomos::atomically([&cell] { cell.set(1); });
   atomos::atomically([&] { cell.set(2); });
 }
-
-// txlint: begin-allow(raw-peek)
-long oracle_block(const atomos::Shared<long>& a) {
-  // Verification-only code may peek freely inside an allow region.
-  return a.unsafe_peek();
-}
-// txlint: end-allow(raw-peek)
 
 }  // namespace demo

@@ -15,10 +15,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kSharedField = "shared-field";
-constexpr std::string_view kRawPeek = "raw-peek";
 constexpr std::string_view kCatchSwallow = "catch-swallow";
 constexpr std::string_view kTraceHook = "trace-hook";
-constexpr std::string_view kIsolationClass = "isolation-class";
 constexpr std::string_view kHotPathContainer = "hot-path-container";
 constexpr std::string_view kHandlerClosure = "handler-closure";
 
@@ -26,9 +24,6 @@ const std::vector<RuleInfo> kRules = {
     {kSharedField,
      "mutable primitive or raw-pointer member of a jstd:: node/collection type "
      "not wrapped in Shared<T>"},
-    {kRawPeek,
-     "direct access to a Shared cell's committed value (unsafe_peek / ->v_) "
-     "outside oracle code"},
     {kCatchSwallow,
      "catch (...) or catch (Violated) block that can swallow the TM unwind "
      "(no rethrow/abort in body)"},
@@ -36,11 +31,6 @@ const std::vector<RuleInfo> kRules = {
      "heap allocation or transactional (Shared<T>) access inside a trace-hook "
      "body (namespace trace, function on_*) — hooks run on the simulated hot "
      "path and must be raw fixed-buffer stores"},
-    {kIsolationClass,
-     "Shared<T> metadata member of a jstd:: collection (or tcc:: open-nested "
-     "counter) never constructed with an explicit sim:: memory class — it "
-     "defaults to the packed data arena and can share a virtual line with "
-     "unrelated hot cells"},
     {kHotPathContainer,
      "node-based std:: container (std::unordered_*, std::set/map) in a "
      "hot-path header (flat_map.h, reader_dir.h, cpu_mask.h, line_table.h, "
@@ -394,12 +384,6 @@ const std::unordered_set<std::string_view> kTraceHookTmAccess = {
     "Shared", "atomically", "open_atomically", "tm_read", "tm_write",
     "unsafe_peek"};
 
-// Tokens that count as declaring a memory class at a Shared cell's
-// construction site (sim/vaddr.h).  String labels are blanked by
-// clean_source, so the rule keys on identifier tokens only.
-const std::unordered_set<std::string_view> kIsolationTokens = {
-    "kMetaCell", "kCounterCell", "kLockWord", "kDataCell", "MemClass"};
-
 class Scanner {
  public:
   Scanner(const std::string& path, std::string_view content, const Options& opts)
@@ -412,7 +396,6 @@ class Scanner {
   std::vector<Finding> run() {
     walk();
     catch_pass();
-    isolation_pass();
     hot_path_container_pass();
     std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
       return a.line != b.line ? a.line < b.line : a.rule < b.rule;
@@ -586,7 +569,6 @@ class Scanner {
         Frame& cls = stack_.back();
         if (t.text == ";") {
           check_member_stmt(cls, cls.stmt_start, i);
-          collect_isolation_decls(cls, cls.stmt_start, i);
           cls.stmt_start = i + 1;
           continue;
         }
@@ -637,7 +619,6 @@ class Scanner {
                    kControlKeywords.count(head.text) == 0) {
           f.kind = Frame::Kind::kFunction;
           f.name = head.text;
-          if (h > 0 && toks_[h - 1].text == "~") f.name = "~" + f.name;
         }
       }
     } else if (prev.text == "]") {
@@ -646,7 +627,7 @@ class Scanner {
     return f;
   }
 
-  // ---- per-identifier checks (trace-hook, raw-peek, handler-closure) --
+  // ---- per-identifier checks (trace-hook, handler-closure) ----
 
   void ident_checks(std::size_t i) {
     const std::string_view id = toks_[i].text;
@@ -666,35 +647,6 @@ class Scanner {
                    "tracing");
         }
       }
-    }
-
-    if (id == "unsafe_peek" || id == "unsafe_peek_next") {
-      // Calls only; the declaration `T unsafe_peek() const {` is the oracle
-      // API itself.  Oracle wrappers (functions named unsafe_*) and
-      // destructors (teardown) are exempt.
-      const bool is_call = is(i + 1, "(") &&
-                           !(is(i + 2, ")") && (is(i + 3, "{") || is(i + 3, "const")));
-      if (is_call) {
-        const Frame* fn = nullptr;
-        for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-          if (it->kind == Frame::Kind::kFunction) {
-            fn = &*it;
-            break;
-          }
-        }
-        const bool exempt =
-            fn != nullptr && (fn->name.rfind("unsafe_", 0) == 0 || fn->name.rfind('~', 0) == 0);
-        if (!exempt) {
-          emit(kRawPeek, toks_[i].line,
-               "direct read of a Shared cell's committed value (" + std::string(id) +
-                   ") outside an oracle/teardown context");
-        }
-      }
-    }
-
-    if (id == "v_" && i > 0 && (toks_[i - 1].text == "." || toks_[i - 1].text == "->")) {
-      emit(kRawPeek, toks_[i].line,
-           "reach-through access to a Shared cell's raw storage (v_)");
     }
 
     // `x = <expr involving .get(/->poll(/...>`: x now holds a snapshot of a
@@ -835,77 +787,6 @@ class Scanner {
     }
   }
 
-  // ---- isolation-class (arena discipline for hot metadata cells) ----
-
-  /// Records every Shared<T> member declared by a class whose cells the
-  /// arena model cares about: jstd collection classes (their size fields and
-  /// dispatch pointers are read by every operation) and tcc open-nested
-  /// counter/uid classes.  Node/bucket/entry inner types are bulk data —
-  /// packed placement is their correct default, so they are exempt.
-  void collect_isolation_decls(const Frame& cls, std::size_t begin, std::size_t end) {
-    if (begin >= end || cls.name.empty()) return;
-    auto name_has = [&cls](const char* s) {
-      return cls.name.find(s) != std::string::npos;
-    };
-    const bool jstd_collection =
-        in_namespace("jstd") && !name_has("Iter") && !name_has("Guard") &&
-        !name_has("Node") && !name_has("Table") && !name_has("Entry") &&
-        !name_has("Segment") && !name_has("Tower");
-    const bool tcc_counter =
-        in_namespace("tcc") && (name_has("Counter") || name_has("Generator"));
-    if (!jstd_collection && !tcc_counter) return;
-    for (std::size_t j = begin; j < end; ++j) {
-      if (toks_[j].text != "Shared" || !is(j + 1, "<")) continue;
-      int depth = 0;
-      std::size_t k = j + 1;
-      for (; k < end; ++k) {
-        if (toks_[k].text == "<") ++depth;
-        if (toks_[k].text == ">" && --depth == 0) break;
-      }
-      if (depth != 0) return;
-      ++k;
-      if (is_ident(k)) {
-        iso_decls_.push_back({cls.name, std::string(toks_[k].text), toks_[k].line});
-      }
-      j = k;
-    }
-  }
-
-  /// A declaration is satisfied when some construction site of the member —
-  /// `name(...)` in a ctor init list or `name{...}` — names a sim:: memory
-  /// class or isolation token.  One conscious placement decision per member
-  /// is the contract; the file-flat scan keeps the check robust to multiple
-  /// constructors.
-  void isolation_pass() {
-    if (iso_decls_.empty()) return;
-    std::unordered_set<std::string> members;
-    for (const auto& d : iso_decls_) members.insert(d.member);
-    std::unordered_set<std::string> satisfied;
-    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (toks_[i].kind != Token::Kind::kIdent) continue;
-      if (members.count(std::string(toks_[i].text)) == 0) continue;
-      if (!is(i + 1, "(") && !is(i + 1, "{")) continue;
-      const std::size_t close = match(i + 1);
-      if (close >= toks_.size()) continue;
-      for (std::size_t j = i + 2; j < close; ++j) {
-        if (toks_[j].kind == Token::Kind::kIdent &&
-            kIsolationTokens.count(toks_[j].text) != 0) {
-          satisfied.insert(std::string(toks_[i].text));
-          break;
-        }
-      }
-    }
-    for (const auto& d : iso_decls_) {
-      if (satisfied.count(d.member) != 0) continue;
-      emit(kIsolationClass, d.line,
-           "Shared member '" + d.member + "' of " + d.cls +
-               " is never constructed with an explicit memory class "
-               "(sim::kMetaCell / kCounterCell / kDataCell) — it defaults to "
-               "the packed data arena, where construction adjacency can put it "
-               "on the same virtual line as unrelated hot cells");
-    }
-  }
-
   // ---- hot-path-container pass ----
 
   /// In the data-path headers (kHotPathHeaders, matched by file basename),
@@ -970,12 +851,6 @@ class Scanner {
   std::vector<Token> toks_;
   std::vector<Frame> stack_;
   std::size_t last_paren_head_ = static_cast<std::size_t>(-1);
-  struct IsoDecl {
-    std::string cls;
-    std::string member;
-    int line;
-  };
-  std::vector<IsoDecl> iso_decls_;
   std::vector<Finding> findings_;
 };
 

@@ -4,13 +4,16 @@
 // stated as prose in src/tm/runtime.h and src/tm/shared.h):
 //
 //   * every mutable field shared between virtual CPUs lives in a Shared<T>;
-//   * the committed value behind a Shared (v_ / unsafe_peek) is only read by
-//     test oracles and teardown code, never by workload code;
 //   * the internal `Violated` unwind is never swallowed by a catch block;
-//   * an open-nested body that registers a commit handler registers the
-//     paired abort handler too (otherwise semantic locks leak on abort);
-//   * Shared<T> objects are never captured by value in lambdas (the capture
-//     would snapshot the cell instead of aliasing it).
+//   * a trace hook neither allocates nor re-enters the TM runtime;
+//   * the per-access data-path headers use no node-based std:: container;
+//   * a transaction body never captures a collection read by value (a
+//     retry would replay the stale snapshot).
+//
+// What the compiler or the call itself can check is not linted: a commit
+// handler's abort side and a cell's memory class are required arguments, a
+// Shared cannot be copied, and a cell refuses a raw peek or a profile label
+// on a worker fiber (std::logic_error).
 //
 // txlint is a heuristic, token-level scanner: it strips comments/strings,
 // tracks namespace/class/function structure, and flags violations of each
