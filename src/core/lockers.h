@@ -16,6 +16,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -39,6 +40,59 @@ inline void charge_sem_op(std::size_t n = 1) {
     if (rt.work(n * sim::Config::kSemOpCycles)) rt.throw_reported();
   }
 }
+
+/// True where the collection classes run their protocol: on a worker fiber
+/// of a Tcc-mode simulation.  Anywhere else (set-up code, Mode::kLock) a
+/// wrapper forwards each operation to the collection it wraps.
+inline bool transactional() {
+  return atomos::Runtime::active() && sim::Engine::in_worker() &&
+         atomos::Runtime::current().mode() == sim::Mode::kTcc;
+}
+
+/// One collection wrapper's per-CPU state (the thread-local store buffers
+/// and held-lock flags of Tables 3, 6 and 9), tied to the calling CPU's
+/// top-level transaction.  `State` has a `TxnId id` and a `clear()`; the
+/// wrapper's handlers release its locks and then clear it.
+template <class State>
+class TxnStates {
+ public:
+  /// The calling CPU's state.  On a top-level transaction's first use it is
+  /// cleared and stamped with that transaction's TxnId, and
+  /// `first_use(cpu)` registers the wrapper's one handler pair (S5).
+  template <class F>
+  State& current(F&& first_use) {
+    atomos::Runtime& rt = atomos::Runtime::current();
+    const int cpu = rt.engine().cpu_id();
+    const auto i = static_cast<std::size_t>(cpu);
+    if (states_.size() <= i)
+      states_.resize(static_cast<std::size_t>(rt.engine().config().num_cpus));
+    State& s = states_[i];
+    const atomos::TxnId cur = rt.self_id();
+    if (!(s.id == cur)) {
+      assert(s.id == atomos::TxnId{} && "stale uncompensated state");
+      s.clear();
+      s.id = cur;
+      first_use(cpu);
+    }
+    return s;
+  }
+
+  /// Runs `op(current(first_use))` inside the calling CPU's transaction,
+  /// or as a top-level transaction of its own when none is open, so a lone
+  /// operation is atomic.
+  template <class F, class Op>
+  auto run(F&& first_use, Op&& op) {
+    atomos::Runtime& rt = atomos::Runtime::current();
+    if (rt.in_txn()) return op(current(first_use));
+    return rt.atomically([&] { return op(current(first_use)); });
+  }
+
+  /// The state of `cpu`, for the handlers `first_use` registered.
+  State& operator[](int cpu) { return states_[static_cast<std::size_t>(cpu)]; }
+
+ private:
+  std::vector<State> states_;
+};
 
 /// A set of top-level transactions holding one semantic read lock.
 class LockerSet {

@@ -9,8 +9,10 @@
 //  * write operations (put/remove) buffer their effect in a thread-local
 //    store buffer (Table 3) plus a size delta, taking a key read-lock
 //    because they return the old value;
-//  * ONE commit handler per top-level transaction — registered on first use
-//    — performs commit-time semantic conflict detection (violating readers
+//  * ONE commit handler per top-level transaction — registered on the
+//    transaction's first use of the map, by the per-CPU state protocol all
+//    three wrappers share (tcc::TxnStates, core/lockers.h) — performs
+//    commit-time semantic conflict detection (violating readers
 //    whose locks cover the written keys / the size, Table 2's "Write
 //    Conflict" column), applies the buffered writes to the underlying map,
 //    releases the transaction's locks and clears the buffers;
@@ -29,7 +31,6 @@
 // have the same property.
 #pragma once
 
-#include <cassert>
 #include <string>
 #include <functional>
 #include <memory>
@@ -71,15 +72,7 @@ class TransactionalMap : public Iface {
 
   std::optional<V> get(const K& key) const override {
     if (!transactional()) return inner_->get(key);
-    if (!in_txn()) return wrap([&] { return get(key); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    if (auto hit = buffered_lookup(ls, key)) return *hit;
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      lock_key(ls, key);
-      return inner_->get(key);
-    });
+    return run([&](LocalState& ls) { return observed_value(ls, key); });
   }
 
   bool contains_key(const K& key) const override {
@@ -89,45 +82,17 @@ class TransactionalMap : public Iface {
 
   std::optional<V> put(const K& key, const V& value) override {
     if (!transactional()) return inner_->put(key, value);
-    if (!in_txn()) return wrap([&] { return put(key, value); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    std::optional<V> old = observed_value(ls, key);  // takes the key read-lock
-    Entry& e = ls.store[key];
-    if (!e.touched) e.present_before = old.has_value();  // committed-map fact
-    e.touched = true;
-    e.kind = Entry::kPut;
-    e.value = value;
-    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
-    return old;
+    return run([&](LocalState& ls) { return buffered_write(ls, key, &value); });
   }
 
   std::optional<V> remove(const K& key) override {
     if (!transactional()) return inner_->remove(key);
-    if (!in_txn()) return wrap([&] { return remove(key); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    std::optional<V> old = observed_value(ls, key);
-    Entry& e = ls.store[key];
-    if (!e.touched) e.present_before = old.has_value();
-    e.touched = true;
-    e.kind = Entry::kRemove;
-    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
-    return old;
+    return run([&](LocalState& ls) { return buffered_write(ls, key, nullptr); });
   }
 
   long size() const override {
     if (!transactional()) return inner_->size();
-    if (!in_txn()) return wrap([&] { return size(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    resolve_all_blind(ls);
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      size_lockers_.add(ls.id);
-      ls.size_locked = true;
-      return inner_->size() + delta(ls);
-    });
+    return run([&](LocalState& ls) { return locked_size(ls, size_lockers_, ls.size_locked); });
   }
 
   /// Section 5.1: isEmpty as a PRIMITIVE with a dedicated lock that is only
@@ -135,22 +100,13 @@ class TransactionalMap : public Iface {
   /// transactions commute, unlike the size()-derived version.
   bool is_empty() const override {
     if (!transactional()) return inner_->is_empty();
-    if (!in_txn()) return wrap([&] { return is_empty(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    resolve_all_blind(ls);
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      empty_lockers_.add(ls.id);
-      ls.empty_locked = true;
-      return inner_->size() + delta(ls) == 0;
-    });
+    return run(
+        [&](LocalState& ls) { return locked_size(ls, empty_lockers_, ls.empty_locked) == 0; });
   }
 
   std::unique_ptr<jstd::MapIterator<K, V>> iterator() const override {
     if (!transactional()) return inner_->iterator();
-    LocalState& ls = local();
-    ensure_registered(ls);
+    LocalState& ls = states_.current(first_use());
     return std::make_unique<Iter>(this, &ls);
   }
 
@@ -164,21 +120,7 @@ class TransactionalMap : public Iface {
       inner_->put(key, value);
       return;
     }
-    if (!in_txn()) {
-      wrap([&] {
-        put_blind(key, value);
-        return 0;
-      });
-      return;
-    }
-    LocalState& ls = local();
-    ensure_registered(ls);
-    Entry& e = ls.store[key];
-    e.touched = true;
-    e.kind = Entry::kPut;
-    e.value = value;
-    charge_sem_op();
-    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
+    run([&](LocalState& ls) { blind_write(ls, key, &value); });
   }
 
   /// remove that does not read/return the old value (no key read-lock).
@@ -187,20 +129,7 @@ class TransactionalMap : public Iface {
       inner_->remove(key);
       return;
     }
-    if (!in_txn()) {
-      wrap([&] {
-        remove_blind(key);
-        return 0;
-      });
-      return;
-    }
-    LocalState& ls = local();
-    ensure_registered(ls);
-    Entry& e = ls.store[key];
-    e.touched = true;
-    e.kind = Entry::kRemove;
-    charge_sem_op();
-    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
+    run([&](LocalState& ls) { blind_write(ls, key, nullptr); });
   }
 
   // ---- introspection (tests / TAPE-style analysis) ----
@@ -218,67 +147,52 @@ class TransactionalMap : public Iface {
     V value{};
     std::optional<bool> present_before;  // nullopt until observed (blind ops)
     bool touched = false;
+
+    /// Buffers a put of `*v`, or a remove when `v` is null.
+    void buffer(const V* v) {
+      touched = true;
+      kind = v != nullptr ? kPut : kRemove;
+      if (v != nullptr) value = *v;
+    }
   };
 
   struct LocalState {
     atomos::TxnId id{};
-    bool registered = false;
     bool size_locked = false;
     bool empty_locked = false;
+    bool first_locked = false;  // TransactionalSortedMap's endpoint locks
+    bool last_locked = false;
     std::unordered_map<K, Entry, Hash, Eq> store;
     std::vector<K> key_locks;
 
     void clear() {
       store.clear();
       key_locks.clear();
-      registered = false;
       size_locked = false;
       empty_locked = false;
+      first_locked = false;
+      last_locked = false;
       id = atomos::TxnId{};
     }
   };
 
-  static bool transactional() {
-    return atomos::Runtime::active() && sim::Engine::in_worker() &&
-           atomos::Runtime::current().mode() == sim::Mode::kTcc;
+  /// Registers this map's one handler pair on a top-level transaction's
+  /// first use of it (TxnStates::current).
+  auto first_use() const {
+    return [self = const_cast<TransactionalMap*>(this)](int cpu) {
+      // Read-only transactions (empty store buffer) only release locks at
+      // commit: pure cleanup, no token needed.
+      atomos::Runtime::current().on_top_commit(
+          self, [self, cpu] { self->commit_handler(cpu); },
+          [self, cpu] { self->abort_handler(cpu); },
+          [self, cpu] { return !self->states_[cpu].store.empty(); });
+    };
   }
 
-  static bool in_txn() { return atomos::Runtime::current().in_txn(); }
-
-  /// Runs a single collection op outside any transaction as its own
-  /// top-level transaction.
-  template <class F>
-  auto wrap(F&& fn) const {
-    return atomos::Runtime::current().atomically(std::forward<F>(fn));
-  }
-
-  LocalState& local() const {
-    auto& rt = atomos::Runtime::current();
-    const auto cpu = static_cast<std::size_t>(rt.engine().cpu_id());
-    if (locals_.size() <= cpu) locals_.resize(static_cast<std::size_t>(rt.engine().config().num_cpus));
-    LocalState& ls = locals_[cpu];
-    const atomos::TxnId cur = rt.self_id();
-    if (!(ls.id == cur)) {
-      assert(ls.store.empty() && ls.key_locks.empty() && "stale uncompensated state");
-      ls.clear();
-      ls.id = cur;
-    }
-    return ls;
-  }
-
-  void ensure_registered(LocalState& ls) const {
-    if (ls.registered) return;
-    ls.registered = true;
-    auto& rt = atomos::Runtime::current();
-    const int cpu = rt.engine().cpu_id();
-    auto* self = const_cast<TransactionalMap*>(this);
-    // Read-only transactions (empty store buffer) only release locks at
-    // commit: pure cleanup, no token needed.
-    rt.on_top_commit(self, [self, cpu] { self->commit_handler(cpu); },
-                     [self, cpu] { self->abort_handler(cpu); },
-                     [self, cpu] {
-                       return !self->locals_[static_cast<std::size_t>(cpu)].store.empty();
-                     });
+  /// Runs `op` on this CPU's state (TxnStates::run).
+  template <class Op>
+  auto run(Op&& op) const {
+    return states_.run(first_use(), std::forward<Op>(op));
   }
 
   void lock_key(LocalState& ls, const K& key) const {
@@ -303,6 +217,37 @@ class TransactionalMap : public Iface {
       charge_sem_op();
       lock_key(ls, key);
       return inner_->get(key);
+    });
+  }
+
+  /// put (`value` set) or remove (null): returns the old value, read under
+  /// the key lock, and buffers the write.
+  std::optional<V> buffered_write(LocalState& ls, const K& key, const V* value) const {
+    std::optional<V> old = observed_value(ls, key);
+    Entry& e = ls.store[key];
+    if (!e.touched) e.present_before = old.has_value();  // committed-map fact
+    e.buffer(value);
+    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
+    return old;
+  }
+
+  /// put_blind (`value` set) or remove_blind (null): buffers the write
+  /// without observing the key.
+  void blind_write(LocalState& ls, const K& key, const V* value) const {
+    ls.store[key].buffer(value);
+    charge_sem_op();
+    if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
+  }
+
+  /// size() and is_empty(): the size this transaction observes, read while
+  /// taking `lock` (its size or empty lock; `held` is its flag).
+  long locked_size(LocalState& ls, LockerSet& lock, bool& held) const {
+    resolve_all_blind(ls);
+    return atomos::open_atomically([&] {
+      charge_sem_op();
+      lock.add(ls.id);
+      held = true;
+      return inner_->size() + delta(ls);
     });
   }
 
@@ -342,7 +287,7 @@ class TransactionalMap : public Iface {
   /// THE commit handler (Table 2 "Write Conflict" column): runs inside the
   /// commit token, as part of the committing transaction.
   virtual void commit_handler(int cpu) {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     charge_sem_op(1 + ls.store.size());
     long applied_delta = 0;
     for (auto& [key, e] : ls.store) {
@@ -367,7 +312,7 @@ class TransactionalMap : public Iface {
 
   /// THE abort handler: pure compensation (paper Section 5 rules).
   virtual void abort_handler(int cpu) {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     charge_sem_op(ls.key_locks.size() + 1);
     release_and_clear(ls);
   }
@@ -431,26 +376,14 @@ class TransactionalMap : public Iface {
       while (pos_ < snapshot_.size()) {
         const K key = snapshot_[pos_].first;
         ++pos_;
-        if (auto hit = m_->buffered_lookup(*ls_, key)) {
-          if (hit->has_value()) {
-            next_ = {key, **hit};
-            return;
-          }
-          continue;  // buffered remove: skip
-        }
-        // Lock the key and re-read under the lock (the snapshot may predate
-        // a concurrent commit; the lock makes the observation stable).
-        auto cur = atomos::open_atomically([&] {
-          charge_sem_op();
-          m_->lock_key(*ls_, key);
-          return m_->inner_->get(key);
-        });
-        if (cur.has_value()) {
+        // The buffered value, else a re-read under the key lock (the
+        // snapshot may predate a concurrent commit; the lock makes the
+        // observation stable).  A buffered remove, or a key that vanished
+        // since the snapshot (we serialize after its remover), is skipped.
+        if (auto cur = m_->observed_value(*ls_, key)) {
           next_ = {key, *cur};
           return;
         }
-        // Key vanished between snapshot and visit: consistent with
-        // serializing after the remover; skip it.
       }
       if (apos_ < added_.size()) {
         next_ = added_[apos_++];
@@ -483,7 +416,7 @@ class TransactionalMap : public Iface {
   mutable KeyLockTable<K, Hash, Eq> key_lockers_;
   mutable LockerSet size_lockers_;
   mutable LockerSet empty_lockers_;
-  mutable std::vector<LocalState> locals_;
+  mutable TxnStates<LocalState> states_;
 };
 
 }  // namespace tcc

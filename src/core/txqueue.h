@@ -25,7 +25,6 @@
 // pairs never conflict with each other (Table 7's blank cells).
 #pragma once
 
-#include <cassert>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -59,14 +58,10 @@ class TransactionalQueue : public jstd::Channel<T> {
       inner_->put(item);
       return;
     }
-    if (!in_txn()) {
-      atomos::Runtime::current().atomically([&] { put(item); });
-      return;
-    }
-    LocalState& ls = local();
-    ensure_registered(ls);
-    charge_sem_op();
-    ls.add_buffer.push_back(item);
+    run([&](LocalState& ls) {
+      charge_sem_op();
+      ls.add_buffer.push_back(item);
+    });
   }
 
   /// Dequeues an element if one is available.  The removal is applied to
@@ -75,27 +70,11 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// lock (Table 8), so a committing producer will violate us.
   std::optional<T> poll() override {
     if (!transactional()) return inner_->poll();
-    if (!in_txn())
-      return atomos::Runtime::current().atomically([&] { return poll(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    charge_sem_op();
-    auto got = atomos::open_atomically([&] { return eager_remove(ls); });
-    if (got.has_value()) {
-      ls.remove_buffer.push_back(*got);
+    return run([&](LocalState& ls) {
+      std::optional<T> got = dequeue(ls);
+      if (!got.has_value()) observe_empty(ls);
       return got;
-    }
-    if (!ls.add_buffer.empty()) {  // read-your-writes: consume own pending put
-      T item = ls.add_buffer.front();
-      ls.add_buffer.pop_front();
-      return item;
-    }
-    atomos::open_atomically([&] {
-      charge_sem_op();
-      empty_lockers_.add(ls.id);
-      ls.empty_locked = true;
     });
-    return std::nullopt;
   }
 
   /// Dequeues like poll() but does NOT register an emptiness observation —
@@ -104,22 +83,7 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// as a serializable fact.
   std::optional<T> take() {
     if (!transactional()) return inner_->poll();
-    if (!in_txn())
-      return atomos::Runtime::current().atomically([&] { return take(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    charge_sem_op();
-    auto got = atomos::open_atomically([&] { return eager_remove(ls); });
-    if (got.has_value()) {
-      ls.remove_buffer.push_back(*got);
-      return got;
-    }
-    if (!ls.add_buffer.empty()) {
-      T item = ls.add_buffer.front();
-      ls.add_buffer.pop_front();
-      return item;
-    }
-    return std::nullopt;
+    return run([&](LocalState& ls) { return dequeue(ls); });
   }
 
   /// Worker-loop alias for take(): the non-blocking dequeue a request-serving
@@ -136,38 +100,30 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// the caller needs.
   long size() const {
     if (!transactional()) return inner_->size();
-    if (!in_txn())
-      return atomos::Runtime::current().atomically([&] { return size(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    charge_sem_op();
-    const long shared = atomos::open_atomically([&] {
+    return run([&](LocalState& ls) {
       charge_sem_op();
-      size_lockers_.add(ls.id);
-      ls.size_locked = true;
-      return inner_->size();
+      const long shared = atomos::open_atomically([&] {
+        charge_sem_op();
+        size_lockers_.add(ls.id);
+        ls.size_locked = true;
+        return inner_->size();
+      });
+      return shared + static_cast<long>(ls.add_buffer.size());
     });
-    return shared + static_cast<long>(ls.add_buffer.size());
   }
 
   /// Observes the head without removing it; observing emptiness takes the
   /// empty lock (Table 8's only peek rule).
   std::optional<T> peek() const override {
     if (!transactional()) return inner_->peek();
-    if (!in_txn())
-      return atomos::Runtime::current().atomically([&] { return peek(); });
-    LocalState& ls = local();
-    ensure_registered(ls);
-    charge_sem_op();
-    auto got = atomos::open_atomically([&] { return inner_->peek(); });
-    if (got.has_value()) return got;
-    if (!ls.add_buffer.empty()) return ls.add_buffer.front();
-    atomos::open_atomically([&] {
+    return run([&](LocalState& ls) -> std::optional<T> {
       charge_sem_op();
-      empty_lockers_.add(ls.id);
-      ls.empty_locked = true;
+      auto got = atomos::open_atomically([&] { return inner_->peek(); });
+      if (got.has_value()) return got;
+      if (!ls.add_buffer.empty()) return ls.add_buffer.front();
+      observe_empty(ls);
+      return std::nullopt;
     });
-    return std::nullopt;
   }
 
   // ---- introspection (tests) ----
@@ -176,12 +132,11 @@ class TransactionalQueue : public jstd::Channel<T> {
   std::size_t size_locker_count() const { return size_lockers_.size(); }
 
  protected:
-  // Subclassable (protected state, virtual handlers) so litmus mutants —
-  // e.g. a queue whose compensation drops elements — can override exactly
-  // one behavior; production code has no reason to subclass.
+  // Subclassable (protected state and run(), virtual handlers) so a litmus
+  // mutant (mc::LossyQueue) can override exactly one behavior; production
+  // code has no reason to subclass.
   struct LocalState {
     atomos::TxnId id{};
-    bool registered = false;
     bool empty_locked = false;
     bool size_locked = false;
     std::deque<T> add_buffer;     // Table 9: addBuffer
@@ -190,33 +145,53 @@ class TransactionalQueue : public jstd::Channel<T> {
     void clear() {
       add_buffer.clear();
       remove_buffer.clear();
-      registered = false;
       empty_locked = false;
       size_locked = false;
       id = atomos::TxnId{};
     }
   };
 
-  static bool transactional() {
-    return atomos::Runtime::active() && sim::Engine::in_worker() &&
-           atomos::Runtime::current().mode() == sim::Mode::kTcc;
+  /// Registers this queue's one handler pair on a top-level transaction's
+  /// first use of it (TxnStates::current).
+  auto first_use() const {
+    return [self = const_cast<TransactionalQueue*>(this)](int cpu) {
+      // Only transactions with pending puts need the token at commit.
+      atomos::Runtime::current().on_top_commit(
+          self, [self, cpu] { self->commit_handler(cpu); },
+          [self, cpu] { self->abort_handler(cpu); },
+          [self, cpu] { return !self->states_[cpu].add_buffer.empty(); });
+    };
   }
 
-  static bool in_txn() { return atomos::Runtime::current().in_txn(); }
+  /// Runs `op` on this CPU's state (TxnStates::run).
+  template <class Op>
+  auto run(Op&& op) const {
+    return states_.run(first_use(), std::forward<Op>(op));
+  }
 
-  LocalState& local() const {
-    auto& rt = atomos::Runtime::current();
-    const auto cpu = static_cast<std::size_t>(rt.engine().cpu_id());
-    if (locals_.size() <= cpu)
-      locals_.resize(static_cast<std::size_t>(rt.engine().config().num_cpus));
-    LocalState& ls = locals_[cpu];
-    const atomos::TxnId cur = rt.self_id();
-    if (!(ls.id == cur)) {
-      assert(ls.add_buffer.empty() && ls.remove_buffer.empty());
-      ls.clear();
-      ls.id = cur;
+  /// poll() and take(): removes the head eagerly (compensated on abort),
+  /// else consumes this transaction's own oldest pending put.
+  std::optional<T> dequeue(LocalState& ls) const {
+    charge_sem_op();
+    auto got = atomos::open_atomically([&] { return eager_remove(ls); });
+    if (got.has_value()) {
+      ls.remove_buffer.push_back(*got);
+      return got;
     }
-    return ls;
+    if (ls.add_buffer.empty()) return std::nullopt;
+    T item = ls.add_buffer.front();
+    ls.add_buffer.pop_front();
+    return item;
+  }
+
+  /// poll() and peek() found nothing: the empty observation takes the empty
+  /// lock (Table 8), so a committing producer violates us.
+  void observe_empty(LocalState& ls) const {
+    atomos::open_atomically([&] {
+      charge_sem_op();
+      empty_lockers_.add(ls.id);
+      ls.empty_locked = true;
+    });
   }
 
   /// Inner-queue removal, run inside an open-nested child.  A successful
@@ -232,25 +207,11 @@ class TransactionalQueue : public jstd::Channel<T> {
     return got;
   }
 
-  void ensure_registered(LocalState& ls) const {
-    if (ls.registered) return;
-    ls.registered = true;
-    auto& rt = atomos::Runtime::current();
-    const int cpu = rt.engine().cpu_id();
-    auto* self = const_cast<TransactionalQueue*>(this);
-    // Only transactions with pending puts need the token at commit.
-    rt.on_top_commit(self, [self, cpu] { self->commit_handler(cpu); },
-                     [self, cpu] { self->abort_handler(cpu); },
-                     [self, cpu] {
-                       return !self->locals_[static_cast<std::size_t>(cpu)].add_buffer.empty();
-                     });
-  }
-
   /// Applies the addBuffer; a producer making an empty queue non-empty
   /// violates every emptiness observer (Table 8: put "if now non-empty"),
   /// and any applied put changes the count, violating size observers.
   virtual void commit_handler(int cpu) {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     charge_sem_op(ls.add_buffer.size() + 1);
     if (!ls.add_buffer.empty()) {
       if (inner_->is_empty()) empty_lockers_.violate_all_except(ls.id);
@@ -263,7 +224,7 @@ class TransactionalQueue : public jstd::Channel<T> {
   /// Compensation: eagerly removed elements go back (order not preserved —
   /// the queue deliberately keeps no strict ordering across transactions).
   virtual void abort_handler(int cpu) {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     charge_sem_op(ls.remove_buffer.size() + 1);
     if (!ls.remove_buffer.empty()) {
       atomos::open_atomically([&] {
@@ -285,7 +246,7 @@ class TransactionalQueue : public jstd::Channel<T> {
   std::unique_ptr<jstd::Queue<T>> inner_;
   mutable LockerSet empty_lockers_;
   mutable LockerSet size_lockers_;
-  mutable std::vector<LocalState> locals_;
+  mutable TxnStates<LocalState> states_;
 };
 
 }  // namespace tcc

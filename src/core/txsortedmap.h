@@ -14,7 +14,9 @@
 //
 // subMap/headMap/tailMap views collapse onto the range_iterator primitive
 // (see jstd::SortedMap).  The sortedStoreBuffer of Table 6 is realized by
-// sorting the store buffer on demand during merged iteration.
+// sorting the store buffer on demand during merged iteration.  The
+// per-transaction state, with its endpoint-lock flags, and its handler
+// registration are the base map's (tcc::TxnStates).
 #pragma once
 
 #include <algorithm>
@@ -58,61 +60,56 @@ class TransactionalSortedMap final
   // ---- SortedMap interface (Table 5 read locks) ----
 
   std::optional<K> first_key() const override {
-    if (!Base::transactional()) return sorted_inner().first_key();
-    if (!Base::in_txn()) return Base::wrap([&] { return first_key(); });
-    LocalState& ls = Base::local();
-    Base::ensure_registered(ls);
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      first_lockers_.add(ls.id);
-      eflags(ls).first = true;
-      return merged_first(ls);
+    if (!transactional()) return sorted_inner().first_key();
+    return this->run([&](LocalState& ls) {
+      return atomos::open_atomically([&] {
+        charge_sem_op();
+        first_lockers_.add(ls.id);
+        ls.first_locked = true;
+        return merged_first(ls);
+      });
     });
   }
 
   std::optional<K> last_key() const override {
-    if (!Base::transactional()) return sorted_inner().last_key();
-    if (!Base::in_txn()) return Base::wrap([&] { return last_key(); });
-    LocalState& ls = Base::local();
-    Base::ensure_registered(ls);
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      last_lockers_.add(ls.id);
-      eflags(ls).last = true;
-      return merged_last(ls);
+    if (!transactional()) return sorted_inner().last_key();
+    return this->run([&](LocalState& ls) {
+      return atomos::open_atomically([&] {
+        charge_sem_op();
+        last_lockers_.add(ls.id);
+        ls.last_locked = true;
+        return merged_last(ls);
+      });
     });
   }
 
+  /// The largest key below `key`, observed with a range lock on the gap
+  /// [answer, key): only a put or remove inside it can change the answer.
   std::optional<K> last_key_before(const K& key) const override {
-    // Derivative of a (tiny) range observation: lock (-inf, key) up to the
-    // answer... conservatively lock the probe point via a closed range.
-    if (!Base::transactional()) return sorted_inner().last_key_before(key);
-    if (!Base::in_txn()) return Base::wrap([&] { return last_key_before(key); });
-    LocalState& ls = Base::local();
-    Base::ensure_registered(ls);
-    return atomos::open_atomically([&] {
-      charge_sem_op();
-      std::optional<K> committed = sorted_inner().last_key_before(key);
-      // Merge with buffer: largest buffered put < key; skip buffered removes.
-      while (committed.has_value() && buffered_removed(ls, *committed)) {
-        committed = sorted_inner().last_key_before(*committed);
-      }
-      std::optional<K> best = committed;
-      for (const auto& [k, e] : ls.store) {
-        if (!e.touched || e.kind != Entry::kPut) continue;
-        if (cmp_(k, key) && (!best.has_value() || cmp_(*best, k))) best = k;
-      }
-      // The observation depends on the gap (best, key): range-lock it.
-      range_lockers_.lock(best, key, ls.id, /*to_closed=*/false);
-      return best;
+    if (!transactional()) return sorted_inner().last_key_before(key);
+    return this->run([&](LocalState& ls) {
+      return atomos::open_atomically([&] {
+        charge_sem_op();
+        std::optional<K> committed = sorted_inner().last_key_before(key);
+        // Merge with buffer: largest buffered put < key; skip buffered removes.
+        while (committed.has_value() && buffered_removed(ls, *committed)) {
+          committed = sorted_inner().last_key_before(*committed);
+        }
+        std::optional<K> best = committed;
+        for (const auto& [k, e] : ls.store) {
+          if (!e.touched || e.kind != Entry::kPut) continue;
+          if (cmp_(k, key) && (!best.has_value() || cmp_(*best, k))) best = k;
+        }
+        range_lockers_.lock(best, key, ls.id, /*to_closed=*/false);
+        return best;
+      });
     });
   }
 
   std::unique_ptr<jstd::MapIterator<K, V>> range_iterator(
       const std::optional<K>& from, const std::optional<K>& to) const override {
-    if (!Base::transactional()) return sorted_inner().range_iterator(from, to);
-    LocalState& ls = Base::local();
-    Base::ensure_registered(ls);
+    if (!transactional()) return sorted_inner().range_iterator(from, to);
+    LocalState& ls = this->states_.current(this->first_use());
     return std::make_unique<SortedIter>(this, &ls, from, to);
   }
 
@@ -129,7 +126,7 @@ class TransactionalSortedMap final
   /// Table 5 "Write Conflict" column, extending the Map handler: range and
   /// endpoint conflicts in addition to key/size/empty conflicts.
   void commit_handler(int cpu) override {
-    LocalState& ls = this->locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = this->states_[cpu];
     charge_sem_op(2 + ls.store.size());
     const std::optional<K> old_first = sorted_inner().first_key();
     const std::optional<K> old_last = sorted_inner().last_key();
@@ -159,7 +156,7 @@ class TransactionalSortedMap final
   }
 
   void abort_handler(int cpu) override {
-    LocalState& ls = this->locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = this->states_[cpu];
     charge_sem_op(ls.key_locks.size() + 2);
     release_sorted(ls);
     this->release_and_clear(ls);
@@ -213,28 +210,13 @@ class TransactionalSortedMap final
     return best;
   }
 
-  /// Endpoint-lock ownership flags per cpu, mirroring the base class's
-  /// size_locked/empty_locked guards: releases must be exact (a release
-  /// that finds nothing to release is a protocol violation the checked
-  /// build and txmc flag), so removal is guarded by these.
-  struct EndpointFlags {
-    bool first = false;
-    bool last = false;
-  };
-
-  EndpointFlags& eflags(const LocalState& ls) const {
-    const auto cpu = static_cast<std::size_t>(ls.id.cpu);
-    if (endpoint_flags_.size() <= cpu) endpoint_flags_.resize(cpu + 1);
-    return endpoint_flags_[cpu];
-  }
-
+  /// Releases the range and endpoint locks; the endpoint flags guard the
+  /// removals, because a release that finds nothing to release is a
+  /// protocol violation the checked build and txmc flag.
   void release_sorted(LocalState& ls) {
     range_lockers_.unlock_all(ls.id);
-    EndpointFlags& f = eflags(ls);
-    if (f.first) first_lockers_.remove(ls.id);
-    if (f.last) last_lockers_.remove(ls.id);
-    f.first = false;
-    f.last = false;
+    if (ls.first_locked) first_lockers_.remove(ls.id);
+    if (ls.last_locked) last_lockers_.remove(ls.id);
   }
 
   /// Ordered merged iterator over committed range ∩ buffer, growing a range
@@ -282,7 +264,7 @@ class TransactionalSortedMap final
             // Unbounded: exhaustion observes the LAST key (Table 4/5).
             m_->range_lockers_.extend(handle_, std::nullopt, false);
             m_->last_lockers_.add(ls_->id);
-            m_->eflags(*ls_).last = true;
+            ls_->last_locked = true;
           }
         });
       }
@@ -365,7 +347,6 @@ class TransactionalSortedMap final
   mutable RangeLockTable<K, Compare> range_lockers_;
   mutable LockerSet first_lockers_;
   mutable LockerSet last_lockers_;
-  mutable std::vector<EndpointFlags> endpoint_flags_;
 };
 
 }  // namespace tcc

@@ -436,8 +436,9 @@ namespace {
       "  --only F        restrict the sweep: a series-name substring (e.g.\n"
       "                  'Atomos') or a CPU list ('cpus=1,8' or '1,8')\n"
       "  --timeout S     per-point wall-clock timeout in seconds (default 120,\n"
-      "                  0 disables); a timed-out point is retried once, then\n"
-      "                  reported as POISONED instead of hanging the sweep\n"
+      "                  0 disables, at most 1e6); a timed-out point is retried\n"
+      "                  once, then reported as POISONED instead of hanging\n"
+      "                  the sweep\n"
       "  --trace PREFIX  write a deterministic txtrace event file per sweep\n"
       "                  point (trial 0) to PREFIX<series>_cpus<N>.trace;\n"
       "                  inspect with tools/txtrace.  Traced runs spend extra\n"
@@ -462,10 +463,15 @@ long parse_long(const char* bench, const char* flag, const std::string& v, long 
   return n;
 }
 
+// --timeout's cap.  A finite value this small keeps run_guarded's deadline
+// inside steady_clock's range; the range test also rejects NaN, which would
+// otherwise turn the timeout off.
+constexpr double kMaxTimeoutSec = 1e6;
+
 double parse_seconds(const char* bench, const char* flag, const std::string& v) {
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
-  if (end == nullptr || *end != '\0' || v.empty() || d < 0.0) {
+  if (end == nullptr || *end != '\0' || v.empty() || !(d >= 0.0 && d <= kMaxTimeoutSec)) {
     std::fprintf(stderr, "%s: bad value '%s' for %s\n", bench, v.c_str(), flag);
     usage(bench, 2);
   }

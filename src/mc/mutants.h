@@ -11,8 +11,11 @@
 //   DoubleReleaseMap  commit releases key locks twice   -> double-release
 //   LeakyAbortMap     abort forgets to release locks    -> lock-leak
 //
-// They live in the mc library (not tests/) so both the txmc CLI and the
-// test suite exercise the identical corpus.
+// Each override is written like the wrapper's own operations, through the
+// shared state protocol (`run`, tcc::TxnStates), so it differs from the
+// real operation only in the rule it breaks.  They live in the mc library
+// (not tests/) so both the txmc CLI and the test suite exercise the
+// identical corpus.
 #pragma once
 
 #include <memory>
@@ -34,13 +37,13 @@ class LockDroppingMap final : public LongMap {
   using LongMap::LongMap;
 
   std::optional<long> get(const long& key) const override {
-    if (!transactional() || !in_txn()) return LongMap::get(key);
-    LocalState& ls = local();
-    ensure_registered(ls);
-    if (auto hit = buffered_lookup(ls, key)) return *hit;
-    return atomos::open_atomically([&] {
-      tcc::charge_sem_op();
-      return inner_->get(key);  // BUG: no lock_key(ls, key)
+    if (!tcc::transactional()) return inner_->get(key);
+    return run([&](LocalState& ls) -> std::optional<long> {
+      if (auto hit = buffered_lookup(ls, key)) return *hit;
+      return atomos::open_atomically([&] {
+        tcc::charge_sem_op();
+        return inner_->get(key);  // BUG: no lock_key(ls, key)
+      });
     });
   }
 };
@@ -53,12 +56,12 @@ class EagerOpenMap final : public LongMap {
   using LongMap::LongMap;
 
   std::optional<long> put(const long& key, const long& value) override {
-    if (!transactional() || !in_txn()) return LongMap::put(key, value);
-    LocalState& ls = local();
-    ensure_registered(ls);
-    return atomos::open_atomically([&] {
-      tcc::charge_sem_op();
-      return inner_->put(key, value);  // BUG: pre-commit state leaks
+    if (!tcc::transactional()) return inner_->put(key, value);
+    return run([&](LocalState&) {
+      return atomos::open_atomically([&] {
+        tcc::charge_sem_op();
+        return inner_->put(key, value);  // BUG: pre-commit state leaks
+      });
     });
   }
 };
@@ -71,24 +74,22 @@ class NoLockPutMap final : public LongMap {
   using LongMap::LongMap;
 
   std::optional<long> put(const long& key, const long& value) override {
-    if (!transactional() || !in_txn()) return LongMap::put(key, value);
-    LocalState& ls = local();
-    ensure_registered(ls);
-    std::optional<long> old;
-    if (auto hit = buffered_lookup(ls, key)) {
-      old = *hit;
-    } else {
-      old = atomos::open_atomically([&] {
-        tcc::charge_sem_op();
-        return inner_->get(key);  // BUG: unlocked observation
-      });
-    }
-    Entry& e = ls.store[key];
-    if (!e.touched) e.present_before = old.has_value();
-    e.touched = true;
-    e.kind = Entry::kPut;
-    e.value = value;
-    return old;
+    if (!tcc::transactional()) return inner_->put(key, value);
+    return run([&](LocalState& ls) {
+      std::optional<long> old;
+      if (auto hit = buffered_lookup(ls, key)) {
+        old = *hit;
+      } else {
+        old = atomos::open_atomically([&] {
+          tcc::charge_sem_op();
+          return inner_->get(key);  // BUG: unlocked observation
+        });
+      }
+      Entry& e = ls.store[key];
+      if (!e.touched) e.present_before = old.has_value();
+      e.buffer(&value);
+      return old;
+    });
   }
 };
 
@@ -100,7 +101,7 @@ class LossyQueue final : public tcc::TransactionalQueue<long> {
 
  protected:
   void abort_handler(int cpu) override {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     tcc::charge_sem_op();
     ls.remove_buffer.clear();  // BUG: elements vanish instead of returning
     release_and_clear(ls);
@@ -115,7 +116,7 @@ class DoubleReleaseMap final : public LongMap {
 
  protected:
   void commit_handler(int cpu) override {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     const std::vector<long> keys = ls.key_locks;  // base clears these
     const atomos::TxnId id = ls.id;
     LongMap::commit_handler(cpu);
@@ -131,7 +132,7 @@ class LeakyAbortMap final : public LongMap {
 
  protected:
   void abort_handler(int cpu) override {
-    LocalState& ls = locals_[static_cast<std::size_t>(cpu)];
+    LocalState& ls = states_[cpu];
     tcc::charge_sem_op();
     ls.clear();  // BUG: key/size/empty locks never released
   }

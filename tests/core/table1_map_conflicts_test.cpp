@@ -277,6 +277,23 @@ TEST(Table1Map, BlindPutStillDoomsReadersOfThatKey) {
   EXPECT_TRUE(r.conflicted());
 }
 
+TEST(Table1Map, SizeAfterBlindPutVsBlindPutSameKey_Conflicts) {
+  // size() resolves a blind put's presence under the key lock: the present
+  // key counts once, and a blind writer of that key, which commutes with
+  // the blind put alone, now dooms the observer.
+  Fixture f;
+  f.preload({1, 2, 3});
+  auto r = run_schedule(
+      f.eng,
+      [&] {
+        f.map.put_blind(2, 7);
+        EXPECT_EQ(f.map.size(), 3);
+      },
+      [&] { f.map.put_blind(2, 9); });
+  EXPECT_TRUE(r.conflicted());
+  EXPECT_EQ(f.map.inner().get(2), 7);
+}
+
 TEST(Table1Map, PessimisticModeDoomsReaderAtOperationTime) {
   // S5.1 ablation: with eager detection the reader dies as soon as the
   // writer executes its put, before the writer even commits.

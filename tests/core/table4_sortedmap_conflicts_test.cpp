@@ -90,6 +90,43 @@ TEST(TxSortedMap, AbortRollsBackEverything) {
   EXPECT_EQ(f.map.last_locker_count(), 0u);
 }
 
+// last_key_before merges the committed predecessor with the store buffer.
+TEST(TxSortedMap, LastKeyBeforeMergesTheBuffer) {
+  Fixture f;
+  f.preload_evens(5);  // 0 2 4 6 8
+  f.eng.spawn([&] {
+    atomos::atomically([&] {
+      EXPECT_EQ(f.map.last_key_before(7L), 6);  // committed predecessor
+      f.map.put(5, 50);
+      EXPECT_EQ(f.map.last_key_before(6L), 5);  // buffered put in the gap
+      f.map.remove(4);
+      EXPECT_EQ(f.map.last_key_before(5L), 2);  // buffered remove skipped
+      EXPECT_EQ(f.map.last_key_before(0L), std::nullopt);
+    });
+  });
+  f.eng.run();
+  EXPECT_EQ(f.map.range_lock_count(), 0u);
+}
+
+// An iterator built before its transaction overwrites a committed key ahead
+// of it reads the overwrite from the store buffer.
+TEST(TxSortedMap, IteratorReadsALaterBufferedOverwrite) {
+  Fixture f;
+  f.preload_evens(3);  // 0 2 4
+  f.eng.spawn([&] {
+    atomos::atomically([&] {
+      auto it = f.map.iterator();
+      f.map.put(2, 20);
+      std::vector<std::pair<long, long>> seen;
+      while (it->has_next()) seen.push_back(it->next());
+      EXPECT_EQ(seen, (std::vector<std::pair<long, long>>{{0, 0}, {2, 20}, {4, 4}}));
+    });
+  });
+  f.eng.run();
+  EXPECT_EQ(f.map.inner().get(2), 20);
+  EXPECT_EQ(f.map.range_lock_count(), 0u);
+}
+
 // ---- Table 4/5 conflict cells ----
 
 TEST(Table4SortedMap, RangeIterationVsPutInsideRange_Conflicts) {
@@ -235,6 +272,45 @@ TEST(Table4SortedMap, DisjointRangeIterationsCommute) {
   eng.run();
   EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
   EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+}
+
+// last_key_before(key) observes the gap [answer, key): a committed put
+// inside it dooms the observer, and a put at `key` itself does not.
+TEST(Table4SortedMap, LastKeyBeforeVsPutInsideTheGap_Conflicts) {
+  Fixture f;
+  for (long k : {0L, 10L, 20L}) f.map.put(k, k);
+  auto r = run_schedule(
+      f.eng, [&] { (void)f.map.last_key_before(15L); },
+      [&] { f.map.put(12, 1); });
+  EXPECT_TRUE(r.conflicted());
+}
+
+TEST(Table4SortedMap, LastKeyBeforeVsPutAtTheProbedKey_Commutes) {
+  Fixture f;
+  for (long k : {0L, 10L, 20L}) f.map.put(k, k);
+  auto r = run_schedule(
+      f.eng, [&] { EXPECT_EQ(f.map.last_key_before(15L), 10); },
+      [&] { f.map.put(15, 1); });
+  EXPECT_FALSE(r.conflicted());
+}
+
+// The sorted commit handler keeps the inherited empty-lock rule: a commit
+// that makes the map non-empty, or empty, dooms every is_empty observer.
+TEST(Table4SortedMap, IsEmptyVsFirstInsert_Conflicts) {
+  Fixture f;
+  auto r = run_schedule(
+      f.eng, [&] { (void)f.map.is_empty(); },
+      [&] { f.map.put(1, 1); });
+  EXPECT_TRUE(r.conflicted());
+}
+
+TEST(Table4SortedMap, IsEmptyVsRemoveOfTheOnlyKey_Conflicts) {
+  Fixture f;
+  f.map.put(1, 1);
+  auto r = run_schedule(
+      f.eng, [&] { (void)f.map.is_empty(); },
+      [&] { f.map.remove(1); });
+  EXPECT_TRUE(r.conflicted());
 }
 
 }  // namespace

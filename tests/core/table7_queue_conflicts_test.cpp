@@ -93,6 +93,41 @@ TEST(TxQueue, ReadYourOwnPuts) {
   EXPECT_EQ(f.q.inner().size(), 0);  // consumed before commit: never applied
 }
 
+TEST(TxQueue, TakeConsumesOwnPendingPut) {
+  Fixture f;
+  f.eng.spawn([&] {
+    atomos::atomically([&] {
+      f.q.put(7);
+      EXPECT_EQ(f.q.take(), 7);  // consumed from own addBuffer
+      EXPECT_EQ(f.q.take(), std::nullopt);
+    });
+  });
+  f.eng.run();
+  EXPECT_EQ(f.q.inner().size(), 0);  // consumed before commit: never applied
+}
+
+// poll, take, size and peek on a worker outside any transaction each run as
+// one top-level transaction, whose commit releases the locks they took.
+TEST(TxQueue, OpsOutsideATransactionRunAsTheirOwn) {
+  Fixture f;
+  f.preload(2);
+  f.eng.spawn([&] {
+    EXPECT_EQ(f.q.peek(), 1);
+    EXPECT_EQ(f.q.size(), 2);
+    EXPECT_EQ(f.q.poll(), 1);
+    EXPECT_EQ(f.q.take(), 2);
+    EXPECT_EQ(f.q.take(), std::nullopt);
+    EXPECT_EQ(f.q.poll(), std::nullopt);  // observes emptiness
+    EXPECT_EQ(f.q.peek(), std::nullopt);
+    EXPECT_EQ(f.q.size(), 0);
+  });
+  f.eng.run();
+  EXPECT_EQ(f.eng.stats().cpu(0).commits, 8u);
+  EXPECT_EQ(f.q.empty_locker_count(), 0u);
+  EXPECT_EQ(f.q.size_locker_count(), 0u);
+  EXPECT_EQ(f.q.inner().size(), 0);
+}
+
 // ---- Table 7 conflict matrix ----
 
 TEST(Table7Queue, PutVsTakeNeverConflict) {

@@ -235,4 +235,12 @@ TEST(CliDeathTest, IntegerFlagsOutOfRangeExitWithUsage) {
               "bad value");
 }
 
+// A timeout must be finite and at most 1e6 s: NaN would turn the timeout
+// off, and a huge value would overflow the deadline's clock conversion.
+TEST(CliDeathTest, NonFiniteOrHugeTimeoutExitsWithUsage) {
+  EXPECT_EXIT(parse_flag("--timeout", "nan"), ::testing::ExitedWithCode(2), "bad value");
+  EXPECT_EXIT(parse_flag("--timeout", "inf"), ::testing::ExitedWithCode(2), "bad value");
+  EXPECT_EXIT(parse_flag("--timeout", "1e300"), ::testing::ExitedWithCode(2), "bad value");
+}
+
 }  // namespace

@@ -305,38 +305,6 @@ TEST_F(CheckedRuntimeTest, SecondHandlerPairOfOneOwnerThrowsAndCompensatesOnce) 
   EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 
-// A compensation that unwinds (a user exception escaping its detached open
-// transaction) must not drop its siblings: every other registered
-// compensation still has to run, or its eager open-nested effect leaks.
-// Handlers run newest-first, so the first-run handler throwing used to
-// abandon both earlier-registered siblings.
-TEST_F(CheckedRuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
-  sim::Engine eng(tcc_cfg(1));
-  Runtime rt(eng);
-  int runs_a = 0, runs_b = 0, runs_c = 0;
-  bool saw_failure = false;
-  eng.spawn([&] {
-    try {
-      atomically([&] {
-        Runtime::current().on_top_abort([&] { ++runs_a; });
-        Runtime::current().on_top_abort([&] { ++runs_b; });
-        Runtime::current().on_top_abort([&] {
-          ++runs_c;
-          throw std::logic_error("compensation failed");  // runs first
-        });
-        throw std::runtime_error("force abort");
-      });
-    } catch (const std::logic_error&) {
-      saw_failure = true;  // the failure still surfaces to the caller
-    }
-  });
-  eng.run();
-  EXPECT_EQ(runs_a, 1) << "first-registered sibling compensation was dropped";
-  EXPECT_EQ(runs_b, 1) << "second-registered sibling compensation was dropped";
-  EXPECT_EQ(runs_c, 1);
-  EXPECT_TRUE(saw_failure);
-}
-
 // A compensation that throws before releasing its lock still settles its
 // owner: the compensations have run, and the lock they left is leaked.
 TEST_F(CheckedRuntimeTest, ReportsLockLeftByAThrowingCompensation) {

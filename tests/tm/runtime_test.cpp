@@ -155,27 +155,26 @@ TEST(RuntimeTest, ConflictingReaderIsViolatedAndRetries) {
 TEST(RuntimeTest, DisjointWritesDoNotConflict) {
   sim::Engine eng(tcc_cfg(2));
   Runtime rt(eng);
-  // Separate heap allocations land on distinct cache lines.
-  auto a = std::make_unique<Shared<int>>(0, sim::kDataCell);
-  auto pad = std::make_unique<std::array<char, 256>>();
-  auto b = std::make_unique<Shared<int>>(0, sim::kDataCell);
-  (void)pad;
+  // Conflicts are per virtual line.  A kMeta cell has a line of its own;
+  // two kData cells built back to back would share one.
+  Shared<int> a(0, sim::kDataCell);
+  Shared<int> b(0, sim::kMetaCell);
   eng.spawn([&] {
     atomically([&] {
-      a->set(1);
+      a.set(a.get() + 1);
       if (Runtime::current().work(1000)) return;
     });
   });
   eng.spawn([&] {
     atomically([&] {
-      b->set(2);
+      b.set(b.get() + 2);
       if (Runtime::current().work(1000)) return;
     });
   });
   eng.run();
   EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(a->unsafe_peek(), 1);
-  EXPECT_EQ(b->unsafe_peek(), 2);
+  EXPECT_EQ(a.unsafe_peek(), 1);
+  EXPECT_EQ(b.unsafe_peek(), 2);
 }
 
 TEST(RuntimeTest, AtomicityUnderContention) {
@@ -464,6 +463,67 @@ TEST(RuntimeTest, OpenChildHandlersTransferToParent) {
   });
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));  // ran at PARENT commit, in order
+}
+
+// A top commit handler runs inside its transaction's commit token, so an
+// open child it starts re-enters the token to commit its write.  The
+// child's release must hand the token back to the parent, and the parent's
+// release must free it: otherwise CPU 1's later writing commit waits for
+// the token forever and the run ends in a virtual deadlock.
+TEST(RuntimeTest, CommitHandlerOpenChildReentersTheToken) {
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<long> x(0, sim::kDataCell);
+  Shared<long> y(0, sim::kMetaCell);
+  const int owner = 0;
+  bool second_committed = false;
+  eng.spawn([&] {
+    atomically([&] {
+      Runtime::current().on_top_commit(
+          &owner, [&] { open_atomically([&] { x.set(7); }); }, no_compensation);
+    });
+  });
+  eng.spawn([&] {
+    (void)work(5000);
+    atomically([&] { y.set(1); });
+    second_committed = true;
+  });
+  eng.run();
+  EXPECT_EQ(x.unsafe_peek(), 7);
+  EXPECT_EQ(y.unsafe_peek(), 1);
+  EXPECT_TRUE(second_committed);
+}
+
+// A compensation that unwinds (a user exception escaping its detached open
+// transaction) must not drop its siblings: every other registered
+// compensation still has to run, or its eager open-nested effect leaks.
+// Handlers run newest-first, so the first-run handler throwing used to
+// abandon both earlier-registered siblings.
+TEST(RuntimeTest, ThrowingCompensationDoesNotDropSiblings) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  int runs_a = 0, runs_b = 0, runs_c = 0;
+  bool saw_failure = false;
+  eng.spawn([&] {
+    try {
+      atomically([&] {
+        Runtime::current().on_top_abort([&] { ++runs_a; });
+        Runtime::current().on_top_abort([&] { ++runs_b; });
+        Runtime::current().on_top_abort([&] {
+          ++runs_c;
+          throw std::logic_error("compensation failed");  // runs first
+        });
+        throw std::runtime_error("force abort");
+      });
+    } catch (const std::logic_error&) {
+      saw_failure = true;  // the failure still surfaces to the caller
+    }
+  });
+  eng.run();
+  EXPECT_EQ(runs_a, 1) << "first-registered sibling compensation was dropped";
+  EXPECT_EQ(runs_b, 1) << "second-registered sibling compensation was dropped";
+  EXPECT_EQ(runs_c, 1);
+  EXPECT_TRUE(saw_failure);
 }
 
 TEST(RuntimeTest, ProgramDirectedAbort) {
