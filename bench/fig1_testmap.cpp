@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace bench;
   const harness::Cli cli = harness::Cli::parse(argc, argv, "fig1_testmap");
   TestMapParams p;
-  if (cli.ops > 0) p.total_ops = static_cast<int>(cli.ops);
+  if (cli.ops > 0) p.total_ops = cli.ops;
 
   auto make_hash = [&p] {
     return std::make_unique<jstd::HashMap<long, long>>(

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace bench;
   const harness::Cli cli = harness::Cli::parse(argc, argv, "fig2_testsortedmap");
   TestMapParams p = testsortedmap_params();
-  if (cli.ops > 0) p.total_ops = static_cast<int>(cli.ops);
+  if (cli.ops > 0) p.total_ops = cli.ops;
 
   auto make_tree = [] { return std::make_unique<jstd::TreeMap<long, long>>(); };
   auto make_wrapped = [make_tree]() -> std::unique_ptr<jstd::SortedMap<long, long>> {

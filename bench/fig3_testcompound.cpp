@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const harness::Cli cli = harness::Cli::parse(argc, argv, "fig3_testcompound");
   TestMapParams p;
   p.total_ops = 3200;
-  if (cli.ops > 0) p.total_ops = static_cast<int>(cli.ops);
+  if (cli.ops > 0) p.total_ops = cli.ops;
 
   auto make_hash = [&p] {
     return std::make_unique<jstd::HashMap<long, long>>(

@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   const harness::Cli cli =
       harness::Cli::parse(argc, argv, "fig5_srv", /*default_timeout_sec=*/1800.0);
-  const int requests = cli.ops > 0 ? static_cast<int>(cli.ops) : 1200;
+  const int requests = cli.ops > 0 ? cli.ops : 1200;
 
   const std::vector<double> loads = {0.15, 0.3, 0.6, 0.9, 1.2};
   std::vector<harness::Series> series;

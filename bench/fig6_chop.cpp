@@ -24,11 +24,9 @@
 //   ./fig6_chop --only Chopped    # the two chopped series
 //   ./fig6_chop --jobs 8          # byte-identical CSV, 8 host threads
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench/testmap_common.h"
 #include "harness/driver.h"
 #include "harness/latency.h"
 #include "jbb/engine.h"
@@ -53,54 +51,24 @@ void common_extras(harness::RunResult& out, double tput,
   };
 }
 
-/// High-contention single-warehouse engine (fewer districts than CPUs), with
-/// a per-operation service-latency histogram.
+/// High-contention single-warehouse engine (fewer districts than CPUs); the
+/// latency columns are per-operation service latency.
 harness::Series jbb_series(const std::string& name, jbb::Flavor flavor, int total_ops) {
-  const sim::Mode mode = flavor == jbb::Flavor::kJava ? sim::Mode::kLock : sim::Mode::kTcc;
+  jbb::JbbConfig jc;
+  jc.flavor = flavor;
+  jc.districts = 4;  // fewer districts than CPUs: guaranteed contention
+  jc.items = 256;
+  jc.customers_per_district = 16;
+  jc.think_cycles = 800;
   return harness::Series{
-      name, mode,
-      [name, flavor, mode, total_ops](int cpus, std::uint64_t salt, harness::RunResult& out) {
-        jbb::JbbConfig jc;
-        jc.flavor = flavor;
-        jc.districts = 4;  // fewer districts than CPUs: guaranteed contention
-        jc.items = 256;
-        jc.customers_per_district = 16;
-        jc.think_cycles = 800;
-        sim::Engine eng(bench::make_cfg(mode, cpus));
-        atomos::Runtime rt(eng);
-        jbb::Engine engine(jc);
-        const int per_cpu = total_ops / cpus;
-        std::vector<jbb::OpCounts> counts(static_cast<std::size_t>(cpus));
-        std::vector<harness::LatencyHistogram> lat(static_cast<std::size_t>(cpus));
-        for (int c = 0; c < cpus; ++c) {
-          eng.spawn([&, c, salt] {
-            std::uint64_t rng = 4242 + salt + static_cast<std::uint64_t>(c) * 6151;
-            for (int i = 0; i < per_cpu; ++i) {
-              const int d = static_cast<int>((rng >> 40) %
-                                             static_cast<std::uint64_t>(jc.districts));
-              const std::uint64_t start = eng.now();
-              engine.run_mixed_op(d, rng, counts[static_cast<std::size_t>(c)]);
-              lat[static_cast<std::size_t>(c)].record(eng.now() - start);
-            }
-          });
-        }
-        eng.run();
-        std::string why;
-        if (!engine.check_consistency(&why)) {  // poisons the point: the sweep exits 1
-          throw std::runtime_error("jbb consistency failure [" + name +
-                                   " cpus=" + std::to_string(cpus) + "]: " + why);
-        }
-        bench::collect_stats(eng, out);
-        harness::LatencyHistogram merged;
-        for (const auto& h : lat) merged += h;
-        const double tput = out.cycles == 0
-                                ? 0.0
-                                : 1e6 * static_cast<double>(per_cpu) *
-                                      static_cast<double>(cpus) /
-                                      static_cast<double>(out.cycles);
-        common_extras(out, tput, merged,
-                      static_cast<std::uint64_t>(cpus) * out.cycles,
-                      rt.chop_stats().pieces, rt.chop_stats().dep_breaks);
+      name, jbb::mode_of(flavor),
+      [name, jc, total_ops](int cpus, std::uint64_t salt, harness::RunResult& out) {
+        const jbb::PointReport rep = jbb::run_point(name, jc, cpus, salt, total_ops, out);
+        const double tput = out.cycles == 0 ? 0.0
+                                            : 1e6 * static_cast<double>(rep.ops) /
+                                                  static_cast<double>(out.cycles);
+        common_extras(out, tput, rep.latency, static_cast<std::uint64_t>(cpus) * out.cycles,
+                      rep.chop_pieces, rep.chop_dep_breaks);
       }};
 }
 
@@ -132,8 +100,8 @@ harness::Series srv_series(const std::string& name, srv::Flavor f, int requests)
 int main(int argc, char** argv) {
   const harness::Cli cli =
       harness::Cli::parse(argc, argv, "fig6_chop", /*default_timeout_sec=*/1800.0);
-  const int jbb_ops = cli.ops > 0 ? static_cast<int>(cli.ops) : 1600;
-  const int srv_reqs = cli.ops > 0 ? static_cast<int>(cli.ops) : 900;
+  const int jbb_ops = cli.ops > 0 ? cli.ops : 1600;
+  const int srv_reqs = cli.ops > 0 ? cli.ops : 900;
 
   std::vector<harness::Series> series;
   series.push_back(jbb_series("jbb Flat", jbb::Flavor::kAtomosBaseline, jbb_ops));

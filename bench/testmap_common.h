@@ -92,15 +92,7 @@ inline TestMapParams testsortedmap_params() {
   return p;
 }
 
-/// Fills in the stats fields of a RunResult from a finished simulation.
-inline void collect_stats(sim::Engine& eng, harness::RunResult& out) {
-  const sim::CpuStats s = eng.stats().summed();
-  out.cycles = eng.elapsed_cycles();
-  out.violations = s.violations;
-  out.semantic = s.semantic_violations;
-  out.lost_cycles = s.lost_cycles;
-  out.commits = s.commits;
-}
+using harness::collect_stats;
 
 inline sim::Config make_cfg(sim::Mode mode, int cpus) {
   sim::Config c;

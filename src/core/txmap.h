@@ -146,11 +146,9 @@ class TransactionalMap : public Iface {
     enum Kind { kPut, kRemove } kind = kPut;
     V value{};
     std::optional<bool> present_before;  // nullopt until observed (blind ops)
-    bool touched = false;
 
     /// Buffers a put of `*v`, or a remove when `v` is null.
     void buffer(const V* v) {
-      touched = true;
       kind = v != nullptr ? kPut : kRemove;
       if (v != nullptr) value = *v;
     }
@@ -204,7 +202,7 @@ class TransactionalMap : public Iface {
   /// Buffered value for `key`, if this transaction already wrote it.
   std::optional<std::optional<V>> buffered_lookup(LocalState& ls, const K& key) const {
     auto it = ls.store.find(key);
-    if (it == ls.store.end() || !it->second.touched) return std::nullopt;
+    if (it == ls.store.end()) return std::nullopt;
     if (it->second.kind == Entry::kPut) return std::optional<V>(it->second.value);
     return std::optional<V>(std::nullopt);  // buffered remove
   }
@@ -224,9 +222,9 @@ class TransactionalMap : public Iface {
   /// the key lock, and buffers the write.
   std::optional<V> buffered_write(LocalState& ls, const K& key, const V* value) const {
     std::optional<V> old = observed_value(ls, key);
-    Entry& e = ls.store[key];
-    if (!e.touched) e.present_before = old.has_value();  // committed-map fact
-    e.buffer(value);
+    auto [it, inserted] = ls.store.try_emplace(key);
+    if (inserted) it->second.present_before = old.has_value();  // committed-map fact
+    it->second.buffer(value);
     if (detection_ == Detection::kPessimistic) eager_detect(ls, key);
     return old;
   }
@@ -291,7 +289,6 @@ class TransactionalMap : public Iface {
     charge_sem_op(1 + ls.store.size());
     long applied_delta = 0;
     for (auto& [key, e] : ls.store) {
-      if (!e.touched) continue;
       // Semantic conflict: every other reader of this key is doomed.
       key_lockers_.violate_holders(key, ls.id);
       if (e.kind == Entry::kPut) {
@@ -337,7 +334,7 @@ class TransactionalMap : public Iface {
         for (auto it = m_->inner_->iterator(); it->has_next();) snapshot_.push_back(it->next());
       });
       for (const auto& [key, e] : ls_->store) {
-        if (!e.touched || e.kind != Entry::kPut) continue;
+        if (e.kind != Entry::kPut) continue;
         bool in_snapshot = false;
         for (const auto& [sk, sv] : snapshot_) {
           if (Eq{}(sk, key)) {

@@ -97,7 +97,7 @@ class TransactionalSortedMap final
         }
         std::optional<K> best = committed;
         for (const auto& [k, e] : ls.store) {
-          if (!e.touched || e.kind != Entry::kPut) continue;
+          if (e.kind != Entry::kPut) continue;
           if (cmp_(k, key) && (!best.has_value() || cmp_(*best, k))) best = k;
         }
         range_lockers_.lock(best, key, ls.id, /*to_closed=*/false);
@@ -132,7 +132,6 @@ class TransactionalSortedMap final
     const std::optional<K> old_last = sorted_inner().last_key();
     long applied_delta = 0;
     for (auto& [key, e] : ls.store) {
-      if (!e.touched) continue;
       this->key_lockers_.violate_holders(key, ls.id);
       range_lockers_.violate_containing(key, ls.id);
       if (e.kind == Entry::kPut) {
@@ -173,7 +172,7 @@ class TransactionalSortedMap final
 
   bool buffered_removed(LocalState& ls, const K& key) const {
     auto it = ls.store.find(key);
-    return it != ls.store.end() && it->second.touched && it->second.kind == Entry::kRemove;
+    return it != ls.store.end() && it->second.kind == Entry::kRemove;
   }
 
   std::optional<K> merged_first(LocalState& ls) const {
@@ -191,7 +190,7 @@ class TransactionalSortedMap final
     }
     std::optional<K> best = committed;
     for (const auto& [k, e] : ls.store) {
-      if (!e.touched || e.kind != Entry::kPut) continue;
+      if (e.kind != Entry::kPut) continue;
       if (!best.has_value() || cmp_(k, *best)) best = k;
     }
     return best;
@@ -204,7 +203,7 @@ class TransactionalSortedMap final
     }
     std::optional<K> best = committed;
     for (const auto& [k, e] : ls.store) {
-      if (!e.touched || e.kind != Entry::kPut) continue;
+      if (e.kind != Entry::kPut) continue;
       if (!best.has_value() || cmp_(*best, k)) best = k;
     }
     return best;
@@ -236,7 +235,7 @@ class TransactionalSortedMap final
       // Sorted view of buffered puts within the range (Table 6's
       // sortedStoreBuffer).
       for (const auto& [k, e] : ls_->store) {
-        if (!e.touched || e.kind != Entry::kPut) continue;
+        if (e.kind != Entry::kPut) continue;
         if (from_.has_value() && m_->cmp_(k, *from_)) continue;
         if (to_.has_value() && !m_->cmp_(k, *to_)) continue;
         buffered_.emplace_back(k, e.value);

@@ -500,7 +500,7 @@ Cli Cli::parse(int argc, char** argv, const char* bench, double default_timeout_
       cli.opts.trials =
           static_cast<int>(parse_long(bench, "--trials", value("--trials"), 1, INT_MAX));
     } else if (a == "--ops") {
-      cli.ops = parse_long(bench, "--ops", value("--ops"), 1);
+      cli.ops = static_cast<int>(parse_long(bench, "--ops", value("--ops"), 1, INT_MAX));
     } else if (a == "--csv") {
       cli.opts.csv_path = value("--csv");
     } else if (a == "--only") {

@@ -96,7 +96,7 @@ FigureResult run_figure_driver(const std::string& figure_title,
 
 struct Cli {
   DriverOptions opts;  ///< --jobs / --trials / --timeout / --only / --csv
-  long ops = -1;       ///< --ops override; -1 = the bench's default
+  int ops = -1;        ///< --ops override; -1 = the bench's default
 
   /// Parses argv.  `--help` prints usage for `bench` and exits 0; an
   /// unknown flag or bad value prints usage and exits 2.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/engine.h"
 #include "sim/stats.h"
 
 namespace harness {
@@ -50,6 +51,17 @@ struct Series {
   /// reproduce the canonical unperturbed run bit-for-bit.
   std::function<void(int cpus, std::uint64_t seed_salt, RunResult& out)> run;
 };
+
+/// Fills the stats fields of `out` (cycles, violations, semantic, lost
+/// cycles, commits) from a finished simulation.
+inline void collect_stats(sim::Engine& eng, RunResult& out) {
+  const sim::CpuStats s = eng.stats().summed();
+  out.cycles = eng.elapsed_cycles();
+  out.violations = s.violations;
+  out.semantic = s.semantic_violations;
+  out.lost_cycles = s.lost_cycles;
+  out.commits = s.commits;
+}
 
 // ---- machine-readable (JSON) benchmark output ----
 

@@ -7,57 +7,32 @@
 namespace jbb {
 namespace {
 
-/// Locks in the Java flavour; no-op under transactional execution (the
-/// enclosing transaction provides atomicity).
-class Guard {
- public:
-  Guard(atomos::Mutex& m, Flavor f) : m_(m), use_(f == Flavor::kJava) {
-    if (use_) m_.lock();
-  }
-  ~Guard() {
-    if (use_) m_.unlock();
-  }
-  Guard(const Guard&) = delete;
-  Guard& operator=(const Guard&) = delete;
-
- private:
-  atomos::Mutex& m_;
-  bool use_;
-};
+// The semantic-collection flavours wrap the order, new-order and history
+// tables.
+bool wraps_tables(Flavor f) {
+  return f == Flavor::kAtomosTransactional || f == Flavor::kAtomosChopped;
+}
 
 // The table factories name each instance's contended fields and semantic
 // lock tables so TAPE profiles and txtrace conflict reports attribute fig4
 // conflicts to named SPECjbb internals rather than generic class labels.
-std::unique_ptr<jstd::SortedMap<long, Order*>> make_order_table(Flavor f) {
-  auto inner = std::make_unique<jstd::TreeMap<long, Order*>>(
-      std::less<long>(), "orderTable.size", "orderTable.root");
-  if (f == Flavor::kAtomosTransactional || f == Flavor::kAtomosChopped) {
-    return std::make_unique<tcc::TransactionalSortedMap<long, Order*>>(
-        std::move(inner), tcc::Detection::kOptimistic, std::less<long>(),
-        "orderTable");
-  }
-  return inner;
-}
-
-std::unique_ptr<jstd::SortedMap<long, long>> make_new_order_table(Flavor f) {
-  auto inner = std::make_unique<jstd::TreeMap<long, long>>(
-      std::less<long>(), "newOrderTable.size", "newOrderTable.root");
-  if (f == Flavor::kAtomosTransactional || f == Flavor::kAtomosChopped) {
-    return std::make_unique<tcc::TransactionalSortedMap<long, long>>(
-        std::move(inner), tcc::Detection::kOptimistic, std::less<long>(),
-        "newOrderTable");
-  }
-  return inner;
+template <class V>
+std::unique_ptr<jstd::SortedMap<long, V>> make_sorted_table(Flavor f, const char* name,
+                                                            const char* size_label,
+                                                            const char* root_label) {
+  auto inner = std::make_unique<jstd::TreeMap<long, V>>(std::less<long>(), size_label,
+                                                        root_label);
+  if (!wraps_tables(f)) return inner;
+  return std::make_unique<tcc::TransactionalSortedMap<long, V>>(
+      std::move(inner), tcc::Detection::kOptimistic, std::less<long>(), name);
 }
 
 std::unique_ptr<jstd::Map<long, History*>> make_history_table(Flavor f) {
   auto inner = std::make_unique<jstd::HashMap<long, History*>>(
       4096, "historyTable.size", "historyTable.table");
-  if (f == Flavor::kAtomosTransactional || f == Flavor::kAtomosChopped) {
-    return std::make_unique<tcc::TransactionalMap<long, History*>>(
-        std::move(inner), tcc::Detection::kOptimistic, "historyTable");
-  }
-  return inner;
+  if (!wraps_tables(f)) return inner;
+  return std::make_unique<tcc::TransactionalMap<long, History*>>(
+      std::move(inner), tcc::Detection::kOptimistic, "historyTable");
 }
 
 }  // namespace
@@ -74,8 +49,11 @@ Engine::Engine(const JbbConfig& cfg) : cfg_(cfg) {
     wh_->stock.push_back(std::make_unique<Stock>(10000));
   }
   for (int d = 0; d < cfg.districts; ++d) {
-    auto dist = std::make_unique<District>(d, cfg.flavor, make_order_table(cfg.flavor),
-                                           make_new_order_table(cfg.flavor));
+    auto dist = std::make_unique<District>(
+        d, cfg.flavor,
+        make_sorted_table<Order*>(cfg.flavor, "orderTable", "orderTable.size", "orderTable.root"),
+        make_sorted_table<long>(cfg.flavor, "newOrderTable", "newOrderTable.size",
+                                "newOrderTable.root"));
     for (int c = 0; c < cfg.customers_per_district; ++c) {
       dist->customers.push_back(std::make_unique<Customer>(c, d));
     }
@@ -112,6 +90,28 @@ void Engine::in_txn_or_plain(F&& body) {
   }
 }
 
+template <class First, class Undo, class Second>
+void Engine::run_sections(const char* first_name, First&& first, Undo&& undo,
+                          const char* second_name, Second&& second) {
+  if (chops()) {
+    atomos::chopped()
+        .piece(first_name, [&] { (void)first(); }, std::forward<Undo>(undo))
+        .piece(second_name, [&] { (void)second(); },
+               atomos::no_compensation)  // final piece: nothing commits after it
+        .run();
+    return;
+  }
+  in_txn_or_plain([&] {
+    if (!first()) (void)second();
+  });
+}
+
+// Chopped, NewOrder's district section and stock walk commit as separate
+// ordered pieces (tm/chop.h), so a concurrent operation that conflicts only
+// with the stock walk no longer violates the district work (and vice
+// versa).  The district piece's compensation removes the order again; it
+// runs only if the stock piece throws, but the contract (tm/chop.h) wants
+// mutating non-final pieces to be undoable.
 void Engine::new_order(int dnum, std::uint64_t& rng) {
   District& d = district(dnum);
   const auto cidx = rnd(rng) % d.customers.size();
@@ -123,149 +123,91 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
     picks.emplace_back(static_cast<long>(rnd(rng) % items_.size()),
                        1 + static_cast<long>(rnd(rng) % 5));
   }
-  if (cfg_.flavor == Flavor::kAtomosChopped && atomos::Runtime::active()) {
-    // Chopped: the district phase and the stock walk commit as separate
-    // ordered pieces (tm/chop.h), so a concurrent operation that
-    // conflicts only with the stock walk no longer violates the district
-    // work (and vice versa).  The district piece registers a compensation
-    // that removes the order again; it runs only if the stock piece throws,
-    // but the contract (tm/chop.h) wants mutating non-final pieces to be
-    // undoable.
-    Customer* cust = d.customers[cidx].get();
-    long oid = 0;
-    long total = 0;
-    long prev_last = 0;
-    atomos::chopped()
-        .piece("district",
-               [&] {
-                 wh_->txn_count.add(1);
-                 std::vector<OrderLine> lines;
-                 total = 0;
-                 lines.reserve(picks.size());
-                 for (const auto& [item, qty] : picks) {
-                   const long amount = qty * items_[static_cast<std::size_t>(item)].price;
-                   lines.push_back(OrderLine{item, qty, amount});
-                   total += amount;
-                 }
-                 oid = d.next_order.next();
-                 Order* o = atomos::tx_new<Order>(oid, cust->id, std::move(lines));
-                 if (think(cfg_.think_cycles)) return;
-                 d.order_table->put(oid, o);
-                 d.new_order_table->put(oid, oid);
-                 prev_last = cust->last_order.get();
-                 cust->last_order.set(oid);
-                 d.ytd.add(total);
-               },
-               /*compensate=*/
-               [&] {
-                 d.new_order_table->remove(oid);
-                 d.order_table->remove(oid);
-                 cust->last_order.set(prev_last);
-                 d.ytd.add(-total);
-               })
-        .piece("stock",
-               [&] {
-                 for (const auto& [item, qty] : picks) {
-                   Stock& st = *wh_->stock[static_cast<std::size_t>(item)];
-                   st.quantity.set(st.quantity.get() - qty);
-                   st.ytd.set(st.ytd.get() + qty);
-                 }
-                 if (think(cfg_.think_cycles)) return;
-               },
-               atomos::no_compensation)  // final piece: nothing commits after it
-        .run();
-    return;
-  }
-  in_txn_or_plain([&] {
-    wh_->txn_count.add(1);  // SPECjbb per-warehouse transaction statistic
-    Customer* cust = d.customers[cidx].get();
-    std::vector<OrderLine> lines;
-    long total = 0;
-    lines.reserve(picks.size());
-    for (const auto& [item, qty] : picks) {
-      const long amount = qty * items_[static_cast<std::size_t>(item)].price;
-      lines.push_back(OrderLine{item, qty, amount});
-      total += amount;
-    }
-    const long oid = d.next_order.next();
-    Order* o = atomos::tx_new<Order>(oid, cust->id, std::move(lines));
-    {
-      // SPECjbb-style coarse synchronized region: the district-data phase,
-      // business logic included, under one lock.
-      Guard g(d.mu, cfg_.flavor);
-      if (think(cfg_.think_cycles)) return;
-      d.order_table->put(oid, o);
-      d.new_order_table->put(oid, oid);
-      cust->last_order.set(oid);
-      d.ytd.add(total);
-    }
-    for (const auto& [item, qty] : picks) {
-      Stock& st = *wh_->stock[static_cast<std::size_t>(item)];
-      Guard g(st.mu, cfg_.flavor);  // Java: synchronized(stock), per item
-      st.quantity.set(st.quantity.get() - qty);
-      st.ytd.set(st.ytd.get() + qty);
-    }
-    if (think(cfg_.think_cycles)) return;
-  });
+  Customer* cust = d.customers[cidx].get();
+  long oid = 0;
+  long total = 0;
+  long prev_last = 0;  // the customer's last order before this one
+  run_sections(
+      "district",
+      [&] {
+        wh_->txn_count.add(1);  // SPECjbb per-warehouse transaction statistic
+        std::vector<OrderLine> lines;
+        total = 0;
+        lines.reserve(picks.size());
+        for (const auto& [item, qty] : picks) {
+          const long amount = qty * items_[static_cast<std::size_t>(item)].price;
+          lines.push_back(OrderLine{item, qty, amount});
+          total += amount;
+        }
+        oid = d.next_order.next();
+        Order* o = atomos::tx_new<Order>(oid, cust->id, std::move(lines));
+        // SPECjbb-style coarse synchronized region: the district-data phase,
+        // business logic included, under one lock.
+        atomos::LockModeGuard g(d.mu);
+        if (think(cfg_.think_cycles)) return true;
+        d.order_table->put(oid, o);
+        d.new_order_table->put(oid, oid);
+        if (chops()) prev_last = cust->last_order.get();  // the undo's input
+        cust->last_order.set(oid);
+        d.ytd.add(total);
+        return false;
+      },
+      /*undo=*/
+      [&] {
+        d.new_order_table->remove(oid);
+        d.order_table->remove(oid);
+        cust->last_order.set(prev_last);
+        d.ytd.add(-total);
+      },
+      "stock",
+      [&] {
+        for (const auto& [item, qty] : picks) {
+          Stock& st = *wh_->stock[static_cast<std::size_t>(item)];
+          atomos::LockModeGuard g(st.mu);  // Java: synchronized(stock), per item
+          st.quantity.set(st.quantity.get() - qty);
+          st.ytd.set(st.ytd.get() + qty);
+        }
+        return think(cfg_.think_cycles);
+      });
 }
 
+// Chopped, Payment's warehouse-wide section (audit record + warehouse YTD)
+// and its district section commit separately: Payments against different
+// districts only ever contend for one short warehouse piece.
 void Engine::payment(int dnum, std::uint64_t& rng) {
   District& d = district(dnum);
   const auto cidx = rnd(rng) % d.customers.size();
   const long amount = 100 + static_cast<long>(rnd(rng) % 5000);
-  if (cfg_.flavor == Flavor::kAtomosChopped && atomos::Runtime::active()) {
-    // Chopped: the warehouse-wide section (audit record + warehouse YTD)
-    // and the district section commit separately — Payments against
-    // different districts only ever contend for one short warehouse piece.
-    Customer* cust = d.customers[cidx].get();
-    long hid = 0;
-    atomos::chopped()
-        .piece("warehouse",
-               [&] {
-                 wh_->txn_count.add(1);
-                 wh_->ytd.add(amount);
-                 hid = wh_->next_history.next();
-                 History* h = atomos::tx_new<History>(History{cust->id, d.id, amount});
-                 wh_->history_table->put(hid, h);
-               },
-               /*compensate=*/
-               [&] {
-                 wh_->history_table->remove(hid);
-                 wh_->ytd.add(-amount);
-               })
-        .piece("district",
-               [&] {
-                 if (think(cfg_.think_cycles)) return;
-                 d.ytd.add(amount);
-                 cust->balance.set(cust->balance.get() - amount);
-                 cust->ytd_payment.set(cust->ytd_payment.get() + amount);
-                 if (think(cfg_.think_cycles)) return;
-               },
-               atomos::no_compensation)  // final piece: nothing commits after it
-        .run();
-    return;
-  }
-  in_txn_or_plain([&] {
-    wh_->txn_count.add(1);
-    Customer* cust = d.customers[cidx].get();
-    long hid;
-    {
-      // Warehouse-wide section: kept short (id + audit record + YTD).
-      Guard g(wh_->mu, cfg_.flavor);
-      wh_->ytd.add(amount);
-      hid = wh_->next_history.next();
-      History* h = atomos::tx_new<History>(History{cust->id, d.id, amount});
-      wh_->history_table->put(hid, h);
-    }
-    {
-      Guard g(d.mu, cfg_.flavor);
-      if (think(cfg_.think_cycles)) return;
-      d.ytd.add(amount);
-      cust->balance.set(cust->balance.get() - amount);
-      cust->ytd_payment.set(cust->ytd_payment.get() + amount);
-    }
-    if (think(cfg_.think_cycles)) return;
-  });
+  Customer* cust = d.customers[cidx].get();
+  long hid = 0;
+  run_sections(
+      "warehouse",
+      [&] {
+        wh_->txn_count.add(1);
+        // Kept short: id + audit record + YTD.
+        atomos::LockModeGuard g(wh_->mu);
+        wh_->ytd.add(amount);
+        hid = wh_->next_history.next();
+        History* h = atomos::tx_new<History>(History{cust->id, d.id, amount});
+        wh_->history_table->put(hid, h);
+        return false;
+      },
+      /*undo=*/
+      [&] {
+        wh_->history_table->remove(hid);
+        wh_->ytd.add(-amount);
+      },
+      "district",
+      [&] {
+        {
+          atomos::LockModeGuard g(d.mu);
+          if (think(cfg_.think_cycles)) return true;
+          d.ytd.add(amount);
+          cust->balance.set(cust->balance.get() - amount);
+          cust->ytd_payment.set(cust->ytd_payment.get() + amount);
+        }
+        return think(cfg_.think_cycles);
+      });
 }
 
 void Engine::order_status(int dnum, std::uint64_t& rng) {
@@ -274,7 +216,7 @@ void Engine::order_status(int dnum, std::uint64_t& rng) {
   in_txn_or_plain([&] {
     wh_->txn_count.add(1);
     Customer* cust = d.customers[cidx].get();
-    Guard g(d.mu, cfg_.flavor);
+    atomos::LockModeGuard g(d.mu);
     if (think(cfg_.think_cycles)) return;
     const long oid = cust->last_order.get();
     if (oid != 0) {
@@ -292,7 +234,7 @@ void Engine::delivery(int dnum, std::uint64_t& rng) {
   const long carrier = 1 + static_cast<long>(rnd(rng) % 10);
   in_txn_or_plain([&] {
     wh_->txn_count.add(1);
-    Guard g(d.mu, cfg_.flavor);
+    atomos::LockModeGuard g(d.mu);
     if (think(cfg_.think_cycles)) return;
     const auto first = d.new_order_table->first_key();
     if (!first.has_value()) return;
@@ -312,7 +254,7 @@ void Engine::stock_level(int dnum, std::uint64_t& rng) {
     wh_->txn_count.add(1);
     std::vector<long> item_ids;
     {
-      Guard g(d.mu, cfg_.flavor);
+      atomos::LockModeGuard g(d.mu);
       if (think(cfg_.think_cycles)) return;
       // Window of the ~10 most recent orders.  Derive the bound from the
       // order-id counter rather than lastKey(): observing the last key
@@ -329,7 +271,7 @@ void Engine::stock_level(int dnum, std::uint64_t& rng) {
     long low = 0;
     for (long item : item_ids) {
       Stock& st = *wh_->stock[static_cast<std::size_t>(item)];
-      Guard g(st.mu, cfg_.flavor);
+      atomos::LockModeGuard g(st.mu);
       if (st.quantity.get() < threshold) ++low;
     }
     (void)low;
@@ -409,6 +351,61 @@ bool Engine::check_consistency(std::string* why) const {
       hist != hnext - 1)
     return fail("history id holes in a fully-isolated flavour");
   return true;
+}
+
+JbbConfig fig4_config(Flavor f) {
+  JbbConfig jc;
+  jc.flavor = f;
+  jc.districts = 10;
+  jc.items = 2000;
+  jc.customers_per_district = 60;
+  jc.think_cycles = 1200;
+  return jc;
+}
+
+PointReport run_point(const std::string& name, const JbbConfig& jc, int cpus,
+                      std::uint64_t salt, int total_ops, harness::RunResult& out) {
+  sim::Config c;
+  c.mode = mode_of(jc.flavor);
+  c.num_cpus = cpus;
+  sim::Engine eng(c);
+  atomos::Runtime rt(eng);
+  Engine engine(jc);
+  const int per_cpu = total_ops / cpus;
+  std::vector<OpCounts> counts(static_cast<std::size_t>(cpus));
+  PointReport rep;
+  for (int cpu = 0; cpu < cpus; ++cpu) {
+    eng.spawn([&, cpu] {
+      std::uint64_t rng = 4242 + salt + static_cast<std::uint64_t>(cpu) * 6151;
+      for (int i = 0; i < per_cpu; ++i) {
+        const int d =
+            static_cast<int>((rng >> 40) % static_cast<std::uint64_t>(jc.districts));
+        const std::uint64_t start = eng.now();
+        engine.run_mixed_op(d, rng, counts[static_cast<std::size_t>(cpu)]);
+        rep.latency.record(eng.now() - start);
+      }
+    });
+  }
+  eng.run();
+  std::string why;
+  if (!engine.check_consistency(&why)) {
+    throw std::runtime_error("jbb consistency failure [" + name +
+                             " cpus=" + std::to_string(cpus) + "]: " + why);
+  }
+  harness::collect_stats(eng, out);
+  for (const OpCounts& oc : counts) rep.ops += oc.total();
+  rep.txn_count = engine.warehouse().txn_count.unsafe_peek();
+  rep.chop_pieces = rt.chop_stats().pieces;
+  rep.chop_dep_breaks = rt.chop_stats().dep_breaks;
+  return rep;
+}
+
+harness::Series series(const std::string& name, const JbbConfig& jc, int total_ops) {
+  return harness::Series{
+      name, mode_of(jc.flavor),
+      [name, jc, total_ops](int cpus, std::uint64_t salt, harness::RunResult& out) {
+        (void)run_point(name, jc, cpus, salt, total_ops, out);
+      }};
 }
 
 }  // namespace jbb

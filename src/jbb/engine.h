@@ -27,11 +27,14 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/open_counter.h"
 #include "core/txmap.h"
 #include "core/txsortedmap.h"
+#include "harness/latency.h"
+#include "harness/speedup.h"
 #include "jbb/model.h"
 #include "jstd/hashmap.h"
 #include "jstd/treemap.h"
@@ -55,6 +58,11 @@ inline bool uses_open_nesting(Flavor f) {
          f == Flavor::kAtomosChopped;
 }
 
+/// The simulator mode a flavour runs in: lock mode for kJava.
+inline sim::Mode mode_of(Flavor f) {
+  return f == Flavor::kJava ? sim::Mode::kLock : sim::Mode::kTcc;
+}
+
 struct JbbConfig {
   Flavor flavor = Flavor::kAtomosTransactional;
   int districts = 10;
@@ -66,40 +74,26 @@ struct JbbConfig {
 /// New orders each district is seeded with before the run.
 inline constexpr int kInitialOrdersPerDistrict = 5;
 
-/// A unique-id source whose implementation varies by flavour.
+/// A unique-id source whose implementation varies by flavour.  Both cells
+/// exist in every flavour, so every flavour builds the same virtual layout.
 class Sequence {
  public:
   // plain_ shares the counter arena with uid_'s cell: the Baseline flavour's
   // pathology must be the *semantic* parent-level RMW on the counter, never
   // accidental co-residency with unrelated cells.
-  explicit Sequence(long first, const char* name)
-      : flavor_(Flavor::kJava), uid_(first, name), plain_(first, sim::kCounterCell, name) {}
-
-  void set_flavor(Flavor f) { flavor_ = f; }
+  Sequence(long first, const char* name, Flavor f)
+      : open_(uses_open_nesting(f)), uid_(first, name), plain_(first, sim::kCounterCell, name) {}
 
   long next() {
-    switch (flavor_) {
-      case Flavor::kJava: {
-        // Short mutex hold around the increment (lock mode).
-        atomos::LockGuard g(mu_);
-        const long id = plain_.get();
-        plain_.set(id + 1);
-        return id;
-      }
-      case Flavor::kAtomosBaseline: {
-        // Read-modify-write inside the enclosing coarse transaction: the
-        // counter line joins the parent's read/write set (the Figure 4
-        // "Baseline" pathology).
-        const long id = plain_.get();
-        plain_.set(id + 1);
-        return id;
-      }
-      case Flavor::kAtomosOpen:
-      case Flavor::kAtomosTransactional:
-      case Flavor::kAtomosChopped:
-        return uid_.next();  // open-nested: no parent dependency
-    }
-    throw std::logic_error("unreachable");
+    if (open_) return uid_.next();  // open-nested: no parent dependency
+    // Java: a short mutex hold around the increment.  Baseline: a
+    // read-modify-write inside the enclosing coarse transaction, so the
+    // counter line joins the parent's read/write set (the Figure 4
+    // "Baseline" pathology).
+    atomos::LockModeGuard g(mu_);
+    const long id = plain_.get();
+    plain_.set(id + 1);
+    return id;
   }
 
   /// Reads the counter's current value without reserving an id.  In the
@@ -107,30 +101,18 @@ class Sequence {
   /// slightly stale bound); in the others it reads within the enclosing
   /// synchronization as usual.
   long current() {
-    switch (flavor_) {
-      case Flavor::kJava: {
-        atomos::LockGuard g(mu_);
-        return plain_.get();
-      }
-      case Flavor::kAtomosBaseline:
-        return plain_.get();
-      case Flavor::kAtomosOpen:
-      case Flavor::kAtomosTransactional:
-      case Flavor::kAtomosChopped:
-        // Documented stale read: callers accept an unsynchronized bound, so
-        // no semantic lock (and no read-set entry) is taken on purpose.
-        return atomos::open_atomically([&] { return uid_.stale_next(); });
-    }
-    throw std::logic_error("unreachable");
+    // Documented stale read: callers accept an unsynchronized bound, so no
+    // semantic lock (and no read-set entry) is taken on purpose.
+    if (open_) return atomos::open_atomically([&] { return uid_.stale_next(); });
+    atomos::LockModeGuard g(mu_);
+    return plain_.get();
   }
 
   /// Committed value of the counter (reporting only).
-  long unsafe_peek() const {
-    return uses_open_nesting(flavor_) ? uid_.unsafe_peek_next() : plain_.unsafe_peek();
-  }
+  long unsafe_peek() const { return open_ ? uid_.unsafe_peek_next() : plain_.unsafe_peek(); }
 
  private:
-  Flavor flavor_;
+  const bool open_;
   tcc::UidGenerator uid_;
   atomos::Shared<long> plain_;
   atomos::Mutex mu_;
@@ -138,37 +120,27 @@ class Sequence {
 
 /// A YTD-style accumulator whose implementation varies by flavour (the
 /// paper's "several global counters" wrapped by the Atomos Open step).
+/// Both cells exist in every flavour, as in Sequence.
 class Accumulator {
  public:
-  explicit Accumulator(const char* name)
-      : flavor_(Flavor::kJava), cc_(0, name), plain_(0, sim::kCounterCell, name) {}
-
-  void set_flavor(Flavor f) { flavor_ = f; }
+  Accumulator(const char* name, Flavor f)
+      : open_(uses_open_nesting(f)), cc_(0, name), plain_(0, sim::kCounterCell, name) {}
 
   void add(long delta) {
-    switch (flavor_) {
-      case Flavor::kJava: {
-        atomos::LockGuard g(mu_);
-        plain_.set(plain_.get() + delta);
-        return;
-      }
-      case Flavor::kAtomosBaseline:
-        plain_.set(plain_.get() + delta);  // parent-level RMW: conflict-prone
-        return;
-      case Flavor::kAtomosOpen:
-      case Flavor::kAtomosTransactional:
-      case Flavor::kAtomosChopped:
-        cc_.add(delta);  // open-nested, abort-compensated: exact totals
-        return;
+    if (open_) {
+      cc_.add(delta);  // open-nested, abort-compensated: exact totals
+      return;
     }
+    // Java: under a short mutex.  Baseline: a parent-level RMW,
+    // conflict-prone.
+    atomos::LockModeGuard g(mu_);
+    plain_.set(plain_.get() + delta);
   }
 
-  long unsafe_peek() const {
-    return uses_open_nesting(flavor_) ? cc_.unsafe_peek() : plain_.unsafe_peek();
-  }
+  long unsafe_peek() const { return open_ ? cc_.unsafe_peek() : plain_.unsafe_peek(); }
 
  private:
-  Flavor flavor_;
+  const bool open_;
   tcc::CompensatedCounter cc_;
   atomos::Shared<long> plain_;
   atomos::Mutex mu_;
@@ -177,11 +149,8 @@ class Accumulator {
 struct District {
   District(long id_, Flavor flavor, std::unique_ptr<jstd::SortedMap<long, Order*>> orders,
            std::unique_ptr<jstd::SortedMap<long, long>> new_orders)
-      : id(id_), next_order(1, "District.nextOrder"), ytd("District.ytd"),
-        order_table(std::move(orders)), new_order_table(std::move(new_orders)) {
-    next_order.set_flavor(flavor);
-    ytd.set_flavor(flavor);
-  }
+      : id(id_), next_order(1, "District.nextOrder", flavor), ytd("District.ytd", flavor),
+        order_table(std::move(orders)), new_order_table(std::move(new_orders)) {}
 
   const long id;
   Sequence next_order;
@@ -194,12 +163,8 @@ struct District {
 
 struct Warehouse {
   explicit Warehouse(Flavor flavor, std::unique_ptr<jstd::Map<long, History*>> history)
-      : ytd("Warehouse.ytd"), next_history(1, "Warehouse.nextHistory"),
-        txn_count("Warehouse.txnCount"), history_table(std::move(history)) {
-    next_history.set_flavor(flavor);
-    ytd.set_flavor(flavor);
-    txn_count.set_flavor(flavor);
-  }
+      : ytd("Warehouse.ytd", flavor), next_history(1, "Warehouse.nextHistory", flavor),
+        txn_count("Warehouse.txnCount", flavor), history_table(std::move(history)) {}
 
   Accumulator ytd;
   Sequence next_history;
@@ -238,8 +203,9 @@ class Engine {
 
   // ---- the five TPC-C-style operations ----
   // Each takes the acting district and a deterministic RNG state; in Atomos
-  // flavours the whole body runs as one transaction, in Java flavour the
-  // body takes short per-structure locks.
+  // flavours the whole body runs as one transaction (NewOrder and Payment
+  // as two chop pieces in kAtomosChopped), in Java flavour the body takes
+  // short per-structure locks.
 
   void new_order(int district, std::uint64_t& rng);
   void payment(int district, std::uint64_t& rng);
@@ -258,6 +224,16 @@ class Engine {
  private:
   template <class F>
   void in_txn_or_plain(F&& body);
+  /// Runs an operation written as two sections, each returning true when
+  /// its transaction is doomed.  When chopping, they are ordered chop pieces
+  /// and `undo` compensates the first; otherwise one in_txn_or_plain body
+  /// in which a doomed first section skips the second.
+  template <class First, class Undo, class Second>
+  void run_sections(const char* first_name, First&& first, Undo&& undo,
+                    const char* second_name, Second&& second);
+  bool chops() const {
+    return cfg_.flavor == Flavor::kAtomosChopped && atomos::Runtime::active();
+  }
   static std::uint64_t rnd(std::uint64_t& s) {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     return s >> 33;
@@ -271,5 +247,31 @@ class Engine {
   std::unique_ptr<Warehouse> wh_;
   std::vector<std::unique_ptr<District>> districts_;
 };
+
+// ---- one sweep point (figs 4 and 6, their tests) ----
+
+/// Figure 4's configuration of `f`: ten districts and a TPC-C-like
+/// 2000-item catalogue, so stock collisions are rare.
+JbbConfig fig4_config(Flavor f);
+
+/// What a sweep point reports besides the engine's stats.
+struct PointReport {
+  long ops = 0;                       ///< operations run, all CPUs
+  long txn_count = 0;                 ///< Warehouse::txn_count after the run
+  harness::LatencyHistogram latency;  ///< per-operation service cycles
+  std::uint64_t chop_pieces = 0;      ///< Runtime::chop_stats()
+  std::uint64_t chop_dep_breaks = 0;
+};
+
+/// One sweep point: an Engine built from `jc` on `cpus` virtual CPUs (lock
+/// mode for kJava), each CPU running `total_ops / cpus` mixed operations
+/// from its own RNG stream, perturbed by `salt` (0 is the canonical run).
+/// Fills `out`'s stats; a failed consistency check throws
+/// std::runtime_error naming `name`, which poisons the point.
+PointReport run_point(const std::string& name, const JbbConfig& jc, int cpus,
+                      std::uint64_t salt, int total_ops, harness::RunResult& out);
+
+/// run_point as a harness::Series named `name`.
+harness::Series series(const std::string& name, const JbbConfig& jc, int total_ops);
 
 }  // namespace jbb

@@ -38,25 +38,25 @@ class ConcurrentHashMap final : public Map<K, V> {
 
   std::optional<V> get(const K& key) const override {
     Segment& s = segment(key);
-    SegGuard g(s);
+    atomos::LockModeGuard g(s.mu);
     return s.map.get(key);
   }
 
   bool contains_key(const K& key) const override {
     Segment& s = segment(key);
-    SegGuard g(s);
+    atomos::LockModeGuard g(s.mu);
     return s.map.contains_key(key);
   }
 
   std::optional<V> put(const K& key, const V& value) override {
     Segment& s = segment(key);
-    SegGuard g(s);
+    atomos::LockModeGuard g(s.mu);
     return s.map.put(key, value);
   }
 
   std::optional<V> remove(const K& key) override {
     Segment& s = segment(key);
-    SegGuard g(s);
+    atomos::LockModeGuard g(s.mu);
     return s.map.remove(key);
   }
 
@@ -65,7 +65,7 @@ class ConcurrentHashMap final : public Map<K, V> {
   long size() const override {
     long total = 0;
     for (auto& s : segs_) {
-      SegGuard g(*s);
+      atomos::LockModeGuard g(s->mu);
       total += s->map.size();
     }
     return total;
@@ -80,27 +80,6 @@ class ConcurrentHashMap final : public Map<K, V> {
     explicit Segment(std::size_t buckets) : map(buckets) {}
     atomos::Mutex mu;
     HashMap<K, V, Hash, Eq> map;  // per-segment size field lives in here
-  };
-
-  /// Locks the segment in lock mode; no-op under transactional execution.
-  class SegGuard {
-   public:
-    explicit SegGuard(Segment& s) : s_(s), locked_(use_lock()) {
-      if (locked_) s_.mu.lock();
-    }
-    ~SegGuard() {
-      if (locked_) s_.mu.unlock();
-    }
-    SegGuard(const SegGuard&) = delete;
-    SegGuard& operator=(const SegGuard&) = delete;
-
-   private:
-    static bool use_lock() {
-      return sim::Engine::in_worker() &&
-             sim::Engine::get().config().mode == sim::Mode::kLock;
-    }
-    Segment& s_;
-    bool locked_;
   };
 
   static std::size_t round_up_pow2(std::size_t n) {

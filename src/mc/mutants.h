@@ -85,9 +85,9 @@ class NoLockPutMap final : public LongMap {
           return inner_->get(key);  // BUG: unlocked observation
         });
       }
-      Entry& e = ls.store[key];
-      if (!e.touched) e.present_before = old.has_value();
-      e.buffer(&value);
+      auto [it, inserted] = ls.store.try_emplace(key);
+      if (inserted) it->second.present_before = old.has_value();
+      it->second.buffer(&value);
       return old;
     });
   }

@@ -12,7 +12,6 @@
 #include "jstd/hashmap.h"
 #include "jstd/linkedqueue.h"
 #include "sim/engine.h"
-#include "sim/stats.h"
 #include "srv/exp_table.h"
 #include "tm/chop.h"
 #include "tm/mutex.h"
@@ -39,72 +38,249 @@ std::uint64_t rnd(std::uint64_t& s) {
   return s >> 33;
 }
 
-enum Stat { kStatHit, kStatMiss, kStatRevenue };
+/// Statistics counters as each flavour holds them: a plain long under the
+/// lock, a parent-level cell in a flat transaction, an open-nested
+/// compensated counter.
+void add(long& c, long d) { c += d; }
+void add(atomos::Shared<long>& c, long d) { c.set(c.get() + d); }
+void add(tcc::CompensatedCounter& c, long d) { c.add(d); }
+long committed(long c) { return c; }
+template <class C>
+long committed(const C& c) {
+  return c.unsafe_peek();
+}
 
-/// The flavor-independent handler logic.  `MapT` is any Map-shaped type
-/// (plain jstd::HashMap or TransactionalMap); `bump` records a statistics
-/// increment in whatever isolation the flavor uses.  Handlers draw no
-/// randomness, so a violated transaction replays bit-identically.  Returns
-/// true when the think time finds the transaction doomed
-/// (atomos::Runtime::work); the caller's body then returns.
-template <class SessionsT, class CacheT, class BumpFn>
-[[nodiscard]] bool handle_request(const Request& r, SessionsT& sessions, CacheT& cache,
-                                  BumpFn&& bump) {
+/// The flavor-independent handler logic over a server's session table,
+/// cache and counters (plain or transactional, see the servers below).
+/// Handlers draw no randomness, so a violated transaction replays
+/// bit-identically.  Returns true when the think time finds the
+/// transaction doomed (atomos::Runtime::work); the caller's body then
+/// returns.
+template <class Server>
+[[nodiscard]] bool handle_request(const Request& r, Server& s) {
   switch (r.kind) {
     case 0: {  // session lookup through the cache
       const long slot = r.key % kCacheSlots;
-      const auto tag = cache.get(slot);
-      (void)sessions.get(r.key);
+      const auto tag = s.cache.get(slot);
+      (void)s.sessions.get(r.key);
       if (tag.has_value() && *tag == r.key) {
         if (atomos::work(kThinkHit)) return true;
-        bump(kStatHit, 1);
+        add(s.hits, 1);
       } else {
         if (atomos::work(kThinkMiss)) return true;
-        cache.put(slot, r.key);
-        bump(kStatMiss, 1);
+        s.cache.put(slot, r.key);
+        add(s.misses, 1);
       }
       return false;
     }
     case 1: {  // single-session read-modify-write
-      const long v = sessions.get(r.key).value_or(0);
+      const long v = s.sessions.get(r.key).value_or(0);
       if (atomos::work(kThinkUpdate)) return true;
-      sessions.put(r.key, v + r.delta);
-      bump(kStatRevenue, r.delta);
+      s.sessions.put(r.key, v + r.delta);
+      add(s.revenue, r.delta);
       return false;
     }
     default: {  // cross-session transfer (multi-key, conserves the total)
-      const long a = sessions.get(r.key).value_or(0);
-      const long b = sessions.get(r.key2).value_or(0);
+      const long a = s.sessions.get(r.key).value_or(0);
+      const long b = s.sessions.get(r.key2).value_or(0);
       if (atomos::work(kThinkTransfer)) return true;
-      sessions.put(r.key, a - r.delta);
-      sessions.put(r.key2, b + r.delta);
+      s.sessions.put(r.key, a - r.delta);
+      s.sessions.put(r.key2, b + r.delta);
       return false;
     }
   }
 }
 
-/// End-of-run values a flavor hands to the common audit.
-struct Finals {
-  long hits = 0;
-  long misses = 0;
-  long revenue = 0;
-  long session_sum = 0;
-  long queue_size = 0;
+/// A TM flavour's handler in the calling transaction: false when the think
+/// time finds it doomed (it restarts), else the completion is recorded at
+/// commit.  An abort replays the whole handler, so the completion has
+/// nothing to compensate.
+template <class Handle, class Finish>
+bool handle_at_commit(long idx, Handle& handle, Finish& finish) {
+  if (handle(idx)) return false;
+  atomos::on_commit([&finish, idx] { finish(idx); }, atomos::no_compensation);
+  return true;
+}
+
+/// The Flat and Semantic flavours' worker step: one transaction that
+/// dequeues a request and handles it.
+template <class Dequeue, class Handle, class Finish>
+bool serve_in_txn(Dequeue&& dequeue, Handle& handle, Finish& finish) {
+  return atomos::atomically([&] {
+    const std::optional<long> idx = dequeue();
+    return idx.has_value() && handle_at_commit(*idx, handle, finish);
+  });
+}
+
+// The flavours' state: the session table, the lookup cache, the work queue
+// of request indices and the hit/miss/revenue counters, each in the
+// flavour's isolation.  `enqueue` is the accept CPU's step; `serve` is a
+// worker's, false when the queue was empty or the handler doomed (the
+// worker backs off).  `handle(idx)` runs request idx's handler, true when
+// doomed; `finish(idx)` records its completion.
+
+/// kLock: a short queue mutex and ONE coarse mutex held across the whole
+/// handler, think time included: the hot conflict site.
+struct LockServer {
+  jstd::HashMap<long, long> sessions{1024, "srv.sessions.size", "srv.sessions.table"};
+  jstd::HashMap<long, long> cache{256, "srv.cache.size", "srv.cache.table"};
+  jstd::LinkedQueue<long> queue;
+  long hits = 0, misses = 0, revenue = 0;
+  atomos::Mutex queue_mu;
+  atomos::Mutex state_mu;
+
+  void enqueue(long idx) {
+    atomos::LockGuard g(queue_mu);
+    queue.put(idx);
+  }
+  template <class Handle, class Finish>
+  bool serve(Handle& handle, Finish& finish) {
+    std::optional<long> idx;
+    {
+      atomos::LockGuard g(queue_mu);
+      idx = queue.poll();
+    }
+    if (!idx.has_value()) return false;
+    {
+      atomos::LockGuard g(state_mu);
+      (void)handle(*idx);  // lock mode: never doomed
+    }
+    finish(*idx);
+    return true;
+  }
 };
 
-void audit(const SrvConfig& cfg, const SrvReport& rep, const Finals& fin) {
+/// kFlatTm: the same plain collections in one flat transaction per handler.
+/// The queue's head/size cells and the parent-level counter cells join
+/// every read/write set, so every dequeue conflicts with every enqueue and
+/// any two lookups conflict on hits/misses: the cost semantic counters and
+/// the semantic queue remove.
+struct FlatServer {
+  jstd::HashMap<long, long> sessions{1024, "srv.sessions.size", "srv.sessions.table"};
+  jstd::HashMap<long, long> cache{256, "srv.cache.size", "srv.cache.table"};
+  jstd::LinkedQueue<long> queue;
+  atomos::Shared<long> hits{0, sim::kCounterCell, "srv.hits"};
+  atomos::Shared<long> misses{0, sim::kCounterCell, "srv.misses"};
+  atomos::Shared<long> revenue{0, sim::kCounterCell, "srv.revenue"};
+
+  void enqueue(long idx) {
+    atomos::atomically([&] { queue.put(idx); });
+  }
+  template <class Handle, class Finish>
+  bool serve(Handle& handle, Finish& finish) {
+    return serve_in_txn([&] { return queue.poll(); }, handle, finish);
+  }
+};
+
+/// kSemanticTm and kChoppedTm: the paper's semantic collections and
+/// open-nested counters.
+struct SemanticServer {
+  explicit SemanticServer(bool chop) : chopped(chop) {}
+
+  const bool chopped;
+  tcc::TransactionalMap<long, long> sessions{
+      std::make_unique<jstd::HashMap<long, long>>(1024, "srv.sessions.size",
+                                                  "srv.sessions.table"),
+      tcc::Detection::kOptimistic, "srv.sessions"};
+  tcc::TransactionalMap<long, long> cache{
+      std::make_unique<jstd::HashMap<long, long>>(256, "srv.cache.size", "srv.cache.table"),
+      tcc::Detection::kOptimistic, "srv.cache"};
+  tcc::TransactionalQueue<long> queue{std::make_unique<jstd::LinkedQueue<long>>(),
+                                      "srv.queue"};
+  tcc::CompensatedCounter hits{0, "srv.hits"};
+  tcc::CompensatedCounter misses{0, "srv.misses"};
+  tcc::CompensatedCounter revenue{0, "srv.revenue"};
+
+  void enqueue(long idx) { queue.put(idx); }  // buffered put, applied at commit
+  template <class Handle, class Finish>
+  bool serve(Handle& handle, Finish& finish) {
+    // take() observes no emptiness and no ordering (Table 7), so worker
+    // dequeues commute with puts and with each other.
+    if (!chopped) return serve_in_txn([&] { return queue.take(); }, handle, finish);
+    // Chopped: the dequeue and the handler commit as separate ordered
+    // pieces, so a session/cache conflict in the handler never forces the
+    // dequeue to replay, and the handler's conflict window excludes the
+    // queue traffic entirely.  The take piece's compensation re-enqueues
+    // the request (the abort-path mirror of TransactionalQueue's own
+    // put-back).
+    std::optional<long> idx;
+    atomos::chopped()
+        .piece("take", [&] { idx = queue.take(); },
+               /*compensate=*/
+               [&] {
+                 if (idx.has_value()) queue.put(*idx);
+               })
+        .piece("handle",
+               [&] {
+                 if (idx.has_value()) (void)handle_at_commit(*idx, handle, finish);
+               },
+               atomos::no_compensation)  // final piece
+        .run();
+    return idx.has_value();
+  }
+};
+
+/// Prepopulates `s`, runs `reqs` through it on `eng` (CPU 0 accepts, the
+/// other CPUs serve) and fills `rep`'s completions and end-of-run values.
+/// Returns the requests left in the queue.
+template <class Server>
+long serve_all(Server& s, sim::Engine& eng, const std::vector<Request>& reqs,
+               SrvReport& rep) {
+  for (long k = 0; k < kSessions; ++k) s.sessions.put(k, kInitialBalance);
+  for (long sl = 0; sl < kCacheSlots; ++sl) s.cache.put(sl, sl);
+  auto handle = [&](long idx) { return handle_request(reqs[static_cast<std::size_t>(idx)], s); };
+  // Completion bookkeeping lives OUTSIDE the transactional state: it is
+  // only ever touched post-commit, so it adds no read/write-set footprint
+  // and no conflicts, and the loop needs no poison pill.
+  auto finish = [&](long idx) {
+    const std::uint64_t arrival = reqs[static_cast<std::size_t>(idx)].arrival;
+    const std::uint64_t t = eng.now();
+    rep.sojourn.record(t > arrival ? t - arrival : 0);
+    ++rep.completed;
+    if (t > rep.last_commit) rep.last_commit = t;
+  };
+  eng.spawn([&] {  // CPU 0: the accept loop
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
+      s.enqueue(static_cast<long>(i));
+    }
+  });
+  for (int cpu = 1; cpu < eng.config().num_cpus; ++cpu) {
+    eng.spawn([&] {
+      std::uint64_t backoff = kBackoffMin;
+      while (rep.completed < reqs.size()) {
+        if (s.serve(handle, finish)) {
+          backoff = kBackoffMin;
+        } else {
+          (void)atomos::work(backoff);  // outside a transaction
+          backoff = std::min(backoff * 2, kBackoffMax);
+        }
+      }
+    });
+  }
+  eng.run();
+  // The engine has halted and every transaction has committed, so the
+  // committed values are the truth.
+  rep.hits = committed(s.hits);
+  rep.misses = committed(s.misses);
+  rep.revenue = committed(s.revenue);
+  for (long k = 0; k < kSessions; ++k) rep.session_sum += s.sessions.get(k).value_or(0);
+  return s.queue.size();
+}
+
+void audit(const SrvConfig& cfg, const SrvReport& rep, long stranded) {
   std::ostringstream err;
   if (static_cast<long>(rep.completed) != cfg.requests)
     err << "completed " << rep.completed << " != " << cfg.requests << "; ";
-  if (fin.hits + fin.misses != rep.lookups)
-    err << "hits " << fin.hits << " + misses " << fin.misses << " != lookups "
+  if (rep.hits + rep.misses != rep.lookups)
+    err << "hits " << rep.hits << " + misses " << rep.misses << " != lookups "
         << rep.lookups << "; ";
-  if (fin.revenue != rep.expected_revenue)
-    err << "revenue " << fin.revenue << " != " << rep.expected_revenue << "; ";
+  if (rep.revenue != rep.expected_revenue)
+    err << "revenue " << rep.revenue << " != " << rep.expected_revenue << "; ";
   const long expect_sum = kSessions * kInitialBalance + rep.expected_revenue;
-  if (fin.session_sum != expect_sum)
-    err << "session sum " << fin.session_sum << " != " << expect_sum << "; ";
-  if (fin.queue_size != 0) err << fin.queue_size << " requests stranded; ";
+  if (rep.session_sum != expect_sum)
+    err << "session sum " << rep.session_sum << " != " << expect_sum << "; ";
+  if (stranded != 0) err << stranded << " requests stranded; ";
   const std::string msg = err.str();
   if (!msg.empty()) throw std::runtime_error("srv consistency audit: " + msg);
 }
@@ -166,264 +342,34 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
                 SrvReport& rep, harness::RunResult* stats_out) {
   if (cpus < 2)
     throw std::runtime_error("srv: need >= 2 CPUs (accept CPU + workers)");
-  const int workers = cpus - 1;
-  const std::vector<Request> reqs = make_schedule(cfg, workers, salt);
+  const std::vector<Request> reqs = make_schedule(cfg, cpus - 1, salt);
   rep = SrvReport{};
   for (const Request& r : reqs) {
     if (r.kind == 0) ++rep.lookups;
     if (r.kind == 1) ++rep.updates, rep.expected_revenue += r.delta;
     if (r.kind == 2) ++rep.transfers;
   }
-  const auto total = static_cast<std::uint64_t>(cfg.requests);
 
   sim::Config c;
   c.mode = f == Flavor::kLock ? sim::Mode::kLock : sim::Mode::kTcc;
   c.num_cpus = cpus;
   sim::Engine eng(c);
   atomos::Runtime rt(eng);
-
-  // Completion bookkeeping lives OUTSIDE the transactional state: it is
-  // only ever touched post-commit (TM flavors run it from an on_commit
-  // hook with nothing to compensate), so it adds no read/write-set
-  // footprint and no conflicts.
-  std::vector<harness::LatencyHistogram> hists(static_cast<std::size_t>(cpus));
-  std::uint64_t completed = 0;
-  std::uint64_t last_commit = 0;
-  auto finish = [&](int cpu, std::uint64_t arrival) {
-    const std::uint64_t t = eng.now();
-    hists[static_cast<std::size_t>(cpu)].record(t > arrival ? t - arrival : 0);
-    ++completed;
-    if (t > last_commit) last_commit = t;
-  };
-
-  Finals fin;
-
+  long stranded = 0;
   if (f == Flavor::kLock) {
-    jstd::HashMap<long, long> sessions(1024, "srv.sessions.size", "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, "srv.cache.size", "srv.cache.table");
-    jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
-    long hits = 0, misses = 0, revenue = 0;
-    atomos::Mutex queue_mu;
-    atomos::Mutex state_mu;
-    auto bump = [&](Stat st, long d) {
-      if (st == kStatHit) hits += d;
-      else if (st == kStatMiss) misses += d;
-      else revenue += d;
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        atomos::LockGuard g(queue_mu);
-        queue.put(static_cast<long>(i));
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          std::optional<long> idx;
-          {
-            atomos::LockGuard g(queue_mu);
-            idx = queue.poll();
-          }
-          if (!idx.has_value()) {
-            (void)atomos::work(backoff);  // outside a transaction
-            backoff = std::min(backoff * 2, kBackoffMax);
-            continue;
-          }
-          backoff = kBackoffMin;
-          const Request& r = reqs[static_cast<std::size_t>(*idx)];
-          {
-            // The classic coarse-grained server: ONE mutex held across the
-            // entire handler, think time included — the hot conflict site.
-            atomos::LockGuard g(state_mu);
-            (void)handle_request(r, sessions, cache, bump);  // lock mode: never doomed
-          }
-          finish(cpu, r.arrival);
-        }
-      });
-    }
-    eng.run();
-    fin.hits = hits;
-    fin.misses = misses;
-    fin.revenue = revenue;
-    for (long k = 0; k < kSessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
+    LockServer s;
+    stranded = serve_all(s, eng, reqs, rep);
   } else if (f == Flavor::kFlatTm) {
-    jstd::HashMap<long, long> sessions(1024, "srv.sessions.size", "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, "srv.cache.size", "srv.cache.table");
-    jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
-    // Parent-level statistics cells: every handler's read-modify-write of
-    // these lands in the flat transaction's read/write set, so any two
-    // lookups conflict on hits/misses — the cost semantic counters remove.
-    atomos::Shared<long> hits(0, sim::kCounterCell, "srv.hits");
-    atomos::Shared<long> misses(0, sim::kCounterCell, "srv.misses");
-    atomos::Shared<long> revenue(0, sim::kCounterCell, "srv.revenue");
-    auto bump = [&](Stat st, long d) {
-      auto& cell = st == kStatHit ? hits : st == kStatMiss ? misses : revenue;
-      cell.set(cell.get() + d);
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        atomos::atomically([&] { queue.put(static_cast<long>(i)); });
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          const bool got = atomos::atomically([&] {
-            // A plain queue inside a flat transaction: the head/size cells
-            // join the read/write set, so every dequeue conflicts with
-            // every enqueue and every other dequeue.
-            auto idx = queue.poll();
-            if (!idx.has_value()) return false;
-            const Request& r = reqs[static_cast<std::size_t>(*idx)];
-            if (handle_request(r, sessions, cache, bump)) return false;  // doomed: retried
-            // Completion is recorded only on commit; an abort replays
-            // the whole handler, so there is nothing to compensate.
-            atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
-                              atomos::no_compensation);
-            return true;
-          });
-          if (got) {
-            backoff = kBackoffMin;
-          } else {
-            (void)atomos::work(backoff);  // outside a transaction
-            backoff = std::min(backoff * 2, kBackoffMax);
-          }
-        }
-      });
-    }
-    eng.run();
-    // Post-run audit: the engine has halted and every transaction has
-    // committed, so the committed values are the truth.
-    fin.hits = hits.unsafe_peek();
-    fin.misses = misses.unsafe_peek();
-    fin.revenue = revenue.unsafe_peek();
-    for (long k = 0; k < kSessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
+    FlatServer s;
+    stranded = serve_all(s, eng, reqs, rep);
   } else {
-    tcc::TransactionalMap<long, long> sessions(
-        std::make_unique<jstd::HashMap<long, long>>(1024, "srv.sessions.size",
-                                                    "srv.sessions.table"),
-        tcc::Detection::kOptimistic, "srv.sessions");
-    tcc::TransactionalMap<long, long> cache(
-        std::make_unique<jstd::HashMap<long, long>>(256, "srv.cache.size",
-                                                    "srv.cache.table"),
-        tcc::Detection::kOptimistic, "srv.cache");
-    tcc::TransactionalQueue<long> queue(
-        std::make_unique<jstd::LinkedQueue<long>>(), "srv.queue");
-    for (long k = 0; k < kSessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < kCacheSlots; ++sl) cache.put(sl, sl);
-    tcc::CompensatedCounter hits(0, "srv.hits");
-    tcc::CompensatedCounter misses(0, "srv.misses");
-    tcc::CompensatedCounter revenue(0, "srv.revenue");
-    auto bump = [&](Stat st, long d) {
-      (st == kStatHit ? hits : st == kStatMiss ? misses : revenue).add(d);
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        queue.put(static_cast<long>(i));  // buffered put, applied at commit
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          bool got = false;
-          if (f == Flavor::kChoppedTm) {
-            // Chopped handler: the dequeue and the handler body commit as
-            // separate ordered pieces, so a session/cache conflict in
-            // the body never forces the dequeue to replay, and the body's
-            // conflict window excludes the queue traffic entirely.  The
-            // take piece's compensation re-enqueues the request (the
-            // abort-path mirror of TransactionalQueue's own put-back).
-            std::optional<long> idx;
-            atomos::chopped()
-                .piece("take",
-                       [&] {
-                         // take() observes no emptiness/ordering (Table 7).
-                         idx = queue.take();
-                       },
-                       /*compensate=*/
-                       [&] {
-                         if (idx.has_value()) queue.put(*idx);
-                       })
-                .piece("handle",
-                       [&] {
-                         if (!idx.has_value()) return;
-                         const Request& r = reqs[static_cast<std::size_t>(*idx)];
-                         if (handle_request(r, sessions, cache, bump)) return;
-                         atomos::on_commit(
-                             [&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
-                             atomos::no_compensation);
-                       },
-                       atomos::no_compensation)  // final piece
-                .run();
-            got = idx.has_value();
-          } else {
-            got = atomos::atomically([&] {
-              // take() observes no emptiness and no ordering (Table 7), so
-              // worker dequeues commute with puts and with each other.
-              auto idx = queue.take();
-              if (!idx.has_value()) return false;
-              const Request& r = reqs[static_cast<std::size_t>(*idx)];
-              if (handle_request(r, sessions, cache, bump)) return false;  // doomed: retried
-              atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); },
-                                atomos::no_compensation);
-              return true;
-            });
-          }
-          if (got) {
-            backoff = kBackoffMin;
-          } else {
-            (void)atomos::work(backoff);  // outside a transaction
-            backoff = std::min(backoff * 2, kBackoffMax);
-          }
-        }
-      });
-    }
-    eng.run();
-    rep.chop_pieces = rt.chop_stats().pieces;
-    rep.chop_dep_breaks = rt.chop_stats().dep_breaks;
-    // Post-run audit: the engine has halted and every transaction has
-    // committed, so the committed values are the truth.
-    fin.hits = hits.unsafe_peek();
-    fin.misses = misses.unsafe_peek();
-    fin.revenue = revenue.unsafe_peek();
-    for (long k = 0; k < kSessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
+    SemanticServer s(f == Flavor::kChoppedTm);
+    stranded = serve_all(s, eng, reqs, rep);
   }
-
-  rep.completed = completed;
-  rep.last_commit = last_commit;
-  for (const auto& h : hists) rep.sojourn += h;
-  rep.hits = fin.hits;
-  rep.misses = fin.misses;
-  rep.revenue = fin.revenue;
-  rep.session_sum = fin.session_sum;
-  if (stats_out != nullptr) {
-    const sim::CpuStats s = eng.stats().summed();
-    stats_out->cycles = eng.elapsed_cycles();
-    stats_out->violations = s.violations;
-    stats_out->semantic = s.semantic_violations;
-    stats_out->lost_cycles = s.lost_cycles;
-    stats_out->commits = s.commits;
-  }
-  audit(cfg, rep, fin);
+  rep.chop_pieces = rt.chop_stats().pieces;
+  rep.chop_dep_breaks = rt.chop_stats().dep_breaks;
+  if (stats_out != nullptr) harness::collect_stats(eng, *stats_out);
+  audit(cfg, rep, stranded);
 }
 
 harness::Series series(Flavor f, double load, int requests) {

@@ -21,19 +21,24 @@
 //   simulated service cost), 20% single-session updates, 10% cross-session
 //   transfers (multi-key read-modify-write).
 //
-// The same schedule and handlers run under three synchronization flavors:
+// The same schedule and handlers run under four synchronization flavors,
+// each a small state (containers, counters, enqueue and serve steps) driven
+// by one accept loop and one worker loop:
 //
 //   kLock       — a mutex-guarded plain queue plus ONE coarse state mutex
 //                 held across each whole handler (the classic "giant lock
 //                 around the business logic" server);
-//   kFlatTm     — each handler is one flat closed-nested transaction over
-//                 plain jstd collections; the queue head and the statistics
-//                 counters live in every transaction's read/write set, so
-//                 commits violate each other constantly;
-//   kSemanticTm — the same transaction shape, but through the paper's
+//   kFlatTm     — each handler is one flat transaction over plain jstd
+//                 collections; the queue head and the statistics counters
+//                 live in every transaction's read/write set, so commits
+//                 violate each other constantly;
+//   kSemanticTm — the same handler transaction, but through the paper's
 //                 semantic collections: TransactionalQueue::take() (no
-//                 emptiness observation, Table 7), TransactionalMap
-//                 sessions/cache, open-nested CompensatedCounter stats.
+//                 emptiness observation, Table 7) in place of poll(),
+//                 TransactionalMap sessions/cache, open-nested
+//                 CompensatedCounter stats;
+//   kChoppedTm  — the semantic state, with the dequeue and the handler
+//                 committed as two ordered tm::chopped() pieces.
 //
 // Every flavor replays the BIT-IDENTICAL arrival schedule for a given
 // (load, cpu count, seed): the schedule is derived from an integer LCG and
@@ -112,7 +117,7 @@ struct SrvReport {
 };
 
 /// The deterministic request schedule for one sweep point.  Depends on
-/// (cfg, workers, salt) only — NOT on the flavor — so all three series face
+/// (cfg, workers, salt) only — NOT on the flavor — so all four series face
 /// the identical arrival process and request mix.
 std::vector<Request> make_schedule(const SrvConfig& cfg, int workers,
                                    std::uint64_t salt);

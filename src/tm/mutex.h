@@ -53,4 +53,25 @@ class LockGuard {
   Mutex& m_;
 };
 
+/// A LockGuard that locks only in Mode::kLock on a worker, for code shared
+/// by lock-based and transactional runs: under Mode::kTcc the enclosing
+/// transaction provides the atomicity, and setup code runs single-threaded.
+class LockModeGuard {
+ public:
+  explicit LockModeGuard(Mutex& m)
+      : m_(sim::Engine::in_worker() && sim::Engine::get().config().mode == sim::Mode::kLock
+               ? &m
+               : nullptr) {
+    if (m_ != nullptr) m_->lock();
+  }
+  ~LockModeGuard() {
+    if (m_ != nullptr) m_->unlock();
+  }
+  LockModeGuard(const LockModeGuard&) = delete;
+  LockModeGuard& operator=(const LockModeGuard&) = delete;
+
+ private:
+  Mutex* m_;
+};
+
 }  // namespace atomos

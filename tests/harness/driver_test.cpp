@@ -231,6 +231,9 @@ TEST(CliDeathTest, IntegerFlagsOutOfRangeExitWithUsage) {
   EXPECT_EXIT(parse_flag("--jobs", "4294967297"), ::testing::ExitedWithCode(2), "bad value");
   EXPECT_EXIT(parse_flag("--ops", "99999999999999999999"), ::testing::ExitedWithCode(2),
               "bad value");
+  // --ops sizes an int op count: past INT_MAX it would narrow to 0 or less.
+  EXPECT_EXIT(parse_flag("--ops", "4294967296"), ::testing::ExitedWithCode(2), "bad value");
+  EXPECT_EXIT(parse_flag("--ops", "3000000000"), ::testing::ExitedWithCode(2), "bad value");
   EXPECT_EXIT(parse_flag("--trace-cap", "99999999999999999999"), ::testing::ExitedWithCode(2),
               "bad value");
 }
