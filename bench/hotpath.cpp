@@ -7,11 +7,12 @@
 // allows" goal is gated on.  Each scenario also records its simulated cycle
 // total as a timing-invariance witness: a host-side optimisation must never
 // change it (compare sim_cycles across runs of different builds).
+// The five transaction scenarios are bodies of one runner (run_txns), and
+// commit_drain times the runtime's own drain (atomos::detail::unique_lines).
 //
 // Results are written as JSON (BENCH_hotpath.json) via the harness, with a
 // pure-host calibration loop so throughput can be normalized across
 // machines (see bench/run_bench.sh and tools/check_hotpath.py).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -106,147 +107,102 @@ double calibrate() {
   return static_cast<double>(kIters) / std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Tight read/write + commit loop, disjoint per-CPU cell blocks.
-harness::BenchResult bench_rw_commit(int txns_per_cpu) {
+using Cells = std::vector<PaddedCell>;
+
+/// The TM-runtime scenarios' one skeleton: an engine, a runtime and
+/// `ncells` cells, then `txns_per_cpu` transactions on every CPU, the i-th
+/// on CPU c running body(cells, c, i).  ops counts committed transactions.
+template <class Body>
+harness::BenchResult run_txns(const char* name, int ncells, int txns_per_cpu, Body body) {
   sim::Engine eng(tcc_cfg());
   atomos::Runtime rt(eng);
-  std::vector<PaddedCell> cells(kCpus * kCellsPerCpu);
+  Cells cells(static_cast<std::size_t>(ncells));
   for (int c = 0; c < kCpus; ++c) {
-    eng.spawn([&cells, c, txns_per_cpu] {
-      const int base = c * kCellsPerCpu;
+    eng.spawn([&cells, &body, c, txns_per_cpu] {
       for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, base, i] {
-          long acc = 0;
-          for (int r = 0; r < 8; ++r) acc += cells[base + (i * 3 + r * 5) % kCellsPerCpu].v.get();
-          for (int w = 0; w < 4; ++w) {
-            cells[base + (i * 7 + w * 11) % kCellsPerCpu].v.set(acc + w);
-          }
-        });
+        atomos::atomically([&cells, &body, c, i] { body(cells, c, i); });
       }
     });
   }
   harness::BenchResult r;
-  r.name = "rw_commit";
+  r.name = name;
   r.ops = static_cast<std::uint64_t>(kCpus) * txns_per_cpu;
   r.wall_seconds = wall_run(eng);
   r.sim_cycles = eng.elapsed_cycles();
   return r;
 }
 
+/// Tight read/write + commit loop, disjoint per-CPU cell blocks.
+harness::BenchResult bench_rw_commit(int txns_per_cpu) {
+  auto body = [](Cells& cells, int c, int i) {
+    const int base = c * kCellsPerCpu;
+    long acc = 0;
+    for (int r = 0; r < 8; ++r) acc += cells[base + (i * 3 + r * 5) % kCellsPerCpu].v.get();
+    for (int w = 0; w < 4; ++w) {
+      cells[base + (i * 7 + w * 11) % kCellsPerCpu].v.set(acc + w);
+    }
+  };
+  return run_txns("rw_commit", kCpus * kCellsPerCpu, txns_per_cpu, body);
+}
+
 /// Read-only transactions (trivial commits, no broadcast).
 harness::BenchResult bench_read_dominated(int txns_per_cpu) {
-  sim::Engine eng(tcc_cfg());
-  atomos::Runtime rt(eng);
-  std::vector<PaddedCell> cells(kCpus * kCellsPerCpu);
-  for (int c = 0; c < kCpus; ++c) {
-    eng.spawn([&cells, c, txns_per_cpu] {
-      const int base = c * kCellsPerCpu;
-      for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, base, i] {
-          long acc = 0;
-          for (int r = 0; r < 16; ++r) acc += cells[base + (i + r * 5) % kCellsPerCpu].v.get();
-          volatile long sink = acc;
-          (void)sink;
-        });
-      }
-    });
-  }
-  harness::BenchResult r;
-  r.name = "read_dominated";
-  r.ops = static_cast<std::uint64_t>(kCpus) * txns_per_cpu;
-  r.wall_seconds = wall_run(eng);
-  r.sim_cycles = eng.elapsed_cycles();
-  return r;
+  auto body = [](Cells& cells, int c, int i) {
+    const int base = c * kCellsPerCpu;
+    long acc = 0;
+    for (int r = 0; r < 16; ++r) acc += cells[base + (i + r * 5) % kCellsPerCpu].v.get();
+    volatile long sink = acc;
+    (void)sink;
+  };
+  return run_txns("read_dominated", kCpus * kCellsPerCpu, txns_per_cpu, body);
 }
 
 /// Nested atomically blocks inside each transaction: they run inline, as
 /// part of the enclosing transaction (the name predates flattened nesting;
 /// BENCH_hotpath.json and its comparator key on it).
 harness::BenchResult bench_nested_frames(int txns_per_cpu) {
-  sim::Engine eng(tcc_cfg());
-  atomos::Runtime rt(eng);
-  std::vector<PaddedCell> cells(kCpus * kCellsPerCpu);
-  for (int c = 0; c < kCpus; ++c) {
-    eng.spawn([&cells, c, txns_per_cpu] {
-      const int base = c * kCellsPerCpu;
-      for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, base, i] {
-          for (int f = 0; f < 2; ++f) {
-            atomos::atomically([&cells, base, i, f] {
-              long acc = 0;
-              for (int r = 0; r < 4; ++r) {
-                acc += cells[base + (i + f * 13 + r * 5) % kCellsPerCpu].v.get();
-              }
-              for (int w = 0; w < 2; ++w) {
-                cells[base + (i + f * 17 + w * 11) % kCellsPerCpu].v.set(acc);
-              }
-            });
-          }
-        });
-      }
-    });
-  }
-  harness::BenchResult r;
-  r.name = "nested_frames";
-  r.ops = static_cast<std::uint64_t>(kCpus) * txns_per_cpu;
-  r.wall_seconds = wall_run(eng);
-  r.sim_cycles = eng.elapsed_cycles();
-  return r;
+  auto body = [](Cells& cells, int c, int i) {
+    const int base = c * kCellsPerCpu;
+    for (int f = 0; f < 2; ++f) {
+      atomos::atomically([&cells, base, i, f] {
+        long acc = 0;
+        for (int r = 0; r < 4; ++r) {
+          acc += cells[base + (i + f * 13 + r * 5) % kCellsPerCpu].v.get();
+        }
+        for (int w = 0; w < 2; ++w) {
+          cells[base + (i + f * 17 + w * 11) % kCellsPerCpu].v.set(acc);
+        }
+      });
+    }
+  };
+  return run_txns("nested_frames", kCpus * kCellsPerCpu, txns_per_cpu, body);
 }
 
 /// Open-nested children (a second Txn begin/commit per parent transaction).
 harness::BenchResult bench_open_nested(int txns_per_cpu) {
-  sim::Engine eng(tcc_cfg());
-  atomos::Runtime rt(eng);
-  std::vector<PaddedCell> cells(kCpus * kCellsPerCpu);
-  for (int c = 0; c < kCpus; ++c) {
-    eng.spawn([&cells, c, txns_per_cpu] {
-      const int base = c * kCellsPerCpu;
-      for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, base, i] {
-          long acc = 0;
-          for (int r = 0; r < 4; ++r) acc += cells[base + (i + r * 5) % kCellsPerCpu].v.get();
-          atomos::open_atomically([&cells, base, i, acc] {
-            for (int w = 0; w < 2; ++w) {
-              cells[base + 32 + (i + w * 11) % 32].v.set(acc);
-            }
-          });
-          cells[base + (i * 7) % 32].v.set(acc);
-        });
+  auto body = [](Cells& cells, int c, int i) {
+    const int base = c * kCellsPerCpu;
+    long acc = 0;
+    for (int r = 0; r < 4; ++r) acc += cells[base + (i + r * 5) % kCellsPerCpu].v.get();
+    atomos::open_atomically([&cells, base, i, acc] {
+      for (int w = 0; w < 2; ++w) {
+        cells[base + 32 + (i + w * 11) % 32].v.set(acc);
       }
     });
-  }
-  harness::BenchResult r;
-  r.name = "open_nested";
-  r.ops = static_cast<std::uint64_t>(kCpus) * txns_per_cpu;
-  r.wall_seconds = wall_run(eng);
-  r.sim_cycles = eng.elapsed_cycles();
-  return r;
+    cells[base + (i * 7) % 32].v.set(acc);
+  };
+  return run_txns("open_nested", kCpus * kCellsPerCpu, txns_per_cpu, body);
 }
 
 /// All CPUs hammer the same 16 cells: violations, aborts and retries
 /// (exercises rollback and transaction-object reuse).
 harness::BenchResult bench_contended(int txns_per_cpu) {
-  sim::Engine eng(tcc_cfg());
-  atomos::Runtime rt(eng);
-  std::vector<PaddedCell> cells(16);
-  for (int c = 0; c < kCpus; ++c) {
-    eng.spawn([&cells, c, txns_per_cpu] {
-      for (int i = 0; i < txns_per_cpu; ++i) {
-        atomos::atomically([&cells, c, i] {
-          long acc = 0;
-          for (int r = 0; r < 4; ++r) acc += cells[(c + i + r * 3) % 16].v.get();
-          for (int w = 0; w < 2; ++w) cells[(c * 5 + i + w * 7) % 16].v.set(acc);
-        });
-      }
-    });
-  }
-  harness::BenchResult r;
-  r.name = "contended";
-  r.ops = static_cast<std::uint64_t>(kCpus) * txns_per_cpu;  // committed txns
-  r.wall_seconds = wall_run(eng);
-  r.sim_cycles = eng.elapsed_cycles();
-  return r;
+  auto body = [](Cells& cells, int c, int i) {
+    long acc = 0;
+    for (int r = 0; r < 4; ++r) acc += cells[(c + i + r * 3) % 16].v.get();
+    for (int w = 0; w < 2; ++w) cells[(c * 5 + i + w * 7) % 16].v.set(acc);
+  };
+  return run_txns("contended", 16, txns_per_cpu, body);
 }
 
 /// The abort layer.  Every CPU reads one hot cell and writes a private one;
@@ -498,9 +454,9 @@ harness::BenchResult bench_reader_flag(int ncpus, int iters) {
   return r;
 }
 
-/// Commit-drain dedup kernel: collapsing a positional write log to unique
-/// lines, at both the small-set (linear scan) and large-set (sort+unique)
-/// shapes broadcast_and_apply switches between.
+/// The commit drain, atomos::detail::unique_lines (what broadcast_and_apply
+/// runs on every commit's write log), at both the small-set (scan) and
+/// large-set (sort+unique) shapes it switches between.
 harness::BenchResult bench_commit_drain(int iters) {
   std::vector<sim::LineAddr> scratch;
   scratch.reserve(128);
@@ -510,25 +466,10 @@ harness::BenchResult bench_commit_drain(int iters) {
     // Alternate between an 8-entry log with duplicates (rw_commit shape) and
     // a 48-entry log (collection-class bulk commit shape).
     const int entries = (i & 1) ? 48 : 8;
-    scratch.clear();
-    for (int e = 0; e < entries; ++e) {
-      const sim::LineAddr line = 0x1000000 + (i + e * 3) % (entries / 2);
-      if (entries <= 32) {
-        if (scratch.empty() || scratch.back() != line) {
-          bool seen = false;
-          for (const sim::LineAddr l : scratch) {
-            if (l == line) { seen = true; break; }
-          }
-          if (!seen) scratch.push_back(line);
-        }
-      } else {
-        scratch.push_back(line);
-      }
-    }
-    if (entries > 32) {
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    }
+    auto line_at = [i, entries](std::size_t e) -> sim::LineAddr {
+      return 0x1000000 + (i + static_cast<int>(e) * 3) % (entries / 2);
+    };
+    atomos::detail::unique_lines(static_cast<std::size_t>(entries), line_at, scratch);
     for (const sim::LineAddr l : scratch) sum += l;
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -4,7 +4,8 @@
 // every CPU: 80% lookups, 10% insertions, 10% removals, each surrounded by
 // computation.  In the Atomos series the whole (computation + operation)
 // body is a single long transaction; in the Java series a mutex is held
-// only around the operation itself.
+// only around the operation itself.  TestSortedMap (Figure 2) and
+// TestCompound (Figure 3) run the same series with another operation.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +69,42 @@ void testsortedmap_op(MapT& map, long key_space, std::uint64_t& s) {
   }
 }
 
-/// The operations above as function objects, for the series templates.
+/// The operations as function objects, for the series templates.  Each
+/// returns true when it finds its transaction doomed; only the compound
+/// operation computes inside one, so only it can.
 struct TestMapOp {
   template <class MapT>
-  void operator()(MapT& map, long key_space, std::uint64_t& s) const {
+  bool operator()(MapT& map, long key_space, std::uint64_t& s) const {
     testmap_op(map, key_space, s);
+    return false;
   }
 };
 struct TestSortedMapOp {
   template <class MapT>
-  void operator()(MapT& map, long key_space, std::uint64_t& s) const {
+  bool operator()(MapT& map, long key_space, std::uint64_t& s) const {
     testsortedmap_op(map, key_space, s);
+    return false;
+  }
+};
+/// Figure 3's compound operation: read one key, compute `inner_think`
+/// cycles, update another key.  In the Java series the coarse lock spans
+/// the whole compound region, the computation between the two included.
+struct TestCompoundOp {
+  std::uint64_t inner_think;
+  template <class MapT>
+  bool operator()(MapT& map, long key_space, std::uint64_t& s) const {
+    const long k1 = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
+    const long k2 = static_cast<long>(rnd(s) % static_cast<std::uint64_t>(key_space));
+    auto v = map.get(k1);
+    if (sim::Engine::in_worker()) {
+      if (atomos::Runtime::active()) {
+        if (atomos::Runtime::current().work(inner_think)) return true;
+      } else {
+        sim::Engine::get().tick(inner_think);
+      }
+    }
+    map.put(k2, v.value_or(0) + 1);
+    return false;
   }
 };
 
@@ -122,8 +148,8 @@ harness::Series java_series(const std::string& name, const TestMapParams& p, Mak
             for (int i = 0; i < per_cpu; ++i) {
               (void)atomos::Runtime::current().work(p.think_cycles / 2);  // lock mode
               {
-                atomos::LockGuard g(mu);  // short critical section
-                op(*map, p.key_space, s);
+                atomos::LockGuard g(mu);  // around the operation only
+                (void)op(*map, p.key_space, s);
               }
               (void)atomos::Runtime::current().work(p.think_cycles / 2);
             }
@@ -154,7 +180,7 @@ harness::Series atomos_series(const std::string& name, const TestMapParams& p, M
               atomos::atomically([&] {
                 std::uint64_t bs = body_seed;
                 if (atomos::work(p.think_cycles / 2)) return;
-                op(*map, p.key_space, bs);
+                if (op(*map, p.key_space, bs)) return;
                 if (atomos::work(p.think_cycles / 2)) return;
               });
               // advance the thread RNG past the consumed draws

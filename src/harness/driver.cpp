@@ -443,8 +443,9 @@ namespace {
       "                  point (trial 0) to PREFIX<series>_cpus<N>.trace;\n"
       "                  inspect with tools/txtrace.  Traced runs spend extra\n"
       "                  host time but simulated cycles are unchanged\n"
-      "  --trace-cap N   per-CPU trace buffer capacity in events (default 65536;\n"
-      "                  overflow drops newest events, reported by txtrace)\n"
+      "  --trace-cap N   per-CPU trace buffer capacity in events (default 65536,\n"
+      "                  at most 4294967295; overflow drops newest events,\n"
+      "                  reported by txtrace)\n"
       "  --help, -h      this message\n",
       bench);
   std::exit(code);
@@ -511,7 +512,7 @@ Cli Cli::parse(int argc, char** argv, const char* bench, double default_timeout_
       cli.opts.trace_path = value("--trace");
     } else if (a == "--trace-cap") {
       cli.opts.trace_cap = static_cast<std::size_t>(
-          parse_long(bench, "--trace-cap", value("--trace-cap"), 1));
+          parse_long(bench, "--trace-cap", value("--trace-cap"), 1, UINT32_MAX));
     } else {
       std::fprintf(stderr, "%s: unknown flag '%s'\n", bench, a.c_str());
       usage(bench, 2);

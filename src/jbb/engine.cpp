@@ -91,12 +91,11 @@ void Engine::in_txn_or_plain(F&& body) {
 }
 
 template <class First, class Undo, class Second>
-void Engine::run_sections(const char* first_name, First&& first, Undo&& undo,
-                          const char* second_name, Second&& second) {
+void Engine::run_sections(First&& first, Undo&& undo, Second&& second) {
   if (chops()) {
     atomos::chopped()
-        .piece(first_name, [&] { (void)first(); }, std::forward<Undo>(undo))
-        .piece(second_name, [&] { (void)second(); },
+        .piece([&] { (void)first(); }, std::forward<Undo>(undo))
+        .piece([&] { (void)second(); },
                atomos::no_compensation)  // final piece: nothing commits after it
         .run();
     return;
@@ -128,7 +127,6 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
   long total = 0;
   long prev_last = 0;  // the customer's last order before this one
   run_sections(
-      "district",
       [&] {
         wh_->txn_count.add(1);  // SPECjbb per-warehouse transaction statistic
         std::vector<OrderLine> lines;
@@ -159,7 +157,6 @@ void Engine::new_order(int dnum, std::uint64_t& rng) {
         cust->last_order.set(prev_last);
         d.ytd.add(-total);
       },
-      "stock",
       [&] {
         for (const auto& [item, qty] : picks) {
           Stock& st = *wh_->stock[static_cast<std::size_t>(item)];
@@ -181,7 +178,6 @@ void Engine::payment(int dnum, std::uint64_t& rng) {
   Customer* cust = d.customers[cidx].get();
   long hid = 0;
   run_sections(
-      "warehouse",
       [&] {
         wh_->txn_count.add(1);
         // Kept short: id + audit record + YTD.
@@ -197,7 +193,6 @@ void Engine::payment(int dnum, std::uint64_t& rng) {
         wh_->history_table->remove(hid);
         wh_->ytd.add(-amount);
       },
-      "district",
       [&] {
         {
           atomos::LockModeGuard g(d.mu);

@@ -229,8 +229,7 @@ class Engine {
   /// and `undo` compensates the first; otherwise one in_txn_or_plain body
   /// in which a doomed first section skips the second.
   template <class First, class Undo, class Second>
-  void run_sections(const char* first_name, First&& first, Undo&& undo,
-                    const char* second_name, Second&& second);
+  void run_sections(First&& first, Undo&& undo, Second&& second);
   bool chops() const {
     return cfg_.flavor == Flavor::kAtomosChopped && atomos::Runtime::active();
   }

@@ -256,19 +256,28 @@ std::unique_ptr<World> build_queue_worklist(Oracle& o) {
   return w;
 }
 
-std::unique_ptr<World> build_compound(Oracle& o) {
-  auto w = with_map(o, plain_map(), {});
-  w->queue = plain_queue();
-  w->queue->put(301);
-  o.register_queue(w->queue.get(), "queue", {301});
-  w->rqueue.emplace(&o, w->queue.get());
-  World* wp = w.get();
+/// Grafts a queue onto a map world.
+void add_queue(World& w, Oracle& o,
+               std::unique_ptr<tcc::TransactionalQueue<long>> queue,
+               std::vector<long> initial) {
+  w.queue = std::move(queue);
+  for (const long v : initial) w.queue->put(v);
+  o.register_queue(w.queue.get(), "queue", std::move(initial));
+  w.rqueue.emplace(&o, w.queue.get());
+  World* wp = &w;
   Oracle* op = &o;
-  auto base_finish = std::move(w->finish);
-  w->finish = [op, wp, base_finish] {
+  auto base_finish = std::move(w.finish);
+  w.finish = [op, wp, base_finish] {
     base_finish();
     op->set_final_queue(wp->queue.get(), drain_queue(*wp->queue));
   };
+}
+
+std::unique_ptr<World> build_compound(Oracle& o) {
+  auto w = with_map(o, plain_map(), {});
+  add_queue(*w, o, plain_queue(), {301});
+  World* wp = w.get();
+  Oracle* op = &o;
   w->bodies = {
       [op, wp] {
         mc_txn(*op, [&] {
@@ -435,23 +444,6 @@ std::unique_ptr<World> build_mut_lossy_queue(Oracle& o) {
 // ---- srv programs: the server handler-loop shape (see src/srv) ----
 // One transaction = take a request from the work queue, then a session RMW.
 
-/// Grafts a queue onto a map world (the build_compound wiring).
-void add_queue(World& w, Oracle& o,
-               std::unique_ptr<tcc::TransactionalQueue<long>> queue,
-               std::vector<long> initial) {
-  w.queue = std::move(queue);
-  for (const long v : initial) w.queue->put(v);
-  o.register_queue(w.queue.get(), "queue", std::move(initial));
-  w.rqueue.emplace(&o, w.queue.get());
-  World* wp = &w;
-  Oracle* op = &o;
-  auto base_finish = std::move(w.finish);
-  w.finish = [op, wp, base_finish] {
-    base_finish();
-    op->set_final_queue(wp->queue.get(), drain_queue(*wp->queue));
-  };
-}
-
 std::unique_ptr<World> build_srv_handler(Oracle& o) {
   // Two workers drain a two-request queue and apply each request's delta to
   // the SAME session: take (no emptiness observation) + keyed RMW.  Every
@@ -489,8 +481,7 @@ std::unique_ptr<World> build_chop_transfer(Oracle& o) {
   auto worker = [op, wp] {
     std::optional<long> req;
     atomos::chopped()
-        .piece("take",
-               [&] {
+        .piece([&] {
                  mc_attach(*op);
                  req = wp->rqueue->take();
                  if (atomos::work(140)) return;
@@ -499,8 +490,7 @@ std::unique_ptr<World> build_chop_transfer(Oracle& o) {
                [&] {
                  if (req.has_value()) wp->rqueue->put(*req);
                })
-        .piece("apply",
-               [&] {
+        .piece([&] {
                  mc_attach(*op);
                  if (req.has_value()) {
                    const long bal = wp->rmap->get(1).value_or(0);
@@ -532,8 +522,7 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
       [op, wp] {
         std::optional<long> req;
         atomos::chopped()
-            .piece("take",
-                   [&] {
+            .piece([&] {
                      mc_attach(*op);
                      req = wp->rqueue->poll();
                      (void)wp->cell->get();  // cpu1's commit aborts this piece
@@ -543,8 +532,7 @@ std::unique_ptr<World> build_mut_chop_lossy_dequeue(Oracle& o) {
                    [&] {
                      if (req.has_value()) wp->rqueue->put(*req);
                    })
-            .piece("apply",
-                   [&] {
+            .piece([&] {
                      mc_attach(*op);
                      if (req.has_value()) wp->rmap->put(*req, 1);
                    },

@@ -205,13 +205,12 @@ struct SemanticServer {
     // put-back).
     std::optional<long> idx;
     atomos::chopped()
-        .piece("take", [&] { idx = queue.take(); },
+        .piece([&] { idx = queue.take(); },
                /*compensate=*/
                [&] {
                  if (idx.has_value()) queue.put(*idx);
                })
-        .piece("handle",
-               [&] {
+        .piece([&] {
                  if (idx.has_value()) (void)handle_at_commit(*idx, handle, finish);
                },
                atomos::no_compensation)  // final piece

@@ -9,9 +9,9 @@
 // compose, and fig6 measures the difference under high contention.
 //
 //   chopped()
-//       .piece("district", [&] { ...first piece... },
+//       .piece([&] { ...first piece... },
 //              /*compensate=*/[&] { ...undo its committed effects... })
-//       .piece("stock", [&] { ...second piece... }, no_compensation)
+//       .piece([&] { ...second piece... }, no_compensation)
 //       .run();
 //
 // Pieces run in declaration order.  Correctness contract, as in the
@@ -52,10 +52,10 @@ class Chop {
   /// undo the piece's committed effects when run as its own transaction
   /// later, or be no_compensation, which registers nothing.
   template <AbortSide A>
-  Chop& piece(const char* name, std::function<void()> body, A&& compensate) {
+  Chop& piece(std::function<void()> body, A&& compensate) {
     std::function<void()> comp;
     if constexpr (kCompensates<A>) comp = std::forward<A>(compensate);
-    pieces_.push_back(Piece{name, std::move(body), std::move(comp)});
+    pieces_.push_back(Piece{std::move(body), std::move(comp)});
     return *this;
   }
 
@@ -67,7 +67,6 @@ class Chop {
 
  private:
   struct Piece {
-    const char* name;
     std::function<void()> body;
     std::function<void()> compensate;  // empty for no_compensation
   };

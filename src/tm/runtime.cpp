@@ -18,18 +18,20 @@ Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
       ctx_(static_cast<std::size_t>(eng.config().num_cpus)) {
   if (tls_runtime_ != nullptr)
     throw std::logic_error("atomos::Runtime: another runtime is already active on this thread");
-  tls_runtime_ = this;
-  audit::begin_simulation();
-  active_chops_.assign(static_cast<std::size_t>(eng.config().num_cpus), nullptr);
   // Consume a pending thread-local trace request (set by the harness driver
   // before it invokes a series body, or directly by tests/benches).  The
   // labelled Shared cells constructed after this point label the tracer.
+  // The tracer is built first: a capacity it rejects throws before this
+  // runtime claims the thread.
   trace::Request req;
   if (trace::take_request(req)) {
     tracer_ = std::make_unique<trace::Tracer>(eng.config().num_cpus, req.capacity);
     trace_path_ = std::move(req.path);
     eng_.set_tracer(tracer_.get());
   }
+  tls_runtime_ = this;
+  audit::begin_simulation();
+  active_chops_.assign(static_cast<std::size_t>(eng.config().num_cpus), nullptr);
 }
 
 Runtime::~Runtime() {
@@ -241,36 +243,13 @@ void Runtime::flag_readers(sim::LineAddr line, int committer) {
 }
 
 void Runtime::broadcast_and_apply(Txn& t) {
-  // Drain the write set as line runs with no hash probes on the commit
-  // path, so each distinct directory line is broadcast (invalidate + flag)
-  // exactly once.  Typical write sets are a handful of entries whose
-  // neighbours share a line, so the small-set path dedups with a scan of
-  // the (cache-resident) gathered lines; past that the cost flips and a
-  // sort + unique run wins.  Line order within a broadcast is
-  // timing-irrelevant: the commit is charged up front as one bus
-  // occupancy, and reader flagging only sets flags, which is
-  // order-independent.
-  constexpr std::size_t kSortedDrainThreshold = 32;
-  scratch_lines_.clear();
-  if (t.writes.size() <= kSortedDrainThreshold) {
-    for (const auto& w : t.writes) {
-      const sim::LineAddr line = sim::line_of(w.addr);
-      if (!scratch_lines_.empty() && scratch_lines_.back() == line) continue;
-      bool seen = false;
-      for (const sim::LineAddr l : scratch_lines_) {
-        if (l == line) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) scratch_lines_.push_back(line);
-    }
-  } else {
-    for (const auto& w : t.writes) scratch_lines_.push_back(sim::line_of(w.addr));
-    std::sort(scratch_lines_.begin(), scratch_lines_.end());
-    scratch_lines_.erase(std::unique(scratch_lines_.begin(), scratch_lines_.end()),
-                         scratch_lines_.end());
-  }
+  // Each distinct directory line is broadcast (invalidate + flag) exactly
+  // once.  Line order within a broadcast is timing-irrelevant: the commit
+  // is charged up front as one bus occupancy, and reader flagging only sets
+  // flags, which is order-independent.
+  detail::unique_lines(
+      t.writes.size(), [&t](std::size_t i) { return sim::line_of(t.writes[i].addr); },
+      scratch_lines_);
 
   eng_.advance_to(eng_.memsys().tcc_commit(t.cpu, scratch_lines_.size(), eng_.now()));
 
@@ -280,7 +259,7 @@ void Runtime::broadcast_and_apply(Txn& t) {
     if (active_chop_count_ != 0) flag_chops(line, t.cpu);
   }
   // Value apply stays in log (program) order: entries are unique per
-  // address, so only the line walk above needed sorting.
+  // address, so only the line walk above needed the drain.
   for (const auto& w : t.writes) {
     std::memcpy(w.host, &w.val, w.size);
   }
@@ -516,17 +495,14 @@ void Runtime::chop_note_committed_piece(Txn& t) {
 
 void Runtime::notify_txn_sets(Txn* t, bool committed) {
   if (mc_observer_ == nullptr) return;
-  // Read lines come from the read set, write lines from a sort+unique run.
+  // Read lines come from the read set, write lines from the commit drain.
   // The observer treats both as sets.
   // txmc folds only the writes; perfbench's AccessCounter counts the reads.
   mc_reads_scratch_.clear();
-  mc_writes_scratch_.clear();
   t->read_set.for_each([this](sim::LineAddr line, bool) { mc_reads_scratch_.push_back(line); });
-  for (const auto& w : t->writes) mc_writes_scratch_.push_back(sim::line_of(w.addr));
-  std::sort(mc_writes_scratch_.begin(), mc_writes_scratch_.end());
-  mc_writes_scratch_.erase(
-      std::unique(mc_writes_scratch_.begin(), mc_writes_scratch_.end()),
-      mc_writes_scratch_.end());
+  detail::unique_lines(
+      t->writes.size(), [t](std::size_t i) { return sim::line_of(t->writes[i].addr); },
+      mc_writes_scratch_);
   mc_observer_->on_txn_sets(t->cpu, committed, t->open, mc_reads_scratch_, mc_writes_scratch_);
 }
 

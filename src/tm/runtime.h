@@ -39,6 +39,7 @@
 // paper relies on.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -125,6 +126,37 @@ struct WriteEntry {
   std::uint64_t val;
   std::uint32_t size;
 };
+
+/// The commit drain: replaces `out` with the distinct lines among
+/// line_at(0) .. line_at(n - 1), read straight from a write log with no
+/// hash probes, so each written line is broadcast exactly once.  Typical
+/// write sets are a handful of entries whose neighbours share a line, so
+/// the small-set path dedups with a scan of the (cache-resident) gathered
+/// lines; past that the cost flips and a sort + unique run wins.  The
+/// order of `out` is unspecified: every caller treats it as a set.
+template <class LineAt>
+void unique_lines(std::size_t n, LineAt line_at, std::vector<sim::LineAddr>& out) {
+  constexpr std::size_t kSortedDrainThreshold = 32;
+  out.clear();
+  if (n <= kSortedDrainThreshold) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const sim::LineAddr line = line_at(i);
+      if (!out.empty() && out.back() == line) continue;
+      bool seen = false;
+      for (const sim::LineAddr l : out) {
+        if (l == line) {
+          seen = true;
+          break;
+        }
+      }
+      if (!seen) out.push_back(line);
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out.push_back(line_at(i));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+}
 
 /// One transaction: a top-level transaction or an open-nested child.  A
 /// closed-nested `atomically` has no Txn of its own: it runs inline in the
@@ -304,7 +336,6 @@ class Runtime {
   };
   /// Installs (or clears, with nullptr) the model-checker observer.
   void set_mc_observer(McObserver* o) { mc_observer_ = o; }
-  McObserver* mc_observer() const { return mc_observer_; }
 
   /// The one reporting call for a semantic-layer event.  Hands `e` to the
   /// TXCC_CHECKED auditor (an empty inline in unchecked builds), to the
@@ -618,8 +649,8 @@ class Runtime {
   // scanning every CPU's stack.
   ReaderDir reader_dir_;
 
-  // Commit-broadcast scratch (write-set lines, sorted + uniqued per
-  // commit), reused across commits.
+  // Commit-broadcast scratch (write-set lines, drained by
+  // detail::unique_lines per commit), reused across commits.
   std::vector<sim::LineAddr> scratch_lines_;
 
   // Active chops, one slot per CPU (null = none).  The count gates the

@@ -40,12 +40,21 @@ bool arg_is_table(Kind k) {
          k == Kind::kSemViolationFlag;
 }
 
+// A buffer's event count is a uint32_t: a larger capacity would wrap (2^32
+// to 0, so every event dropped).
+std::uint32_t checked_capacity(std::size_t capacity_per_cpu) {
+  if (capacity_per_cpu > UINT32_MAX) {
+    throw std::invalid_argument("trace: per-CPU capacity " + std::to_string(capacity_per_cpu) +
+                                " exceeds " + std::to_string(UINT32_MAX) + " events");
+  }
+  return static_cast<std::uint32_t>(capacity_per_cpu == 0 ? 1 : capacity_per_cpu);
+}
+
 }  // namespace
 
 Tracer::Tracer(int num_cpus, std::size_t capacity_per_cpu)
     : num_cpus_(num_cpus),
-      cap_(static_cast<std::uint32_t>(
-          capacity_per_cpu == 0 ? 1 : capacity_per_cpu)),
+      cap_(checked_capacity(capacity_per_cpu)),
       bufs_(new Buf[static_cast<std::size_t>(num_cpus > 0 ? num_cpus : 1)]) {
   for (int c = 0; c < num_cpus_; ++c)
     bufs_[idx(c)].ev = std::make_unique<Event[]>(cap_);

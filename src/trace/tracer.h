@@ -30,6 +30,8 @@ inline constexpr unsigned kLineShift = 6;
 
 class Tracer {
  public:
+  /// Throws std::invalid_argument for a capacity past UINT32_MAX events,
+  /// which the 32-bit per-CPU counters cannot index.
   explicit Tracer(int num_cpus, std::size_t capacity_per_cpu = kDefaultCapacity);
 
   // --- hot-path emission hooks (alloc-free; see txlint trace-hook) ---------

@@ -12,10 +12,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/lockers.h"
 #include "core/txmap.h"
 #include "jstd/hashmap.h"
 #include "mc/oracle.h"
+#include "tm/audit.h"
 #include "tm/runtime.h"
+#include "tm/shared.h"
 #include "trace/tracer.h"
 
 namespace tcc {
@@ -190,6 +193,69 @@ TEST(SemReportTest, OracleFindsTheLockRuleKept) {
   SemRecorder rec;
   run_contended(eng, rec);
   for (const mc::Violation& v : rec.oracle.check()) ADD_FAILURE() << v.detail;
+}
+
+// Conflict detection prunes a range lock whose owner is not live, and an
+// owner running its compensation is not live, so a committer can drop the
+// lock before the compensation's unlock_all, which then finds nothing and
+// reports nothing.  Neither is a finding.  The key-lock twin is
+// CheckedRuntimeTest.LockPrunedDuringItsOwnersCompensationIsNotReported;
+// this one runs in every build, and the auditor's checks only when checked.
+TEST(SemReportTest, RangeLockPrunedDuringItsOwnersCompensationIsNotReported) {
+  atomos::audit::reset();
+  sim::Config cfg = tcc_cfg();
+  cfg.num_cpus = 3;
+  sim::Engine eng(cfg);
+  atomos::Runtime rt(eng);
+  SemRecorder rec;
+  rt.set_mc_observer(&rec);
+  RangeLockTable<long> ranges;
+  atomos::Shared<int> hot(0, sim::kDataCell);
+  int attempts = 0;
+  int doomed = -1;
+  std::size_t size_after_prune = 1;
+  eng.spawn([&] {
+    atomos::atomically([&] {
+      ++attempts;
+      const atomos::TxnId me = atomos::self_id();
+      ranges.lock(0L, 10L, me);
+      atomos::Runtime::current().on_top_commit(
+          &ranges, [&ranges, me] { ranges.unlock_all(me); },
+          [&ranges, me] {
+            // CPU 2 prunes the lock meanwhile.
+            if (atomos::work(3000)) return;
+            ranges.unlock_all(me);
+          });
+      (void)hot.get();
+      if (atomos::work(2000)) return;  // CPU 1's commit dooms attempt 1
+    });
+  });
+  eng.spawn([&] {
+    (void)atomos::Runtime::current().work(100);
+    atomos::atomically([&] { hot.set(1); });
+  });
+  eng.spawn([&] {
+    (void)atomos::Runtime::current().work(3000);  // inside CPU 0's compensation
+    atomos::atomically([&] {
+      doomed = ranges.violate_containing(5, atomos::self_id());
+      size_after_prune = ranges.size();
+    });
+  });
+  eng.run();
+  rt.set_mc_observer(nullptr);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(doomed, 0);                // pruned, not doomed
+  EXPECT_EQ(size_after_prune, 0u);     // the prune landed before the unlock_all
+  EXPECT_EQ(count(rec, Kind::kPrune), 1u);
+  // Two acquires, each ended once: attempt 1's by the prune, attempt 2's by
+  // its commit.  The compensation's unlock_all found nothing to report.
+  EXPECT_EQ(count(rec, Kind::kAcquire), 2u);
+  EXPECT_EQ(count(rec, Kind::kReleaseAll), 1u);
+  EXPECT_EQ(count(rec, Kind::kReleaseNoop), 0u);
+  EXPECT_EQ(ranges.size(), 0u);
+  for (const mc::Violation& v : rec.oracle.check()) ADD_FAILURE() << v.detail;
+  EXPECT_EQ(atomos::audit::total(), 0u)
+      << (atomos::audit::reports().empty() ? "" : atomos::audit::reports()[0]);
 }
 
 }  // namespace

@@ -236,6 +236,28 @@ TEST(CliDeathTest, IntegerFlagsOutOfRangeExitWithUsage) {
   EXPECT_EXIT(parse_flag("--ops", "3000000000"), ::testing::ExitedWithCode(2), "bad value");
   EXPECT_EXIT(parse_flag("--trace-cap", "99999999999999999999"), ::testing::ExitedWithCode(2),
               "bad value");
+  // --trace-cap sizes a tracer's 32-bit event counters: 2^32 wrapped to 0.
+  EXPECT_EXIT(parse_flag("--trace-cap", "4294967296"), ::testing::ExitedWithCode(2),
+              "bad value");
+}
+
+// Valid values of the sweep flags land in DriverOptions as given; the flags
+// not passed keep their defaults.
+TEST(CliTest, ValidFlagsReachDriverOptions) {
+  std::vector<std::string> args = {"fig", "--trials", "3", "--only", "cpus=1,8",
+                                   "--trace", "out/fig3_", "--trace-cap", "4294967295"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const harness::Cli cli =
+      harness::Cli::parse(static_cast<int>(args.size()), argv.data(), "fig");
+  EXPECT_EQ(cli.opts.trials, 3);
+  EXPECT_EQ(cli.opts.only, "cpus=1,8");
+  EXPECT_EQ(cli.opts.trace_path, "out/fig3_");
+  EXPECT_EQ(cli.opts.trace_cap, std::size_t{4294967295});
+  EXPECT_EQ(cli.opts.jobs, 1);
+  EXPECT_EQ(cli.opts.csv_path, "");
+  EXPECT_EQ(cli.ops, -1);
 }
 
 // A timeout must be finite and at most 1e6 s: NaN would turn the timeout

@@ -17,23 +17,23 @@ namespace atomos {
 namespace {
 
 // A piece's compensation is part of the call's type, as a commit handler's
-// abort side is: a two-argument piece does not compile, and neither does a
+// abort side is: a one-argument piece does not compile, and neither does a
 // null compensation.  It takes a callable or no_compensation.  Pieces run
-// in declaration order, so no form takes a rank.
+// in declaration order, so no form takes a rank, and no form takes a name.
 struct Body {
   void operator()() const {}
 };
 template <class... A>
 constexpr bool kPiece = requires(Chop& c, A... a) { c.piece(a...); };
 
-static_assert(!kPiece<const char*, Body>);
-static_assert(!kPiece<int, const char*, Body>);
-static_assert(!kPiece<const char*, Body, std::nullptr_t>);
-static_assert(!kPiece<int, const char*, Body, std::nullptr_t>);
-static_assert(kPiece<const char*, Body, Body>);
-static_assert(kPiece<const char*, Body, NoCompensation>);
-static_assert(!kPiece<int, const char*, Body, Body>);
-static_assert(!kPiece<int, const char*, Body, NoCompensation>);
+static_assert(!kPiece<Body>);
+static_assert(!kPiece<int, Body>);
+static_assert(!kPiece<Body, std::nullptr_t>);
+static_assert(!kPiece<int, Body, std::nullptr_t>);
+static_assert(kPiece<Body, Body>);
+static_assert(kPiece<Body, NoCompensation>);
+static_assert(!kPiece<int, Body, Body>);
+static_assert(!kPiece<const char*, Body, NoCompensation>);
 
 sim::Config cfg(int cpus, sim::Mode mode = sim::Mode::kTcc) {
   sim::Config c;
@@ -49,14 +49,12 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
   std::vector<int> order;
   eng.spawn([&] {
     chopped()
-        .piece("first",
-               [&] {
+        .piece([&] {
                  order.push_back(1);
                  a.set(a.get() + 1);
                },
                no_compensation)
-        .piece("second",
-               [&] {
+        .piece([&] {
                  order.push_back(2);
                  b.set(a.get() + 10);  // reads the first piece's commit
                },
@@ -81,17 +79,16 @@ TEST(Chop, RankedPolicyCountsForwardDependencyBreaks) {
   sim::Engine eng(cfg(2));
   Runtime rt(eng);
   Shared<long> x(0, sim::kDataCell);   // read by piece 0, written by the intruder
-  Shared<long> y(-1, sim::kDataCell);  // written by piece 1
+  Shared<long> y(-1, sim::kDataCell);  // written by piece 2 (after the gap)
   eng.spawn([&] {
     chopped()
-        .piece("read-x",
-               [&] {
+        .piece([&] {
                  (void)x.get();
                  if (work(50)) return;
                },
                no_compensation)
-        .piece("gap", [&] { if (work(3000)) return; }, no_compensation)  // intruder commits in here
-        .piece("write-y", [&] { y.set(x.get()); }, no_compensation)
+        .piece([&] { if (work(3000)) return; }, no_compensation)  // intruder commits in here
+        .piece([&] { y.set(x.get()); }, no_compensation)
         .run();
   });
   eng.spawn([&] {
@@ -117,8 +114,7 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
   eng.spawn([&] {
     try {
       chopped()
-          .piece("charge",
-                 [&] {
+          .piece([&] {
                    ledger.set(ledger.get() + 5);
                    events.push_back("charge");
                  },
@@ -127,10 +123,10 @@ TEST(Chop, ThrowingPieceCompensatesCommittedPrefix) {
                    ledger.set(ledger.get() - 5);
                    events.push_back("refund");
                  })
-          .piece("audit", [&] { (void)ledger.get(); }, no_compensation)
-          .piece("reserve", [&] { events.push_back("reserve"); },
+          .piece([&] { (void)ledger.get(); }, no_compensation)
+          .piece([&] { events.push_back("reserve"); },
                  /*compensate=*/[&] { events.push_back("release"); })
-          .piece("boom", [&] { throw std::runtime_error("piece failed"); }, no_compensation)
+          .piece([&] { throw std::runtime_error("piece failed"); }, no_compensation)
           .run();
     } catch (const std::runtime_error&) {
       threw = true;
@@ -157,9 +153,9 @@ TEST(Chop, DegradesToFramesInsideEnclosingTransaction) {
     try {
       atomically([&] {
         chopped()
-            .piece("inner", [&] { v.set(41); },
+            .piece([&] { v.set(41); },
                    [&] { compensated = true; })
-            .piece("inner2", [&] { v.set(v.get() + 1); }, no_compensation)
+            .piece([&] { v.set(v.get() + 1); }, no_compensation)
             .run();
         throw std::runtime_error("abort enclosing");
       });
@@ -179,8 +175,8 @@ TEST(Chop, LockModeRunsPlainly) {
   Shared<long> v(0, sim::kDataCell);
   eng.spawn([&] {
     chopped()
-        .piece("a", [&] { v.set(1); }, no_compensation)
-        .piece("b", [&] { v.set(v.get() + 1); }, no_compensation)
+        .piece([&] { v.set(1); }, no_compensation)
+        .piece([&] { v.set(v.get() + 1); }, no_compensation)
         .run();
   });
   eng.run();
@@ -196,9 +192,9 @@ TEST(Chop, UnrelatedCommitsDoNotBreakTheChop) {
   Shared<long> other(0, sim::kMetaCell);  // a line of its own, off the chop's
   eng.spawn([&] {
     chopped()
-        .piece("p0", [&] { mine.set(mine.get() + 1); }, no_compensation)
-        .piece("gap", [&] { if (work(2000)) return; }, no_compensation)
-        .piece("p1", [&] { mine.set(mine.get() + 1); }, no_compensation)
+        .piece([&] { mine.set(mine.get() + 1); }, no_compensation)
+        .piece([&] { if (work(2000)) return; }, no_compensation)
+        .piece([&] { mine.set(mine.get() + 1); }, no_compensation)
         .run();
   });
   eng.spawn([&] {

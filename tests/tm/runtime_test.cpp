@@ -1009,6 +1009,54 @@ TEST(RuntimeTest, NestedWorkViolationStopsEveryEnclosingBody) {
   EXPECT_EQ(eng.elapsed_cycles(), kNestedRaceCycles);
 }
 
+// A nested atomically that returns a value runs inline too: it reads the
+// enclosing transaction's buffered write, and its value comes back.
+TEST(RuntimeTest, NestedAtomicallyReturnsAValueSeeingTheEnclosingWrite) {
+  sim::Engine eng(tcc_cfg(1));
+  Runtime rt(eng);
+  Shared<int> x(1, sim::kDataCell);
+  int seen = 0;
+  eng.spawn([&] {
+    atomically([&] {
+      x.set(41);
+      seen = atomically([&] { return x.get() + 1; });
+    });
+  });
+  eng.run();
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(x.unsafe_peek(), 41);
+}
+
+// A nested block that returns a value after work() reported the doom: its
+// boundary throws the violation to the enclosing retry, so the doomed
+// attempt's value never reaches the enclosing body, and there are two
+// attempts.
+TEST(RuntimeTest, NestedValueReturnedAfterDoomRestartsTheEnclosingTransaction) {
+  sim::Engine eng(tcc_cfg(2));
+  Runtime rt(eng);
+  Shared<int> x(0, sim::kDataCell);
+  Shared<int> y(0, sim::kDataCell);
+  int attempts = 0;
+  std::vector<int> returned;
+  eng.spawn([&] {
+    atomically([&] {
+      ++attempts;
+      const int v = atomically([&] {
+        const int read = x.get();
+        if (Runtime::current().work(kTailCycles)) return -1;
+        return read;
+      });
+      returned.push_back(v);
+      y.set(v + 1);
+    });
+  });
+  spawn_writer(eng, x);
+  eng.run();
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(returned, std::vector<int>{7});  // the committing attempt's only
+  EXPECT_EQ(y.unsafe_peek(), 8);
+}
+
 TEST(RuntimeTest, OpenChildWorkFindsParentDoomed) {
   // The parent read x; its open child is working when the flag lands.  The
   // child returns and commits nothing, and the parent restarts.
@@ -1160,6 +1208,17 @@ TEST(RuntimeTest, LabelledCellsLabelTheAttachedTracer) {
   const auto& labels = rt.tracer()->labels();
   ASSERT_EQ(labels.size(), 1u);
   EXPECT_EQ(labels.begin()->second, "Map.size");
+}
+
+// A trace request whose capacity the tracer rejects fails the Runtime's
+// construction before the Runtime claims its thread, so the next Runtime
+// there builds (the request was consumed: it has no tracer).
+TEST(RuntimeTest, RejectedTraceCapacityLeavesTheThreadFree) {
+  sim::Engine eng(tcc_cfg(1));
+  trace::set_request("", std::size_t{1} << 32);
+  EXPECT_THROW(Runtime rejected(eng), std::invalid_argument);
+  Runtime rt(eng);
+  EXPECT_EQ(rt.tracer(), nullptr);
 }
 
 // unsafe_peek reads the committed value behind the read set, so a worker

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "trace/reader.h"
@@ -71,6 +72,17 @@ constexpr std::uint64_t kLine = kBase >> kLineShift;
 const std::string* label_at(const Tracer& t, std::uint64_t line) {
   auto it = t.labels().find(line);
   return it == t.labels().end() ? nullptr : &it->second;
+}
+
+// A buffer's event count is 32 bits wide, so a capacity of 2^32 would wrap
+// to 0 and drop every event.  The constructor refuses any capacity its
+// counters cannot index (trace::set_request reaches it without the CLI's
+// bound), before it allocates anything.
+TEST(Tracer, CapacityPastTheCountersRangeThrows) {
+  EXPECT_THROW(Tracer(1, std::size_t{1} << 32), std::invalid_argument);
+  EXPECT_THROW(Tracer(1, SIZE_MAX), std::invalid_argument);
+  EXPECT_EQ(Tracer(1, 0).capacity(), 1u);
+  EXPECT_EQ(Tracer(1, 3).capacity(), 3u);
 }
 
 TEST(Tracer, SingleCellKeepsItsExactName) {
